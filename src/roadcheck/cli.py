@@ -167,16 +167,18 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
     filters: dict = {}
 
     def publish(verdicts):
-        # line-buffered so downstream pipeline stages see each verdict
+        # one write per verdict line, one flush per step so that downstream
+        # pipeline stages see each step's verdicts together
+        out = sys.stdout
         for v in verdicts:
             if debounce_n > 1:
                 filt = filters.setdefault(v.assertion_id,
                                           DebounceFilter(debounce_n))
-                for out in filt.feed(v):
-                    click.echo(out.to_json())
+                for d in filt.feed(v):
+                    out.write(d.to_json() + "\n")
             else:
-                click.echo(v.to_json())
-        sys.stdout.flush()
+                out.write(v.to_json() + "\n")
+        out.flush()
 
     pending_t = None
     pending: dict = {}
@@ -192,6 +194,9 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
                 obj = json.loads(line)
                 from .trace import _parse_record
                 state = _parse_record(obj, index)
+                if state.t == pending_t and state.actor_id in pending:
+                    raise TraceError(f"duplicate actor {state.actor_id!r} "
+                                     f"at t={state.t}", index)
             except (TraceError, json.JSONDecodeError) as exc:
                 _die(str(exc))
             if pending_t is None or state.t > pending_t:
@@ -205,11 +210,11 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
             pending[state.actor_id] = state
         if pending:
             publish(stream.feed(pending_t, pending))
-        final = stream.finish()
-        publish(final)
+        publish(stream.finish())
         for filt in filters.values():
-            for out in filt.finish():
-                click.echo(out.to_json())
+            for d in filt.finish():
+                sys.stdout.write(d.to_json() + "\n")
+        sys.stdout.flush()
     except engine.StreamError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from . import dsl
 from .checker import CompiledAssertion
 from .geometry import danger_space, min_distance as poly_min_distance, overlaps as poly_overlaps
-from .models import ModelConfig, default_profiles, mps_to_mph
+from .models import ModelConfig, ModelError, default_profiles, mps_to_mph
 from .models import danger_space_length as model_ds_length
 from .models import safe_distance_ahead
 from .trace import ActorState, Trace, derive_row
@@ -144,9 +144,13 @@ class _StepView:
             v_vbp = self.speed_of(vbp)
         except ActorNotFound:
             v_vbp = 0.0
-        geom = self.ctx.config.geometry(self.speed_of(av), v_vbp,
-                                        self.speed_of(ov))
-        return safe_distance_ahead(profile, geom)
+        try:
+            geom = self.ctx.config.geometry(self.speed_of(av), v_vbp,
+                                            self.speed_of(ov))
+            return safe_distance_ahead(profile, geom)
+        except ModelError as exc:
+            # e.g. a passed vehicle faster than the ego: no overtake to size
+            raise EvalError(str(exc)) from exc
 
     def distance_ahead(self, a: ActorState, b: ActorState) -> float:
         try:

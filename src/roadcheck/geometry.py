@@ -200,7 +200,8 @@ def _gjk_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
         vx, vy = _closest_on_segment(p[0], p[1], q[0], q[1])
         vlen2 = vx * vx + vy * vy
         if vlen2 <= 1e-24:
-            return 0.0
+            # callers pass disjoint polygons: the gap is tiny, not zero
+            return math.hypot(vx, vy)
         best = min(best, math.sqrt(vlen2))
         w = support(-vx, -vy)
         # no progress toward the origin means v is the true closest point

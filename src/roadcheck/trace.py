@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 from .geometry import BoxDims, Pose2D, normalize_angle, oriented_box, projection_interval
 from .worldmap import OffRoadError, RoadMap, lane_orientation_at
+# bench/tracing.py hooks the centre-line query under this name
+from .worldmap import nearest_centreline_point as _nearest_centreline_point
 
 MPH_TO_MPS = 0.44704
 
@@ -242,25 +244,6 @@ def finite_acceleration(prev: ActorState | None, cur: ActorState,
 
     return (second(prev.pose.x, cur.pose.x, nxt.pose.x),
             second(prev.pose.y, cur.pose.y, nxt.pose.y))
-
-
-def _nearest_centreline_point(road: RoadMap, p: tuple[float, float]):
-    best = None
-    best_d = math.inf
-    px, py = p
-    pts = road.centreline
-    for i in range(len(pts) - 1):
-        ax, ay = pts[i]
-        bx, by = pts[i + 1]
-        abx, aby = bx - ax, by - ay
-        denom = abx * abx + aby * aby
-        t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * abx + (py - ay) * aby) / denom))
-        qx, qy = ax + t * abx, ay + t * aby
-        d = (qx - px) ** 2 + (qy - py) ** 2
-        if d < best_d:
-            best_d = d
-            best = (qx, qy)
-    return best
 
 
 def derive_state(prev: ActorState | None, cur: ActorState,

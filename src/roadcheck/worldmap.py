@@ -17,20 +17,33 @@ The on-disk format is a UTF-8 JSON document:
     }
 
 Unknown keys are rejected in strict mode and warned about otherwise.
+
+Every map builds, once, a packed R-tree over the lanelets and one over the
+centre-line segments when it has more of them than one tree node holds;
+the map queries then run their exact tests only on the items whose
+bounding box meets the query's.  Smaller maps are scanned.  Both ways give
+the same results.
 """
 
 from __future__ import annotations
 
+import heapq
 import io
 import json
+import math
 import warnings
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 from .geometry import (ConvexPolygon, GeometryError, normalize_angle,
                        overlap_area, segment_intersects_polygon,
                        _point_in_polygon)
 
 DIRECTIONS = ("with_map_axis", "against_map_axis")
+
+_LEAF = 8               # entries per R-tree node
+_PAD = 1e-9             # relative padding of every bounding box
+_SLACK = 1.0 + 1e-9     # relative slack of the nearest-item stopping rule
 
 
 class MapError(ValueError):
@@ -65,10 +78,131 @@ class Lanelet:
         object.__setattr__(self, "orientation", normalize_angle(self.orientation))
 
 
+def _padded(x0, y0, x1, y1):
+    """The box grown by ``_PAD`` relative to its largest coordinate, so that
+    rounding in an exact test cannot put a hit outside it."""
+    pad = _PAD * max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
+    return x0 - pad, y0 - pad, x1 + pad, y1 + pad
+
+
+def _bounds(points):
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    return _padded(min(xs), min(ys), max(xs), max(ys))
+
+
+class _BoxTree:
+    """Immutable R-tree over item boxes, packed by Sort-Tile-Recursive
+    (Leutenegger, Lopez & Edgington, ICDE 1997).
+
+    ``levels[0]`` holds the item boxes in packed order, each level above one
+    box per run of ``_LEAF`` consecutive boxes of the level below, and the
+    last level a single box.  A level is a flat ``array('d')`` of
+    (x0, y0, x1, y1); ``items`` maps level-0 slots to item indices.
+    """
+
+    __slots__ = ("levels", "items")
+
+    def __init__(self, boxes: array):
+        n = len(boxes) // 4
+
+        def centre(i):
+            return boxes[4 * i] + boxes[4 * i + 2], boxes[4 * i + 1] + boxes[4 * i + 3]
+
+        # STR: vertical slices of about sqrt(leaves) leaves each, by x, then
+        # runs of _LEAF boxes by y within a slice
+        per_slice = _LEAF * math.ceil(math.sqrt(-(-n // _LEAF)))
+        order = sorted(range(n), key=centre)
+        for s in range(0, n, per_slice):
+            order[s:s + per_slice] = sorted(
+                order[s:s + per_slice], key=lambda i: centre(i)[::-1])
+        self.items = array("i", order)
+        level = array("d")
+        for i in order:
+            level.extend(boxes[4 * i:4 * i + 4])
+        self.levels = [level]
+        while len(level) > 4:
+            up = array("d")
+            for s in range(0, len(level), 4 * _LEAF):
+                run = level[s:s + 4 * _LEAF]
+                up.extend((min(run[0::4]), min(run[1::4]),
+                           max(run[2::4]), max(run[3::4])))
+            self.levels.append(up)
+            level = up
+
+    def search(self, x0, y0, x1, y1) -> list[int]:
+        """Indices of the items whose box meets the query box, ascending."""
+        levels = self.levels
+        depth = len(levels) - 1
+        slots = range(1)
+        while True:
+            boxes = levels[depth]
+            hits = []
+            for s in slots:
+                k = 4 * s
+                if (boxes[k] <= x1 and x0 <= boxes[k + 2]
+                        and boxes[k + 1] <= y1 and y0 <= boxes[k + 3]):
+                    hits.append(s)
+            if not depth:
+                break
+            depth -= 1
+            n = len(levels[depth]) // 4
+            slots = [c for s in hits
+                     for c in range(_LEAF * s, min(_LEAF * s + _LEAF, n))]
+        items = self.items
+        return sorted([items[s] for s in hits])
+
+    def nearest(self, px, py, measure):
+        """The ``value`` of the item ``i`` with the least ``(d, i)``, where
+        ``(d, value) = measure(i)`` and ``d`` is the squared distance from
+        (px, py) to the item, never less than that to its box.
+
+        Boxes are opened nearest first; the search stops at a box farther
+        than the best ``d`` by more than ``_SLACK``, which absorbs rounding
+        in both distances.
+        """
+        levels, items = self.levels, self.items
+        best, best_d, best_i = None, math.inf, -1
+        heap = [(0.0, len(levels) - 1, 0)]
+        while heap:
+            bound, depth, s = heapq.heappop(heap)
+            limit = best_d * _SLACK
+            if bound > limit:
+                break
+            if not depth:
+                i = items[s]
+                d, value = measure(i)
+                if d < best_d or (d == best_d and i < best_i):
+                    best, best_d, best_i = value, d, i
+                continue
+            boxes = levels[depth - 1]
+            for c in range(_LEAF * s, min(_LEAF * s + _LEAF, len(boxes) // 4)):
+                k = 4 * c
+                dx = boxes[k] - px
+                if dx < 0.0:
+                    dx = max(px - boxes[k + 2], 0.0)
+                dy = boxes[k + 1] - py
+                if dy < 0.0:
+                    dy = max(py - boxes[k + 3], 0.0)
+                gap = dx * dx + dy * dy
+                if gap <= limit:
+                    heapq.heappush(heap, (gap, depth - 1, c))
+        return best
+
+
+def _tree(boxes: array):
+    """The tree over the boxes, or None when one node would hold them all."""
+    return _BoxTree(boxes) if len(boxes) > 4 * _LEAF else None
+
+
 @dataclass(frozen=True)
 class RoadMap:
     lanelets: tuple[Lanelet, ...]
     centreline: tuple[tuple[float, float], ...]
+    _lanelet_tree: _BoxTree | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _segment_tree: _BoxTree | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [l.id for l in self.lanelets]
@@ -79,14 +213,16 @@ class RoadMap:
             raise MapError("centreline needs at least 2 points")
         object.__setattr__(self, "lanelets",
                            tuple(sorted(self.lanelets, key=lambda l: l.id)))
-        object.__setattr__(self, "centreline",
-                           tuple((float(x), float(y)) for x, y in self.centreline))
-
-    def lanelet(self, lanelet_id: str) -> Lanelet:
+        pts = tuple((float(x), float(y)) for x, y in self.centreline)
+        object.__setattr__(self, "centreline", pts)
+        boxes = array("d")
         for l in self.lanelets:
-            if l.id == lanelet_id:
-                return l
-        raise KeyError(lanelet_id)
+            boxes.extend(_bounds(l.shape.vertices))
+        object.__setattr__(self, "_lanelet_tree", _tree(boxes))
+        boxes = array("d")
+        for i in range(len(pts) - 1):
+            boxes.extend(_bounds(pts[i:i + 2]))
+        object.__setattr__(self, "_segment_tree", _tree(boxes))
 
 
 _LANELET_KEYS = {"id", "vertices", "orientation_rad", "width_m", "direction"}
@@ -102,18 +238,20 @@ def _check_keys(obj: dict, allowed: set, where: str, strict: bool):
         warnings.warn(msg)
 
 
+def _read_text(source) -> str:
+    if isinstance(source, (bytes, bytearray)):
+        return source.decode("utf-8")
+    if isinstance(source, str):
+        return source
+    if isinstance(source, io.IOBase) or hasattr(source, "read"):
+        data = source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    raise TypeError(f"cannot read map from {type(source).__name__}")
+
+
 def load_map(source, strict: bool = False) -> RoadMap:
     """Parse and validate a map document from bytes, text, or a file object."""
-    if isinstance(source, (bytes, bytearray)):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        raise TypeError(f"cannot read map from {type(source).__name__}")
-
+    text = _read_text(source)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -142,6 +280,8 @@ def load_map(source, strict: bool = False) -> RoadMap:
             shape = ConvexPolygon.from_points(entry["vertices"])
         except (GeometryError, TypeError, ValueError) as exc:
             raise MapError(f"invalid shape: {exc}", location=where) from exc
+        if not all(map(math.isfinite, (c for v in shape.vertices for c in v))):
+            raise MapError("vertex coordinates must be finite", location=where)
         try:
             width = float(entry["width_m"])
             orientation = float(entry["orientation_rad"])
@@ -155,8 +295,13 @@ def load_map(source, strict: bool = False) -> RoadMap:
             or not all(isinstance(p, list) and len(p) == 2 for p in centreline)):
         raise MapError("centreline must be a list of >= 2 [x, y] points",
                        location="centreline")
-    return RoadMap(lanelets=tuple(lanelets),
-                   centreline=tuple((float(x), float(y)) for x, y in centreline))
+    centreline = tuple((float(x), float(y)) for x, y in centreline)
+    if not all(map(math.isfinite, (c for p in centreline for c in p))):
+        raise MapError("centreline coordinates must be finite",
+                       location="centreline")
+    # free the document first: the indexes are built in the memory it held
+    del doc, text
+    return RoadMap(lanelets=tuple(lanelets), centreline=centreline)
 
 
 def serialise_map(road: RoadMap) -> str:
@@ -175,10 +320,18 @@ def serialise_map(road: RoadMap) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _near(tree, items, points):
+    """The items whose box meets the bounding box of ``points``, in their
+    order; all of them when there is no tree."""
+    if tree is None:
+        return items
+    return [items[i] for i in tree.search(*_bounds(points))]
+
+
 def lanelets_containing(road: RoadMap, shape: ConvexPolygon):
     """All lanelets overlapping the shape with positive area, id-sorted."""
     out = []
-    for l in road.lanelets:
+    for l in _near(road._lanelet_tree, road.lanelets, shape.vertices):
         area = overlap_area(shape, l.shape)
         if area > 0.0:
             out.append((l.id, area))
@@ -188,26 +341,53 @@ def lanelets_containing(road: RoadMap, shape: ConvexPolygon):
 def crosses_centreline(road: RoadMap, shape: ConvexPolygon) -> bool:
     """True iff the polygon touches or crosses the centre-line polyline."""
     pts = road.centreline
-    for i in range(len(pts) - 1):
+    for i in _near(road._segment_tree, range(len(pts) - 1), shape.vertices):
         if segment_intersects_polygon(pts[i], pts[i + 1], shape):
             return True
     return False
 
 
-def lane_orientation_at(road: RoadMap, point: tuple[float, float]) -> float:
-    """Driving orientation of the smallest containing lanelet.
+def lanelet_at(road: RoadMap, point: tuple[float, float]) -> Lanelet:
+    """The smallest lanelet containing the point.
 
     Boundary-shared points resolve to the lexicographically smallest id.
     """
-    candidates = [l for l in road.lanelets if _point_in_polygon(point, l.shape)]
-    if not candidates:
-        raise OffRoadError(f"point {point} is outside every lanelet")
-    best = min(candidates, key=lambda l: (l.shape.area, l.id))
-    return best.orientation
-
-
-def lanelet_at(road: RoadMap, point: tuple[float, float]) -> Lanelet:
-    candidates = [l for l in road.lanelets if _point_in_polygon(point, l.shape)]
+    candidates = [l for l in _near(road._lanelet_tree, road.lanelets, (point,))
+                  if _point_in_polygon(point, l.shape)]
     if not candidates:
         raise OffRoadError(f"point {point} is outside every lanelet")
     return min(candidates, key=lambda l: (l.shape.area, l.id))
+
+
+def lane_orientation_at(road: RoadMap, point: tuple[float, float]) -> float:
+    """Driving orientation of the smallest containing lanelet."""
+    return lanelet_at(road, point).orientation
+
+
+def _closest_on_segment(a, b, px, py):
+    """(squared distance, point) of the point of segment AB closest to P."""
+    ax, ay = a
+    bx, by = b
+    abx, aby = bx - ax, by - ay
+    denom = abx * abx + aby * aby
+    t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * abx + (py - ay) * aby) / denom))
+    qx, qy = ax + t * abx, ay + t * aby
+    return (qx - px) ** 2 + (qy - py) ** 2, (qx, qy)
+
+
+def nearest_centreline_point(road: RoadMap, p: tuple[float, float]):
+    """The centre-line point closest to ``p``; of equally close points, the
+    one on the lowest-numbered segment."""
+    px, py = p
+    pts = road.centreline
+    tree = road._segment_tree
+    if tree is not None:
+        return tree.nearest(px, py, lambda i: _closest_on_segment(
+            pts[i], pts[i + 1], px, py))
+    best = None
+    best_d = math.inf
+    for i in range(len(pts) - 1):
+        d, q = _closest_on_segment(pts[i], pts[i + 1], px, py)
+        if d < best_d:
+            best_d, best = d, q
+    return best

@@ -3,13 +3,16 @@
 These deliberately avoid the algorithms used by the package (separating
 axes, GJK, polygon clipping): distances come from exhaustive vertex/edge
 enumeration, overlap from point membership and segment crossings, areas
-from Monte-Carlo sampling.
+from Monte-Carlo sampling.  The map scans are the exception: they apply the
+package's own exact tests to every lanelet or centre-line segment, the
+reference the map index must reproduce bit for bit.
 """
 
 import math
 import random
 
-from roadcheck.geometry import ConvexPolygon
+from roadcheck.geometry import (ConvexPolygon, _point_in_polygon, overlap_area,
+                                segment_intersects_polygon)
 
 
 def point_segment_distance(p, a, b):
@@ -130,3 +133,44 @@ def _convex_hull(points):
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
+
+
+# --- brute-force map scans ---------------------------------------------------
+
+def scan_lanelet_at(road, point):
+    """Smallest lanelet containing the point, ties to the smallest id; None
+    off the road."""
+    hits = [l for l in road.lanelets if _point_in_polygon(point, l.shape)]
+    return min(hits, key=lambda l: (l.shape.area, l.id)) if hits else None
+
+
+def scan_lanelets_containing(road, shape):
+    out = []
+    for l in road.lanelets:
+        area = overlap_area(shape, l.shape)
+        if area > 0.0:
+            out.append((l.id, area))
+    return out
+
+
+def scan_crosses_centreline(road, shape) -> bool:
+    pts = road.centreline
+    return any(segment_intersects_polygon(pts[i], pts[i + 1], shape)
+               for i in range(len(pts) - 1))
+
+
+def scan_nearest_centreline_point(road, p):
+    """Closest centre-line point; the first segment wins ties."""
+    px, py = p
+    best, best_d = None, math.inf
+    pts = road.centreline
+    for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+        abx, aby = bx - ax, by - ay
+        denom = abx * abx + aby * aby
+        t = 0.0 if denom == 0.0 else max(
+            0.0, min(1.0, ((px - ax) * abx + (py - ay) * aby) / denom))
+        qx, qy = ax + t * abx, ay + t * aby
+        d = (qx - px) ** 2 + (qy - py) ** 2
+        if d < best_d:
+            best, best_d = (qx, qy), d
+    return best

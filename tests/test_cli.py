@@ -84,6 +84,57 @@ class TestCheck:
         assert "perf: FAIL" in res.output
 
 
+def fast_vbp_trace(root, tmp_path):
+    """The safe preset with the passed vehicle moving at 15 m/s, faster
+    than the ego's 11.2 m/s."""
+    records = [json.loads(l)
+               for l in (root / "safe_trace.jsonl").read_text().splitlines()]
+    x0 = next(r["x"] for r in records if r["actor_id"] == "parked")
+    for r in records:
+        if r["actor_id"] == "parked":
+            r["speed_mps"] = 15.0
+            r["x"] = x0 + 15.0 * r["t"]
+    path = tmp_path / "fast_vbp_trace.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    return path
+
+
+def evaluation_errors(lines):
+    verdicts = [json.loads(l) for l in lines if l.startswith("{")]
+    assert verdicts
+    return [v for v in verdicts
+            if v["detail"].get("reason") == "evaluation-error"]
+
+
+class TestFasterPassedVehicle:
+    """sda() has no answer when the passed vehicle outruns the ego; that is
+    a failed verdict, not a crash."""
+
+    def test_check_reports_evaluation_error(self, fixture_dir, tmp_path):
+        trace = fast_vbp_trace(fixture_dir, tmp_path)
+        out = tmp_path / "v.jsonl"
+        res = runner.invoke(main, [
+            "check", "--map", str(fixture_dir / "safe_map.json"),
+            "--trace", str(trace), "--rules", str(fixture_dir / "rule162.rules"),
+            "--out-jsonl", str(out)])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        errors = evaluation_errors(out.read_text().splitlines())
+        assert errors and all(v["result"] == "fail" for v in errors)
+        assert "must exceed" in errors[0]["detail"]["error"]
+
+    def test_monitor_reports_evaluation_error(self, fixture_dir, tmp_path):
+        trace = fast_vbp_trace(fixture_dir, tmp_path)
+        res = runner.invoke(main, [
+            "monitor", "--map", str(fixture_dir / "safe_map.json"),
+            "--rules", str(fixture_dir / "rule162.rules")],
+            input=trace.read_text())
+        assert res.exception is None, res.exception
+        assert res.exit_code == 0
+        errors = evaluation_errors(res.output.splitlines())
+        assert errors and all(v["result"] == "fail" for v in errors)
+
+
 class TestMonitor:
     def monitor_args(self, root, preset):
         return ["monitor",
@@ -116,6 +167,19 @@ class TestMonitor:
         res = runner.invoke(main, self.monitor_args(fixture_dir, "safe"),
                             input=scrambled)
         assert res.exit_code == 1
+
+    def test_duplicate_record_exit_two_like_check(self, fixture_dir, tmp_path):
+        lines = (fixture_dir / "safe_trace.jsonl").read_text().splitlines()
+        doubled = lines[:4] + [lines[3]] + lines[4:]
+        trace = tmp_path / "dup_trace.jsonl"
+        trace.write_text("\n".join(doubled) + "\n")
+        chk = runner.invoke(main, check_args(fixture_dir, "safe", "nominal")[:3]
+                            + ["--trace", str(trace)])
+        mon = runner.invoke(main, self.monitor_args(fixture_dir, "safe"),
+                            input=trace.read_text())
+        assert chk.exit_code == 2 and mon.exit_code == 2
+        assert "record 4: duplicate actor" in chk.output
+        assert "record 4: duplicate actor" in mon.output
 
     def test_occlusion_first_fail_at_visibility(self, fixture_dir):
         trace_text = (fixture_dir / "occlusion_abort_trace.jsonl").read_text()

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roadcheck.dsl import format_expr, parse_expression
@@ -52,6 +52,8 @@ polygon_pairs = st.tuples(convex_polygons(), convex_polygons(shift=5.0)).filter(
 
 
 @given(polygon_pairs)
+@example((ConvexPolygon(((0.0, -1.0), (1.0, -1.0), (0.0, -3.19e-157))),
+          ConvexPolygon(((0.0, 0.0), (5.0, 0.0), (5.0, 1.0)))))
 @settings(max_examples=150, deadline=None)
 def test_distance_symmetric_and_consistent(pair):
     a, b = pair

@@ -63,6 +63,18 @@ class TestLoadMap:
         with pytest.warns(UserWarning):
             load_map(json.dumps(doc), strict=False)
 
+    @pytest.mark.parametrize("where, value", [
+        ("vertex", "NaN"), ("centreline", "-Infinity")])
+    def test_non_finite_coordinates_rejected(self, where, value):
+        doc = json.loads(json.dumps(TWO_LANE_DOC))
+        if where == "vertex":
+            doc["lanelets"][0]["vertices"][1][0] = 1e308
+        else:
+            doc["centreline"][1][1] = 1e308
+        text = json.dumps(doc).replace("1e+308", value)
+        with pytest.raises(MapError):
+            load_map(text)
+
     def test_duplicate_ids_rejected(self):
         doc = json.loads(json.dumps(TWO_LANE_DOC))
         doc["lanelets"][1]["id"] = "east"
