@@ -25,10 +25,10 @@ import click
 from . import engine, perception, rulepack, scenarios, zones as zones_mod
 from .checker import TypecheckError, compile_text
 from .dsl import ParseError
-from .engine import (FAIL, DebounceFilter, EvaluationContext, StreamingEngine,
-                     debounce, evaluate_document, summary_csv, summary_rows,
-                     verdicts_to_jsonl)
-from .models import load_profiles
+from .engine import (FAIL, DebounceFilter, EvalError, EvaluationContext,
+                     StreamingEngine, debounce, evaluate_document, summary_csv,
+                     summary_rows, verdicts_to_jsonl)
+from .models import ModelError, load_profiles
 from .perception import CameraCalibration, EstimatorConfig, PerceptionError
 from .trace import TraceError, load_trace, serialise_trace
 from .worldmap import MapError, load_map, serialise_map
@@ -39,13 +39,26 @@ def _die(message: str, code: int = 2):
     sys.exit(code)
 
 
-def _load_inputs(map_path, rules_paths, profiles_path):
+def _load_config(profiles_path, profile_name):
+    """The profile config, once the named profile is known to be in it."""
+    try:
+        config = load_profiles(profiles_path)
+    except (OSError, ModelError) as exc:
+        _die(f"{profiles_path}: {exc}")
+    try:
+        config.profile(profile_name)
+    except ModelError as exc:
+        _die(str(exc))
+    return config
+
+
+def _load_inputs(map_path, rules_paths, profiles_path, profile_name):
     try:
         with open(map_path, "rb") as fh:
             road = load_map(fh)
     except (OSError, MapError) as exc:
         _die(str(exc))
-    config = load_profiles(profiles_path)
+    config = _load_config(profiles_path, profile_name)
     assertions = []
     if rules_paths:
         for path in rules_paths:
@@ -121,7 +134,8 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
           debounce_n, strict_windows, worst_case_speeds, trace_path,
           out_jsonl, out_csv, print_verdicts):
     """Retrospective analysis of a recorded trace."""
-    road, config, assertions = _load_inputs(map_path, rules_paths, profiles_path)
+    road, config, assertions = _load_inputs(map_path, rules_paths,
+                                            profiles_path, profile_name)
     try:
         with open(trace_path, "rb") as fh:
             trace = load_trace(fh)
@@ -132,7 +146,10 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
                             active_odd=frozenset(active_odd),
                             strict_windows=strict_windows,
                             worst_case_speeds=worst_case_speeds)
-    verdicts = evaluate_document(assertions, trace, ctx)
+    try:
+        verdicts = evaluate_document(assertions, trace, ctx)
+    except EvalError as exc:
+        _die(str(exc))
     if debounce_n > 1:
         verdicts = debounce(verdicts, debounce_n)
     if out_jsonl:
@@ -157,7 +174,8 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
 def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
             debounce_n, strict_windows, worst_case_speeds):
     """Streaming evaluation of records arriving on stdin (JSON lines)."""
-    road, config, assertions = _load_inputs(map_path, rules_paths, profiles_path)
+    road, config, assertions = _load_inputs(map_path, rules_paths,
+                                            profiles_path, profile_name)
     ctx = EvaluationContext(road=road, config=config,
                             profile_name=profile_name,
                             active_odd=frozenset(active_odd),
@@ -218,6 +236,8 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
     except engine.StreamError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    except EvalError as exc:
+        _die(str(exc))
     sys.exit(0)
 
 
@@ -300,35 +320,44 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
             trace = load_trace(fh)
     except (OSError, MapError, TraceError) as exc:
         _die(str(exc))
-    config = load_profiles(profiles_path)
+    config = _load_config(profiles_path, profile_name)
     ctx = EvaluationContext(road=road, config=config,
                             profile_name=profile_name)
-    rule = rulepack.rule162_sda_assertion()
-    refs = engine.find_reference_points(rule, trace, ctx)
+    try:
+        verdicts = evaluate_document([rulepack.rule162_sda_assertion()],
+                                     trace, ctx)
+    except EvalError as exc:
+        _die(str(exc))
+    # every rule 162 verdict but reference-never-fired is stamped at a
+    # reference time
+    refs = [v.t for v in verdicts
+            if v.detail.get("reason") != "reference-never-fired"]
     if not refs:
         _die("the ego never crosses the centre line", code=1)
-    thresholds = zones_mod.ZoneThresholds(safety_margin_fraction=margin,
-                                          ttc_conservative=ttc_limit)
-    observations = []
-    from .trace import distance_ahead as trace_da
+    from .trace import derive_row, distance_ahead as trace_da
     index_of = {t: i for i, t in enumerate(trace.times)}
-    from .trace import derive_row
-    for t in refs:
-        k = index_of[t]
-        prev_step = trace.steps[k - 1] if k > 0 else None
-        nxt_step = trace.steps[k + 1] if k + 1 < len(trace) else None
-        derived, _ = derive_row(prev_step, trace.steps[k], nxt_step, road)
-        step = trace.steps[k]
-        av = next(s for s in step.values() if s.role == "AV")
-        ov = next(s for s in step.values() if s.role == "OV")
-        vbp = next((s for s in step.values() if s.role == "VBP"), None)
-        geom = config.geometry(
-            derived[av.actor_id].speed,
-            derived[vbp.actor_id].speed if vbp else 0.0,
-            derived[ov.actor_id].speed)
-        observations.append((t, trace_da(step, road), geom))
-    profile = config.profile(profile_name)
-    rows = zones_mod.zone_report_rows(observations, profile, thresholds)
+    observations = []
+    try:
+        for t in refs:
+            k = index_of[t]
+            prev_step = trace.steps[k - 1] if k > 0 else None
+            nxt_step = trace.steps[k + 1] if k + 1 < len(trace) else None
+            derived, _ = derive_row(prev_step, trace.steps[k], nxt_step, road)
+            step = trace.steps[k]
+            av = next(s for s in step.values() if s.role == "AV")
+            ov = next(s for s in step.values() if s.role == "OV")
+            vbp = next((s for s in step.values() if s.role == "VBP"), None)
+            geom = config.geometry(
+                derived[av.actor_id].speed,
+                derived[vbp.actor_id].speed if vbp else 0.0,
+                derived[ov.actor_id].speed)
+            observations.append((t, trace_da(step, road), geom))
+        thresholds = zones_mod.ZoneThresholds(safety_margin_fraction=margin,
+                                              ttc_conservative=ttc_limit)
+        rows = zones_mod.zone_report_rows(
+            observations, config.profile(profile_name), thresholds)
+    except ModelError as exc:
+        _die(str(exc))
     text = zones_mod.zone_report_csv(rows)
     if out_path:
         Path(out_path).write_text(text, "utf-8")

@@ -15,10 +15,10 @@ available timesteps.  A window reaching beyond the recorded data yields a
 FAIL with reason "insufficient-data" under strict window semantics and a
 not_applicable verdict under lenient semantics.
 
-Batch evaluation and the streaming engine share the same per-step
-derivation and decision helpers, and the streaming engine emits each
-verdict as soon as it is decidable, so the two produce identical verdict
-multisets over the same records.
+There is one evaluator, the streaming engine, which emits each verdict as
+soon as it is decidable; batch evaluation is that engine run to the end of
+a recorded trace, so the two produce identical verdict multisets over the
+same records.
 
 Comparisons are encoded per rule with explicit <, <=, >, >=: a rule that
 must fail on ties uses the strict operator.
@@ -99,11 +99,12 @@ class _StepView:
     """Resolves expression builtins against one timestep."""
 
     def __init__(self, ctx: EvaluationContext, t: float, step: dict,
-                 derived: dict):
+                 derived: dict, shapes: dict | None = None):
         self.ctx = ctx
         self.t = t
         self.step = step
         self.derived = derived
+        self.shapes = shapes    # (kind, actor_id) -> polygon, shared per step
         self.touched: list[ActorState] = []
 
     def resolve(self, ref: str) -> ActorState:
@@ -126,7 +127,23 @@ class _StepView:
             return st.speed
         raise EvalError(f"speed of {st.actor_id!r} is unavailable")
 
+    def _shape(self, kind: str, st: ActorState, make):
+        if self.shapes is None:
+            return make(st)
+        key = (kind, st.actor_id)
+        try:
+            return self.shapes[key]
+        except KeyError:
+            shape = self.shapes[key] = make(st)
+            return shape
+
+    def box_of(self, st: ActorState):
+        return self._shape("box", st, ActorState.box)
+
     def danger_space_of(self, st: ActorState):
+        return self._shape("danger_space", st, self._danger_space)
+
+    def _danger_space(self, st: ActorState):
         if self.ctx.worst_case_speeds:
             v_mph = self.ctx.config.worst_case_mph(st.role)
         else:
@@ -157,12 +174,12 @@ class _StepView:
             axis = lane_orientation_at(self.ctx.road, (a.pose.x, a.pose.y))
         except OffRoadError as exc:
             raise EvalError(f"{a.actor_id!r} is off-road") from exc
-        a_lo, a_hi = projection_interval(a.box(), axis)
-        b_lo, b_hi = projection_interval(b.box(), axis)
+        a_lo, a_hi = projection_interval(self.box_of(a), axis)
+        b_lo, b_hi = projection_interval(self.box_of(b), axis)
         return max(0.0, b_lo - a_hi, a_lo - b_hi)
 
     def within_lane(self, st: ActorState) -> bool:
-        box = st.box()
+        box = self.box_of(st)
         covered = sum(area for _, area in lanelets_containing(self.ctx.road, box))
         return abs(covered - box.area) <= _AREA_EPS
 
@@ -222,7 +239,7 @@ def _call(node: dsl.Call, view: _StepView):
     if name == "speed_of":
         return view.speed_of(_eval(args[0], view))
     if name == "box_of":
-        return _eval(args[0], view).box()
+        return view.box_of(_eval(args[0], view))
     if name == "danger_space_of":
         return view.danger_space_of(_eval(args[0], view))
     if name == "overlaps":
@@ -245,7 +262,8 @@ def _call(node: dsl.Call, view: _StepView):
             return 0.0
         return poly_overlap_area(a, b)
     if name == "crosses_centreline":
-        return map_crosses_centreline(view.ctx.road, _eval(args[0], view).box())
+        return map_crosses_centreline(view.ctx.road,
+                                      view.box_of(_eval(args[0], view)))
     if name == "distance_ahead":
         return view.distance_ahead(_eval(args[0], view), _eval(args[1], view))
     if name == "sda":
@@ -321,113 +339,6 @@ def nearest_index(times, target: float) -> int:
     return i - 1 if target - before <= after - target else i
 
 
-# --- batch evaluation -------------------------------------------------------
-
-def _views(trace: Trace, ctx: EvaluationContext):
-    """One _StepView per step, with derived dynamics shared per step."""
-    views = []
-    n = len(trace)
-    for k in range(n):
-        prev_step = trace.steps[k - 1] if k > 0 else None
-        nxt_step = trace.steps[k + 1] if k + 1 < n else None
-        derived, _ = derive_row(prev_step, trace.steps[k], nxt_step, ctx.road)
-        views.append(_StepView(ctx, trace.times[k], trace.steps[k], derived))
-    return views
-
-
-def find_reference_points(assertion: CompiledAssertion, trace: Trace,
-                          ctx: EvaluationContext, views=None) -> list[float]:
-    """Timestamps where the reference expression holds."""
-    if assertion.reference is None:
-        raise EvalError(f"{assertion.id!r} is an invariant; it has no "
-                        f"reference expression")
-    views = _views(trace, ctx) if views is None else views
-    hits = []
-    for k, view in enumerate(views):
-        fresh = _StepView(ctx, view.t, view.step, view.derived)
-        if _reference_holds(assertion, fresh):
-            hits.append(trace.times[k])
-            if assertion.decl.mode == "first":
-                break
-    return hits
-
-
-def _window_indices(times, lo: float, hi: float, lo_open: bool,
-                    hi_open: bool) -> list[int]:
-    out = []
-    for i, t in enumerate(times):
-        if t < lo - _T_EPS or t > hi + _T_EPS:
-            continue
-        if lo_open and t <= lo + _T_EPS:
-            continue
-        if hi_open and t >= hi - _T_EPS:
-            continue
-        out.append(i)
-    return out
-
-
-def evaluate(assertion: CompiledAssertion, trace: Trace,
-             ctx: EvaluationContext, views=None) -> list[Verdict]:
-    """All verdicts of one assertion over a complete trace."""
-    if not ctx.applicable(assertion):
-        return [Verdict(assertion.id, trace.times[0], NOT_APPLICABLE,
-                        {"reason": "odd-excluded",
-                         "active_odd": sorted(ctx.active_odd)})]
-    views = _views(trace, ctx) if views is None else views
-    kind = assertion.decl.kind
-    times = trace.times
-
-    def fresh(k):
-        return _StepView(ctx, views[k].t, views[k].step, views[k].derived)
-
-    if kind == "invariant":
-        return [_condition_verdict(assertion, fresh(k), times[k])
-                for k in range(len(times))]
-
-    refs = []
-    for k in range(len(times)):
-        if _reference_holds(assertion, fresh(k)):
-            refs.append(k)
-            if assertion.decl.mode == "first":
-                break
-    if not refs:
-        return [Verdict(assertion.id, times[-1], NOT_APPLICABLE,
-                        {"reason": "reference-never-fired"})]
-
-    out = []
-    for r in refs:
-        t_ref = times[r]
-        if kind == "execution":
-            out.append(_condition_verdict(assertion, fresh(r), t_ref))
-            continue
-        window = assertion.decl.window
-        if kind == "pre_temporal":
-            idxs = _window_indices(times, t_ref - window, t_ref,
-                                   lo_open=False, hi_open=True)
-            incomplete = t_ref - window < times[0] - _T_EPS
-            out.append(_window_verdict(assertion, idxs, fresh, t_ref,
-                                       incomplete, ctx))
-        elif kind == "post_temporal":
-            idxs = _window_indices(times, t_ref, t_ref + window,
-                                   lo_open=True, hi_open=False)
-            incomplete = t_ref + window > times[-1] + _T_EPS
-            out.append(_window_verdict(assertion, idxs, fresh, t_ref,
-                                       incomplete, ctx))
-        elif kind in ("pre_physical", "post_physical"):
-            target = t_ref - window if kind == "pre_physical" else t_ref + window
-            if target < times[0] - _T_EPS or target > times[-1] + _T_EPS:
-                out.append(_insufficient(assertion, t_ref, ctx))
-            else:
-                k = nearest_index(times, target)
-                v = _condition_verdict(assertion, fresh(k), t_ref)
-                detail = dict(v.detail)
-                detail["checked_t"] = times[k]
-                out.append(replace(v, detail=detail))
-        else:
-            raise EvalError(f"unknown assertion kind {kind!r}")
-    return out
-
-
 def _insufficient(assertion: CompiledAssertion, t_ref: float,
                   ctx: EvaluationContext) -> Verdict:
     detail = {"reason": "insufficient-data"}
@@ -435,12 +346,13 @@ def _insufficient(assertion: CompiledAssertion, t_ref: float,
     return Verdict(assertion.id, t_ref, result, detail)
 
 
-def _window_verdict(assertion, idxs, fresh, t_ref, incomplete, ctx) -> Verdict:
+def _window_verdict(assertion, idxs, view_at, t_ref, incomplete, ctx) -> Verdict:
     for k in idxs:
-        v = _condition_verdict(assertion, fresh(k), t_ref)
+        view = view_at(k)
+        v = _condition_verdict(assertion, view, t_ref)
         if v.result == FAIL:
             detail = dict(v.detail)
-            detail["violated_t"] = fresh(k).t
+            detail["violated_t"] = view.t
             return replace(v, detail=detail)
         if v.result == NOT_APPLICABLE:
             return v
@@ -450,16 +362,24 @@ def _window_verdict(assertion, idxs, fresh, t_ref, incomplete, ctx) -> Verdict:
                    {"steps_checked": len(idxs)})
 
 
+def _checked_at(v: Verdict, checked_t: float) -> Verdict:
+    detail = dict(v.detail)
+    detail["checked_t"] = checked_t
+    return replace(v, detail=detail)
+
+
 def evaluate_document(assertions, trace: Trace,
                       ctx: EvaluationContext) -> list[Verdict]:
-    """Evaluate many assertions, sharing derived dynamics across them.
+    """Evaluate assertions over a complete trace: the streaming engine fed
+    every step and then finished.
 
     Output is deterministically ordered by (t, assertion_id).
     """
-    views = _views(trace, ctx)
+    stream = StreamingEngine(assertions, ctx)
     out = []
-    for assertion in assertions:
-        out.extend(evaluate(assertion, trace, ctx, views=views))
+    for t, step in zip(trace.times, trace.steps):
+        out.extend(stream.feed(t, step))
+    out.extend(stream.finish())
     out.sort(key=lambda v: (v.t, v.assertion_id))
     return out
 
@@ -468,7 +388,7 @@ def evaluate_document(assertions, trace: Trace,
 
 @dataclass
 class _OpenWindow:
-    assertion_id: str
+    assertion: CompiledAssertion
     t_ref: float
     deadline: float
     checked: int = 0
@@ -485,20 +405,22 @@ class StreamingEngine:
     """
 
     def __init__(self, assertions, ctx: EvaluationContext):
-        self.assertions = list(assertions)
+        assertions = list(assertions)
         self.ctx = ctx
-        lookbacks = [a.decl.window for a in self.assertions
+        # ODD applicability is fixed per run; keep the original order
+        self._active = [a for a in assertions if ctx.applicable(a)]
+        self._excluded = [a for a in assertions if not ctx.applicable(a)]
+        lookbacks = [a.decl.window for a in self._active
                      if a.decl.kind in ("pre_temporal", "pre_physical")
                      and a.decl.window]
         self._lookback = max(lookbacks, default=0.0)
-        self._buffer: deque = deque()   # (t, step, derived|None)
+        self._buffer: deque = deque()   # [t, step, derived|None]
         self._first_t: float | None = None
         self._last_fed: float | None = None
-        self._odd_reported = False
         self._ref_seen: set = set()      # ids with mode=first already fired
         self._ref_ever: set = set()      # ids whose reference fired at all
         self._open_windows: list[_OpenWindow] = []
-        self._post_targets: list = []    # (assertion_id ref, t_ref, target)
+        self._post_targets: list = []    # (assertion, t_ref, target)
         self._finished = False
 
     # -- public API --
@@ -509,16 +431,13 @@ class StreamingEngine:
         if self._last_fed is not None and t <= self._last_fed + _T_EPS:
             raise StreamError(f"time regression: {t} after {self._last_fed}")
         self._last_fed = t
+        out = []
         if self._first_t is None:
             self._first_t = t
-        out = []
-        if not self._odd_reported:
-            self._odd_reported = True
-            for a in self.assertions:
-                if not self.ctx.applicable(a):
-                    out.append(Verdict(a.id, t, NOT_APPLICABLE,
-                                       {"reason": "odd-excluded",
-                                        "active_odd": sorted(self.ctx.active_odd)}))
+            for a in self._excluded:
+                out.append(Verdict(a.id, t, NOT_APPLICABLE,
+                                   {"reason": "odd-excluded",
+                                    "active_odd": sorted(self.ctx.active_odd)}))
         self._buffer.append([t, dict(records), None])
         if len(self._buffer) >= 2:
             out.extend(self._process(len(self._buffer) - 2))
@@ -532,18 +451,17 @@ class StreamingEngine:
         out = []
         if self._buffer:
             out.extend(self._process(len(self._buffer) - 1, at_end=True))
-        last_t = self._last_fed if self._last_fed is not None else 0.0
         for w in self._open_windows:
-            out.append(self._window_timeout(w))
+            out.append(_insufficient(w.assertion, w.t_ref, self.ctx))
         self._open_windows.clear()
-        for aid, t_ref, target, assertion in self._post_targets:
+        for assertion, t_ref, _ in self._post_targets:
             out.append(_insufficient(assertion, t_ref, self.ctx))
         self._post_targets.clear()
-        for a in self.assertions:
-            if (a.decl.kind != "invariant" and self.ctx.applicable(a)
-                    and a.id not in self._ref_ever and self._buffer):
-                out.append(Verdict(a.id, last_t, NOT_APPLICABLE,
-                                   {"reason": "reference-never-fired"}))
+        if self._buffer:
+            for a in self._active:
+                if a.decl.kind != "invariant" and a.id not in self._ref_ever:
+                    out.append(Verdict(a.id, self._last_fed, NOT_APPLICABLE,
+                                       {"reason": "reference-never-fired"}))
         return out
 
     @property
@@ -553,36 +471,36 @@ class StreamingEngine:
     # -- internals --
 
     def _prune(self):
-        """Drop history older than the largest lookback (keep 3 for dynamics)."""
-        if not self._buffer:
-            return
-        horizon = self._buffer[-1][0] - self._lookback - 2.0 * self._dt_estimate()
-        while len(self._buffer) > 3 and self._buffer[0][0] < horizon - _T_EPS:
-            self._buffer.popleft()
-
-    def _dt_estimate(self) -> float:
-        if len(self._buffer) >= 2:
-            return self._buffer[-1][0] - self._buffer[-2][0]
-        return 1.0
+        """Drop history the next step cannot reach: keep the last step at or
+        before its largest lookback, and 3 steps for derived dynamics."""
+        buf = self._buffer
+        horizon = buf[-1][0] - self._lookback + _T_EPS
+        while len(buf) > 3 and buf[1][0] <= horizon:
+            buf.popleft()
 
     def _view(self, idx: int) -> _StepView:
         t, step, derived = self._buffer[idx]
         return _StepView(self.ctx, t, step, derived if derived is not None else {})
 
     def _process(self, idx: int, at_end: bool = False) -> list[Verdict]:
-        t, step, _ = self._buffer[idx]
-        prev_step = self._buffer[idx - 1][1] if idx > 0 else None
-        nxt_step = self._buffer[idx + 1][1] if idx + 1 < len(self._buffer) else None
+        buf = self._buffer
+        t, step, _ = buf[idx]
+        prev_step = buf[idx - 1][1] if idx > 0 else None
+        nxt_step = buf[idx + 1][1] if idx + 1 < len(buf) else None
         derived, _notes = derive_row(prev_step, step, nxt_step, self.ctx.road)
-        self._buffer[idx][2] = derived
+        buf[idx][2] = derived
+        # the assertions of this step share its polygons; older steps
+        # evaluated for windows build their own
+        shapes: dict = {}
+
+        def here():
+            return _StepView(self.ctx, t, step, derived, shapes)
 
         out = []
-        times = [row[0] for row in self._buffer]
         # 1. open post-window conditions are checked before window closing
         for w in list(self._open_windows):
             if t > w.t_ref + _T_EPS and t <= w.deadline + _T_EPS:
-                assertion = self._by_id(w.assertion_id)
-                v = _condition_verdict(assertion, self._view(idx), w.t_ref)
+                v = _condition_verdict(w.assertion, here(), w.t_ref)
                 w.checked += 1
                 if v.result == FAIL:
                     detail = dict(v.detail)
@@ -595,83 +513,65 @@ class StreamingEngine:
                     self._open_windows.remove(w)
                     continue
             if t >= w.deadline - _T_EPS:
-                assertion = self._by_id(w.assertion_id)
-                out.append(Verdict(assertion.id, w.t_ref, PASS,
+                out.append(Verdict(w.assertion.id, w.t_ref, PASS,
                                    {"steps_checked": w.checked}))
                 self._open_windows.remove(w)
         # 2. physical post targets
         for entry in list(self._post_targets):
-            aid, t_ref, target, assertion = entry
+            assertion, t_ref, target = entry
             if t >= target - _T_EPS:
+                times = [row[0] for row in buf]
                 k = nearest_index(times, target)
-                v = _condition_verdict(assertion, self._view(k), t_ref)
-                detail = dict(v.detail)
-                detail["checked_t"] = times[k]
-                out.append(replace(v, detail=detail))
+                view = here() if k == idx else self._view(k)
+                out.append(_checked_at(
+                    _condition_verdict(assertion, view, t_ref), times[k]))
                 self._post_targets.remove(entry)
         # 3. per-assertion work at this step
-        for assertion in self.assertions:
-            if not self.ctx.applicable(assertion):
-                continue
-            kind = assertion.decl.kind
-            if kind == "invariant":
-                out.append(_condition_verdict(assertion, self._view(idx), t))
+        for assertion in self._active:
+            if assertion.decl.kind == "invariant":
+                out.append(_condition_verdict(assertion, here(), t))
                 continue
             if assertion.id in self._ref_seen:
                 continue
-            if not _reference_holds(assertion, self._view(idx)):
+            if not _reference_holds(assertion, here()):
                 continue
             self._ref_ever.add(assertion.id)
             if assertion.decl.mode == "first":
                 self._ref_seen.add(assertion.id)
-            out.extend(self._fire_reference(assertion, idx, t, times, at_end))
+            out.extend(self._fire_reference(assertion, idx, t, here, at_end))
         return out
 
     def _fire_reference(self, assertion: CompiledAssertion, idx: int,
-                        t_ref: float, times, at_end: bool) -> list[Verdict]:
+                        t_ref: float, here, at_end: bool) -> list[Verdict]:
         kind = assertion.decl.kind
         window = assertion.decl.window
         if kind == "execution":
-            return [_condition_verdict(assertion, self._view(idx), t_ref)]
+            return [_condition_verdict(assertion, here(), t_ref)]
+        if kind in ("post_temporal", "post_physical"):
+            if at_end:
+                return [_insufficient(assertion, t_ref, self.ctx)]
+            if kind == "post_temporal":
+                self._open_windows.append(
+                    _OpenWindow(assertion, t_ref, t_ref + window))
+            else:
+                self._post_targets.append((assertion, t_ref, t_ref + window))
+            return []
+        times = [row[0] for row in self._buffer]
+        lo = t_ref - window
         if kind == "pre_temporal":
-            lo = t_ref - window
             idxs = [i for i, ti in enumerate(times)
                     if ti >= lo - _T_EPS and ti < t_ref - _T_EPS]
             incomplete = lo < self._first_t - _T_EPS
             return [_window_verdict(assertion, idxs, self._view, t_ref,
                                     incomplete, self.ctx)]
         if kind == "pre_physical":
-            target = t_ref - window
-            if target < self._first_t - _T_EPS:
+            if lo < self._first_t - _T_EPS:
                 return [_insufficient(assertion, t_ref, self.ctx)]
-            k = nearest_index(times, target)
-            v = _condition_verdict(assertion, self._view(k), t_ref)
-            detail = dict(v.detail)
-            detail["checked_t"] = times[k]
-            return [replace(v, detail=detail)]
-        if kind == "post_temporal":
-            if at_end:
-                return [_insufficient(assertion, t_ref, self.ctx)]
-            self._open_windows.append(
-                _OpenWindow(assertion.id, t_ref, t_ref + window))
-            return []
-        if kind == "post_physical":
-            if at_end:
-                return [_insufficient(assertion, t_ref, self.ctx)]
-            self._post_targets.append(
-                (assertion.id, t_ref, t_ref + window, assertion))
-            return []
+            k = nearest_index(times, lo)
+            view = here() if k == idx else self._view(k)
+            return [_checked_at(_condition_verdict(assertion, view, t_ref),
+                                times[k])]
         raise EvalError(f"unknown assertion kind {kind!r}")
-
-    def _window_timeout(self, w: _OpenWindow) -> Verdict:
-        assertion = self._by_id(w.assertion_id)
-        return _insufficient(assertion, w.t_ref, self.ctx)
-
-    def _by_id(self, assertion_id: str) -> CompiledAssertion:
-        for a in self.assertions:
-            if a.id == assertion_id:
-                return a
-        raise KeyError(assertion_id)
 
 
 # --- debounce ---------------------------------------------------------------

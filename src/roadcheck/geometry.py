@@ -114,9 +114,6 @@ class ConvexPolygon:
         for i in range(n):
             yield verts[i], verts[(i + 1) % n]
 
-    def translated(self, dx: float, dy: float) -> "ConvexPolygon":
-        return ConvexPolygon(tuple((x + dx, y + dy) for x, y in self.vertices))
-
     def transformed(self, angle: float, dx: float, dy: float) -> "ConvexPolygon":
         """Rotate about the origin by ``angle`` then translate."""
         c, s = math.cos(angle), math.sin(angle)

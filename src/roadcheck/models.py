@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 MPH_TO_MPS = 0.44704
 
@@ -217,16 +217,24 @@ def _profiles_from_doc(doc: dict) -> ModelConfig:
 
 
 def load_profiles(source=None) -> ModelConfig:
-    """Load profile config from a path/file, or the packaged defaults."""
+    """Load profile config from a path/file, or the packaged defaults.
+
+    A document that is not a well-formed profile config raises ModelError.
+    """
     if source is None:
-        text = resources.files("roadcheck.data").joinpath(
-            "profiles.json").read_text("utf-8")
+        text = (Path(__file__).parent / "data" / "profiles.json").read_text("utf-8")
     elif hasattr(source, "read"):
         text = source.read()
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return _profiles_from_doc(json.loads(text))
+    try:
+        return _profiles_from_doc(json.loads(text))
+    except ModelError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ModelError(f"malformed profile config: {what}") from exc
 
 
 def default_profiles() -> ModelConfig:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 from .checker import CompiledAssertion, compile_text
 from .engine import (FAIL, NOT_APPLICABLE, PASS, EvaluationContext, Verdict,
@@ -181,72 +181,29 @@ def _rel_heading(st, lane_orientation):
 
 # --- rule definitions -------------------------------------------------------
 
-RULE162_SDA = '''
-// Before overtaking, the road must be sufficiently clear ahead: measured
-// at the moment the ego first crosses the road centre line, the gap to the
-// oncoming vehicle must exceed the required safe distance ahead for the
-// configured driving profile.  A tie is a failure.
-assertion rule162_safe_distance_ahead {
-  odd: single_carriageway
-  type: execution
-  severity: safety
-  reference: crosses_centreline("av")
-  condition: distance_ahead("av", "ov") > sda()
-}
-'''
+def _rule_blocks(text: str) -> dict:
+    """Each assertion's text, with the comment lines above it, by id.  Blocks
+    are separated by blank lines; each is returned with a newline before and
+    after it, so that concatenated blocks stay one blank line apart."""
+    blocks = {}
+    for chunk in text.split("\n\n"):
+        for line in chunk.splitlines():
+            if line.startswith("assertion "):
+                blocks[line.split()[1]] = "\n" + chunk.strip("\n") + "\n"
+                break
+    return blocks
 
-RULE163_PULL_OUT = '''
-// Do not get too close to the vehicle you intend to overtake: at the
-// centre-line crossing the gap to the vehicle being passed must exceed
-// the ego's own stopping distance.
-assertion rule163_pull_out_separation {
-  odd: single_carriageway
-  type: execution
-  severity: safety
-  reference: crosses_centreline("av")
-  condition: min_distance(box_of("av"), box_of("vbp")) > danger_space_length(speed_of("av"))
-}
-'''
 
-DANGER_SPACE_RULES = '''
-// Danger-space checks for the runtime study.  Absent actors cannot violate
-// an "outside" requirement, so on_missing is pass; the occluded oncoming
-// vehicle only starts affecting verdicts once it becomes visible.
-assertion ds_vbp_outside_av {
-  odd: single_carriageway
-  type: invariant
-  severity: safety
-  on_missing: pass
-  condition: not overlaps(box_of("vbp"), danger_space_of("av"))
-}
-
-assertion ds_ov_outside_av {
-  odd: single_carriageway
-  type: invariant
-  severity: safety
-  on_missing: pass
-  condition: not overlaps(box_of("ov"), danger_space_of("av"))
-}
-
-assertion ds_av_outside_ov {
-  odd: single_carriageway
-  type: invariant
-  severity: safety
-  on_missing: pass
-  condition: not overlaps(box_of("av"), danger_space_of("ov"))
-}
-
-assertion ds_no_mutual_overlap {
-  odd: single_carriageway
-  type: invariant
-  severity: safety
-  on_missing: pass
-  condition: not overlaps(danger_space_of("av"), danger_space_of("ov"))
-}
-'''
+# The shipped rule text lives once, in data/overtaking.rules; each rule's
+# text here is its block there.
+_RULES_TEXT = (Path(__file__).parent / "data" / "overtaking.rules").read_text("utf-8")
+_BLOCKS = _rule_blocks(_RULES_TEXT)
 
 DANGER_SPACE_IDS = ("ds_vbp_outside_av", "ds_ov_outside_av",
                     "ds_av_outside_ov", "ds_no_mutual_overlap")
+RULE162_SDA = _BLOCKS["rule162_safe_distance_ahead"]
+RULE163_PULL_OUT = _BLOCKS["rule163_pull_out_separation"]
+DANGER_SPACE_RULES = "".join(_BLOCKS[aid] for aid in DANGER_SPACE_IDS)
 
 
 def rule162_sda_assertion() -> CompiledAssertion:
@@ -282,9 +239,7 @@ assertion rule163_cut_in_clearance {{
 
 def load_rulepack() -> tuple[CompiledAssertion, ...]:
     """The shipped assertion file: rule 162, rule 163 pull-out, danger spaces."""
-    text = resources.files("roadcheck.data").joinpath(
-        "overtaking.rules").read_text("utf-8")
-    return compile_text(text).assertions
+    return compile_text(_RULES_TEXT).assertions
 
 
 def evaluate_cut_in_clearance(trace: Trace, ctx: EvaluationContext,

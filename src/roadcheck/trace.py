@@ -106,12 +106,6 @@ class Trace:
                 seen.setdefault(aid, st.role)
         return seen
 
-    def by_role(self, step_index: int, role: str) -> ActorState:
-        for st in self.steps[step_index].values():
-            if st.role == role:
-                return st
-        raise RoleNotFoundError(f"no actor with role {role!r} at step {step_index}")
-
 
 def _parse_record(obj: dict, index: int) -> ActorState:
     required = ("t", "actor_id", "role", "x", "y", "heading_rad",
@@ -300,9 +294,9 @@ def derive_row(prev_step: dict | None, cur_step: dict, nxt_step: dict | None,
                road: RoadMap) -> tuple[dict, list[str]]:
     """Derived state for every actor of one step, given its neighbours.
 
-    This single routine backs both batch derivation and the streaming
-    engine, which keeps the two paths bitwise identical.  Returns the
-    per-actor map plus any speed-disagreement warnings.
+    The streaming engine derives every step with this routine, in batch
+    and streaming runs alike.  Returns the per-actor map plus any
+    speed-disagreement warnings.
     """
     row = {}
     notes = []

@@ -135,6 +135,64 @@ class TestFasterPassedVehicle:
         assert errors and all(v["result"] == "fail" for v in errors)
 
 
+def invoke(root, command, *extra, trace=None):
+    """Run ``command`` on the safe preset, or on ``trace``, with the rule 162
+    file (zones takes no rules); monitor reads the trace on stdin."""
+    trace = trace or root / "safe_trace.jsonl"
+    args = [command, "--map", str(root / "safe_map.json")]
+    if command != "zones":
+        args += ["--rules", str(root / "rule162.rules")]
+    if command == "monitor":
+        return runner.invoke(main, args + list(extra), input=trace.read_text())
+    return runner.invoke(main, args + ["--trace", str(trace), *extra])
+
+
+class TestReferenceErrors:
+    """A reference that cannot be evaluated stops the run with exit 2 and
+    the step's time, not a traceback and the safety-failure code."""
+
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_exit_2_with_time(self, fixture_dir, tmp_path, command):
+        rules = tmp_path / "ref_sda.rules"
+        rules.write_text('assertion ref_sda { odd: x type: execution '
+                         'reference: distance_ahead("av", "ov") < sda() '
+                         'condition: true }')
+        res = invoke(fixture_dir, command, "--rules", str(rules),
+                     trace=fast_vbp_trace(fixture_dir, tmp_path))
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2
+        assert "error: reference of 'ref_sda' at t=0.0: " in res.output
+        assert "must exceed" in res.output
+
+
+class TestBadProfiles:
+    @pytest.mark.parametrize("command", ["check", "monitor", "zones"])
+    def test_unknown_profile_exit_2(self, fixture_dir, command):
+        res = invoke(fixture_dir, command, "--profile", "cautious")
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2
+        assert "error: unknown driving profile 'cautious'" in res.output
+
+    @pytest.mark.parametrize("text", ['{"bad": 1}', "not json"])
+    @pytest.mark.parametrize("command", ["check", "monitor", "zones"])
+    def test_malformed_profiles_exit_2(self, fixture_dir, tmp_path, command,
+                                       text):
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(text)
+        res = invoke(fixture_dir, command, "--profiles", str(profiles))
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2
+        assert "malformed profile config" in res.output
+
+
+def test_zones_faster_passed_vehicle_exit_2(fixture_dir, tmp_path):
+    res = invoke(fixture_dir, "zones",
+                 trace=fast_vbp_trace(fixture_dir, tmp_path))
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2
+    assert "must exceed" in res.output
+
+
 class TestMonitor:
     def monitor_args(self, root, preset):
         return ["monitor",

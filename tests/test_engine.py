@@ -7,9 +7,8 @@ import pytest
 from roadcheck.checker import compile_text
 from roadcheck.engine import (FAIL, NOT_APPLICABLE, PASS, DebounceFilter,
                               EvaluationContext, StreamingEngine, StreamError,
-                              Verdict, debounce, evaluate, evaluate_document,
-                              find_reference_points, nearest_index,
-                              summary_rows)
+                              Verdict, debounce, evaluate_document,
+                              nearest_index, summary_rows)
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck.models import default_profiles
 from roadcheck.trace import ActorState, Trace
@@ -60,14 +59,14 @@ class TestInvariant:
     def test_speed_nonnegative_all_pass(self):
         rule = compiled('assertion a { odd: road type: invariant '
                         'condition: speed_of("av") >= 0 }')
-        verdicts = evaluate(rule, straight_trace(), CTX)
+        verdicts = evaluate_document([rule], straight_trace(), CTX)
         assert len(verdicts) == 10
         assert all(v.result == PASS for v in verdicts)
 
     def test_detail_records_measured_and_threshold(self):
         rule = compiled('assertion a { odd: road type: invariant '
                         'condition: speed_of("av") >= 0 }')
-        v = evaluate(rule, straight_trace(v=10.0), CTX)[0]
+        v = evaluate_document([rule], straight_trace(v=10.0), CTX)[0]
         assert v.detail["measured"] == pytest.approx(10.0)
         assert v.detail["threshold"] == 0.0
         assert v.detail["op"] == ">="
@@ -81,7 +80,7 @@ class TestExecution:
                         'condition: distance_ahead("av", "ov") > 60 }')
         # gap is exactly 60.0: AV front at 2.0, OV leading face at 62.0
         tr = straight_trace(n=3, v=0.0, with_ov=True, ov_x0=64.0)
-        verdicts = evaluate(rule, tr, CTX)
+        verdicts = evaluate_document([rule], tr, CTX)
         assert len(verdicts) == 1
         assert verdicts[0].result == FAIL
         assert verdicts[0].detail["measured"] == 60.0
@@ -89,14 +88,14 @@ class TestExecution:
     def test_reference_never_fires(self):
         rule = compiled('assertion a { odd: road type: execution '
                         'reference: speed_of("av") > 99 condition: true }')
-        verdicts = evaluate(rule, straight_trace(), CTX)
+        verdicts = evaluate_document([rule], straight_trace(), CTX)
         assert results(verdicts) == [(0.9, NOT_APPLICABLE)]
         assert verdicts[0].detail["reason"] == "reference-never-fired"
 
     def test_mode_all_fires_everywhere(self):
         rule = compiled('assertion a { odd: road type: execution mode: all '
                         'reference: true condition: true }')
-        verdicts = evaluate(rule, straight_trace(), CTX)
+        verdicts = evaluate_document([rule], straight_trace(), CTX)
         assert len(verdicts) == 10
 
     def test_invariant_equals_always_true_execution(self):
@@ -105,8 +104,8 @@ class TestExecution:
         exe = compiled('assertion a { odd: road type: execution mode: all '
                        'reference: true condition: speed_of("av") >= 5 }')
         tr = straight_trace(v=5.0)
-        vi = evaluate(inv, tr, CTX)
-        ve = evaluate(exe, tr, CTX)
+        vi = evaluate_document([inv], tr, CTX)
+        ve = evaluate_document([exe], tr, CTX)
         assert [(v.t, v.result, v.detail) for v in vi] == \
                [(v.t, v.result, v.detail) for v in ve]
 
@@ -116,7 +115,7 @@ class TestOddFiltering:
         rule = compiled('assertion a { odd: highway type: invariant '
                         'condition: true }')
         ctx = EvaluationContext(road=ROAD, active_odd=frozenset({"urban"}))
-        verdicts = evaluate(rule, straight_trace(), ctx)
+        verdicts = evaluate_document([rule], straight_trace(), ctx)
         assert results(verdicts) == [(0.0, NOT_APPLICABLE)]
 
     def test_matching_tag_evaluates(self):
@@ -124,13 +123,13 @@ class TestOddFiltering:
                         'condition: true }')
         ctx = EvaluationContext(road=ROAD, active_odd=frozenset({"urban"}))
         assert all(v.result == PASS
-                   for v in evaluate(rule, straight_trace(), ctx))
+                   for v in evaluate_document([rule], straight_trace(), ctx))
 
     def test_empty_active_set_means_no_filter(self):
         rule = compiled('assertion a { odd: highway type: invariant '
                         'condition: true }')
         assert all(v.result == PASS
-                   for v in evaluate(rule, straight_trace(), CTX))
+                   for v in evaluate_document([rule], straight_trace(), CTX))
 
     def test_filtering_never_flips_results(self):
         rule_text = ('assertion a {{ odd: highway type: invariant '
@@ -138,8 +137,8 @@ class TestOddFiltering:
         for threshold in (5, 15):
             rule = compiled(rule_text.format(threshold))
             tr = straight_trace(v=10.0)
-            plain = evaluate(rule, tr, CTX)
-            excluded = evaluate(rule, tr, EvaluationContext(
+            plain = evaluate_document([rule], tr, CTX)
+            excluded = evaluate_document([rule], tr, EvaluationContext(
                 road=ROAD, active_odd=frozenset({"urban"})))
             assert {v.result for v in excluded} == {NOT_APPLICABLE}
             assert {v.result for v in plain} <= {PASS, FAIL}
@@ -153,7 +152,7 @@ class TestTemporalWindows:
 
     def test_pre_all_steps_must_hold(self):
         rule = self.make_rule("pre_temporal")
-        verdicts = evaluate(rule, straight_trace(n=40, v=10.0), CTX)
+        verdicts = evaluate_document([rule], straight_trace(n=40, v=10.0), CTX)
         assert results(verdicts) == [(2.0, PASS)]
         assert verdicts[0].detail["steps_checked"] == 10   # [1.0, 2.0)
 
@@ -174,7 +173,7 @@ class TestTemporalWindows:
             x += (2.0 if t < 1.5 else 10.0) * 0.1
         tr = Trace(times=times, steps=tuple(steps), dt=0.1)
         rule = self.make_rule("pre_temporal")
-        verdicts = evaluate(rule, tr, CTX)
+        verdicts = evaluate_document([rule], tr, CTX)
         assert verdicts[0].result == FAIL
         assert "violated_t" in verdicts[0].detail
 
@@ -182,7 +181,7 @@ class TestTemporalWindows:
         rule = compiled('assertion w { odd: road type: pre_temporal '
                         'window: 5s reference: time() >= 2s '
                         'condition: true }')
-        verdicts = evaluate(rule, straight_trace(n=30), CTX)
+        verdicts = evaluate_document([rule], straight_trace(n=30), CTX)
         assert verdicts[0].result == FAIL
         assert verdicts[0].detail["reason"] == "insufficient-data"
 
@@ -191,20 +190,26 @@ class TestTemporalWindows:
                         'window: 5s reference: time() >= 2s '
                         'condition: true }')
         ctx = EvaluationContext(road=ROAD, strict_windows=False)
-        verdicts = evaluate(rule, straight_trace(n=30), ctx)
+        verdicts = evaluate_document([rule], straight_trace(n=30), ctx)
         assert verdicts[0].result == NOT_APPLICABLE
 
     def test_post_past_trace_end_strict_fails(self):
         rule = compiled('assertion w { odd: road type: post_temporal '
                         'window: 5s reference: time() >= 2s '
                         'condition: true }')
-        verdicts = evaluate(rule, straight_trace(n=30), CTX)
+        verdicts = evaluate_document([rule], straight_trace(n=30), CTX)
         assert verdicts[0].result == FAIL
         assert verdicts[0].detail["reason"] == "insufficient-data"
 
+    def test_post_violation_fails_at_first_bad_step(self):
+        rule = self.make_rule("post_temporal", cond="time() < 2.55s")
+        verdicts = evaluate_document([rule], straight_trace(n=40), CTX)
+        assert results(verdicts) == [(2.0, FAIL)]
+        assert verdicts[0].detail["violated_t"] == pytest.approx(2.6)
+
     def test_post_complete_window_passes(self):
         rule = self.make_rule("post_temporal")
-        verdicts = evaluate(rule, straight_trace(n=40, v=10.0), CTX)
+        verdicts = evaluate_document([rule], straight_trace(n=40, v=10.0), CTX)
         assert results(verdicts) == [(2.0, PASS)]
 
 
@@ -213,7 +218,7 @@ class TestPhysicalOffsets:
         rule = compiled('assertion w { odd: road type: post_physical '
                         'window: 1s reference: time() >= 2s '
                         'condition: time() >= 3s }')
-        verdicts = evaluate(rule, straight_trace(n=40), CTX)
+        verdicts = evaluate_document([rule], straight_trace(n=40), CTX)
         assert verdicts[0].result == PASS
         assert verdicts[0].detail["checked_t"] == pytest.approx(3.0)
 
@@ -221,7 +226,7 @@ class TestPhysicalOffsets:
         rule = compiled('assertion w { odd: road type: pre_physical '
                         'window: 1s reference: time() >= 2s '
                         'condition: time() < 1.05s }')
-        verdicts = evaluate(rule, straight_trace(n=40), CTX)
+        verdicts = evaluate_document([rule], straight_trace(n=40), CTX)
         assert verdicts[0].result == PASS
         assert verdicts[0].detail["checked_t"] == pytest.approx(1.0)
 
@@ -229,7 +234,7 @@ class TestPhysicalOffsets:
         rule = compiled('assertion w { odd: road type: post_physical '
                         'window: 60s reference: time() >= 2s '
                         'condition: true }')
-        verdicts = evaluate(rule, straight_trace(n=40), CTX)
+        verdicts = evaluate_document([rule], straight_trace(n=40), CTX)
         assert verdicts[0].result == FAIL
         assert verdicts[0].detail["reason"] == "insufficient-data"
 
@@ -247,17 +252,25 @@ class TestMissingActorPolicy:
                         f'condition: speed_of("ov") >= 0 }}')
 
     def test_default_fail(self):
-        v = evaluate(self.make("fail"), straight_trace(n=3), CTX)[0]
+        v = evaluate_document([self.make("fail")], straight_trace(n=3), CTX)[0]
         assert v.result == FAIL
         assert v.detail["reason"] == "actor-not-found"
 
     def test_vacuous_pass(self):
-        v = evaluate(self.make("pass"), straight_trace(n=3), CTX)[0]
+        v = evaluate_document([self.make("pass")], straight_trace(n=3), CTX)[0]
         assert v.result == PASS
 
     def test_not_applicable(self):
-        v = evaluate(self.make("not_applicable"), straight_trace(n=3), CTX)[0]
+        v = evaluate_document([self.make("not_applicable")],
+                              straight_trace(n=3), CTX)[0]
         assert v.result == NOT_APPLICABLE
+
+
+def reference_times(rule, trace, ctx):
+    """Reference times of an execution assertion: every verdict but
+    reference-never-fired is stamped at one."""
+    return [v.t for v in evaluate_document([rule], trace, ctx)
+            if v.detail.get("reason") != "reference-never-fired"]
 
 
 class TestFindReferencePoints:
@@ -267,7 +280,7 @@ class TestFindReferencePoints:
         ctx = EvaluationContext(road=road, config=config,
                                 profile_name="nominal")
         rule = rule162_sda_assertion()
-        refs = find_reference_points(rule, trace, ctx)
+        refs = reference_times(rule, trace, ctx)
         assert len(refs) == 1
         # oracle: linear scan of the geometric predicate
         from roadcheck.worldmap import crosses_centreline
@@ -280,7 +293,7 @@ class TestFindReferencePoints:
     def test_always_true_mode_all(self):
         rule = compiled('assertion r { odd: road type: execution mode: all '
                         'reference: true condition: true }')
-        refs = find_reference_points(rule, straight_trace(), CTX)
+        refs = reference_times(rule, straight_trace(), CTX)
         assert refs == list(straight_trace().times)
 
     def test_reference_error_carries_timestep(self):
@@ -288,19 +301,19 @@ class TestFindReferencePoints:
         rule = compiled('assertion r { odd: road type: execution '
                         'reference: 1 / 0 > 1 condition: true }')
         with pytest.raises(EvalError, match="t=0.0"):
-            find_reference_points(rule, straight_trace(), CTX)
+            evaluate_document([rule], straight_trace(), CTX)
 
     def test_never_true_reference_empty_list(self):
         rule = compiled('assertion r { odd: road type: execution '
                         'reference: false condition: true }')
-        assert find_reference_points(rule, straight_trace(), CTX) == []
+        assert reference_times(rule, straight_trace(), CTX) == []
 
 
 class TestEvaluationErrors:
     def test_condition_error_fails_with_reason(self):
         rule = compiled('assertion e { odd: road type: invariant '
                         'condition: 1 / 0 > 1 }')
-        v = evaluate(rule, straight_trace(n=3), CTX)[0]
+        v = evaluate_document([rule], straight_trace(n=3), CTX)[0]
         assert v.result == FAIL
         assert v.detail["reason"] == "evaluation-error"
 
@@ -315,7 +328,7 @@ class TestEvaluationErrors:
         tr2 = Trace(times=tr.times, steps=steps, dt=tr.dt)
         rule = compiled('assertion l { odd: road type: invariant '
                         'condition: speed_of("av") >= 0 }')
-        v = evaluate(rule, tr2, CTX)[0]
+        v = evaluate_document([rule], tr2, CTX)[0]
         assert v.detail["low_confidence_actors"] == ["ego"]
 
 
@@ -379,6 +392,24 @@ class TestStreaming:
         engine.feed(0.1, {"ego": actor(0.1)})
         with pytest.raises(StreamError):
             engine.feed(0.05, {"ego": actor(0.05)})
+
+    def test_irregular_sampling_keeps_step_before_horizon(self, safe_scenario):
+        # a 0.7 s gap, then 20 Hz: the pre-physical target 0.5 s before the
+        # reference at 1.0 s is nearest to the step at 0.2 s, which a
+        # history sized from the last dt would already have dropped
+        road, trace = safe_scenario
+        keep = (0, 2, 4, 18, 19, 20, 21, 22, 23)
+        irregular = Trace(times=tuple(trace.times[k] for k in keep),
+                          steps=tuple(trace.steps[k] for k in keep), dt=0.05)
+        rule = compiled('assertion g { odd: road type: pre_physical '
+                        'window: 500ms reference: time() >= 1.0s '
+                        'condition: time() < 0.5s }')
+        ctx = EvaluationContext(road=road, config=default_profiles(),
+                                profile_name="nominal")
+        for verdicts in (self.stream([rule], irregular, ctx),
+                         evaluate_document([rule], irregular, ctx)):
+            assert results(verdicts) == [(1.0, PASS)]
+            assert verdicts[0].detail["checked_t"] == 0.2
 
     def test_bounded_memory(self):
         rule = compiled('assertion p { odd: road type: pre_temporal '

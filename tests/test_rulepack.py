@@ -4,7 +4,7 @@ import math
 import pytest
 
 from roadcheck.engine import (FAIL, NOT_APPLICABLE, PASS, EvaluationContext,
-                              evaluate, evaluate_document)
+                              evaluate_document)
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck.models import MPH_TO_MPS, default_profiles
 from roadcheck.rulepack import (DANGER_SPACE_IDS, NoManoeuvreError,
@@ -106,7 +106,7 @@ class TestRule163PullOut:
         rule = rule163_pullout_separation_assertion()
         ctx = EvaluationContext(road=ROAD, config=default_profiles(),
                                 profile_name="nominal")
-        verdicts = evaluate(rule, pullout_trace(gap), ctx)
+        verdicts = evaluate_document([rule], pullout_trace(gap), ctx)
         assert len(verdicts) == 1
         return verdicts[0]
 
@@ -142,7 +142,7 @@ class TestRule162OnPresets:
         for profile in ("relaxed", "nominal", "aggressive"):
             ctx = EvaluationContext(road=road, config=config,
                                     profile_name=profile)
-            v = evaluate(rule, trace, ctx)[0]
+            v = evaluate_document([rule], trace, ctx)[0]
             row.append(v.result)
             assert v.detail["measured"] == pytest.approx(self.DA[name],
                                                          abs=0.01)
@@ -232,6 +232,16 @@ def test_shipped_rulepack_compiles():
         assert aid in ids
 
 
+def test_rule_texts_are_the_shipped_blocks():
+    from roadcheck.checker import compile_text
+    from roadcheck.rulepack import (DANGER_SPACE_RULES, RULE162_SDA,
+                                    RULE163_PULL_OUT)
+    parts = [RULE162_SDA, RULE163_PULL_OUT, DANGER_SPACE_RULES]
+    sliced = compile_text("".join(parts)).assertions
+    assert sliced == load_rulepack()
+    assert [len(compile_text(p).assertions) for p in parts] == [1, 1, 4]
+
+
 def test_aggregation_any_step_fails_stage(safe_scenario, config):
     road, trace = safe_scenario
     st = detect_stages(trace, road)
@@ -243,7 +253,7 @@ def test_aggregation_any_step_fails_stage(safe_scenario, config):
     rule = compile_text(
         f'assertion once {{ odd: road type: invariant '
         f'condition: not (time() == {t_mid!r}s) }}').assertions[0]
-    verdicts = evaluate(rule, trace, ctx)
+    verdicts = evaluate_document([rule], trace, ctx)
     table = aggregate_by_stage(verdicts, st)
     assert table["once"]["passing"] == FAIL
     assert table["once"]["pull_out"] == PASS

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from roadcheck.engine import EvaluationContext, evaluate, find_reference_points
+from roadcheck.engine import EvaluationContext, evaluate_document
 from roadcheck.geometry import min_distance
 from roadcheck.models import MPH_TO_MPS, default_profiles
 from roadcheck.rulepack import rule162_sda_assertion
@@ -41,7 +41,9 @@ class TestGenerate:
         road, trace = request.getfixturevalue(f"{name}_scenario")
         ctx = EvaluationContext(road=road, config=config,
                                 profile_name="nominal")
-        refs = find_reference_points(rule162_sda_assertion(), trace, ctx)
+        refs = [v.t for v in evaluate_document([rule162_sda_assertion()],
+                                               trace, ctx)
+                if v.detail.get("reason") != "reference-never-fired"]
         assert len(refs) == 1
         k = trace.times.index(refs[0])
         assert distance_ahead(trace.steps[k], road) == pytest.approx(
