@@ -16,22 +16,23 @@ the exit code), 2 for usage or parse errors.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
 import click
 
-from . import engine, perception, rulepack, scenarios, zones as zones_mod
+from . import rulepack
 from .checker import TypecheckError, compile_text
 from .dsl import ParseError
 from .engine import (FAIL, DebounceFilter, EvalError, EvaluationContext,
-                     StreamingEngine, debounce, evaluate_document, summary_csv,
-                     summary_rows, verdicts_to_jsonl)
+                     StreamError, StreamingEngine, debounce, evaluate_document,
+                     summary_csv, summary_rows, verdicts_to_jsonl)
 from .models import ModelError, load_profiles
-from .perception import CameraCalibration, EstimatorConfig, PerceptionError
-from .trace import TraceError, load_trace, serialise_trace
+from .trace import TraceError, iter_steps, load_trace, serialise_trace
 from .worldmap import MapError, load_map, serialise_map
+
+# rules that have no verdict but this one are reported as N/A
+_NA_REASONS = ("odd-excluded", "reference-never-fired")
 
 
 def _die(message: str, code: int = 2):
@@ -148,7 +149,7 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
                             worst_case_speeds=worst_case_speeds)
     try:
         verdicts = evaluate_document(assertions, trace, ctx)
-    except EvalError as exc:
+    except (EvalError, StreamError) as exc:
         _die(str(exc))
     if debounce_n > 1:
         verdicts = debounce(verdicts, debounce_n)
@@ -159,7 +160,13 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
     if print_verdicts:
         for v in verdicts:
             click.echo(v.to_json())
+    na_reason = {v.assertion_id: v.detail["reason"] for v in verdicts
+                 if v.detail.get("reason") in _NA_REASONS}
     for row in summary_rows(verdicts):
+        reason = na_reason.get(row["assertion_id"])
+        if reason is not None:
+            click.echo(f"{row['assertion_id']}: N/A ({reason})")
+            continue
         status = "FAIL" if row["fail_count"] else "PASS"
         first = ("" if row["first_fail_t"] is None
                  else f" first_fail_t={row['first_fail_t']:g}")
@@ -198,45 +205,15 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
                 out.write(v.to_json() + "\n")
         out.flush()
 
-    pending_t = None
-    pending: dict = {}
-    failed = False
-    index = -1
     try:
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            index += 1
-            try:
-                obj = json.loads(line)
-                from .trace import _parse_record
-                state = _parse_record(obj, index)
-                if state.t == pending_t and state.actor_id in pending:
-                    raise TraceError(f"duplicate actor {state.actor_id!r} "
-                                     f"at t={state.t}", index)
-            except (TraceError, json.JSONDecodeError) as exc:
-                _die(str(exc))
-            if pending_t is None or state.t > pending_t:
-                if pending:
-                    publish(stream.feed(pending_t, pending))
-                pending_t, pending = state.t, {}
-            elif state.t < pending_t:
-                raise engine.StreamError(
-                    f"record {index}: time regression {state.t} "
-                    f"after {pending_t}")
-            pending[state.actor_id] = state
-        if pending:
-            publish(stream.feed(pending_t, pending))
+        for t, step in iter_steps(sys.stdin):
+            publish(stream.feed(t, step))
         publish(stream.finish())
         for filt in filters.values():
             for d in filt.finish():
                 sys.stdout.write(d.to_json() + "\n")
         sys.stdout.flush()
-    except engine.StreamError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except EvalError as exc:
+    except (TraceError, StreamError, EvalError) as exc:
         _die(str(exc))
     sys.exit(0)
 
@@ -248,6 +225,8 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
 def gen(preset_name, out_dir):
     """Write a preset scenario's map and trace (plus detections when the
     preset exercises the estimator path)."""
+    from . import perception, scenarios
+    from .perception import CameraCalibration
     try:
         spec = scenarios.preset(preset_name)
     except scenarios.InvalidSpecError as exc:
@@ -282,6 +261,8 @@ def gen(preset_name, out_dir):
 @click.option("--av-speed-mph", default=60.0, show_default=True)
 def estimate(detections_path, calibration_path, out_path, av_speed_mph):
     """Convert detection JSONL into a world-frame trace."""
+    from . import perception
+    from .perception import CameraCalibration, EstimatorConfig, PerceptionError
     try:
         cal = CameraCalibration.from_json(calibration_path)
         with open(detections_path, "rb") as fh:
@@ -313,6 +294,7 @@ def estimate(detections_path, calibration_path, out_path, av_speed_mph):
 def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
               ttc_limit, out_path):
     """Zone classification at the overtake decision point."""
+    from . import zones as zones_mod
     try:
         with open(map_path, "rb") as fh:
             road = load_map(fh)
@@ -344,9 +326,12 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
             nxt_step = trace.steps[k + 1] if k + 1 < len(trace) else None
             derived, _ = derive_row(prev_step, trace.steps[k], nxt_step, road)
             step = trace.steps[k]
-            av = next(s for s in step.values() if s.role == "AV")
-            ov = next(s for s in step.values() if s.role == "OV")
+            av = next((s for s in step.values() if s.role == "AV"), None)
+            ov = next((s for s in step.values() if s.role == "OV"), None)
             vbp = next((s for s in step.values() if s.role == "VBP"), None)
+            for role, st in (("AV", av), ("OV", ov)):
+                if st is None:
+                    _die(f"no {role} at the decision step at t={t}")
             geom = config.geometry(
                 derived[av.actor_id].speed,
                 derived[vbp.actor_id].speed if vbp else 0.0,

@@ -95,32 +95,71 @@ class EvaluationContext:
                 or bool(tags & self.active_odd))
 
 
+class _BufferedStep:
+    """One timestep held by the engine.
+
+    Keeps the neighbouring steps' records next to its own, so that
+    dynamics can be derived on demand, once per actor, whenever a rule
+    first reads them (also after the predecessor has been pruned), and a
+    role index built on the first role lookup.
+    """
+
+    __slots__ = ("t", "step", "prev", "nxt", "derived", "roles")
+
+    def __init__(self, t: float, step: dict, prev: dict | None):
+        self.t = t
+        self.step = step
+        self.prev = prev
+        self.nxt: dict | None = None    # set when the next step arrives
+        self.derived: dict = {}
+        self.roles: dict | None = None
+
+    def dynamics(self, aid: str, road: RoadMap):
+        """Derived state of ``aid``; None when it appears at this step only."""
+        try:
+            return self.derived[aid]
+        except KeyError:
+            row, _notes = derive_row(self.prev, self.step, self.nxt, road,
+                                     actor_ids=(aid,))
+            d = self.derived[aid] = row.get(aid)
+            return d
+
+    def by_role(self, ref: str) -> ActorState | None:
+        """The actor with role ``ref`` (any case) and the smallest id."""
+        roles = self.roles
+        if roles is None:
+            roles = self.roles = {}
+            for st in self.step.values():
+                key = st.role.lower()
+                held = roles.get(key)
+                if held is None or st.actor_id < held.actor_id:
+                    roles[key] = st
+        return roles.get(ref.lower())
+
+
 class _StepView:
     """Resolves expression builtins against one timestep."""
 
-    def __init__(self, ctx: EvaluationContext, t: float, step: dict,
-                 derived: dict, shapes: dict | None = None):
+    def __init__(self, ctx: EvaluationContext, at: _BufferedStep,
+                 shapes: dict | None = None):
         self.ctx = ctx
-        self.t = t
-        self.step = step
-        self.derived = derived
+        self.at = at
+        self.t = at.t
+        self.step = at.step
         self.shapes = shapes    # (kind, actor_id) -> polygon, shared per step
         self.touched: list[ActorState] = []
 
     def resolve(self, ref: str) -> ActorState:
-        if ref in self.step:
-            st = self.step[ref]
-        else:
-            matches = [s for s in self.step.values()
-                       if s.role.lower() == ref.lower()]
-            if not matches:
+        st = self.step.get(ref)
+        if st is None:
+            st = self.at.by_role(ref)
+            if st is None:
                 raise ActorNotFound(ref)
-            st = min(matches, key=lambda s: s.actor_id)
         self.touched.append(st)
         return st
 
     def speed_of(self, st: ActorState) -> float:
-        d = self.derived.get(st.actor_id)
+        d = self.at.dynamics(st.actor_id, self.ctx.road)
         if d is not None:
             return d.speed
         if st.speed is not None:
@@ -184,7 +223,7 @@ class _StepView:
         return abs(covered - box.area) <= _AREA_EPS
 
     def heading_rel_lane(self, st: ActorState) -> float:
-        d = self.derived.get(st.actor_id)
+        d = self.at.dynamics(st.actor_id, self.ctx.road)
         if d is not None and d.heading_rel_lane is not None:
             return d.heading_rel_lane
         raise EvalError(f"{st.actor_id!r} has no lane-relative heading "
@@ -414,7 +453,7 @@ class StreamingEngine:
                      if a.decl.kind in ("pre_temporal", "pre_physical")
                      and a.decl.window]
         self._lookback = max(lookbacks, default=0.0)
-        self._buffer: deque = deque()   # [t, step, derived|None]
+        self._buffer: deque = deque()   # of _BufferedStep
         self._first_t: float | None = None
         self._last_fed: float | None = None
         self._ref_seen: set = set()      # ids with mode=first already fired
@@ -426,6 +465,8 @@ class StreamingEngine:
     # -- public API --
 
     def feed(self, t: float, records: dict) -> list[Verdict]:
+        """Take the step ``records`` ({actor_id: ActorState}, kept as given
+        and not to be changed afterwards) at time ``t``."""
         if self._finished:
             raise StreamError("stream already finished")
         if self._last_fed is not None and t <= self._last_fed + _T_EPS:
@@ -438,9 +479,12 @@ class StreamingEngine:
                 out.append(Verdict(a.id, t, NOT_APPLICABLE,
                                    {"reason": "odd-excluded",
                                     "active_odd": sorted(self.ctx.active_odd)}))
-        self._buffer.append([t, dict(records), None])
-        if len(self._buffer) >= 2:
-            out.extend(self._process(len(self._buffer) - 2))
+        buf = self._buffer
+        if buf:
+            buf[-1].nxt = records
+        buf.append(_BufferedStep(t, records, buf[-1].step if buf else None))
+        if len(buf) >= 2:
+            out.extend(self._process(len(buf) - 2))
         self._prune()
         return out
 
@@ -474,27 +518,23 @@ class StreamingEngine:
         """Drop history the next step cannot reach: keep the last step at or
         before its largest lookback, and 3 steps for derived dynamics."""
         buf = self._buffer
-        horizon = buf[-1][0] - self._lookback + _T_EPS
-        while len(buf) > 3 and buf[1][0] <= horizon:
+        horizon = buf[-1].t - self._lookback + _T_EPS
+        while len(buf) > 3 and buf[1].t <= horizon:
             buf.popleft()
 
     def _view(self, idx: int) -> _StepView:
-        t, step, derived = self._buffer[idx]
-        return _StepView(self.ctx, t, step, derived if derived is not None else {})
+        return _StepView(self.ctx, self._buffer[idx])
 
     def _process(self, idx: int, at_end: bool = False) -> list[Verdict]:
         buf = self._buffer
-        t, step, _ = buf[idx]
-        prev_step = buf[idx - 1][1] if idx > 0 else None
-        nxt_step = buf[idx + 1][1] if idx + 1 < len(buf) else None
-        derived, _notes = derive_row(prev_step, step, nxt_step, self.ctx.road)
-        buf[idx][2] = derived
+        at = buf[idx]
+        t = at.t
         # the assertions of this step share its polygons; older steps
         # evaluated for windows build their own
         shapes: dict = {}
 
         def here():
-            return _StepView(self.ctx, t, step, derived, shapes)
+            return _StepView(self.ctx, at, shapes)
 
         out = []
         # 1. open post-window conditions are checked before window closing
@@ -520,7 +560,7 @@ class StreamingEngine:
         for entry in list(self._post_targets):
             assertion, t_ref, target = entry
             if t >= target - _T_EPS:
-                times = [row[0] for row in buf]
+                times = [b.t for b in buf]
                 k = nearest_index(times, target)
                 view = here() if k == idx else self._view(k)
                 out.append(_checked_at(
@@ -556,7 +596,7 @@ class StreamingEngine:
             else:
                 self._post_targets.append((assertion, t_ref, t_ref + window))
             return []
-        times = [row[0] for row in self._buffer]
+        times = [b.t for b in self._buffer]
         lo = t_ref - window
         if kind == "pre_temporal":
             idxs = [i for i, ti in enumerate(times)

@@ -5,7 +5,9 @@ Traces are ingested from JSON-lines, one record per actor per timestep:
     {"t": 0.0, "actor_id": "ego", "role": "AV", "x": 0.0, "y": -1.825,
      "heading_rad": 0.0, "length_m": 4.5, "width_m": 2.0, "speed_mps": 11.176}
 
-``speed_mph`` is accepted and converted (1 mph = 0.44704 m/s).  Derived
+``speed_mph`` is accepted and converted (1 mph = 0.44704 m/s).
+``iter_steps`` validates the records and groups them into timesteps, for
+``load_trace`` and for the streaming monitor alike.  Derived
 dynamics use central finite differences at interior steps and first-order
 one-sided differences at the endpoints; acceleration uses the three-point
 second difference, which is exact for quadratic position profiles.
@@ -107,7 +109,11 @@ class Trace:
         return seen
 
 
-def _parse_record(obj: dict, index: int) -> ActorState:
+def _parse_record(obj: dict, index: int, dims_seen: dict | None = None) -> ActorState:
+    """One record as an ActorState.  ``dims_seen`` maps actor ids to the
+    dims of their earlier records; equal dims reuse that object."""
+    if not isinstance(obj, dict):
+        raise TraceError("record is not a JSON object", index)
     required = ("t", "actor_id", "role", "x", "y", "heading_rad",
                 "length_m", "width_m")
     for key in required:
@@ -116,22 +122,65 @@ def _parse_record(obj: dict, index: int) -> ActorState:
     speed = None
     if "speed_mps" in obj and "speed_mph" in obj:
         raise TraceError("both speed_mps and speed_mph present", index)
-    if "speed_mps" in obj:
-        speed = float(obj["speed_mps"])
-    elif "speed_mph" in obj:
-        speed = float(obj["speed_mph"]) * MPH_TO_MPS
     try:
-        return ActorState(
-            actor_id=str(obj["actor_id"]),
-            role=str(obj["role"]),
-            t=float(obj["t"]),
-            pose=Pose2D(float(obj["x"]), float(obj["y"]), float(obj["heading_rad"])),
-            dims=BoxDims(float(obj["length_m"]), float(obj["width_m"])),
-            speed=speed,
-            low_confidence=bool(obj.get("low_confidence", False)),
-        )
-    except (TraceError, ValueError) as exc:
+        if "speed_mps" in obj:
+            speed = float(obj["speed_mps"])
+        elif "speed_mph" in obj:
+            speed = float(obj["speed_mph"]) * MPH_TO_MPS
+        actor_id = str(obj["actor_id"])
+        role = str(obj["role"])
+        t = float(obj["t"])
+        pose = Pose2D(float(obj["x"]), float(obj["y"]), float(obj["heading_rad"]))
+        length, width = float(obj["length_m"]), float(obj["width_m"])
+        dims = dims_seen.get(actor_id) if dims_seen else None
+        if dims is None or dims.length != length or dims.width != width:
+            dims = BoxDims(length, width)
+        return ActorState(actor_id=actor_id, role=role, t=t, pose=pose,
+                          dims=dims, speed=speed,
+                          low_confidence=bool(obj.get("low_confidence", False)))
+    except (TraceError, ValueError, TypeError) as exc:
         raise TraceError(str(exc), index) from exc
+
+
+def iter_steps(lines):
+    """Group a JSON-lines record stream into timesteps, lazily.
+
+    Yields ``(t, {actor_id: ActorState})`` per timestep as soon as the
+    first record of the next one (or the end of ``lines``) has been read,
+    and never reads further ahead.  Each record is validated, timestamps
+    must not decrease, an actor appears at most once per step and keeps
+    its dims; a violation raises TraceError with the index of the record
+    (blank lines not counted).
+    """
+    dims_seen: dict = {}
+    t, step = None, {}
+    index = -1
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        index += 1
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"invalid JSON: {exc.msg}", index) from exc
+        state = _parse_record(obj, index, dims_seen)
+        aid = state.actor_id
+        if step and state.t < t:
+            raise TraceError(f"out-of-order timestamp {state.t} after {t}", index)
+        if state.t == t and aid in step:
+            raise TraceError(f"duplicate actor {aid!r} at t={state.t}", index)
+        dims = dims_seen.setdefault(aid, state.dims)
+        if dims is not state.dims:
+            raise TraceError(f"actor {aid!r} changed dims {dims} -> {state.dims}",
+                             index)
+        if state.t != t:
+            if step:
+                yield t, step
+            t, step = state.t, {}
+        step[aid] = state
+    if step:
+        yield t, step
 
 
 def load_trace(source) -> Trace:
@@ -148,28 +197,9 @@ def load_trace(source) -> Trace:
 
     times: list[float] = []
     steps: list[dict] = []
-    index = -1
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        index += 1
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"invalid JSON: {exc.msg}", index) from exc
-        state = _parse_record(obj, index)
-        if times and state.t < times[-1]:
-            raise TraceError(
-                f"out-of-order timestamp {state.t} after {times[-1]}", index)
-        if not times or state.t > times[-1]:
-            times.append(state.t)
-            steps.append({})
-        if state.actor_id in steps[-1]:
-            raise TraceError(
-                f"duplicate actor {state.actor_id!r} at t={state.t}", index)
-        steps[-1][state.actor_id] = state
-
+    for t, step in iter_steps(text.splitlines()):
+        times.append(t)
+        steps.append(step)
     if not times:
         raise TraceError("empty trace")
     if len(times) >= 2:
@@ -206,7 +236,6 @@ class DerivedState:
     heading_rel_lane: float | None   # radians in [-pi, pi), None off-road
     pull_out_angle: float = 0.0
     cut_in_angle: float = 0.0
-    distance_ahead: float | None = None
 
 
 def finite_velocity(prev: ActorState | None, cur: ActorState,
@@ -291,16 +320,18 @@ class Dynamics:
 
 
 def derive_row(prev_step: dict | None, cur_step: dict, nxt_step: dict | None,
-               road: RoadMap) -> tuple[dict, list[str]]:
-    """Derived state for every actor of one step, given its neighbours.
+               road: RoadMap, actor_ids=None) -> tuple[dict, list[str]]:
+    """Derived state for the actors ``actor_ids`` of one step (default:
+    all of them), given its neighbouring steps.
 
-    The streaming engine derives every step with this routine, in batch
-    and streaming runs alike.  Returns the per-actor map plus any
-    speed-disagreement warnings.
+    The streaming engine calls this for one actor at a time, when a rule
+    first reads that actor's dynamics at the step.  Returns the per-actor
+    map, without the actors seen at this step only, plus any
+    speed-disagreement and single-step warnings.
     """
     row = {}
     notes = []
-    for aid in sorted(cur_step):
+    for aid in sorted(cur_step) if actor_ids is None else actor_ids:
         cur = cur_step[aid]
         prev = prev_step.get(aid) if prev_step else None
         nxt = nxt_step.get(aid) if nxt_step else None
@@ -316,19 +347,6 @@ def derive_row(prev_step: dict | None, cur_step: dict, nxt_step: dict | None,
                 f"t={cur.t}: actor {aid!r} recorded speed {cur.speed:.3f} "
                 f"disagrees with positional {derived.speed:.3f}; positional wins")
         row[aid] = derived
-    try:
-        gap = distance_ahead(cur_step, road)
-    except (RoleNotFoundError, OffRoadError):
-        gap = None
-    if gap is not None:
-        for aid, st in cur_step.items():
-            if st.role == "AV" and aid in row:
-                d = row[aid]
-                row[aid] = DerivedState(
-                    velocity=d.velocity, acceleration=d.acceleration,
-                    speed=d.speed, heading_rel_lane=d.heading_rel_lane,
-                    pull_out_angle=d.pull_out_angle, cut_in_angle=d.cut_in_angle,
-                    distance_ahead=gap)
     return row, notes
 
 

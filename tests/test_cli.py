@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -185,6 +188,142 @@ class TestBadProfiles:
         assert "malformed profile config" in res.output
 
 
+_DELETE = object()
+
+
+def _mutate(index, **fields):
+    """The record at ``index`` with ``fields`` set (_DELETE deletes one)."""
+    def apply(records):
+        r = records[index]
+        for key, value in fields.items():
+            if value is _DELETE:
+                del r[key]
+            else:
+                r[key] = value
+        return [json.dumps(r) for r in records]
+    return apply
+
+
+def _insert(index, source):
+    """A copy of record ``source`` inserted before record ``index``."""
+    def apply(records):
+        lines = [json.dumps(r) for r in records]
+        return lines[:index] + [lines[source]] + lines[index:]
+    return apply
+
+
+# (case, corpus builder, index of the record that is rejected); records 0-2
+# are t=0 (ego, oncoming, parked), 3-5 t=0.05, 6-8 t=0.1
+MALFORMED = [
+    ("invalid-json", lambda rs: [json.dumps(r) for r in rs[:5]]
+     + ["{not json"] + [json.dumps(r) for r in rs[6:]], 5),
+    ("missing-field", _mutate(5, x=_DELETE), 5),
+    ("unknown-role", _mutate(5, role="truck"), 5),
+    ("negative-t", _mutate(5, t=-1.0), 5),
+    ("non-finite-x", _mutate(5, x=float("nan")), 5),
+    ("both-speeds", _mutate(5, speed_mph=25.0), 5),
+    ("duplicate", _insert(4, 3), 4),
+    ("out-of-order-t", _insert(4, 6), 5),
+    ("changed-dims", _mutate(5, length_m=9.0), 5),
+    ("not-an-object", lambda rs: [json.dumps(r) for r in rs[:5]]
+     + ["5"] + [json.dumps(r) for r in rs[6:]], 5),
+    ("null-t", _mutate(5, t=None), 5),
+    ("text-speed", _mutate(5, speed_mps="fast"), 5),
+]
+
+
+class TestMalformedTraceParity:
+    """check and monitor frame their input with one routine, so they
+    reject the same record with the same message and exit 2."""
+
+    @pytest.mark.parametrize("build,index",
+                             [(b, i) for _, b, i in MALFORMED],
+                             ids=[c for c, _, _ in MALFORMED])
+    def test_same_rejection(self, fixture_dir, tmp_path, build, index):
+        records = [json.loads(l) for l in
+                   (fixture_dir / "safe_trace.jsonl").read_text().splitlines()]
+        trace = tmp_path / "bad_trace.jsonl"
+        trace.write_text("\n".join(build(records)) + "\n")
+        errors = []
+        for command in ("check", "monitor"):
+            res = invoke(fixture_dir, command, trace=trace)
+            assert isinstance(res.exception, SystemExit), res.exception
+            assert res.exit_code == 2, (command, res.output)
+            lines = [l for l in res.stderr.splitlines()
+                     if l.startswith("error: ")]
+            assert len(lines) == 1, (command, res.stderr)
+            errors.append(lines[0])
+        assert errors[0].startswith(f"error: record {index}: ")
+        assert errors[0] == errors[1]
+
+    def test_near_coincident_times_exit_2(self, fixture_dir, tmp_path):
+        # 1e-10 s apart: a new step for the reader, a time regression for
+        # the engine, which needs more than 1e-9 s between steps
+        records = [json.loads(l) for l in
+                   (fixture_dir / "safe_trace.jsonl").read_text().splitlines()]
+        for r in records[3:6]:
+            r["t"] = 1e-10
+        trace = tmp_path / "near_trace.jsonl"
+        trace.write_text("\n".join(json.dumps(r) for r in records[:6]) + "\n")
+        for command in ("check", "monitor"):
+            res = invoke(fixture_dir, command, trace=trace)
+            assert isinstance(res.exception, SystemExit), res.exception
+            assert res.exit_code == 2, (command, res.output)
+            assert "error: time regression: 1e-10 after 0.0" in res.stderr
+
+
+class TestNotApplicableSummary:
+    def test_odd_excluded(self, fixture_dir):
+        res = runner.invoke(main, [
+            "check", "--map", str(fixture_dir / "safe_map.json"),
+            "--trace", str(fixture_dir / "safe_trace.jsonl"),
+            "--odd", "motorway"])
+        assert res.exit_code == 0, res.output
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 6
+        assert all(l.endswith(": N/A (odd-excluded)") for l in lines), lines
+
+    def test_reference_never_fired(self, fixture_dir, tmp_path):
+        rules = tmp_path / "late.rules"
+        rules.write_text('assertion late { odd: x type: execution '
+                         'reference: time() > 999s condition: true }')
+        out_csv = tmp_path / "s.csv"
+        res = runner.invoke(main, [
+            "check", "--map", str(fixture_dir / "safe_map.json"),
+            "--trace", str(fixture_dir / "safe_trace.jsonl"),
+            "--rules", str(rules), "--out-csv", str(out_csv)])
+        assert res.exit_code == 0, res.output
+        assert res.output == "late: N/A (reference-never-fired)\n"
+        # the CSV keeps its columns
+        assert out_csv.read_text() == ("assertion_id,pass_count,fail_count,"
+                                       "first_fail_t\nlate,0,0,\n")
+
+
+def test_cli_import_leaves_out_command_only_modules():
+    code = ("import sys, roadcheck.cli; print(sorted(m for m in sys.modules "
+            "if m in ('roadcheck.scenarios', 'roadcheck.perception', "
+            "'roadcheck.zones')))")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_zones_no_ov_at_decision_step_exit_2(fixture_dir):
+    # the oncoming vehicle of occlusion_abort is hidden when the ego first
+    # crosses the centre line
+    res = runner.invoke(main, [
+        "zones", "--map", str(fixture_dir / "occlusion_abort_map.json"),
+        "--trace", str(fixture_dir / "occlusion_abort_trace.jsonl")])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ")
+    assert "OV" in res.stderr and " at t=" in res.stderr
+
+
 def test_zones_faster_passed_vehicle_exit_2(fixture_dir, tmp_path):
     res = invoke(fixture_dir, "zones",
                  trace=fast_vbp_trace(fixture_dir, tmp_path))
@@ -219,12 +358,14 @@ class TestMonitor:
         assert res.exit_code == 0
         assert not [l for l in res.output.splitlines() if l.startswith("{")]
 
-    def test_time_regression_exit_one(self, fixture_dir):
+    def test_time_regression_exit_two(self, fixture_dir):
+        # an out-of-order record is a malformed stream, not a safety failure
         lines = (fixture_dir / "safe_trace.jsonl").read_text().splitlines()
         scrambled = "\n".join([lines[6], lines[0], lines[3]])
         res = runner.invoke(main, self.monitor_args(fixture_dir, "safe"),
                             input=scrambled)
-        assert res.exit_code == 1
+        assert res.exit_code == 2
+        assert "error: record 1: out-of-order timestamp" in res.output
 
     def test_duplicate_record_exit_two_like_check(self, fixture_dir, tmp_path):
         lines = (fixture_dir / "safe_trace.jsonl").read_text().splitlines()

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -421,6 +423,69 @@ class TestStreaming:
             engine.feed(t, {"ego": actor(t, x=t)})
             # lookback 1 s at dt 0.1 -> roughly 13 retained steps
             assert engine.buffered_steps <= 16
+
+
+class TestOnDemandDerivation:
+    """Dynamics are derived only for the actors a rule resolves, once per
+    actor and step."""
+
+    @pytest.fixture()
+    def derived(self, monkeypatch):
+        import roadcheck.trace as trace_mod
+        calls = []
+        original = trace_mod.derive_state
+
+        def counting(prev, cur, nxt, road):
+            calls.append((cur.t, cur.actor_id))
+            return original(prev, cur, nxt, road)
+        monkeypatch.setattr(trace_mod, "derive_state", counting)
+        return calls
+
+    def test_only_rule_actors(self, derived, safe_scenario):
+        from roadcheck.rulepack import load_rulepack
+        road, trace = safe_scenario
+        steps = []
+        for step in trace.steps:
+            crowded = dict(step)
+            parked = step["parked"]
+            for i in range(20):
+                aid = f"other{i:02d}"
+                crowded[aid] = replace(parked, actor_id=aid, role="other",
+                                       pose=Pose2D(60.0 + 6 * i, -1.825, 0.0))
+            steps.append(crowded)
+        crowd = Trace(times=trace.times, steps=steps, dt=trace.dt)
+        ctx = EvaluationContext(road=road, config=default_profiles(),
+                                profile_name="nominal")
+        plain = evaluate_document(load_rulepack(), trace, ctx)
+        derived.clear()
+        assert evaluate_document(load_rulepack(), crowd, ctx) == plain
+        per_step = Counter(t for t, _ in derived)
+        assert set(per_step) == set(trace.times)
+        assert max(per_step.values()) <= 3
+        assert not any(aid.startswith("other") for _, aid in derived)
+
+    def test_one_derivation_per_actor_and_step(self, derived):
+        rules = [compiled('assertion lo { odd: road type: invariant '
+                          'condition: speed_of("av") > 5 }'),
+                 compiled('assertion hi { odd: road type: invariant '
+                          'condition: speed_of("av") < 50 }')]
+        tr = straight_trace(n=6, v=10.0, with_ov=True)
+        verdicts = evaluate_document(rules, tr, CTX)
+        assert {v.result for v in verdicts} == {PASS}
+        assert sorted(derived) == [(t, "ego") for t in tr.times]
+
+    def test_window_step_keeps_both_neighbours_after_prune(self):
+        # x = t^2: the central difference gives exactly 2t, a one-sided one
+        # 2t + dt; the step 0.5 s back is the oldest one still buffered
+        times = tuple(k * 0.1 for k in range(12))
+        steps = [{"ego": actor(t, x=t * t)} for t in times]
+        tr = Trace(times=times, steps=steps, dt=0.1)
+        rule = compiled('assertion p { odd: road type: pre_physical '
+                        'window: 500ms reference: time() >= 1.0s '
+                        'condition: speed_of("av") > 0 }')
+        (v,) = evaluate_document([rule], tr, CTX)
+        assert v.detail["checked_t"] == pytest.approx(0.5)
+        assert v.detail["measured"] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestDebounce:
