@@ -27,6 +27,7 @@ from .dsl import ParseError
 from .engine import (FAIL, DebounceFilter, EvalError, EvaluationContext,
                      StreamError, StreamingEngine, debounce, evaluate_document,
                      summary_csv, summary_rows, verdicts_to_jsonl)
+from .geometry import GeometryError
 from .models import ModelError, load_profiles
 from .trace import TraceError, iter_steps, load_trace, serialise_trace
 from .worldmap import MapError, load_map, serialise_map
@@ -65,9 +66,14 @@ def _load_inputs(map_path, rules_paths, profiles_path, profile_name):
         for path in rules_paths:
             try:
                 text = Path(path).read_text("utf-8")
-                assertions.extend(compile_text(text).assertions)
+                compiled = compile_text(text).assertions
             except (OSError, ParseError, TypecheckError) as exc:
                 _die(f"{path}: {exc}")
+            seen = {a.id for a in assertions}
+            for a in compiled:
+                if a.id in seen:
+                    _die(f"{path}: duplicate assertion id {a.id!r}")
+            assertions.extend(compiled)
     else:
         assertions = list(rulepack.load_rulepack())
     return road, config, assertions
@@ -336,7 +342,11 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
                 derived[av.actor_id].speed,
                 derived[vbp.actor_id].speed if vbp else 0.0,
                 derived[ov.actor_id].speed)
-            observations.append((t, trace_da(step, road), geom))
+            try:
+                da = trace_da(step, road)
+            except GeometryError as exc:
+                _die(f"vehicle box at the decision step at t={t}: {exc}")
+            observations.append((t, da, geom))
         thresholds = zones_mod.ZoneThresholds(safety_margin_fraction=margin,
                                               ttc_conservative=ttc_limit)
         rows = zones_mod.zone_report_rows(

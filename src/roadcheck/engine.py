@@ -20,6 +20,14 @@ soon as it is decidable; batch evaluation is that engine run to the end of
 a recorded trace, so the two produce identical verdict multisets over the
 same records.
 
+Evaluation is incremental (Donze, Ferrere & Maler, "Efficient Robust
+Monitoring for STL", CAV 2013): a step's condition value does not depend on
+the reference point, so each temporal condition is evaluated at most once
+per step, however many windows cover that step, and the verdict is kept on
+the buffered step for the windows that reach it later.  Each distinct
+reference expression is evaluated at most once per step, whichever
+assertions share it.
+
 Comparisons are encoded per rule with explicit <, <=, >, >=: a rule that
 must fail on ties uses the strict operator.
 """
@@ -30,13 +38,15 @@ import csv
 import io
 import json
 import math
+import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 
 from . import dsl
 from .checker import CompiledAssertion
-from .geometry import danger_space, min_distance as poly_min_distance, overlaps as poly_overlaps
+from .geometry import GeometryError, danger_space
+from .geometry import min_distance as poly_min_distance, overlaps as poly_overlaps
 from .models import ModelConfig, ModelError, default_profiles, mps_to_mph
 from .models import danger_space_length as model_ds_length
 from .models import safe_distance_ahead
@@ -51,6 +61,9 @@ NOT_APPLICABLE = "not_applicable"
 
 _T_EPS = 1e-9
 _AREA_EPS = 1e-6
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 
 class ActorNotFound(LookupError):
@@ -100,11 +113,12 @@ class _BufferedStep:
 
     Keeps the neighbouring steps' records next to its own, so that
     dynamics can be derived on demand, once per actor, whenever a rule
-    first reads them (also after the predecessor has been pruned), and a
-    role index built on the first role lookup.
+    first reads them (also after the predecessor has been pruned), a
+    role index built on the first role lookup, and the temporal condition
+    verdicts held for the windows that cover this step.
     """
 
-    __slots__ = ("t", "step", "prev", "nxt", "derived", "roles")
+    __slots__ = ("t", "step", "prev", "nxt", "derived", "roles", "held")
 
     def __init__(self, t: float, step: dict, prev: dict | None):
         self.t = t
@@ -113,6 +127,9 @@ class _BufferedStep:
         self.nxt: dict | None = None    # set when the next step arrives
         self.derived: dict = {}
         self.roles: dict | None = None
+        # assertion position -> None (the condition passed) or its FAIL or
+        # NOT_APPLICABLE verdict; created by the first temporal window
+        self.held: dict | None = None
 
     def dynamics(self, aid: str, road: RoadMap):
         """Derived state of ``aid``; None when it appears at this step only."""
@@ -167,14 +184,18 @@ class _StepView:
         raise EvalError(f"speed of {st.actor_id!r} is unavailable")
 
     def _shape(self, kind: str, st: ActorState, make):
-        if self.shapes is None:
-            return make(st)
+        shapes = self.shapes
         key = (kind, st.actor_id)
+        if shapes is not None and key in shapes:
+            return shapes[key]
         try:
-            return self.shapes[key]
-        except KeyError:
-            shape = self.shapes[key] = make(st)
-            return shape
+            shape = make(st)
+        except GeometryError as exc:
+            # e.g. corners that collapse at coordinates too large to resolve
+            raise EvalError(f"{kind} of {st.actor_id!r}: {exc}") from exc
+        if shapes is not None:
+            shapes[key] = shape
+        return shape
 
     def box_of(self, st: ActorState):
         return self._shape("box", st, ActorState.box)
@@ -187,7 +208,7 @@ class _StepView:
             v_mph = self.ctx.config.worst_case_mph(st.role)
         else:
             v_mph = mps_to_mph(self.speed_of(st))
-        return danger_space(st.pose, st.dims, model_ds_length(v_mph))
+        return danger_space(st.pose, st.dims, _ds_length(v_mph))
 
     def sda(self) -> float:
         if self.ctx.profile_name is None:
@@ -230,6 +251,14 @@ class _StepView:
                         f"(off-road?)")
 
 
+def _ds_length(v_mph: float) -> float:
+    try:
+        return model_ds_length(v_mph)
+    except ModelError as exc:
+        # e.g. a negative recorded speed
+        raise EvalError(str(exc)) from exc
+
+
 def _eval(node, view: _StepView):
     if isinstance(node, dsl.NumberLit):
         return node.value
@@ -244,11 +273,8 @@ def _eval(node, view: _StepView):
     if isinstance(node, dsl.Neg):
         return -_eval(node.operand, view)
     if isinstance(node, dsl.Compare):
-        left = _eval(node.left, view)
-        right = _eval(node.right, view)
-        return {"<": left < right, "<=": left <= right,
-                ">": left > right, ">=": left >= right,
-                "==": left == right, "!=": left != right}[node.op]
+        return _COMPARE[node.op](_eval(node.left, view),
+                                 _eval(node.right, view))
     if isinstance(node, dsl.BinaryOp):
         if node.op == "and":
             return _eval(node.left, view) and _eval(node.right, view)
@@ -312,7 +338,7 @@ def _call(node: dsl.Call, view: _StepView):
     if name == "heading_rel_lane":
         return view.heading_rel_lane(_eval(args[0], view))
     if name == "danger_space_length":
-        return model_ds_length(mps_to_mph(_eval(args[0], view)))
+        return _ds_length(mps_to_mph(_eval(args[0], view)))
     raise EvalError(f"no evaluator for function {name!r}")
 
 
@@ -320,8 +346,16 @@ def _condition_verdict(assertion: CompiledAssertion, view: _StepView,
                        t: float) -> Verdict:
     """Evaluate the condition at one step and build the verdict."""
     detail: dict = {}
+    cond = assertion.condition
+    # a top-level comparison's operands are the verdict's diagnostics
+    compare = isinstance(cond, dsl.Compare)
     try:
-        ok = bool(_eval(assertion.condition, view))
+        if compare:
+            measured = _eval(cond.left, view)
+            threshold = _eval(cond.right, view)
+            ok = _COMPARE[cond.op](measured, threshold)
+        else:
+            ok = bool(_eval(cond, view))
     except ActorNotFound as exc:
         policy = assertion.decl.on_missing
         detail["reason"] = "actor-not-found"
@@ -335,19 +369,12 @@ def _condition_verdict(assertion: CompiledAssertion, view: _StepView,
         detail["reason"] = "evaluation-error"
         detail["error"] = str(exc)
         return Verdict(assertion.id, t, FAIL, detail)
-    # diagnostics: record the top-level comparison when there is one
-    cond = assertion.condition
-    if isinstance(cond, dsl.Compare):
-        try:
-            measured = _eval(cond.left, view)
-            threshold = _eval(cond.right, view)
-            if isinstance(measured, (int, float)):
-                detail["measured"] = measured
-            if isinstance(threshold, (int, float)):
-                detail["threshold"] = threshold
-            detail["op"] = cond.op
-        except (ActorNotFound, EvalError):
-            pass
+    if compare:
+        if isinstance(measured, (int, float)):
+            detail["measured"] = measured
+        if isinstance(threshold, (int, float)):
+            detail["threshold"] = threshold
+        detail["op"] = cond.op
     else:
         detail["condition"] = ok
     low_conf = sorted({s.actor_id for s in view.touched if s.low_confidence})
@@ -385,20 +412,41 @@ def _insufficient(assertion: CompiledAssertion, t_ref: float,
     return Verdict(assertion.id, t_ref, result, detail)
 
 
-def _window_verdict(assertion, idxs, view_at, t_ref, incomplete, ctx) -> Verdict:
-    for k in idxs:
-        view = view_at(k)
-        v = _condition_verdict(assertion, view, t_ref)
-        if v.result == FAIL:
-            detail = dict(v.detail)
-            detail["violated_t"] = view.t
-            return replace(v, detail=detail)
-        if v.result == NOT_APPLICABLE:
-            return v
+def _held_condition(assertion: CompiledAssertion, pos: int,
+                    at: _BufferedStep, ctx: EvaluationContext,
+                    shapes: dict | None = None) -> Verdict | None:
+    """The condition verdict of ``assertion`` at step ``at``, evaluated
+    once and held for every window that covers the step: None when it
+    passed, else the FAIL or NOT_APPLICABLE verdict."""
+    held = at.held
+    if held is None:
+        held = at.held = {}
+    elif pos in held:
+        return held[pos]
+    v = _condition_verdict(assertion, _StepView(ctx, at, shapes), at.t)
+    v = held[pos] = None if v.result == PASS else v
+    return v
+
+
+def _window_failure(v: Verdict, t_ref: float, t: float) -> Verdict:
+    """A held verdict stamped for the window at ``t_ref``; a failure also
+    names the step ``t`` that violated it."""
+    if v.result == FAIL:
+        detail = dict(v.detail)
+        detail["violated_t"] = t
+        return replace(v, t=t_ref, detail=detail)
+    return replace(v, t=t_ref)
+
+
+def _window_verdict(assertion, pos, steps, t_ref, incomplete, ctx) -> Verdict:
+    for at in steps:
+        v = _held_condition(assertion, pos, at, ctx)
+        if v is not None:
+            return _window_failure(v, t_ref, at.t)
     if incomplete:
         return _insufficient(assertion, t_ref, ctx)
     return Verdict(assertion.id, t_ref, PASS,
-                   {"steps_checked": len(idxs)})
+                   {"steps_checked": len(steps)})
 
 
 def _checked_at(v: Verdict, checked_t: float) -> Verdict:
@@ -428,6 +476,7 @@ def evaluate_document(assertions, trace: Trace,
 @dataclass
 class _OpenWindow:
     assertion: CompiledAssertion
+    pos: int                        # in StreamingEngine._active
     t_ref: float
     deadline: float
     checked: int = 0
@@ -449,6 +498,12 @@ class StreamingEngine:
         # ODD applicability is fixed per run; keep the original order
         self._active = [a for a in assertions if ctx.applicable(a)]
         self._excluded = [a for a in assertions if not ctx.applicable(a)]
+        # structurally equal references (spans aside) share one slot and
+        # are evaluated once per step
+        slots: dict = {}
+        self._ref_slot = [None if a.reference is None
+                          else slots.setdefault(a.reference, len(slots))
+                          for a in self._active]
         lookbacks = [a.decl.window for a in self._active
                      if a.decl.kind in ("pre_temporal", "pre_physical")
                      and a.decl.window]
@@ -540,16 +595,10 @@ class StreamingEngine:
         # 1. open post-window conditions are checked before window closing
         for w in list(self._open_windows):
             if t > w.t_ref + _T_EPS and t <= w.deadline + _T_EPS:
-                v = _condition_verdict(w.assertion, here(), w.t_ref)
+                v = _held_condition(w.assertion, w.pos, at, self.ctx, shapes)
                 w.checked += 1
-                if v.result == FAIL:
-                    detail = dict(v.detail)
-                    detail["violated_t"] = t
-                    out.append(replace(v, detail=detail))
-                    self._open_windows.remove(w)
-                    continue
-                if v.result == NOT_APPLICABLE:
-                    out.append(v)
+                if v is not None:
+                    out.append(_window_failure(v, w.t_ref, t))
                     self._open_windows.remove(w)
                     continue
             if t >= w.deadline - _T_EPS:
@@ -567,22 +616,29 @@ class StreamingEngine:
                     _condition_verdict(assertion, view, t_ref), times[k]))
                 self._post_targets.remove(entry)
         # 3. per-assertion work at this step
-        for assertion in self._active:
+        fired: dict = {}    # reference slot -> holds at this step
+        for pos, assertion in enumerate(self._active):
             if assertion.decl.kind == "invariant":
                 out.append(_condition_verdict(assertion, here(), t))
                 continue
             if assertion.id in self._ref_seen:
                 continue
-            if not _reference_holds(assertion, here()):
+            ref = self._ref_slot[pos]
+            holds = fired.get(ref)
+            if holds is None:
+                holds = fired[ref] = _reference_holds(assertion, here())
+            if not holds:
                 continue
             self._ref_ever.add(assertion.id)
             if assertion.decl.mode == "first":
                 self._ref_seen.add(assertion.id)
-            out.extend(self._fire_reference(assertion, idx, t, here, at_end))
+            out.extend(self._fire_reference(assertion, pos, idx, t, here,
+                                            at_end))
         return out
 
-    def _fire_reference(self, assertion: CompiledAssertion, idx: int,
-                        t_ref: float, here, at_end: bool) -> list[Verdict]:
+    def _fire_reference(self, assertion: CompiledAssertion, pos: int,
+                        idx: int, t_ref: float, here,
+                        at_end: bool) -> list[Verdict]:
         kind = assertion.decl.kind
         window = assertion.decl.window
         if kind == "execution":
@@ -592,21 +648,21 @@ class StreamingEngine:
                 return [_insufficient(assertion, t_ref, self.ctx)]
             if kind == "post_temporal":
                 self._open_windows.append(
-                    _OpenWindow(assertion, t_ref, t_ref + window))
+                    _OpenWindow(assertion, pos, t_ref, t_ref + window))
             else:
                 self._post_targets.append((assertion, t_ref, t_ref + window))
             return []
-        times = [b.t for b in self._buffer]
         lo = t_ref - window
         if kind == "pre_temporal":
-            idxs = [i for i, ti in enumerate(times)
-                    if ti >= lo - _T_EPS and ti < t_ref - _T_EPS]
+            steps = [b for b in self._buffer
+                     if b.t >= lo - _T_EPS and b.t < t_ref - _T_EPS]
             incomplete = lo < self._first_t - _T_EPS
-            return [_window_verdict(assertion, idxs, self._view, t_ref,
+            return [_window_verdict(assertion, pos, steps, t_ref,
                                     incomplete, self.ctx)]
         if kind == "pre_physical":
             if lo < self._first_t - _T_EPS:
                 return [_insufficient(assertion, t_ref, self.ctx)]
+            times = [b.t for b in self._buffer]
             k = nearest_index(times, lo)
             view = here() if k == idx else self._view(k)
             return [_checked_at(_condition_verdict(assertion, view, t_ref),

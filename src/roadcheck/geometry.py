@@ -74,7 +74,9 @@ class ConvexPolygon:
         n = len(verts)
         if n < 3:
             raise GeometryError(f"polygon needs >= 3 vertices, got {n}")
-        scale = max(max(abs(x), abs(y)) for x, y in verts) or 1.0
+        xs = [x for x, _ in verts]
+        ys = [y for _, y in verts]
+        scale = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
         eps = _CONVEXITY_EPS * scale * scale
         area2 = 0.0
         for i in range(n):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,22 @@ class TestCheck:
             "--rules", str(rules)])
         assert res.exit_code == 0
         assert "perf: FAIL" in res.output
+
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_duplicate_id_across_rule_files_exit_2(self, fixture_dir,
+                                                   tmp_path, command):
+        # verdicts, summaries and mode: first are keyed by id, so a second
+        # rule of the same name would never be reported
+        first, second = tmp_path / "a.rules", tmp_path / "b.rules"
+        first.write_text('assertion same { odd: x type: execution '
+                         'reference: time() >= 1s condition: true }')
+        second.write_text('assertion same { odd: x type: execution '
+                          'reference: time() >= 2s condition: false }')
+        res = invoke(fixture_dir, command, "--rules", str(first),
+                     "--rules", str(second))
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2
+        assert f"error: {second}: duplicate assertion id 'same'" in res.stderr
 
 
 def fast_vbp_trace(root, tmp_path):
@@ -330,6 +347,198 @@ def test_zones_faster_passed_vehicle_exit_2(fixture_dir, tmp_path):
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 2
     assert "must exceed" in res.output
+
+
+def shifted_preset(root, tmp_path, dx, dy, actor=None):
+    """The safe preset moved by (dx, dy) metres; with ``actor``, only that
+    actor's records move and the map stays."""
+    records = [json.loads(l)
+               for l in (root / "safe_trace.jsonl").read_text().splitlines()]
+    for r in records:
+        if actor is None or r["actor_id"] == actor:
+            r["x"] += dx
+            r["y"] += dy
+    trace = tmp_path / "shifted_trace.jsonl"
+    trace.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    road = json.loads((root / "safe_map.json").read_text())
+    if actor is None:
+        road["centreline"] = [[x + dx, y + dy] for x, y in road["centreline"]]
+        for lanelet in road["lanelets"]:
+            lanelet["vertices"] = [[x + dx, y + dy]
+                                   for x, y in lanelet["vertices"]]
+    map_path = tmp_path / "shifted_map.json"
+    map_path.write_text(json.dumps(road))
+    return map_path, trace
+
+
+def run_on(command, map_path, trace, *extra):
+    """``command`` with the shipped rulepack (zones takes no rules)."""
+    args = [command, "--map", str(map_path), *extra]
+    if command == "monitor":
+        return runner.invoke(main, args, input=trace.read_text())
+    return runner.invoke(main, args + ["--trace", str(trace)])
+
+
+def no_traceback(res):
+    """The command ended through its exit code, not an exception."""
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        res.exception
+    assert "Traceback" not in res.output
+
+
+def close_verdicts(a_lines, b_lines):
+    """Verdict streams equal up to 1e-5 in their numbers."""
+    a = [json.loads(l) for l in a_lines if l.startswith("{")]
+    b = [json.loads(l) for l in b_lines if l.startswith("{")]
+    assert a and len(a) == len(b)
+    for va, vb in zip(a, b):
+        assert (va["assertion_id"], va["t"], va["result"]) == \
+            (vb["assertion_id"], vb["t"], vb["result"])
+        assert va["detail"].keys() == vb["detail"].keys()
+        for key, value in va["detail"].items():
+            if isinstance(value, float):
+                assert vb["detail"][key] == pytest.approx(value, abs=1e-5)
+            else:
+                assert vb["detail"][key] == value
+
+
+class TestProjectedCoordinates:
+    """Map-projected (UTM-sized) coordinates give the verdicts of the same
+    scene near the origin; coordinates too large to resolve a vehicle give
+    verdicts or exit 2, never a traceback."""
+
+    UTM = (500_000.0, 5_700_000.0)
+
+    def test_check_summary_unchanged(self, fixture_dir, tmp_path):
+        map_path, trace = shifted_preset(fixture_dir, tmp_path, *self.UTM)
+        outputs = []
+        for m, tr, name in ((fixture_dir / "safe_map.json",
+                             fixture_dir / "safe_trace.jsonl", "plain"),
+                            (map_path, trace, "utm")):
+            csv_path = tmp_path / f"{name}.csv"
+            jsonl = tmp_path / f"{name}.jsonl"
+            res = run_on("check", m, tr, "--out-csv", str(csv_path),
+                         "--out-jsonl", str(jsonl))
+            assert isinstance(res.exception, SystemExit), res.exception
+            outputs.append((res.exit_code, res.output, csv_path.read_text(),
+                            jsonl.read_text().splitlines()))
+        (code, text, summary, plain), (code2, text2, summary2, utm) = outputs
+        assert (code2, text2, summary2) == (code, text, summary)
+        close_verdicts(plain, utm)
+
+    def test_monitor_unchanged(self, fixture_dir, tmp_path):
+        map_path, trace = shifted_preset(fixture_dir, tmp_path, *self.UTM)
+        plain = run_on("monitor", fixture_dir / "safe_map.json",
+                       fixture_dir / "safe_trace.jsonl")
+        utm = run_on("monitor", map_path, trace)
+        no_traceback(utm)
+        assert utm.exit_code == plain.exit_code == 0
+        close_verdicts(plain.output.splitlines(), utm.output.splitlines())
+
+    def test_zones_unchanged(self, fixture_dir, tmp_path):
+        map_path, trace = shifted_preset(fixture_dir, tmp_path, *self.UTM)
+        plain = run_on("zones", fixture_dir / "safe_map.json",
+                       fixture_dir / "safe_trace.jsonl")
+        utm = run_on("zones", map_path, trace)
+        assert utm.exit_code == plain.exit_code == 0, utm.output
+        rows = [l.split(",") for l in plain.output.splitlines()]
+        rows2 = [l.split(",") for l in utm.output.splitlines()]
+        assert rows2[0] == rows[0] and len(rows2) == len(rows) > 1
+        for row, row2 in zip(rows[1:], rows2[1:]):
+            assert row2[-1] == row[-1]
+            assert [float(x) for x in row2[:-1]] == pytest.approx(
+                [float(x) for x in row[:-1]], abs=1e-5)
+
+    @pytest.mark.parametrize("command", ["check", "monitor", "zones"])
+    def test_unresolvable_vehicle_no_traceback(self, fixture_dir, tmp_path,
+                                               command):
+        map_path, trace = shifted_preset(fixture_dir, tmp_path, 1e17, 0.0,
+                                         actor="oncoming")
+        res = run_on(command, map_path, trace)
+        no_traceback(res)
+        if command == "zones":
+            assert res.exit_code == 2
+            assert res.stderr.startswith("error: ")
+            return
+        assert res.exit_code == (1 if command == "check" else 0)
+        if command == "check":
+            return
+        errors = evaluation_errors(res.output.splitlines())
+        assert any("'oncoming'" in v["detail"]["error"] for v in errors)
+
+
+def _fuzz_value(rng, kind, value):
+    if kind == "null":
+        return None
+    if kind == "text":
+        return rng.choice(["", "fast", "1e999", "nan", "-0"])
+    if kind == "list":
+        return [value]
+    if kind == "negative":
+        return -abs(value) if isinstance(value, (int, float)) else -1
+    return rng.choice([True, False])
+
+
+def fuzzed_traces(text, seed=20261018, cases=48):
+    """``cases`` copies of a JSONL trace, each with one field of one record
+    set to null, text, a list, a negative number or a boolean, or deleted."""
+    records = [json.loads(l) for l in text.splitlines()]
+    rng = random.Random(seed)
+    kinds = ("null", "text", "list", "missing", "negative", "boolean")
+    for case in range(cases):
+        kind = kinds[case % len(kinds)]
+        mutated = [dict(r) for r in records]
+        index = rng.randrange(len(mutated))
+        key = rng.choice(sorted(mutated[index]))
+        if kind == "missing":
+            del mutated[index][key]
+        else:
+            mutated[index][key] = _fuzz_value(rng, kind, mutated[index][key])
+        yield (f"{kind}-{key}-{index}",
+               "\n".join(json.dumps(r) for r in mutated) + "\n")
+
+
+class TestMutatedRecordFuzz:
+    """No mutated record makes check or monitor print a traceback or exit
+    with anything but 0, 1 or 2, and both reject the same traces."""
+
+    def test_no_traceback_and_same_rejection(self, fixture_dir, tmp_path):
+        text = (fixture_dir / "safe_trace.jsonl").read_text()
+        trace = tmp_path / "fuzzed_trace.jsonl"
+        rejected = 0
+        for case, fuzzed in fuzzed_traces(text):
+            trace.write_text(fuzzed)
+            codes = []
+            for command in ("check", "monitor"):
+                res = run_on(command, fixture_dir / "safe_map.json", trace)
+                no_traceback(res)
+                assert res.exit_code in (0, 1, 2), (case, command)
+                codes.append(res.exit_code)
+            assert (codes[0] == 2) == (codes[1] == 2), (case, codes)
+            rejected += codes[0] == 2
+        assert 0 < rejected < 48
+
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_negative_speed_of_single_step_actor(self, fixture_dir, tmp_path,
+                                                 command):
+        # only the recorded speed sizes the danger space of an actor seen
+        # at one step; a negative one has no stopping distance
+        records = [json.loads(l) for l in
+                   (fixture_dir / "safe_trace.jsonl").read_text().splitlines()]
+        kept = [r for r in records
+                if r["actor_id"] != "oncoming" or r["t"] == 0.0]
+        for r in kept:
+            if r["actor_id"] == "oncoming":
+                r["speed_mps"] = -5.0
+        trace = tmp_path / "negative_speed_trace.jsonl"
+        trace.write_text("\n".join(json.dumps(r) for r in kept) + "\n")
+        res = run_on(command, fixture_dir / "safe_map.json", trace,
+                     *(["--print-verdicts"] if command == "check" else []))
+        no_traceback(res)
+        assert res.exit_code == (1 if command == "check" else 0)
+        errors = evaluation_errors(res.output.splitlines())
+        assert any("speed must be >= 0 mph" in v["detail"]["error"]
+                   and v["t"] == 0.0 for v in errors)
 
 
 class TestMonitor:

@@ -488,6 +488,105 @@ class TestOnDemandDerivation:
         assert v.detail["measured"] == pytest.approx(1.0, abs=1e-9)
 
 
+class TestEvaluationCounts:
+    """A temporal condition is evaluated at most once per step however many
+    windows cover it, a reference once per step however many assertions
+    share it, and a comparison's operands once per verdict."""
+
+    # the boxes close at 20 m/s across a 1.65 m lateral gap
+    TRACE = straight_trace(n=60, dt=0.1, v=10.0, with_ov=True)
+    GAP = 'min_distance(box_of("av"), box_of("ov")) > 100'
+    FIRST_BAD = min(t for t in TRACE.times
+                    if math.hypot(196 - 20 * t, 1.65) <= 100)
+
+    @pytest.fixture()
+    def conditions(self, monkeypatch):
+        import roadcheck.engine as engine_mod
+        calls = []
+        original = engine_mod._condition_verdict
+
+        def counting(assertion, view, t):
+            calls.append((assertion.id, view.t))
+            return original(assertion, view, t)
+        monkeypatch.setattr(engine_mod, "_condition_verdict", counting)
+        return calls
+
+    def test_pre_window_once_per_step(self, conditions):
+        rule = compiled('assertion pre { odd: road type: pre_temporal '
+                        'window: 2s mode: all reference: true '
+                        f'condition: {self.GAP} }}')
+        verdicts = evaluate_document([rule], self.TRACE, CTX)
+        assert len(verdicts) == len(self.TRACE)
+        assert max(Counter(conditions).values()) == 1
+        first_bad = self.FIRST_BAD
+        for v in verdicts:
+            if v.t < 2.0 - 1e-9:
+                assert v.detail == {"reason": "insufficient-data"}
+            elif v.t <= first_bad + 1e-9:
+                assert v.result == PASS
+                assert v.detail == {"steps_checked": 20}
+            else:
+                assert v.result == FAIL
+                assert v.detail["violated_t"] == first_bad
+                assert v.detail["op"] == ">"
+
+    def test_open_post_windows_share_one_evaluation(self, conditions):
+        rule = compiled('assertion post { odd: road type: post_temporal '
+                        'window: 1s mode: all reference: true '
+                        f'condition: {self.GAP} }}')
+        verdicts = evaluate_document([rule], self.TRACE, CTX)
+        assert len(verdicts) == len(self.TRACE)
+        assert max(Counter(conditions).values()) == 1
+        # every step is covered by up to ten open windows
+        assert len(conditions) == len(self.TRACE) - 1
+        fails = [v for v in verdicts if "violated_t" in v.detail]
+        assert fails
+        for v in fails:
+            assert v.detail["violated_t"] == min(
+                t for t in self.TRACE.times
+                if t > v.t + 1e-9 and t >= self.FIRST_BAD)
+
+    def test_shared_reference_once_per_step(self, monkeypatch):
+        import roadcheck.engine as engine_mod
+        calls = []
+        original = engine_mod._reference_holds
+
+        def counting(assertion, view):
+            calls.append((view.t, repr(assertion.reference)))
+            return original(assertion, view)
+        monkeypatch.setattr(engine_mod, "_reference_holds", counting)
+        kinds = ("execution", "pre_temporal", "post_temporal", "pre_physical")
+        rules = [compiled(f'assertion r{i} {{ odd: road type: {kind} '
+                          + ('' if kind == "execution" else 'window: 1s ')
+                          + 'mode: all reference: crosses_centreline("av") '
+                          'condition: true }')
+                 for i, kind in enumerate(kinds)]
+        rules.append(compiled('assertion late { odd: road type: execution '
+                              'mode: all reference: time() >= 1s '
+                              'condition: true }'))
+        evaluate_document(rules, self.TRACE, CTX)
+        per_step = Counter(t for t, _ in calls)
+        assert set(per_step.values()) == {2}
+        assert len(per_step) == len(self.TRACE)
+
+    def test_compare_operands_once_per_verdict(self, monkeypatch):
+        import roadcheck.engine as engine_mod
+        calls = []
+        original = engine_mod.poly_min_distance
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+        monkeypatch.setattr(engine_mod, "poly_min_distance", counting)
+        rule = compiled(f'assertion gap {{ odd: road type: invariant '
+                        f'condition: {self.GAP} }}')
+        verdicts = evaluate_document([rule], self.TRACE, CTX)
+        assert len(calls) == len(verdicts) == len(self.TRACE)
+        v = verdicts[0]
+        assert v.detail == {"measured": pytest.approx(math.hypot(196, 1.65)),
+                            "threshold": 100, "op": ">"}
+
+
 class TestDebounce:
     def mk(self, seq, aid="a", dt=1.0):
         return [Verdict(aid, i * dt, r, {}) for i, r in enumerate(seq)]

@@ -31,6 +31,16 @@ class TestOrientedBox:
         moved = oriented_box(Pose2D(5, 3, 0), BoxDims(4, 2))
         assert moved.vertices == tuple((x + 5, y + 3) for x, y in base.vertices)
 
+    @pytest.mark.parametrize("heading", [0.0, 0.3, -2.0])
+    def test_projected_coordinates(self, heading):
+        # the convexity tolerance follows the box's size, not its distance
+        # from the origin: a car at a UTM northing keeps its shape
+        box = oriented_box(Pose2D(500_000.0, 5_700_000.0, heading),
+                           BoxDims(4.5, 2.0))
+        assert box.area == pytest.approx(9.0, abs=1e-6)
+        with pytest.raises(GeometryError):
+            oriented_box(Pose2D(1e17, 0.0, heading), BoxDims(4.5, 2.0))
+
     def test_rejects_bad_dims(self):
         with pytest.raises(GeometryError):
             BoxDims(0.0, 2.0)

@@ -1,4 +1,5 @@
-"""Randomised property tests: batch/stream equivalence and DSL fuzzing."""
+"""Randomised property tests: batch/stream equivalence, window semantics
+against an independent model, and DSL fuzzing."""
 
 import json
 import math
@@ -9,7 +10,8 @@ import pytest
 from roadcheck import dsl
 from roadcheck.checker import compile_text
 from roadcheck.dsl import ParseError, format_document, parse
-from roadcheck.engine import (EvaluationContext, StreamingEngine,
+from roadcheck.engine import (FAIL, NOT_APPLICABLE, PASS,
+                              EvaluationContext, StreamingEngine,
                               evaluate_document)
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck.models import default_profiles
@@ -124,6 +126,176 @@ def test_batch_stream_equivalence(seed):
         streamed.extend(engine.feed(trace.times[k], trace.steps[k]))
     streamed.extend(engine.finish())
     assert sorted(map(verdict_key, batch)) == sorted(map(verdict_key, streamed))
+
+
+# --- window semantics against an independent model -------------------------
+
+_EPS = 1e-9
+
+
+def irregular_trace(rng: random.Random) -> Trace:
+    """Jittered sampling; the OV enters and leaves, once or twice."""
+    n = rng.randint(8, 40)
+    times, t = [], 0.0
+    for _ in range(n):
+        times.append(round(t, 6))
+        t += rng.choice([0.05, 0.1, rng.uniform(0.02, 0.3)])
+    x_av, v_av = rng.uniform(0, 30), rng.uniform(3, 15)
+    x_ov, v_ov = rng.uniform(40, 150), rng.uniform(0, 15)
+    visible = set()
+    for _ in range(rng.randint(1, 2)):
+        a = rng.randrange(n)
+        visible |= set(range(a, rng.randint(a, n)))
+    steps = []
+    for k, t in enumerate(times):
+        step = {"ego": ActorState(
+            actor_id="ego", role="AV", t=t,
+            pose=Pose2D(x_av + v_av * t, -1.825 + math.sin(k * 0.9)
+                        * rng.uniform(0, 1.5), rng.uniform(-0.2, 0.4)),
+            dims=BoxDims(4.0, 2.0),
+            speed=v_av if rng.random() < 0.5 else None)}
+        if k in visible:
+            step["ov1"] = ActorState(
+                actor_id="ov1", role="OV", t=t,
+                pose=Pose2D(x_ov - v_ov * t, 1.825, math.pi),
+                dims=BoxDims(4.0, 2.0), speed=v_ov)
+        steps.append(step)
+    return Trace(times=tuple(times), steps=tuple(steps), dt=times[1])
+
+
+def windowed_rules(rng: random.Random):
+    """Rule texts of every kind but invariant, as (id, fields) pairs."""
+    rules = []
+    for i in range(rng.randint(3, 7)):
+        kind = rng.choice(_KINDS[1:])
+        fields = {"type": kind}
+        if kind != "execution":
+            fields["window"] = f"{rng.uniform(0.05, 1.5):.2f}s"
+        fields.update({
+            "mode": rng.choice(["first", "all"]),
+            "on_missing": rng.choice(["fail", "pass", "not_applicable"]),
+            "reference": rng.choice(_REFERENCES).format(
+                t=rng.uniform(0, 2.5), x=rng.uniform(0, 18)),
+            "condition": rng.choice(_CONDITIONS).format(
+                x=rng.uniform(0, 20), y=rng.uniform(0, 120)),
+        })
+        rules.append((f"w{i}", fields))
+    return rules
+
+
+def rule_text(name, fields):
+    body = "\n".join(f"{k}: {v}" for k, v in fields.items())
+    return f"assertion {name} {{\nodd: anywhere\n{body}\n}}"
+
+
+def per_step(name, on_missing, expr, trace, ctx):
+    """The verdict of ``expr`` at every step, evaluated as an invariant."""
+    text = rule_text(name, {"type": "invariant", "on_missing": on_missing,
+                            "condition": expr})
+    verdicts = evaluate_document(compile_text(text).assertions, trace, ctx)
+    assert [v.t for v in verdicts] == list(trace.times)
+    return verdicts
+
+
+def nearest(times, target):
+    """Index of the step nearest ``target``; ties go to the earlier one."""
+    return min(range(len(times)), key=lambda k: (abs(times[k] - target), k))
+
+
+def model_verdicts(name, fields, cond, ref, times, strict):
+    """The documented window rules applied to per-step condition verdicts
+    ``cond`` and reference verdicts ``ref``, as sortable verdict keys."""
+    kind, n, t0 = fields["type"], len(times), times[0]
+    window = float(fields["window"][:-1]) if "window" in fields else 0.0
+    out = []
+
+    def emit(t_ref, result, detail):
+        out.append((name, round(t_ref, 9), result,
+                    tuple(sorted((k, repr(v)) for k, v in detail.items()))))
+
+    def insufficient(t_ref):
+        emit(t_ref, FAIL if strict else NOT_APPLICABLE,
+             {"reason": "insufficient-data"})
+
+    def stamp(t_ref, v, **extra):
+        emit(t_ref, v.result, {**v.detail, **extra})
+
+    def window_broken(t_ref, j):
+        """Step j ends the window: a failure names it, N/A is passed on."""
+        if cond[j].result == FAIL:
+            stamp(t_ref, cond[j], violated_t=times[j])
+        else:
+            stamp(t_ref, cond[j])
+
+    fired = False
+    for k, t_ref in enumerate(times):
+        if ref[k].result != PASS:
+            continue
+        fired = True
+        if kind == "execution":
+            stamp(t_ref, cond[k])
+        elif kind == "pre_temporal":
+            lo = t_ref - window
+            covered = [j for j in range(n)
+                       if lo - _EPS <= times[j] < t_ref - _EPS]
+            bad = [j for j in covered if cond[j].result != PASS]
+            if bad:
+                window_broken(t_ref, bad[0])
+            elif lo < t0 - _EPS:
+                insufficient(t_ref)
+            else:
+                emit(t_ref, PASS, {"steps_checked": len(covered)})
+        elif kind == "post_temporal":
+            deadline = t_ref + window
+            checked = 0
+            for j in range(k + 1, n):
+                if times[j] <= deadline + _EPS:
+                    checked += 1
+                    if cond[j].result != PASS:
+                        window_broken(t_ref, j)
+                        break
+                if times[j] >= deadline - _EPS:
+                    emit(t_ref, PASS, {"steps_checked": checked})
+                    break
+            else:
+                insufficient(t_ref)
+        else:
+            target = t_ref - window if kind == "pre_physical" else t_ref + window
+            beyond = (target < t0 - _EPS if kind == "pre_physical"
+                      else k == n - 1 or times[-1] < target - _EPS)
+            if beyond:
+                insufficient(t_ref)
+            else:
+                j = nearest(times, target)
+                stamp(t_ref, cond[j], checked_t=times[j])
+        if fields["mode"] == "first":
+            break
+    if not fired:
+        emit(times[-1], NOT_APPLICABLE, {"reason": "reference-never-fired"})
+    return out
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_window_semantics_match_model(seed):
+    """Every windowed kind under irregular sampling, with actors entering
+    and leaving, matches the documented rules re-applied in plain Python to
+    per-step condition and reference values."""
+    rng = random.Random(seed * 6007 + 29)
+    trace = irregular_trace(rng)
+    rules = windowed_rules(rng)
+    ctx = EvaluationContext(road=ROAD, config=default_profiles(),
+                            profile_name="nominal",
+                            strict_windows=rng.random() < 0.5)
+    expected = []
+    for name, fields in rules:
+        cond = per_step(name, fields["on_missing"], fields["condition"],
+                        trace, ctx)
+        ref = per_step(name, "fail", fields["reference"], trace, ctx)
+        expected.extend(model_verdicts(name, fields, cond, ref,
+                                       list(trace.times), ctx.strict_windows))
+    text = "\n\n".join(rule_text(name, fields) for name, fields in rules)
+    got = evaluate_document(compile_text(text).assertions, trace, ctx)
+    assert sorted(map(verdict_key, got)) == sorted(expected)
 
 
 # --- DSL fuzzing ------------------------------------------------------------
