@@ -65,7 +65,8 @@ ACTOR = _Sentinel("actor")
 POLY_NUM = _Sentinel("number")   # unit-polymorphic literal
 
 
-#: name -> (parameter types, return type)
+#: name -> (parameter types, return type); the evaluator dispatches each
+#: name to the ``engine._StepView`` method of the same name
 REGISTRY = {
     "time": ((), SECONDS),
     "speed_of": ((ACTOR,), MPS),
@@ -121,8 +122,7 @@ class CompiledDocument:
 
 
 class _Checker:
-    def __init__(self, registry):
-        self.registry = registry
+    def __init__(self):
         self.diagnostics = []
 
     def fail(self, node, message):
@@ -221,12 +221,12 @@ class _Checker:
                 return POLY_NUM
             return out
         if isinstance(node, Call):
-            if node.name not in self.registry:
-                hint = difflib.get_close_matches(node.name, self.registry, 1)
+            if node.name not in REGISTRY:
+                hint = difflib.get_close_matches(node.name, REGISTRY, 1)
                 extra = f"; did you mean {hint[0]!r}?" if hint else ""
                 return self.fail(node, f"unknown function "
                                        f"{node.name!r}{extra}")
-            params, ret = self.registry[node.name]
+            params, ret = REGISTRY[node.name]
             if len(node.args) != len(params):
                 return self.fail(
                     node, f"{node.name}() takes {len(params)} argument(s), "
@@ -296,17 +296,16 @@ def _inline_consts(expr, consts, stack, diagnostics):
     return expr
 
 
-def typecheck(doc: Document, registry=None) -> CompiledDocument:
+def typecheck(doc: Document) -> CompiledDocument:
     """Resolve constants, check types and units, return compiled assertions.
 
     Raises TypecheckError carrying every diagnostic found.
     """
-    registry = REGISTRY if registry is None else registry
     diagnostics = []
     consts = {}
     for const in doc.consts:
         consts[const.name] = const.expr
-    checker = _Checker(registry)
+    checker = _Checker()
     compiled = []
     for decl in doc.assertions:
         reference = None
@@ -332,9 +331,9 @@ def typecheck(doc: Document, registry=None) -> CompiledDocument:
     return CompiledDocument(assertions=tuple(compiled))
 
 
-def compile_text(text: str, registry=None) -> CompiledDocument:
+def compile_text(text: str) -> CompiledDocument:
     """parse + typecheck in one step."""
-    return typecheck(dsl.parse(text), registry)
+    return typecheck(dsl.parse(text))
 
 
 def _expr_to_obj(expr):

@@ -27,7 +27,6 @@ from .dsl import ParseError
 from .engine import (FAIL, DebounceFilter, EvalError, EvaluationContext,
                      StreamError, StreamingEngine, debounce, evaluate_document,
                      summary_csv, summary_rows, verdicts_to_jsonl)
-from .geometry import GeometryError
 from .models import ModelError, load_profiles
 from .trace import TraceError, iter_steps, load_trace, serialise_trace
 from .worldmap import MapError, load_map, serialise_map
@@ -317,16 +316,22 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
     except EvalError as exc:
         _die(str(exc))
     # every rule 162 verdict but reference-never-fired is stamped at a
-    # reference time
-    refs = [v.t for v in verdicts
-            if v.detail.get("reason") != "reference-never-fired"]
-    if not refs:
+    # reference time; its measured value is the distance ahead
+    decisions = [v for v in verdicts
+                 if v.detail.get("reason") != "reference-never-fired"]
+    if not decisions:
         _die("the ego never crosses the centre line", code=1)
-    from .trace import derive_row, distance_ahead as trace_da
+    from .trace import derive_row
     index_of = {t: i for i, t in enumerate(trace.times)}
     observations = []
     try:
-        for t in refs:
+        for v in decisions:
+            t = v.t
+            if "measured" not in v.detail:
+                if v.detail["reason"] == "actor-not-found":
+                    _die(f"no {v.detail['actor'].upper()} at the decision "
+                         f"step at t={t}")
+                _die(f"decision step at t={t}: {v.detail['error']}")
             k = index_of[t]
             prev_step = trace.steps[k - 1] if k > 0 else None
             nxt_step = trace.steps[k + 1] if k + 1 < len(trace) else None
@@ -342,11 +347,7 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
                 derived[av.actor_id].speed,
                 derived[vbp.actor_id].speed if vbp else 0.0,
                 derived[ov.actor_id].speed)
-            try:
-                da = trace_da(step, road)
-            except GeometryError as exc:
-                _die(f"vehicle box at the decision step at t={t}: {exc}")
-            observations.append((t, da, geom))
+            observations.append((t, v.detail["measured"], geom))
         thresholds = zones_mod.ZoneThresholds(safety_margin_fraction=margin,
                                               ttc_conservative=ttc_limit)
         rows = zones_mod.zone_report_rows(

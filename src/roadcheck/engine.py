@@ -44,9 +44,10 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from . import dsl
-from .checker import CompiledAssertion
+from .checker import REGISTRY, CompiledAssertion
 from .geometry import GeometryError, danger_space
 from .geometry import min_distance as poly_min_distance, overlaps as poly_overlaps
+from .geometry import overlap_area as poly_overlap_area
 from .models import ModelConfig, ModelError, default_profiles, mps_to_mph
 from .models import danger_space_length as model_ds_length
 from .models import safe_distance_ahead
@@ -155,7 +156,13 @@ class _BufferedStep:
 
 
 class _StepView:
-    """Resolves expression builtins against one timestep."""
+    """Resolves expression builtins against one timestep: each name in
+    ``checker.REGISTRY`` is the method of the same name, taking the
+    evaluated arguments.
+
+    Geometry, model and map functions are called through this module's
+    names, looked up at call time, so that a tracer can rebind them.
+    """
 
     def __init__(self, ctx: EvaluationContext, at: _BufferedStep,
                  shapes: dict | None = None):
@@ -174,6 +181,9 @@ class _StepView:
                 raise ActorNotFound(ref)
         self.touched.append(st)
         return st
+
+    def time(self) -> float:
+        return self.t
 
     def speed_of(self, st: ActorState) -> float:
         d = self.at.dynamics(st.actor_id, self.ctx.road)
@@ -202,6 +212,27 @@ class _StepView:
 
     def danger_space_of(self, st: ActorState):
         return self._shape("danger_space", st, self._danger_space)
+
+    def overlaps(self, a, b) -> bool:
+        if a is None or b is None:
+            return False    # degenerate danger space is overlap-inert
+        return poly_overlaps(a, b)
+
+    def min_distance(self, a, b) -> float:
+        if a is None or b is None:
+            return math.inf
+        return poly_min_distance(a, b)
+
+    def overlap_area(self, a, b) -> float:
+        if a is None or b is None:
+            return 0.0
+        return poly_overlap_area(a, b)
+
+    def crosses_centreline(self, st: ActorState) -> bool:
+        return map_crosses_centreline(self.ctx.road, self.box_of(st))
+
+    def danger_space_length(self, v: float) -> float:
+        return _ds_length(mps_to_mph(v))
 
     def _danger_space(self, st: ActorState):
         if self.ctx.worst_case_speeds:
@@ -251,6 +282,10 @@ class _StepView:
                         f"(off-road?)")
 
 
+# a declared builtin without a _StepView method fails here, at import
+_BUILTINS = {name: getattr(_StepView, name) for name in REGISTRY}
+
+
 def _ds_length(v_mph: float) -> float:
     try:
         return model_ds_length(v_mph)
@@ -292,54 +327,8 @@ def _eval(node, view: _StepView):
             raise EvalError("division by zero")
         return left / right
     if isinstance(node, dsl.Call):
-        return _call(node, view)
+        return _BUILTINS[node.name](view, *[_eval(a, view) for a in node.args])
     raise EvalError(f"cannot evaluate {type(node).__name__}")
-
-
-def _call(node: dsl.Call, view: _StepView):
-    name = node.name
-    args = node.args
-    if name == "time":
-        return view.t
-    if name == "speed_of":
-        return view.speed_of(_eval(args[0], view))
-    if name == "box_of":
-        return view.box_of(_eval(args[0], view))
-    if name == "danger_space_of":
-        return view.danger_space_of(_eval(args[0], view))
-    if name == "overlaps":
-        a = _eval(args[0], view)
-        b = _eval(args[1], view)
-        if a is None or b is None:
-            return False    # degenerate danger space is overlap-inert
-        return poly_overlaps(a, b)
-    if name == "min_distance":
-        a = _eval(args[0], view)
-        b = _eval(args[1], view)
-        if a is None or b is None:
-            return math.inf
-        return poly_min_distance(a, b)
-    if name == "overlap_area":
-        from .geometry import overlap_area as poly_overlap_area
-        a = _eval(args[0], view)
-        b = _eval(args[1], view)
-        if a is None or b is None:
-            return 0.0
-        return poly_overlap_area(a, b)
-    if name == "crosses_centreline":
-        return map_crosses_centreline(view.ctx.road,
-                                      view.box_of(_eval(args[0], view)))
-    if name == "distance_ahead":
-        return view.distance_ahead(_eval(args[0], view), _eval(args[1], view))
-    if name == "sda":
-        return view.sda()
-    if name == "within_lane":
-        return view.within_lane(_eval(args[0], view))
-    if name == "heading_rel_lane":
-        return view.heading_rel_lane(_eval(args[0], view))
-    if name == "danger_space_length":
-        return _ds_length(mps_to_mph(_eval(args[0], view)))
-    raise EvalError(f"no evaluator for function {name!r}")
 
 
 def _condition_verdict(assertion: CompiledAssertion, view: _StepView,

@@ -7,10 +7,14 @@ Traces are ingested from JSON-lines, one record per actor per timestep:
 
 ``speed_mph`` is accepted and converted (1 mph = 0.44704 m/s).
 ``iter_steps`` validates the records and groups them into timesteps, for
-``load_trace`` and for the streaming monitor alike.  Derived
-dynamics use central finite differences at interior steps and first-order
-one-sided differences at the endpoints; acceleration uses the three-point
-second difference, which is exact for quadratic position profiles.
+``load_trace`` and for the streaming monitor alike.
+
+``derive_row`` derives the dynamics of an actor at one step from its
+neighbouring steps: speed from positions by central finite differences at
+interior steps and first-order one-sided differences at the endpoints, and
+the heading relative to the lane.  It is the one derivation routine: the
+engine calls it for the actors a rule reads, ``zones`` for the actors at a
+decision step.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .geometry import BoxDims, Pose2D, normalize_angle, oriented_box, projection_interval
+from .geometry import BoxDims, Pose2D, normalize_angle, oriented_box
 from .worldmap import OffRoadError, RoadMap, lane_orientation_at
 # bench/tracing.py hooks the centre-line query under this name
 from .worldmap import nearest_centreline_point as _nearest_centreline_point
@@ -42,10 +46,6 @@ class TraceError(ValueError):
         if record_index is not None:
             message = f"record {record_index}: {message}"
         super().__init__(message)
-
-
-class RoleNotFoundError(LookupError):
-    """A required actor role is absent from the timestep."""
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class Trace:
     times: tuple[float, ...]
     steps: tuple[dict, ...]          # per-step {actor_id: ActorState}
     dt: float
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(self.times))
@@ -109,6 +108,14 @@ class Trace:
         return seen
 
 
+def _number(obj: dict, key: str) -> float:
+    """``obj[key]`` as a float; float() would also take a JSON boolean."""
+    value = obj[key]
+    if isinstance(value, bool):
+        raise TraceError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _parse_record(obj: dict, index: int, dims_seen: dict | None = None) -> ActorState:
     """One record as an ActorState.  ``dims_seen`` maps actor ids to the
     dims of their earlier records; equal dims reuse that object."""
@@ -122,22 +129,29 @@ def _parse_record(obj: dict, index: int, dims_seen: dict | None = None) -> Actor
     speed = None
     if "speed_mps" in obj and "speed_mph" in obj:
         raise TraceError("both speed_mps and speed_mph present", index)
+    actor_id = obj["actor_id"]
+    if not isinstance(actor_id, str):
+        raise TraceError(f"actor_id must be a string, got {json.dumps(actor_id)}",
+                         index)
+    low_confidence = obj.get("low_confidence", False)
+    if not isinstance(low_confidence, bool):
+        raise TraceError(f"low_confidence must be true or false, got "
+                         f"{json.dumps(low_confidence)}", index)
     try:
         if "speed_mps" in obj:
-            speed = float(obj["speed_mps"])
+            speed = _number(obj, "speed_mps")
         elif "speed_mph" in obj:
-            speed = float(obj["speed_mph"]) * MPH_TO_MPS
-        actor_id = str(obj["actor_id"])
+            speed = _number(obj, "speed_mph") * MPH_TO_MPS
         role = str(obj["role"])
-        t = float(obj["t"])
-        pose = Pose2D(float(obj["x"]), float(obj["y"]), float(obj["heading_rad"]))
-        length, width = float(obj["length_m"]), float(obj["width_m"])
+        t = _number(obj, "t")
+        pose = Pose2D(_number(obj, "x"), _number(obj, "y"),
+                      _number(obj, "heading_rad"))
+        length, width = _number(obj, "length_m"), _number(obj, "width_m")
         dims = dims_seen.get(actor_id) if dims_seen else None
         if dims is None or dims.length != length or dims.width != width:
             dims = BoxDims(length, width)
         return ActorState(actor_id=actor_id, role=role, t=t, pose=pose,
-                          dims=dims, speed=speed,
-                          low_confidence=bool(obj.get("low_confidence", False)))
+                          dims=dims, speed=speed, low_confidence=low_confidence)
     except (TraceError, ValueError, TypeError) as exc:
         raise TraceError(str(exc), index) from exc
 
@@ -230,8 +244,6 @@ def serialise_trace(trace: Trace) -> str:
 
 @dataclass(frozen=True)
 class DerivedState:
-    velocity: float                  # signed along heading, m/s
-    acceleration: float | None       # m/s^2, None when < 3 usable steps
     speed: float                     # |velocity vector|, m/s
     heading_rel_lane: float | None   # radians in [-pi, pi), None off-road
     pull_out_angle: float = 0.0
@@ -254,35 +266,11 @@ def finite_velocity(prev: ActorState | None, cur: ActorState,
     return ((b.pose.x - a.pose.x) / dt, (b.pose.y - a.pose.y) / dt)
 
 
-def finite_acceleration(prev: ActorState | None, cur: ActorState,
-                        nxt: ActorState | None) -> tuple[float, float] | None:
-    """Three-point second difference; exact for quadratic trajectories."""
-    if prev is None or nxt is None:
-        return None
-    t0, t1, t2 = prev.t, cur.t, nxt.t
-    d01, d12, d02 = t1 - t0, t2 - t1, t2 - t0
-
-    def second(p0, p1, p2):
-        return 2.0 * (p0 / (d01 * d02) - p1 / (d12 * d01) + p2 / (d12 * d02))
-
-    return (second(prev.pose.x, cur.pose.x, nxt.pose.x),
-            second(prev.pose.y, cur.pose.y, nxt.pose.y))
-
-
 def derive_state(prev: ActorState | None, cur: ActorState,
                  nxt: ActorState | None, road: RoadMap) -> DerivedState:
-    """Derived dynamics for one actor at one step.
-
-    Shared by batch derivation and the streaming engine so both produce
-    identical values for identical neighbourhoods.
-    """
+    """Derived dynamics for one actor at one step."""
     vx, vy = finite_velocity(prev, cur, nxt)
     speed = math.hypot(vx, vy)
-    ch, sh = math.cos(cur.pose.heading), math.sin(cur.pose.heading)
-    velocity = vx * ch + vy * sh
-    acc_vec = finite_acceleration(prev, cur, nxt)
-    acceleration = None if acc_vec is None else acc_vec[0] * ch + acc_vec[1] * sh
-
     heading_rel = None
     pull_out = 0.0
     cut_in = 0.0
@@ -303,20 +291,8 @@ def derive_state(prev: ActorState | None, cur: ActorState,
             pull_out = heading_rel
         elif toward < -1e-9:
             cut_in = abs(heading_rel)
-    return DerivedState(velocity=velocity, acceleration=acceleration,
-                        speed=speed, heading_rel_lane=heading_rel,
+    return DerivedState(speed=speed, heading_rel_lane=heading_rel,
                         pull_out_angle=pull_out, cut_in_angle=cut_in)
-
-
-@dataclass(frozen=True)
-class Dynamics:
-    """Per-step, per-actor derived state, aligned with Trace.steps."""
-
-    entries: tuple[dict, ...]
-    warnings: tuple[str, ...] = ()
-
-    def at(self, step_index: int, actor_id: str) -> DerivedState:
-        return self.entries[step_index][actor_id]
 
 
 def derive_row(prev_step: dict | None, cur_step: dict, nxt_step: dict | None,
@@ -348,43 +324,3 @@ def derive_row(prev_step: dict | None, cur_step: dict, nxt_step: dict | None,
                 f"disagrees with positional {derived.speed:.3f}; positional wins")
         row[aid] = derived
     return row, notes
-
-
-def derive_dynamics(trace: Trace, road: RoadMap) -> Dynamics:
-    """Derived dynamics for every actor at every step.
-
-    Deterministic and independent of actor iteration order.  Requires at
-    least two steps in which each actor appears.
-    """
-    if len(trace) < 2:
-        raise TraceError("velocity undefined: trace has a single step")
-    entries = []
-    notes = []
-    for k in range(len(trace)):
-        prev_step = trace.steps[k - 1] if k > 0 else None
-        nxt_step = trace.steps[k + 1] if k + 1 < len(trace) else None
-        row, row_notes = derive_row(prev_step, trace.steps[k], nxt_step, road)
-        entries.append(row)
-        notes.extend(row_notes)
-    return Dynamics(entries=tuple(entries), warnings=tuple(notes))
-
-
-def distance_ahead(step: dict, road: RoadMap) -> float:
-    """AV-to-OV gap projected on the AV's lane orientation axis.
-
-    Zero when the projected intervals overlap.
-    """
-    av = ov = None
-    for st in step.values():
-        if st.role == "AV":
-            av = st
-        elif st.role == "OV":
-            ov = st
-    if av is None:
-        raise RoleNotFoundError("no actor with role 'AV' at this step")
-    if ov is None:
-        raise RoleNotFoundError("no actor with role 'OV' at this step")
-    axis = lane_orientation_at(road, (av.pose.x, av.pose.y))
-    a_lo, a_hi = projection_interval(av.box(), axis)
-    b_lo, b_hi = projection_interval(ov.box(), axis)
-    return max(0.0, b_lo - a_hi, a_lo - b_hi)

@@ -16,7 +16,7 @@ The on-disk format is a UTF-8 JSON document:
       "centreline": [[x, y], ...]
     }
 
-Unknown keys are rejected in strict mode and warned about otherwise.
+Unknown keys are warned about and ignored.
 
 Every map builds, once, a packed R-tree over the lanelets and one over the
 centre-line segments when it has more of them than one tree node holds;
@@ -229,13 +229,10 @@ _LANELET_KEYS = {"id", "vertices", "orientation_rad", "width_m", "direction"}
 _TOP_KEYS = {"lanelets", "centreline"}
 
 
-def _check_keys(obj: dict, allowed: set, where: str, strict: bool):
+def _check_keys(obj: dict, allowed: set, where: str):
     unknown = set(obj) - allowed
     if unknown:
-        msg = f"unknown keys {sorted(unknown)} in {where}"
-        if strict:
-            raise MapError(msg, location=where)
-        warnings.warn(msg)
+        warnings.warn(f"unknown keys {sorted(unknown)} in {where}")
 
 
 def _read_text(source) -> str:
@@ -249,7 +246,7 @@ def _read_text(source) -> str:
     raise TypeError(f"cannot read map from {type(source).__name__}")
 
 
-def load_map(source, strict: bool = False) -> RoadMap:
+def load_map(source) -> RoadMap:
     """Parse and validate a map document from bytes, text, or a file object."""
     text = _read_text(source)
     try:
@@ -259,7 +256,7 @@ def load_map(source, strict: bool = False) -> RoadMap:
                        location=f"line {exc.lineno}, column {exc.colno}") from exc
     if not isinstance(doc, dict):
         raise MapError("top-level value must be an object")
-    _check_keys(doc, _TOP_KEYS, "map document", strict)
+    _check_keys(doc, _TOP_KEYS, "map document")
     if "lanelets" not in doc:
         raise MapError("missing required key 'lanelets'")
     if "centreline" not in doc:
@@ -270,7 +267,7 @@ def load_map(source, strict: bool = False) -> RoadMap:
         where = f"lanelets[{i}]"
         if not isinstance(entry, dict):
             raise MapError("lanelet entry must be an object", location=where)
-        _check_keys(entry, _LANELET_KEYS, where, strict)
+        _check_keys(entry, _LANELET_KEYS, where)
         missing = _LANELET_KEYS - set(entry)
         if missing:
             raise MapError(f"missing keys {sorted(missing)}", location=where)

@@ -246,6 +246,11 @@ MALFORMED = [
      + ["5"] + [json.dumps(r) for r in rs[6:]], 5),
     ("null-t", _mutate(5, t=None), 5),
     ("text-speed", _mutate(5, speed_mps="fast"), 5),
+    ("boolean-x", _mutate(5, x=True), 5),
+    ("boolean-speed", _mutate(5, speed_mps=False), 5),
+    ("null-actor-id", _mutate(5, actor_id=None), 5),
+    ("number-actor-id", _mutate(5, actor_id=7), 5),
+    ("text-low-confidence", _mutate(5, low_confidence="false"), 5),
 ]
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import random
@@ -6,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from roadcheck.checker import compile_text
+from roadcheck.checker import REGISTRY, compile_text
 from roadcheck.engine import (FAIL, NOT_APPLICABLE, PASS, DebounceFilter,
                               EvaluationContext, StreamingEngine, StreamError,
                               Verdict, debounce, evaluate_document,
@@ -332,6 +333,17 @@ class TestEvaluationErrors:
                         'condition: speed_of("av") >= 0 }')
         v = evaluate_document([rule], tr2, CTX)[0]
         assert v.detail["low_confidence_actors"] == ["ego"]
+
+
+def test_every_builtin_has_an_evaluator_of_its_arity():
+    # the evaluator dispatches each declared builtin to the _StepView
+    # method of the same name, with the evaluated arguments after the view
+    from roadcheck.engine import _StepView
+    for name, (params, _ret) in REGISTRY.items():
+        method = getattr(_StepView, name, None)
+        assert callable(method), name
+        args = list(inspect.signature(method).parameters)[1:]
+        assert len(args) == len(params), name
 
 
 class TestStreaming:

@@ -8,7 +8,7 @@ from roadcheck.models import MPH_TO_MPS, default_profiles
 from roadcheck.rulepack import rule162_sda_assertion
 from roadcheck.scenarios import (InvalidSpecError, ScenarioSpec, build_map,
                                  generate, preset)
-from roadcheck.trace import distance_ahead, load_trace, serialise_trace
+from roadcheck.trace import load_trace, serialise_trace
 
 
 class TestPresets:
@@ -41,13 +41,11 @@ class TestGenerate:
         road, trace = request.getfixturevalue(f"{name}_scenario")
         ctx = EvaluationContext(road=road, config=config,
                                 profile_name="nominal")
-        refs = [v.t for v in evaluate_document([rule162_sda_assertion()],
-                                               trace, ctx)
-                if v.detail.get("reason") != "reference-never-fired"]
-        assert len(refs) == 1
-        k = trace.times.index(refs[0])
-        assert distance_ahead(trace.steps[k], road) == pytest.approx(
-            da, abs=0.01)
+        decisions = [v for v in evaluate_document([rule162_sda_assertion()],
+                                                  trace, ctx)
+                     if v.detail.get("reason") != "reference-never-fired"]
+        assert len(decisions) == 1
+        assert decisions[0].detail["measured"] == pytest.approx(da, abs=0.01)
 
     def test_near_miss_under_one_metre(self, near_miss_scenario):
         road, trace = near_miss_scenario

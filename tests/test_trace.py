@@ -3,10 +3,11 @@ import math
 
 import pytest
 
+from roadcheck.checker import compile_text
+from roadcheck.engine import FAIL, EvaluationContext, evaluate_document
 from roadcheck.geometry import BoxDims, Pose2D
-from roadcheck.trace import (ActorState, RoleNotFoundError, Trace, TraceError,
-                             derive_dynamics, distance_ahead, load_trace,
-                             serialise_trace)
+from roadcheck.trace import (ActorState, Trace, TraceError, derive_row,
+                             load_trace, serialise_trace)
 from roadcheck.worldmap import load_map
 
 MPH = 0.44704
@@ -92,74 +93,87 @@ class TestLoadTrace:
         assert roles == {"AV", "VBP", "OV"}
 
 
+def derive_all(states_per_step):
+    """``derive_row`` at every step of a trace: the rows and all notes."""
+    steps = [{st.actor_id: st for st in step} for step in states_per_step]
+    rows, notes = [], []
+    for k, step in enumerate(steps):
+        prev_step = steps[k - 1] if k > 0 else None
+        nxt_step = steps[k + 1] if k + 1 < len(steps) else None
+        row, row_notes = derive_row(prev_step, step, nxt_step, ROAD)
+        rows.append(row)
+        notes.extend(row_notes)
+    return rows, notes
+
+
 class TestDeriveDynamics:
     def test_constant_speed_25mph(self):
-        step_m = 1.1176
-        steps = [[state(0.1 * k, x=step_m * k / 0.1 * 0.1)] for k in range(5)]
         # positions advance 1.1176 m per 0.1 s step
-        steps = [[state(0.1 * k, x=step_m * k)] for k in range(5)]
-        d = derive_dynamics(make_trace(steps), ROAD)
+        step_m = 1.1176
+        rows, _ = derive_all([[state(0.1 * k, x=step_m * k)] for k in range(5)])
         for k in range(5):
-            assert d.at(k, "ego").velocity == pytest.approx(11.176)
-            assert d.at(k, "ego").speed == pytest.approx(11.176)
-
-    def test_constant_velocity_zero_acceleration(self):
-        steps = [[state(0.1 * k, x=2.0 * k)] for k in range(6)]
-        d = derive_dynamics(make_trace(steps), ROAD)
-        for k in range(1, 5):
-            assert d.at(k, "ego").acceleration == pytest.approx(0.0, abs=1e-9)
+            assert rows[k]["ego"].speed == pytest.approx(11.176)
 
     def test_quadratic_profile_matches_analytic(self):
-        # x(t) = 3 + 2t + 0.7 t^2  ->  a = 1.4 exactly at interior steps
-        steps = [[state(0.05 * k, x=3 + 2 * (0.05 * k) + 0.7 * (0.05 * k) ** 2)]
-                 for k in range(10)]
-        d = derive_dynamics(make_trace(steps), ROAD)
+        # x(t) = 3 + 2t + 0.7 t^2: the central difference is exact, so the
+        # speed is 2 + 1.4 t at interior steps
+        rows, _ = derive_all([[state(0.05 * k,
+                                     x=3 + 2 * (0.05 * k) + 0.7 * (0.05 * k) ** 2)]
+                              for k in range(10)])
         for k in range(1, 9):
-            assert d.at(k, "ego").acceleration == pytest.approx(1.4, abs=1e-6)
-            t = 0.05 * k
-            assert d.at(k, "ego").velocity == pytest.approx(2 + 1.4 * t,
-                                                            abs=1e-9)
+            assert rows[k]["ego"].speed == pytest.approx(2 + 1.4 * 0.05 * k,
+                                                         abs=1e-9)
 
     def test_pull_out_angle_definition(self):
         # heading 0.1 rad in a lane of orientation 0, moving toward the
         # oncoming lane
         vx, vy = 11.0 * math.cos(0.1), 11.0 * math.sin(0.1)
-        steps = [[state(0.1 * k, x=vx * 0.1 * k, y=-1.825 + vy * 0.1 * k,
-                        heading=0.1)] for k in range(4)]
-        d = derive_dynamics(make_trace(steps), ROAD)
-        assert d.at(1, "ego").pull_out_angle == pytest.approx(0.1)
-        assert d.at(1, "ego").cut_in_angle == 0.0
+        rows, _ = derive_all([[state(0.1 * k, x=vx * 0.1 * k,
+                                     y=-1.825 + vy * 0.1 * k, heading=0.1)]
+                              for k in range(4)])
+        assert rows[1]["ego"].pull_out_angle == pytest.approx(0.1)
+        assert rows[1]["ego"].cut_in_angle == 0.0
 
     def test_cut_in_angle_on_return(self):
         # back over the line into the home lane, still converging on the
         # lane centre: lane-relative heading is -0.1, so cut-in angle 0.1
         vx, vy = 11.0 * math.cos(0.1), -11.0 * math.sin(0.1)
-        steps = [[state(0.1 * k, x=vx * 0.1 * k, y=-0.5 + vy * 0.1 * k,
-                        heading=-0.1)] for k in range(4)]
-        d = derive_dynamics(make_trace(steps), ROAD)
-        assert d.at(1, "ego").cut_in_angle == pytest.approx(0.1)
-        assert d.at(1, "ego").pull_out_angle == 0.0
+        rows, _ = derive_all([[state(0.1 * k, x=vx * 0.1 * k,
+                                     y=-0.5 + vy * 0.1 * k, heading=-0.1)]
+                              for k in range(4)])
+        assert rows[1]["ego"].cut_in_angle == pytest.approx(0.1)
+        assert rows[1]["ego"].pull_out_angle == 0.0
 
     def test_single_step_velocity_undefined(self):
-        with pytest.raises(TraceError, match="single step"):
-            derive_dynamics(make_trace([[state(0.0)]]), ROAD)
+        rows, notes = derive_all([[state(0.0)]])
+        assert rows == [{}]
+        assert notes == ["t=0.0: actor 'ego' appears at a single step; "
+                         "dynamics unavailable"]
 
     def test_speed_disagreement_warns_positional_wins(self):
-        steps = [[state(0.1 * k, x=11.176 * 0.1 * k, speed=5.0)]
-                 for k in range(3)]
-        d = derive_dynamics(make_trace(steps), ROAD)
-        assert d.warnings
-        assert d.at(1, "ego").speed == pytest.approx(11.176)
+        rows, notes = derive_all([[state(0.1 * k, x=11.176 * 0.1 * k, speed=5.0)]
+                                  for k in range(3)])
+        assert notes
+        assert rows[1]["ego"].speed == pytest.approx(11.176)
 
     def test_order_independence(self):
         a = [state(0.1 * k, x=k) for k in range(3)]
         b = [state(0.1 * k, actor="b", role="OV", x=50 - k, y=1.825,
                    heading=math.pi) for k in range(3)]
-        t1 = make_trace([[x, y] for x, y in zip(a, b)])
-        t2 = make_trace([[y, x] for x, y in zip(a, b)])
-        d1 = derive_dynamics(t1, ROAD)
-        d2 = derive_dynamics(t2, ROAD)
-        assert d1.entries == d2.entries
+        assert (derive_all([[x, y] for x, y in zip(a, b)])
+                == derive_all([[y, x] for x, y in zip(a, b)]))
+
+
+GAP = compile_text('assertion gap { odd: road type: invariant '
+                   'condition: distance_ahead("av", "ov") > 0 }').assertions
+
+
+def gap_verdict(*states):
+    """The verdict of a rule that measures the AV-to-OV distance ahead in a
+    one-step trace of ``states``."""
+    [v] = evaluate_document(GAP, make_trace([states]),
+                            EvaluationContext(road=ROAD))
+    return v
 
 
 class TestDistanceAhead:
@@ -168,15 +182,15 @@ class TestDistanceAhead:
         av = state(0.0, x=8.0)                      # front at 10
         ov = state(0.0, actor="ov", role="OV", x=88.43, y=1.825,
                    heading=math.pi)                 # front at 86.43
-        assert distance_ahead({"ego": av, "ov": ov}, ROAD) == pytest.approx(
-            76.43)
+        assert gap_verdict(av, ov).detail["measured"] == pytest.approx(76.43)
 
     def test_overlapping_boxes_zero(self):
         av = state(0.0, x=10.0)
         ov = state(0.0, actor="ov", role="OV", x=11.0, y=-1.825,
                    heading=math.pi)
-        assert distance_ahead({"ego": av, "ov": ov}, ROAD) == 0.0
+        assert gap_verdict(av, ov).detail["measured"] == 0.0
 
     def test_missing_ov(self):
-        with pytest.raises(RoleNotFoundError):
-            distance_ahead({"ego": state(0.0)}, ROAD)
+        v = gap_verdict(state(0.0))
+        assert v.result == FAIL
+        assert v.detail == {"reason": "actor-not-found", "actor": "ov"}

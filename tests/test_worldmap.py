@@ -55,13 +55,12 @@ class TestLoadMap:
         with pytest.raises(MapError, match="line 1"):
             load_map("{not json")
 
-    def test_unknown_keys_strict_vs_lenient(self):
+    def test_unknown_keys_warn(self):
         doc = json.loads(json.dumps(TWO_LANE_DOC))
         doc["extra"] = 1
-        with pytest.raises(MapError):
-            load_map(json.dumps(doc), strict=True)
-        with pytest.warns(UserWarning):
-            load_map(json.dumps(doc), strict=False)
+        with pytest.warns(UserWarning, match="extra"):
+            road = load_map(json.dumps(doc))
+        assert [l.id for l in road.lanelets] == ["east", "west"]
 
     @pytest.mark.parametrize("where, value", [
         ("vertex", "NaN"), ("centreline", "-Infinity")])
