@@ -26,7 +26,8 @@ from .checker import TypecheckError, compile_text
 from .dsl import ParseError
 from .engine import (FAIL, DebounceFilter, EvalError, EvaluationContext,
                      StreamError, StreamingEngine, debounce, evaluate_document,
-                     summary_csv, summary_rows, verdicts_to_jsonl)
+                     manoeuvre_at, summary_csv, summary_rows,
+                     verdicts_to_jsonl)
 from .models import ModelError, load_profiles
 from .trace import TraceError, iter_steps, load_trace, serialise_trace
 from .worldmap import MapError, load_map, serialise_map
@@ -38,6 +39,14 @@ _NA_REASONS = ("odd-excluded", "reference-never-fired")
 def _die(message: str, code: int = 2):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _load_map(map_path):
+    try:
+        with open(map_path, "rb") as fh:
+            return load_map(fh)
+    except (OSError, MapError, UnicodeDecodeError) as exc:
+        _die(f"{map_path}: {exc}")
 
 
 def _load_config(profiles_path, profile_name):
@@ -53,20 +62,23 @@ def _load_config(profiles_path, profile_name):
     return config
 
 
-def _load_inputs(map_path, rules_paths, profiles_path, profile_name):
-    try:
-        with open(map_path, "rb") as fh:
-            road = load_map(fh)
-    except (OSError, MapError) as exc:
-        _die(str(exc))
-    config = _load_config(profiles_path, profile_name)
+def _load_inputs(map_path, rules_paths, profiles_path, profile_name,
+                 active_odd, strict_windows, worst_case_speeds):
+    """The evaluation context of the shared options, and the assertions."""
+    ctx = EvaluationContext(road=_load_map(map_path),
+                            config=_load_config(profiles_path, profile_name),
+                            profile_name=profile_name,
+                            active_odd=frozenset(active_odd),
+                            strict_windows=strict_windows,
+                            worst_case_speeds=worst_case_speeds)
     assertions = []
     if rules_paths:
         for path in rules_paths:
             try:
                 text = Path(path).read_text("utf-8")
                 compiled = compile_text(text).assertions
-            except (OSError, ParseError, TypecheckError) as exc:
+            except (OSError, UnicodeDecodeError, ParseError,
+                    TypecheckError) as exc:
                 _die(f"{path}: {exc}")
             seen = {a.id for a in assertions}
             for a in compiled:
@@ -75,7 +87,7 @@ def _load_inputs(map_path, rules_paths, profiles_path, profile_name):
             assertions.extend(compiled)
     else:
         assertions = list(rulepack.load_rulepack())
-    return road, config, assertions
+    return ctx, assertions
 
 
 def _exit_code(verdicts, assertions) -> int:
@@ -140,18 +152,14 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
           debounce_n, strict_windows, worst_case_speeds, trace_path,
           out_jsonl, out_csv, print_verdicts):
     """Retrospective analysis of a recorded trace."""
-    road, config, assertions = _load_inputs(map_path, rules_paths,
-                                            profiles_path, profile_name)
+    ctx, assertions = _load_inputs(map_path, rules_paths, profiles_path,
+                                   profile_name, active_odd, strict_windows,
+                                   worst_case_speeds)
     try:
         with open(trace_path, "rb") as fh:
             trace = load_trace(fh)
     except (OSError, TraceError) as exc:
         _die(str(exc))
-    ctx = EvaluationContext(road=road, config=config,
-                            profile_name=profile_name,
-                            active_odd=frozenset(active_odd),
-                            strict_windows=strict_windows,
-                            worst_case_speeds=worst_case_speeds)
     try:
         verdicts = evaluate_document(assertions, trace, ctx)
     except (EvalError, StreamError) as exc:
@@ -186,15 +194,14 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
 def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
             debounce_n, strict_windows, worst_case_speeds):
     """Streaming evaluation of records arriving on stdin (JSON lines)."""
-    road, config, assertions = _load_inputs(map_path, rules_paths,
-                                            profiles_path, profile_name)
-    ctx = EvaluationContext(road=road, config=config,
-                            profile_name=profile_name,
-                            active_odd=frozenset(active_odd),
-                            strict_windows=strict_windows,
-                            worst_case_speeds=worst_case_speeds)
+    ctx, assertions = _load_inputs(map_path, rules_paths, profiles_path,
+                                   profile_name, active_odd, strict_windows,
+                                   worst_case_speeds)
     stream = StreamingEngine(assertions, ctx)
     filters: dict = {}
+    if hasattr(sys.stdin, "reconfigure"):
+        # decode as load_trace does, whatever the locale
+        sys.stdin.reconfigure(errors="surrogateescape")
 
     def publish(verdicts):
         # one write per verdict line, one flush per step so that downstream
@@ -300,12 +307,11 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
               ttc_limit, out_path):
     """Zone classification at the overtake decision point."""
     from . import zones as zones_mod
+    road = _load_map(map_path)
     try:
-        with open(map_path, "rb") as fh:
-            road = load_map(fh)
         with open(trace_path, "rb") as fh:
             trace = load_trace(fh)
-    except (OSError, MapError, TraceError) as exc:
+    except (OSError, TraceError) as exc:
         _die(str(exc))
     config = _load_config(profiles_path, profile_name)
     ctx = EvaluationContext(road=road, config=config,
@@ -321,8 +327,6 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
                  if v.detail.get("reason") != "reference-never-fired"]
     if not decisions:
         _die("the ego never crosses the centre line", code=1)
-    from .trace import derive_row
-    index_of = {t: i for i, t in enumerate(trace.times)}
     observations = []
     try:
         for v in decisions:
@@ -332,21 +336,8 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
                     _die(f"no {v.detail['actor'].upper()} at the decision "
                          f"step at t={t}")
                 _die(f"decision step at t={t}: {v.detail['error']}")
-            k = index_of[t]
-            prev_step = trace.steps[k - 1] if k > 0 else None
-            nxt_step = trace.steps[k + 1] if k + 1 < len(trace) else None
-            derived, _ = derive_row(prev_step, trace.steps[k], nxt_step, road)
-            step = trace.steps[k]
-            av = next((s for s in step.values() if s.role == "AV"), None)
-            ov = next((s for s in step.values() if s.role == "OV"), None)
-            vbp = next((s for s in step.values() if s.role == "VBP"), None)
-            for role, st in (("AV", av), ("OV", ov)):
-                if st is None:
-                    _die(f"no {role} at the decision step at t={t}")
-            geom = config.geometry(
-                derived[av.actor_id].speed,
-                derived[vbp.actor_id].speed if vbp else 0.0,
-                derived[ov.actor_id].speed)
+            # the overtake that the verdict's sda() sized, so it resolves
+            geom = manoeuvre_at(trace, trace.times.index(t), ctx)
             observations.append((t, v.detail["measured"], geom))
         thresholds = zones_mod.ZoneThresholds(safety_margin_fraction=margin,
                                               ttc_conservative=ttc_limit)

@@ -241,21 +241,23 @@ class _StepView:
             v_mph = mps_to_mph(self.speed_of(st))
         return danger_space(st.pose, st.dims, _ds_length(v_mph))
 
+    def manoeuvre(self):
+        """The overtake sda() sizes: av, vbp (0 if none) and ov speeds."""
+        av = self.resolve("av")
+        ov = self.resolve("ov")
+        try:
+            v_vbp = self.speed_of(self.resolve("vbp"))
+        except ActorNotFound:
+            v_vbp = 0.0
+        return self.ctx.config.geometry(self.speed_of(av), v_vbp,
+                                        self.speed_of(ov))
+
     def sda(self) -> float:
         if self.ctx.profile_name is None:
             raise EvalError("sda() needs a configured driving profile")
         profile = self.ctx.config.profile(self.ctx.profile_name)
-        av = self.resolve("av")
-        ov = self.resolve("ov")
         try:
-            vbp = self.resolve("vbp")
-            v_vbp = self.speed_of(vbp)
-        except ActorNotFound:
-            v_vbp = 0.0
-        try:
-            geom = self.ctx.config.geometry(self.speed_of(av), v_vbp,
-                                            self.speed_of(ov))
-            return safe_distance_ahead(profile, geom)
+            return safe_distance_ahead(profile, self.manoeuvre())
         except ModelError as exc:
             # e.g. a passed vehicle faster than the ego: no overtake to size
             raise EvalError(str(exc)) from exc
@@ -442,6 +444,14 @@ def _checked_at(v: Verdict, checked_t: float) -> Verdict:
     detail = dict(v.detail)
     detail["checked_t"] = checked_t
     return replace(v, detail=detail)
+
+
+def manoeuvre_at(trace: Trace, k: int, ctx: EvaluationContext):
+    """The overtake that sda() sizes at step ``k`` of ``trace``."""
+    at = _BufferedStep(trace.times[k], trace.steps[k],
+                       trace.steps[k - 1] if k else None)
+    at.nxt = trace.steps[k + 1] if k + 1 < len(trace) else None
+    return _StepView(ctx, at).manoeuvre()
 
 
 def evaluate_document(assertions, trace: Trace,

@@ -222,13 +222,10 @@ def load_profiles(source=None) -> ModelConfig:
     A document that is not a well-formed profile config raises ModelError.
     """
     if source is None:
-        text = (Path(__file__).parent / "data" / "profiles.json").read_text("utf-8")
-    elif hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        source = Path(__file__).parent / "data" / "profiles.json"
     try:
+        text = (source.read() if hasattr(source, "read")
+                else Path(source).read_text("utf-8"))
         return _profiles_from_doc(json.loads(text))
     except ModelError:
         raise

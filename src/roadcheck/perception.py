@@ -21,7 +21,6 @@ assumes worst-case class speed limits.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from dataclasses import dataclass, field
 from .models import MPH_TO_MPS, ModelConfig, default_profiles
 from .trace import ActorState, Trace
 from .geometry import BoxDims, Pose2D
+from .worldmap import read_text
 
 LOW_CONFIDENCE_PX = 5.0
 
@@ -131,15 +131,7 @@ def lateral_offset(d_px: float, cal: CameraCalibration) -> float:
 
 def load_detections(source):
     """Parse the detection JSONL; returns (detections, line_records)."""
-    if isinstance(source, (bytes, bytearray)):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        raise TypeError(f"cannot read detections from {type(source).__name__}")
+    text = read_text(source, "detections")
     detections = []
     lines = []
     index = -1

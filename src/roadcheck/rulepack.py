@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .checker import CompiledAssertion, compile_text
-from .engine import (FAIL, NOT_APPLICABLE, PASS, EvaluationContext, Verdict,
-                     evaluate_document)
+from .engine import FAIL, PASS, EvaluationContext, Verdict, evaluate_document
 from .geometry import projection_interval
 from .trace import Trace
 from .worldmap import RoadMap, lanelet_at, lanelets_containing
@@ -218,44 +217,9 @@ def danger_space_assertions() -> tuple[CompiledAssertion, ...]:
     return compile_text(DANGER_SPACE_RULES).assertions
 
 
-def rule163_cut_in_clearance_assertion(cut_in_t: float,
-                                       clearance: float) -> CompiledAssertion:
-    """Clearance to the passed vehicle at the start of the cut-in.
-
-    The reference anchors on the externally detected cut-in instant, so the
-    rule text is generated per trace.
-    """
-    text = f'''
-assertion rule163_cut_in_clearance {{
-  odd: single_carriageway
-  type: execution
-  severity: safety
-  reference: time() >= {cut_in_t!r}s
-  condition: min_distance(box_of("av"), box_of("vbp")) >= {clearance!r}
-}}
-'''
-    return compile_text(text).assertions[0]
-
-
 def load_rulepack() -> tuple[CompiledAssertion, ...]:
     """The shipped assertion file: rule 162, rule 163 pull-out, danger spaces."""
     return compile_text(_RULES_TEXT).assertions
-
-
-def evaluate_cut_in_clearance(trace: Trace, ctx: EvaluationContext,
-                              clearance: float | None = None) -> list[Verdict]:
-    """Rule 163 cut-in clearance; not_applicable when the stage is absent."""
-    if clearance is None:
-        if ctx.profile_name is None:
-            raise ValueError("cut-in clearance needs a profile or explicit value")
-        clearance = ctx.config.profile(ctx.profile_name).cut_in_clearance
-    stages = detect_stages(trace, ctx.road)
-    if stages.cut_in is None:
-        return [Verdict("rule163_cut_in_clearance", trace.times[-1],
-                        NOT_APPLICABLE, {"reason": "no-cut-in-stage"})]
-    t_cut = trace.times[stages.cut_in[0]]
-    assertion = rule163_cut_in_clearance_assertion(t_cut, clearance)
-    return evaluate_document([assertion], trace, ctx)
 
 
 # --- per-stage aggregation ---------------------------------------------------

@@ -7,14 +7,17 @@ Traces are ingested from JSON-lines, one record per actor per timestep:
 
 ``speed_mph`` is accepted and converted (1 mph = 0.44704 m/s).
 ``iter_steps`` validates the records and groups them into timesteps, for
-``load_trace`` and for the streaming monitor alike.
+``load_trace`` and for the streaming monitor alike.  Each line is decoded
+on its own; a record of floats is checked in one pass, any other field by
+field, with the same messages.  A state read so builds its ``Pose2D`` when
+``pose`` is first read, so actors that no rule reads build none, and
+``load_trace`` skips the checks of ``Trace.__post_init__``.
 
 ``derive_row`` derives the dynamics of an actor at one step from its
 neighbouring steps: speed from positions by central finite differences at
 interior steps and first-order one-sided differences at the endpoints, and
 the heading relative to the lane.  It is the one derivation routine: the
-engine calls it for the actors a rule reads, ``zones`` for the actors at a
-decision step.
+engine calls it for the actors a rule reads.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .geometry import BoxDims, Pose2D, normalize_angle, oriented_box
@@ -48,21 +52,46 @@ class TraceError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
 class ActorState:
-    actor_id: str
-    role: str
-    t: float
-    pose: Pose2D
-    dims: BoxDims
-    speed: float | None = None
-    low_confidence: bool = False
+    """One actor at one timestep.  A state read by ``iter_steps`` holds the
+    raw x, y and heading until ``pose`` is first read, then the Pose2D."""
 
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise TraceError(f"unknown role {self.role!r} for {self.actor_id!r}")
-        if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise TraceError(f"timestamp must be finite and >= 0, got {self.t}")
+    __slots__ = ("actor_id", "role", "t", "_pose", "dims", "speed",
+                 "low_confidence", "_x", "_y", "_heading")
+
+    def __init__(self, actor_id: str, role: str, t: float, pose: Pose2D,
+                 dims: BoxDims, speed: float | None = None,
+                 low_confidence: bool = False):
+        if role not in ROLES:
+            raise TraceError(f"unknown role {role!r} for {actor_id!r}")
+        if not (math.isfinite(t) and t >= 0.0):
+            raise TraceError(f"timestamp must be finite and >= 0, got {t}")
+        self.actor_id = actor_id
+        self.role = role
+        self.t = t
+        self._pose = pose       # None until built from _x, _y, _heading
+        self.dims = dims
+        self.speed = speed
+        self.low_confidence = low_confidence
+
+    @property
+    def pose(self) -> Pose2D:
+        pose = self._pose
+        if pose is None:
+            pose = self._pose = Pose2D(self._x, self._y, self._heading)
+            del self._x, self._y, self._heading
+        return pose
+
+    def _fields(self):
+        return (self.actor_id, self.role, self.t, self.pose, self.dims,
+                self.speed, self.low_confidence)
+
+    def __eq__(self, other):
+        return (other.__class__ is ActorState
+                and self._fields() == other._fields())
+
+    def __repr__(self):
+        return "ActorState(%r, %r, %r, %r, %r, %r, %r)" % self._fields()
 
     def box(self):
         return oriented_box(self.pose, self.dims)
@@ -91,21 +120,20 @@ class Trace:
             for aid, st in step.items():
                 if st.actor_id != aid:
                     raise TraceError(f"step {i}: key {aid!r} != state id {st.actor_id!r}")
-                prev = dims_seen.get(aid)
-                if prev is not None and prev != st.dims:
+                prev = dims_seen.setdefault(aid, st.dims)
+                if prev != st.dims:
                     raise TraceError(
                         f"step {i}: actor {aid!r} changed dims {prev} -> {st.dims}")
-                dims_seen[aid] = st.dims
+
+    @classmethod
+    def _checked(cls, times: tuple, steps: tuple, dt: float) -> Trace:
+        """A trace of steps checked by ``iter_steps``: no ``__post_init__``."""
+        trace = object.__new__(cls)
+        trace.__dict__.update(times=times, steps=steps, dt=dt)
+        return trace
 
     def __len__(self):
         return len(self.times)
-
-    def actors(self):
-        seen = {}
-        for step in self.steps:
-            for aid, st in step.items():
-                seen.setdefault(aid, st.role)
-        return seen
 
 
 def _number(obj: dict, key: str) -> float:
@@ -116,44 +144,71 @@ def _number(obj: dict, key: str) -> float:
     return float(value)
 
 
+_REQUIRED = ("t", "actor_id", "role", "x", "y", "heading_rad", "length_m",
+             "width_m")
+_required = operator.itemgetter(*_REQUIRED)
+
+
 def _parse_record(obj: dict, index: int, dims_seen: dict | None = None) -> ActorState:
-    """One record as an ActorState.  ``dims_seen`` maps actor ids to the
-    dims of their earlier records; equal dims reuse that object."""
-    if not isinstance(obj, dict):
-        raise TraceError("record is not a JSON object", index)
-    required = ("t", "actor_id", "role", "x", "y", "heading_rad",
-                "length_m", "width_m")
-    for key in required:
-        if key not in obj:
-            raise TraceError(f"missing required field {key!r}", index)
-    speed = None
-    if "speed_mps" in obj and "speed_mph" in obj:
-        raise TraceError("both speed_mps and speed_mph present", index)
-    actor_id = obj["actor_id"]
-    if not isinstance(actor_id, str):
-        raise TraceError(f"actor_id must be a string, got {json.dumps(actor_id)}",
-                         index)
-    low_confidence = obj.get("low_confidence", False)
-    if not isinstance(low_confidence, bool):
-        raise TraceError(f"low_confidence must be true or false, got "
-                         f"{json.dumps(low_confidence)}", index)
+    """One record as an ActorState, its pose not yet built.  ``dims_seen``
+    maps actor ids to the dims of their earlier records; equal dims reuse
+    that object.  A record of floats and strings is read at once, any other
+    field by field; either way its first fault in field order is reported."""
     try:
-        if "speed_mps" in obj:
-            speed = _number(obj, "speed_mps")
-        elif "speed_mph" in obj:
-            speed = _number(obj, "speed_mph") * MPH_TO_MPS
-        role = str(obj["role"])
-        t = _number(obj, "t")
-        pose = Pose2D(_number(obj, "x"), _number(obj, "y"),
-                      _number(obj, "heading_rad"))
-        length, width = _number(obj, "length_m"), _number(obj, "width_m")
-        dims = dims_seen.get(actor_id) if dims_seen else None
+        t, actor_id, role, x, y, heading, length, width = _required(obj)
+        speed = obj.get("speed_mps")
+        low_confidence = obj.get("low_confidence", False)
+        fast = (type(t) is type(x) is type(y) is type(heading)
+                is type(length) is type(width) is float
+                and type(actor_id) is type(role) is str
+                and (type(speed) is float or "speed_mps" not in obj)
+                and "speed_mph" not in obj
+                and (low_confidence is False or low_confidence is True)
+                and math.isfinite(x) and math.isfinite(y)
+                and math.isfinite(heading))
+    except (KeyError, TypeError, AttributeError):
+        fast = False
+    if not fast:
+        if not isinstance(obj, dict):
+            raise TraceError("record is not a JSON object", index)
+        for key in _REQUIRED:
+            if key not in obj:
+                raise TraceError(f"missing required field {key!r}", index)
+        if "speed_mps" in obj and "speed_mph" in obj:
+            raise TraceError("both speed_mps and speed_mph present", index)
+        actor_id = obj["actor_id"]
+        if not isinstance(actor_id, str):
+            raise TraceError(f"actor_id must be a string, got "
+                             f"{json.dumps(actor_id)}", index)
+        low_confidence = obj.get("low_confidence", False)
+        if not isinstance(low_confidence, bool):
+            raise TraceError(f"low_confidence must be true or false, got "
+                             f"{json.dumps(low_confidence)}", index)
+        try:
+            speed = None
+            if "speed_mps" in obj:
+                speed = _number(obj, "speed_mps")
+            elif "speed_mph" in obj:
+                speed = _number(obj, "speed_mph") * MPH_TO_MPS
+            role = str(obj["role"])
+            t = _number(obj, "t")
+            x, y, heading = (_number(obj, k) for k in ("x", "y", "heading_rad"))
+            Pose2D(x, y, heading)       # raises on a non-finite component
+            length, width = _number(obj, "length_m"), _number(obj, "width_m")
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise TraceError(str(exc), index) from exc
+    dims = dims_seen.get(actor_id) if dims_seen else None
+    try:
         if dims is None or dims.length != length or dims.width != width:
             dims = BoxDims(length, width)
-        return ActorState(actor_id=actor_id, role=role, t=t, pose=pose,
-                          dims=dims, speed=speed, low_confidence=low_confidence)
-    except (TraceError, ValueError, TypeError) as exc:
+        state = ActorState(actor_id, role, t, None, dims, speed, low_confidence)
+    except ValueError as exc:
         raise TraceError(str(exc), index) from exc
+    state._x, state._y, state._heading = x, y, heading
+    return state
+
+
+_decode = json.JSONDecoder().raw_decode
 
 
 def iter_steps(lines):
@@ -175,9 +230,14 @@ def iter_steps(lines):
             continue
         index += 1
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"invalid JSON: {exc.msg}", index) from exc
+            obj, end = _decode(line)
+        except ValueError:
+            end = None
+        if end != len(line):    # json.loads words the error of this line
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceError(f"invalid JSON: {exc.msg}", index) from exc
         state = _parse_record(obj, index, dims_seen)
         aid = state.actor_id
         if step and state.t < t:
@@ -198,29 +258,23 @@ def iter_steps(lines):
 
 
 def load_trace(source) -> Trace:
-    """Read a JSON-lines record stream and group it into timesteps."""
-    if isinstance(source, (bytes, bytearray)):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    """Read a JSON-lines record stream and group it into timesteps, built
+    with ``Trace._checked``.  Bytes are read as ``monitor`` reads stdin:
+    UTF-8 with ``surrogateescape``, and only "\\n" ends a line, so both
+    accept and reject the same bytes."""
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, str):
+        lines = source.split("\n")
     else:
-        raise TypeError(f"cannot read trace from {type(source).__name__}")
-
-    times: list[float] = []
-    steps: list[dict] = []
-    for t, step in iter_steps(text.splitlines()):
-        times.append(t)
-        steps.append(step)
-    if not times:
+        lines = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8",
+                                 errors="surrogateescape", newline="\n")
+    pairs = list(iter_steps(lines))
+    if not pairs:
         raise TraceError("empty trace")
-    if len(times) >= 2:
-        dt = times[1] - times[0]
-    else:
-        dt = 1.0
-    return Trace(times=tuple(times), steps=tuple(steps), dt=dt)
+    times, steps = zip(*pairs)
+    return Trace._checked(times, steps,
+                          times[1] - times[0] if len(times) >= 2 else 1.0)
 
 
 def serialise_trace(trace: Trace) -> str:
@@ -250,26 +304,18 @@ class DerivedState:
     cut_in_angle: float = 0.0
 
 
-def finite_velocity(prev: ActorState | None, cur: ActorState,
-                    nxt: ActorState | None) -> tuple[float, float]:
-    """Velocity vector at ``cur`` from neighbouring samples.
-
-    Central difference when both neighbours exist, one-sided otherwise.
-    Raises TraceError when the actor appears at a single step only.
-    """
+def derive_state(prev: ActorState | None, cur: ActorState,
+                 nxt: ActorState | None, road: RoadMap) -> DerivedState:
+    """Derived dynamics for one actor at one step, from the velocity by
+    central difference when both neighbours exist, one-sided otherwise.
+    Raises TraceError when the actor appears at a single step only."""
     if prev is None and nxt is None:
         raise TraceError(f"velocity undefined for single-step actor "
                          f"{cur.actor_id!r}")
     a = prev if prev is not None else cur
     b = nxt if nxt is not None else cur
     dt = b.t - a.t
-    return ((b.pose.x - a.pose.x) / dt, (b.pose.y - a.pose.y) / dt)
-
-
-def derive_state(prev: ActorState | None, cur: ActorState,
-                 nxt: ActorState | None, road: RoadMap) -> DerivedState:
-    """Derived dynamics for one actor at one step."""
-    vx, vy = finite_velocity(prev, cur, nxt)
+    vx, vy = (b.pose.x - a.pose.x) / dt, (b.pose.y - a.pose.y) / dt
     speed = math.hypot(vx, vy)
     heading_rel = None
     pull_out = 0.0

@@ -28,7 +28,6 @@ the same results.
 from __future__ import annotations
 
 import heapq
-import io
 import json
 import math
 import warnings
@@ -235,20 +234,20 @@ def _check_keys(obj: dict, allowed: set, where: str):
         warnings.warn(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _read_text(source) -> str:
+def read_text(source, what: str) -> str:
+    """``source`` (bytes, text or a file of either) as UTF-8 text."""
+    if hasattr(source, "read"):
+        source = source.read()
     if isinstance(source, (bytes, bytearray)):
         return source.decode("utf-8")
     if isinstance(source, str):
         return source
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    raise TypeError(f"cannot read map from {type(source).__name__}")
+    raise TypeError(f"cannot read {what} from {type(source).__name__}")
 
 
 def load_map(source) -> RoadMap:
     """Parse and validate a map document from bytes, text, or a file object."""
-    text = _read_text(source)
+    text = read_text(source, "map")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

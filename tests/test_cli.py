@@ -163,7 +163,7 @@ def invoke(root, command, *extra, trace=None):
     if command != "zones":
         args += ["--rules", str(root / "rule162.rules")]
     if command == "monitor":
-        return runner.invoke(main, args + list(extra), input=trace.read_text())
+        return runner.invoke(main, args + list(extra), input=trace.read_bytes())
     return runner.invoke(main, args + ["--trace", str(trace), *extra])
 
 
@@ -229,28 +229,64 @@ def _insert(index, source):
     return apply
 
 
-# (case, corpus builder, index of the record that is rejected); records 0-2
-# are t=0 (ego, oncoming, parked), 3-5 t=0.05, 6-8 t=0.1
+def _joined_lines(records):
+    """Three lines that each fail to decode but, joined with commas inside
+    brackets, decode to three valid records."""
+    first = json.dumps({**records[0], "note": [1, 2]})
+    cut = first.index(", 2]")
+    return ([first[:cut], first[cut + 2:],
+             json.dumps(records[1]) + ", " + json.dumps(records[2])]
+            + [json.dumps(r) for r in records[3:]])
+
+
+# (case, corpus builder, message); records 0-2 are t=0 (ego, oncoming,
+# parked), 3-5 t=0.05, 6-8 t=0.1
 MALFORMED = [
     ("invalid-json", lambda rs: [json.dumps(r) for r in rs[:5]]
-     + ["{not json"] + [json.dumps(r) for r in rs[6:]], 5),
-    ("missing-field", _mutate(5, x=_DELETE), 5),
-    ("unknown-role", _mutate(5, role="truck"), 5),
-    ("negative-t", _mutate(5, t=-1.0), 5),
-    ("non-finite-x", _mutate(5, x=float("nan")), 5),
-    ("both-speeds", _mutate(5, speed_mph=25.0), 5),
-    ("duplicate", _insert(4, 3), 4),
-    ("out-of-order-t", _insert(4, 6), 5),
-    ("changed-dims", _mutate(5, length_m=9.0), 5),
+     + ["{not json"] + [json.dumps(r) for r in rs[6:]],
+     "record 5: invalid JSON: Expecting property name enclosed in double "
+     "quotes"),
+    ("missing-field", _mutate(5, x=_DELETE),
+     "record 5: missing required field 'x'"),
+    ("unknown-role", _mutate(5, role="truck"),
+     "record 5: unknown role 'truck' for 'parked'"),
+    ("negative-t", _mutate(5, t=-1.0),
+     "record 5: timestamp must be finite and >= 0, got -1.0"),
+    ("non-finite-x", _mutate(5, x=float("nan")),
+     "record 5: pose components must be finite"),
+    ("both-speeds", _mutate(5, speed_mph=25.0),
+     "record 5: both speed_mps and speed_mph present"),
+    ("duplicate", _insert(4, 3), "record 4: duplicate actor 'ego' at t=0.05"),
+    ("out-of-order-t", _insert(4, 6),
+     "record 5: out-of-order timestamp 0.05 after 0.1"),
+    ("changed-dims", _mutate(5, length_m=9.0),
+     "record 5: actor 'parked' changed dims BoxDims(length=8.0, width=2.0) "
+     "-> BoxDims(length=9.0, width=2.0)"),
     ("not-an-object", lambda rs: [json.dumps(r) for r in rs[:5]]
-     + ["5"] + [json.dumps(r) for r in rs[6:]], 5),
-    ("null-t", _mutate(5, t=None), 5),
-    ("text-speed", _mutate(5, speed_mps="fast"), 5),
-    ("boolean-x", _mutate(5, x=True), 5),
-    ("boolean-speed", _mutate(5, speed_mps=False), 5),
-    ("null-actor-id", _mutate(5, actor_id=None), 5),
-    ("number-actor-id", _mutate(5, actor_id=7), 5),
-    ("text-low-confidence", _mutate(5, low_confidence="false"), 5),
+     + ["5"] + [json.dumps(r) for r in rs[6:]],
+     "record 5: record is not a JSON object"),
+    ("null-t", _mutate(5, t=None),
+     "record 5: float() argument must be a string or a real number, not "
+     "'NoneType'"),
+    ("text-speed", _mutate(5, speed_mps="fast"),
+     "record 5: could not convert string to float: 'fast'"),
+    ("boolean-x", _mutate(5, x=True), "record 5: x must be a number, got true"),
+    ("boolean-speed", _mutate(5, speed_mps=False),
+     "record 5: speed_mps must be a number, got false"),
+    ("null-actor-id", _mutate(5, actor_id=None),
+     "record 5: actor_id must be a string, got null"),
+    ("number-actor-id", _mutate(5, actor_id=7),
+     "record 5: actor_id must be a string, got 7"),
+    ("text-low-confidence", _mutate(5, low_confidence="false"),
+     'record 5: low_confidence must be true or false, got "false"'),
+    ("huge-integer-x", _mutate(5, x=10 ** 400),
+     "record 5: int too large to convert to float"),
+    # decoding the joined lines would accept them; each line alone fails
+    ("joined-lines", _joined_lines,
+     "record 0: invalid JSON: Expecting ',' delimiter"),
+    ("bom-first-line", lambda rs: ["\ufeff" + json.dumps(rs[0])]
+     + [json.dumps(r) for r in rs[1:]],
+     "record 0: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
 ]
 
 
@@ -258,14 +294,14 @@ class TestMalformedTraceParity:
     """check and monitor frame their input with one routine, so they
     reject the same record with the same message and exit 2."""
 
-    @pytest.mark.parametrize("build,index",
-                             [(b, i) for _, b, i in MALFORMED],
+    @pytest.mark.parametrize("build,message",
+                             [(b, m) for _, b, m in MALFORMED],
                              ids=[c for c, _, _ in MALFORMED])
-    def test_same_rejection(self, fixture_dir, tmp_path, build, index):
+    def test_same_rejection(self, fixture_dir, tmp_path, build, message):
         records = [json.loads(l) for l in
                    (fixture_dir / "safe_trace.jsonl").read_text().splitlines()]
         trace = tmp_path / "bad_trace.jsonl"
-        trace.write_text("\n".join(build(records)) + "\n")
+        trace.write_text("\n".join(build(records)) + "\n", "utf-8")
         errors = []
         for command in ("check", "monitor"):
             res = invoke(fixture_dir, command, trace=trace)
@@ -275,8 +311,23 @@ class TestMalformedTraceParity:
                      if l.startswith("error: ")]
             assert len(lines) == 1, (command, res.stderr)
             errors.append(lines[0])
-        assert errors[0].startswith(f"error: record {index}: ")
-        assert errors[0] == errors[1]
+        assert errors == [f"error: {message}"] * 2
+
+    def test_line_separator_in_string_accepted(self, fixture_dir, tmp_path):
+        # U+2028 and U+0085 may stand unescaped in a JSON string; only
+        # "\n" ends a record, in a trace file as on stdin
+        records = [json.loads(l) for l in
+                   (fixture_dir / "safe_trace.jsonl").read_text().splitlines()]
+        for r in records:
+            if r["actor_id"] == "parked":
+                r["actor_id"] = "par k\x85ed"
+        trace = tmp_path / "separator_trace.jsonl"
+        trace.write_text("\n".join(json.dumps(r, ensure_ascii=False)
+                                   for r in records) + "\n", "utf-8")
+        for command in ("check", "monitor"):
+            res = invoke(fixture_dir, command, trace=trace)
+            assert res.exit_code == 0, (command, res.output)
+            assert res.stderr == ""
 
     def test_near_coincident_times_exit_2(self, fixture_dir, tmp_path):
         # 1e-10 s apart: a new step for the reader, a time regression for
@@ -292,6 +343,49 @@ class TestMalformedTraceParity:
             assert isinstance(res.exception, SystemExit), res.exception
             assert res.exit_code == 2, (command, res.output)
             assert "error: time regression: 1e-10 after 0.0" in res.stderr
+
+
+class TestNonUtf8Input:
+    """Bytes that are not UTF-8 are a parse error (exit 2), never a
+    traceback; check, monitor and zones decode a trace alike."""
+
+    @pytest.fixture()
+    def bad_trace(self, fixture_dir, tmp_path):
+        path = tmp_path / "latin_trace.jsonl"
+        path.write_bytes(b"\xff" + (fixture_dir / "safe_trace.jsonl").read_bytes())
+        return path
+
+    def test_trace_same_rejection(self, fixture_dir, bad_trace):
+        monitor = runner.invoke(main, [
+            "monitor", "--map", str(fixture_dir / "safe_map.json"),
+            "--rules", str(fixture_dir / "rule162.rules")],
+            input=bad_trace.read_bytes())
+        for res in (invoke(fixture_dir, "check", trace=bad_trace),
+                    invoke(fixture_dir, "zones", trace=bad_trace), monitor):
+            assert isinstance(res.exception, SystemExit), res.exception
+            assert res.exit_code == 2, res.output
+            assert res.stderr == "error: record 0: invalid JSON: Expecting value\n"
+
+    @pytest.mark.parametrize("command,option", [
+        (c, o) for c in ("check", "monitor", "zones")
+        for o in ("--map", "--profiles", "--rules")
+        if (c, o) != ("zones", "--rules")])
+    def test_input_file_exit_2(self, fixture_dir, tmp_path, command, option):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b'{"name": "caf\xe9"}')
+        if option == "--map":
+            args = [command, "--map", str(bad)]
+        else:
+            args = [command, "--map", str(fixture_dir / "safe_map.json"),
+                    option, str(bad)]
+        if command == "monitor":
+            res = runner.invoke(main, args, input="")
+        else:
+            res = runner.invoke(main, args + [
+                "--trace", str(fixture_dir / "safe_trace.jsonl")])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith(f"error: {bad}: "), res.stderr
 
 
 class TestNotApplicableSummary:
@@ -352,6 +446,48 @@ def test_zones_faster_passed_vehicle_exit_2(fixture_dir, tmp_path):
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 2
     assert "must exceed" in res.output
+
+
+class TestZonesSingleStepOncoming:
+    """An oncoming vehicle seen at the decision step only has no derived
+    speed; zones falls back to its recorded speed, as sda() does."""
+
+    def trace(self, root, tmp_path, speed=True):
+        records = [json.loads(l)
+                   for l in (root / "safe_trace.jsonl").read_text().splitlines()]
+        kept = []
+        for r in records:
+            if r["actor_id"] == "oncoming":
+                if r["t"] != 1.05:
+                    continue
+                if not speed:
+                    del r["speed_mps"]
+            kept.append(r)
+        path = tmp_path / "single_ov_trace.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in kept) + "\n")
+        return path
+
+    def test_recorded_speed(self, fixture_dir, tmp_path):
+        res = invoke(fixture_dir, "zones",
+                     trace=self.trace(fixture_dir, tmp_path))
+        assert res.exception is None, res.exception
+        assert res.exit_code == 0, res.output
+        full = invoke(fixture_dir, "zones")
+        rows = res.output.splitlines()
+        assert rows[0] == "t,da,sda,ttc,zone"
+        assert [r.split(",")[0] for r in rows[1:]] == ["1.05"]
+        # the recorded speed is the speed the full trace derives
+        assert [float(x) for x in rows[1].split(",")[:4]] == pytest.approx(
+            [float(x) for x in full.output.splitlines()[1].split(",")[:4]])
+        assert rows[1].split(",")[4] == full.output.splitlines()[1].split(",")[4]
+
+    def test_no_speed_exit_2(self, fixture_dir, tmp_path):
+        res = invoke(fixture_dir, "zones",
+                     trace=self.trace(fixture_dir, tmp_path, speed=False))
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2, res.output
+        assert res.stderr == ("error: decision step at t=1.05: speed of "
+                              "'oncoming' is unavailable\n")
 
 
 def shifted_preset(root, tmp_path, dx, dy, actor=None):
@@ -644,7 +780,7 @@ class TestEstimate:
         from roadcheck.trace import load_trace
         est = load_trace(out.read_text())
         assert len(est) > 100
-        roles = set(est.actors().values())
+        roles = {st.role for step in est.steps for st in step.values()}
         assert {"AV", "VBP", "OV"} <= roles
 
 

@@ -3,7 +3,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -14,7 +13,7 @@ from roadcheck.engine import (FAIL, NOT_APPLICABLE, PASS, DebounceFilter,
                               nearest_index, summary_rows)
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck.models import default_profiles
-from roadcheck.trace import ActorState, Trace
+from roadcheck.trace import ActorState, Trace, load_trace, serialise_trace
 from roadcheck.worldmap import load_map
 
 ROAD = load_map(json.dumps({
@@ -462,8 +461,9 @@ class TestOnDemandDerivation:
             parked = step["parked"]
             for i in range(20):
                 aid = f"other{i:02d}"
-                crowded[aid] = replace(parked, actor_id=aid, role="other",
-                                       pose=Pose2D(60.0 + 6 * i, -1.825, 0.0))
+                crowded[aid] = ActorState(aid, "other", parked.t,
+                                          Pose2D(60.0 + 6 * i, -1.825, 0.0),
+                                          parked.dims, parked.speed)
             steps.append(crowded)
         crowd = Trace(times=trace.times, steps=steps, dt=trace.dt)
         ctx = EvaluationContext(road=road, config=default_profiles(),
@@ -475,6 +475,39 @@ class TestOnDemandDerivation:
         assert set(per_step) == set(trace.times)
         assert max(per_step.values()) <= 3
         assert not any(aid.startswith("other") for _, aid in derived)
+
+    def test_poses_built_only_for_rule_actors(self, monkeypatch,
+                                              safe_scenario):
+        # a record read from JSON builds its Pose2D when a rule first reads
+        # it, so the 20 vehicles that no rule names build none
+        import roadcheck.trace as trace_mod
+        from roadcheck.rulepack import load_rulepack
+        road, trace = safe_scenario
+        crowd = []
+        for line in serialise_trace(trace).splitlines():
+            crowd.append(line)
+            record = json.loads(line)
+            if record["actor_id"] == "parked":
+                for i in range(20):
+                    crowd.append(json.dumps({
+                        **record, "actor_id": f"other{i:02d}", "role": "other",
+                        "x": 60.0 + 6 * i, "y": -1.825, "heading_rad": 0.0}))
+        built = []
+        original = trace_mod.Pose2D
+
+        def counting(x, y, heading):
+            built.append((x, y))
+            return original(x, y, heading)
+        monkeypatch.setattr(trace_mod, "Pose2D", counting)
+        ctx = EvaluationContext(road=road, config=default_profiles(),
+                                profile_name="nominal")
+        plain = load_trace(serialise_trace(trace))
+        verdicts = evaluate_document(load_rulepack(), plain, ctx)
+        plain_poses = len(built)
+        built.clear()
+        crowded = load_trace("\n".join(crowd))
+        assert evaluate_document(load_rulepack(), crowded, ctx) == verdicts
+        assert 0 < len(built) == plain_poses <= 3 * len(trace)
 
     def test_one_derivation_per_actor_and_step(self, derived):
         rules = [compiled('assertion lo { odd: road type: invariant '

@@ -1,5 +1,6 @@
 """Hypothesis property tests for the core invariants."""
 
+import json
 import math
 
 from hypothesis import example, given, settings
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from roadcheck.dsl import format_expr, parse_expression
 from roadcheck.engine import FAIL, NOT_APPLICABLE, PASS, Verdict, debounce
-from roadcheck.geometry import (ConvexPolygon, min_distance, normalize_angle,
-                                overlap_area, overlaps)
+from roadcheck.geometry import (BoxDims, ConvexPolygon, Pose2D, min_distance,
+                                normalize_angle, overlap_area, overlaps)
+from roadcheck.models import MPH_TO_MPS
+from roadcheck.trace import ROLES, ActorState, iter_steps
 
 
 def hull(points):
@@ -105,3 +108,47 @@ def test_expression_format_parse_fixed_point(text):
     except Exception:
         return   # generated text may be ungrammatical (e.g. chained cmp)
     assert parse_expression(format_expr(ast)) == ast
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+positive = st.floats(min_value=0.1, max_value=30.0)
+
+
+def as_json_number(draw, value):
+    """``value``, or the same number as a JSON integer when it is one."""
+    if value == int(value) and draw(st.booleans()):
+        return int(value)
+    return value
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_read_state_equals_constructed(data):
+    draw = data.draw
+    t = draw(st.floats(min_value=0.0, max_value=1e5))
+    x, y = draw(finite), draw(finite)
+    heading = draw(st.floats(min_value=-50.0, max_value=50.0))
+    length, width = draw(positive), draw(positive)
+    record = {"t": t, "actor_id": draw(st.text(max_size=5)),
+              "role": draw(st.sampled_from(ROLES)), "x": x, "y": y,
+              "heading_rad": heading, "length_m": length, "width_m": width}
+    for key in ("t", "x", "y", "heading_rad", "length_m", "width_m"):
+        record[key] = as_json_number(draw, record[key])
+    speed = None
+    unit = draw(st.sampled_from([None, "speed_mps", "speed_mph"]))
+    if unit is not None:
+        record[unit] = draw(st.floats(min_value=0.0, max_value=80.0))
+        speed = record[unit] * (MPH_TO_MPS if unit == "speed_mph" else 1.0)
+    low_confidence = draw(st.sampled_from([None, False, True]))
+    if low_confidence is not None:
+        record["low_confidence"] = low_confidence
+    ((_, step),) = iter_steps([json.dumps(record)])
+    (read,) = step.values()
+    built = ActorState(record["actor_id"], record["role"], t,
+                       Pose2D(x, y, heading), BoxDims(length, width), speed,
+                       bool(low_confidence))
+    assert read == built
+    assert read.pose == built.pose
+    assert -math.pi <= read.pose.heading < math.pi
+    assert (read.dims, read.speed, read.low_confidence) == (
+        built.dims, built.speed, built.low_confidence)

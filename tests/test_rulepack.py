@@ -3,15 +3,14 @@ import math
 
 import pytest
 
-from roadcheck.engine import (FAIL, NOT_APPLICABLE, PASS, EvaluationContext,
-                              evaluate_document)
+from roadcheck.engine import FAIL, PASS, EvaluationContext, evaluate_document
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck.models import MPH_TO_MPS, default_profiles
 from roadcheck.rulepack import (DANGER_SPACE_IDS, NoManoeuvreError,
                                 aggregate_by_stage, danger_space_assertions,
                                 danger_space_stage_table, detect_stages,
-                                evaluate_cut_in_clearance, first_failures,
-                                load_rulepack, rule162_sda_assertion,
+                                first_failures, load_rulepack,
+                                rule162_sda_assertion,
                                 rule163_pullout_separation_assertion,
                                 scope_to_manoeuvre)
 from roadcheck.trace import ActorState, Trace
@@ -198,29 +197,6 @@ class TestDangerSpaceAssertions:
         for t in ff.values():
             assert t == pytest.approx(spec.occlusion.visible_from_t,
                                       abs=trace.dt + 1e-9)
-
-
-class TestCutInClearance:
-    def test_safe_trace_nominal_clearance_passes(self, safe_scenario, config):
-        road, trace = safe_scenario
-        ctx = EvaluationContext(road=road, config=config,
-                                profile_name="nominal")
-        verdicts = evaluate_cut_in_clearance(trace, ctx)
-        assert [v.result for v in verdicts] == [PASS]
-
-    def test_excessive_clearance_fails(self, safe_scenario, config):
-        road, trace = safe_scenario
-        ctx = EvaluationContext(road=road, config=config,
-                                profile_name="nominal")
-        verdicts = evaluate_cut_in_clearance(trace, ctx, clearance=50.0)
-        assert [v.result for v in verdicts] == [FAIL]
-
-    def test_aborted_trace_not_applicable(self, occlusion_scenario, config):
-        road, trace = occlusion_scenario
-        ctx = EvaluationContext(road=road, config=config,
-                                profile_name="nominal")
-        verdicts = evaluate_cut_in_clearance(trace, ctx)
-        assert [v.result for v in verdicts] == [NOT_APPLICABLE]
 
 
 def test_shipped_rulepack_compiles():

@@ -78,7 +78,7 @@ class TestGenerate:
         road, trace = safe_scenario
         again = load_trace(serialise_trace(trace))
         assert again.times == trace.times
-        assert len(again.actors()) == 3
+        assert len({aid for step in again.steps for aid in step}) == 3
 
     def test_av_speed_constant_25mph(self, safe_scenario):
         _, trace = safe_scenario

@@ -89,7 +89,7 @@ class TestLoadTrace:
         _, trace = safe_scenario
         again = load_trace(serialise_trace(trace))
         assert again.times == trace.times
-        roles = set(again.actors().values())
+        roles = {st.role for step in again.steps for st in step.values()}
         assert roles == {"AV", "VBP", "OV"}
 
 
