@@ -13,11 +13,10 @@ present is an evaluation-time concern, not a compile-time one.
 from __future__ import annotations
 
 import difflib
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from . import dsl
-from .dsl import (AssertionDecl, BinaryOp, BoolLit, Call, Compare, Document,
+from .dsl import (AssertionDecl, BoolLit, Call, Compare, Document,
                   DurationLit, NameRef, Neg, Not, NumberLit, StringLit)
 
 
@@ -63,6 +62,8 @@ BOOL = _Sentinel("boolean")
 POLYGON = _Sentinel("polygon")
 ACTOR = _Sentinel("actor")
 POLY_NUM = _Sentinel("number")   # unit-polymorphic literal
+_LITERAL_TYPES = {NumberLit: POLY_NUM, DurationLit: SECONDS, StringLit: ACTOR,
+                  BoolLit: BOOL}
 
 
 #: name -> (parameter types, return type); the evaluator dispatches each
@@ -153,95 +154,71 @@ class _Checker:
         raise AssertionError(f"unhandled type {want}")
 
     def infer(self, node):
-        if isinstance(node, NumberLit):
-            return POLY_NUM
-        if isinstance(node, DurationLit):
-            return SECONDS
-        if isinstance(node, StringLit):
-            return ACTOR
-        if isinstance(node, BoolLit):
-            return BOOL
+        if isinstance(node, (NumberLit, DurationLit, StringLit, BoolLit)):
+            return _LITERAL_TYPES[type(node)]
         if isinstance(node, NameRef):
             return self.fail(node, f"unresolved name {node.name!r}")
+        if isinstance(node, Call):
+            return self._call(node)
+        operands = [self.infer(child) for child in dsl.children(node)]
+        if any(t is None for t in operands):
+            return None
         if isinstance(node, Not):
-            inner = self.infer(node.operand)
-            if inner is None:
-                return None
+            (inner,) = operands
             if inner is not BOOL:
                 return self.fail(node, f"'not' needs a boolean, got {inner}")
             return BOOL
         if isinstance(node, Neg):
-            inner = self.infer(node.operand)
-            if inner is None:
-                return None
+            (inner,) = operands
             if inner is POLY_NUM or isinstance(inner, Quantity):
                 return inner
             return self.fail(node, f"'-' needs a quantity, got {inner}")
+        lt, rt = operands
         if isinstance(node, Compare):
-            lt = self.infer(node.left)
-            rt = self.infer(node.right)
-            if lt is None or rt is None:
-                return None
             if lt is BOOL and rt is BOOL and node.op in ("==", "!="):
                 return BOOL
             ok = self._merge_quantities(node, lt, rt,
                                         f"comparison {node.op!r}")
             return BOOL if ok is not None else None
-        if isinstance(node, BinaryOp):
-            if node.op in ("and", "or"):
-                lt = self.infer(node.left)
-                rt = self.infer(node.right)
-                if lt is None or rt is None:
-                    return None
-                for side, t in (("left", lt), ("right", rt)):
-                    if t is not BOOL:
-                        return self.fail(
-                            node, f"{node.op!r} needs booleans, "
-                                  f"{side} side is {t}")
-                return BOOL
-            lt = self.infer(node.left)
-            rt = self.infer(node.right)
-            if lt is None or rt is None:
-                return None
-            if node.op in ("+", "-"):
-                return self._merge_quantities(node, lt, rt,
-                                              f"operator {node.op!r}")
-            # * and /: literals act as dimensionless scalars
-            lq = DIMENSIONLESS if lt is POLY_NUM else lt
-            rq = DIMENSIONLESS if rt is POLY_NUM else rt
-            for t in (lq, rq):
-                if not isinstance(t, Quantity):
-                    return self.fail(node, f"operator {node.op!r} needs "
-                                           f"quantities, got {t}")
-            if node.op == "*":
-                out = Quantity(lq.m + rq.m, lq.s + rq.s, lq.rad + rq.rad)
-            else:
-                out = Quantity(lq.m - rq.m, lq.s - rq.s, lq.rad - rq.rad)
-            if lt is POLY_NUM and rt is POLY_NUM:
-                return POLY_NUM
-            return out
-        if isinstance(node, Call):
-            if node.name not in REGISTRY:
-                hint = difflib.get_close_matches(node.name, REGISTRY, 1)
-                extra = f"; did you mean {hint[0]!r}?" if hint else ""
-                return self.fail(node, f"unknown function "
-                                       f"{node.name!r}{extra}")
-            params, ret = REGISTRY[node.name]
-            if len(node.args) != len(params):
-                return self.fail(
-                    node, f"{node.name}() takes {len(params)} argument(s), "
-                          f"got {len(node.args)}")
-            ok = True
-            for i, (arg, want) in enumerate(zip(node.args, params)):
-                got = self.infer(arg)
-                if got is None:
-                    ok = False
-                    continue
-                if self.unify(arg, got, want,
-                              f"{node.name}() argument {i + 1}") is None:
-                    ok = False
-            return ret if ok else None
-        raise AssertionError(f"unhandled node {type(node).__name__}")
+        if node.op in ("and", "or"):
+            for side, t in (("left", lt), ("right", rt)):
+                if t is not BOOL:
+                    return self.fail(node, f"{node.op!r} needs booleans, "
+                                           f"{side} side is {t}")
+            return BOOL
+        if node.op in ("+", "-"):
+            return self._merge_quantities(node, lt, rt,
+                                          f"operator {node.op!r}")
+        # * and /: literals act as dimensionless scalars
+        lq = DIMENSIONLESS if lt is POLY_NUM else lt
+        rq = DIMENSIONLESS if rt is POLY_NUM else rt
+        for t in (lq, rq):
+            if not isinstance(t, Quantity):
+                return self.fail(node, f"operator {node.op!r} needs "
+                                       f"quantities, got {t}")
+        if lt is POLY_NUM and rt is POLY_NUM:
+            return POLY_NUM
+        sign = 1 if node.op == "*" else -1
+        return Quantity(lq.m + sign * rq.m, lq.s + sign * rq.s,
+                        lq.rad + sign * rq.rad)
+
+    def _call(self, node):
+        if node.name not in REGISTRY:
+            hint = difflib.get_close_matches(node.name, REGISTRY, 1)
+            extra = f"; did you mean {hint[0]!r}?" if hint else ""
+            return self.fail(node, f"unknown function {node.name!r}{extra}")
+        params, ret = REGISTRY[node.name]
+        if len(node.args) != len(params):
+            return self.fail(
+                node, f"{node.name}() takes {len(params)} argument(s), "
+                      f"got {len(node.args)}")
+        ok = True
+        for i, (arg, want) in enumerate(zip(node.args, params)):
+            got = self.infer(arg)
+            if got is None or self.unify(
+                    arg, got, want, f"{node.name}() argument {i + 1}") is None:
+                ok = False
+        return ret if ok else None
 
     def _merge_quantities(self, node, lt, rt, context):
         """Both sides must be quantities of one dimension; literals adapt."""
@@ -260,8 +237,13 @@ class _Checker:
                                f"{lt} and {rt}")
 
 
-def _inline_consts(expr, consts, stack, diagnostics):
-    """Substitute const references; detects cycles."""
+def _inline_consts(expr, consts, stack, diagnostics, depth=1):
+    """Substitute const references; detects cycles.  Each constant reference
+    followed counts as a level towards ``dsl.MAX_DEPTH``."""
+    if depth > dsl.MAX_DEPTH:
+        raise TypecheckError([TypeDiagnostic(
+            f"{dsl.TOO_DEEP} once constants are inlined",
+            expr.span.line, expr.span.col)])
     if isinstance(expr, NameRef):
         if expr.name not in consts:
             return expr  # leave for the type checker to report
@@ -271,29 +253,18 @@ def _inline_consts(expr, consts, stack, diagnostics):
                 expr.span.line, expr.span.col))
             return expr
         return _inline_consts(consts[expr.name], consts,
-                              stack | {expr.name}, diagnostics)
-    if isinstance(expr, Not):
-        return Not(operand=_inline_consts(expr.operand, consts, stack,
-                                          diagnostics), span=expr.span)
-    if isinstance(expr, Neg):
-        return Neg(operand=_inline_consts(expr.operand, consts, stack,
-                                          diagnostics), span=expr.span)
-    if isinstance(expr, Compare):
-        return Compare(op=expr.op,
-                       left=_inline_consts(expr.left, consts, stack, diagnostics),
-                       right=_inline_consts(expr.right, consts, stack, diagnostics),
-                       span=expr.span)
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(op=expr.op,
-                        left=_inline_consts(expr.left, consts, stack, diagnostics),
-                        right=_inline_consts(expr.right, consts, stack, diagnostics),
-                        span=expr.span)
-    if isinstance(expr, Call):
-        return Call(name=expr.name,
-                    args=tuple(_inline_consts(a, consts, stack, diagnostics)
-                               for a in expr.args),
-                    span=expr.span)
-    return expr
+                              stack | {expr.name}, diagnostics, depth + 1)
+    changes = {}
+    for f in fields(expr):
+        value = getattr(expr, f.name)
+        if isinstance(value, dsl.Expr):
+            changes[f.name] = _inline_consts(value, consts, stack, diagnostics,
+                                             depth + 1)
+        elif isinstance(value, tuple):
+            changes[f.name] = tuple(
+                _inline_consts(v, consts, stack, diagnostics, depth + 1)
+                for v in value)
+    return replace(expr, **changes) if changes else expr
 
 
 def typecheck(doc: Document) -> CompiledDocument:
@@ -302,27 +273,21 @@ def typecheck(doc: Document) -> CompiledDocument:
     Raises TypecheckError carrying every diagnostic found.
     """
     diagnostics = []
-    consts = {}
-    for const in doc.consts:
-        consts[const.name] = const.expr
+    consts = {const.name: const.expr for const in doc.consts}
     checker = _Checker()
+
+    def boolean(expr, role, name):
+        expr = _inline_consts(expr, consts, frozenset(), diagnostics)
+        t = checker.infer(expr)
+        if t is not None and t is not BOOL:
+            checker.fail(expr, f"{role} of {name!r} must be boolean, got {t}")
+        return expr
+
     compiled = []
     for decl in doc.assertions:
-        reference = None
-        if decl.reference is not None:
-            reference = _inline_consts(decl.reference, consts, frozenset(),
-                                       diagnostics)
-            t = checker.infer(reference)
-            if t is not None and t is not BOOL:
-                checker.fail(reference,
-                             f"reference of {decl.name!r} must be boolean, "
-                             f"got {t}")
-        condition = _inline_consts(decl.condition, consts, frozenset(),
-                                   diagnostics)
-        t = checker.infer(condition)
-        if t is not None and t is not BOOL:
-            checker.fail(condition,
-                         f"condition of {decl.name!r} must be boolean, got {t}")
+        reference = (None if decl.reference is None
+                     else boolean(decl.reference, "reference", decl.name))
+        condition = boolean(decl.condition, "condition", decl.name)
         compiled.append(CompiledAssertion(decl=decl, reference=reference,
                                           condition=condition))
     diagnostics.extend(checker.diagnostics)
@@ -334,43 +299,3 @@ def typecheck(doc: Document) -> CompiledDocument:
 def compile_text(text: str) -> CompiledDocument:
     """parse + typecheck in one step."""
     return typecheck(dsl.parse(text))
-
-
-def _expr_to_obj(expr):
-    if isinstance(expr, NumberLit):
-        return {"num": expr.value}
-    if isinstance(expr, DurationLit):
-        return {"dur_s": expr.seconds}
-    if isinstance(expr, StringLit):
-        return {"str": expr.value}
-    if isinstance(expr, BoolLit):
-        return {"bool": expr.value}
-    if isinstance(expr, Not):
-        return {"not": _expr_to_obj(expr.operand)}
-    if isinstance(expr, Neg):
-        return {"neg": _expr_to_obj(expr.operand)}
-    if isinstance(expr, Compare):
-        return {"cmp": expr.op, "l": _expr_to_obj(expr.left),
-                "r": _expr_to_obj(expr.right)}
-    if isinstance(expr, BinaryOp):
-        return {"op": expr.op, "l": _expr_to_obj(expr.left),
-                "r": _expr_to_obj(expr.right)}
-    if isinstance(expr, Call):
-        return {"call": expr.name,
-                "args": [_expr_to_obj(a) for a in expr.args]}
-    raise TypeError(type(expr).__name__)
-
-
-def serialise_plan(compiled: CompiledDocument) -> bytes:
-    """Canonical byte form; identical sources compile to identical bytes."""
-    obj = []
-    for a in compiled.assertions:
-        d = a.decl
-        obj.append({
-            "id": d.name, "odd": sorted(d.odd_tags), "kind": d.kind,
-            "window": d.window, "severity": d.severity, "mode": d.mode,
-            "on_missing": d.on_missing,
-            "reference": None if a.reference is None else _expr_to_obj(a.reference),
-            "condition": _expr_to_obj(a.condition),
-        })
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")

@@ -274,14 +274,13 @@ def gen(preset_name, out_dir):
 def estimate(detections_path, calibration_path, out_path, av_speed_mph):
     """Convert detection JSONL into a world-frame trace."""
     from . import perception
-    from .perception import CameraCalibration, EstimatorConfig, PerceptionError
+    from .perception import CameraCalibration, PerceptionError
     try:
         cal = CameraCalibration.from_json(calibration_path)
         with open(detections_path, "rb") as fh:
             detections, lines = perception.load_detections(fh)
-        trace = perception.boxes_to_trace(
-            detections, lines, cal,
-            EstimatorConfig(av_speed_mph=av_speed_mph))
+        trace = perception.boxes_to_trace(detections, lines, cal,
+                                          av_speed_mph)
     except (OSError, PerceptionError, TraceError) as exc:
         _die(str(exc))
     Path(out_path).write_text(serialise_trace(trace), "utf-8")

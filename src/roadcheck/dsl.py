@@ -1,5 +1,24 @@
 """Assertion definition language: lexer, parser, AST, pretty-printer.
 
+Tokens, matched in this order at each position (``digit`` is a Unicode
+decimal digit, ``letter`` a Unicode letter):
+
+    newline     := "\\n"
+    blanks      := { " " | "\\t" | "\\r" }+
+    comment     := "//" { any character but "\\n" }
+    NUMBER      := ( digit+ [ "." digit* ] | "." digit+ )
+                   [ ("e" | "E") ("+" | "-" | digit) digit* ]
+    DURATION    := NUMBER ("ms" | "s")   -- the unit followed by no letter,
+                                          -- digit or "_"
+    IDENT       := (letter | "_") { letter | digit | "_" }
+    STRING      := '"' { "\\" any | any but '"', "\\" and newline } '"'
+    PUNCT       := "<=" | ">=" | "==" | "!=" | "{" | "}" | "(" | ")" | ","
+                 | ":" | "=" | "<" | ">" | "+" | "-" | "*" | "/"
+
+An exponent sign with no digit after it is a malformed number.  Lines and
+columns count characters; a column advances over a string's escaped
+newline and stays put over a comment.
+
 Grammar (EBNF):
 
     document    := { const_decl | assertion_decl }
@@ -20,31 +39,44 @@ Grammar (EBNF):
     taglist     := IDENT { "," IDENT }
     duration    := NUMBER ("s" | "ms")
 
-    expr        := or_expr
-    or_expr     := and_expr { "or" and_expr }
-    and_expr    := cmp_expr { "and" cmp_expr }
-    cmp_expr    := add_expr [ ("<"|"<="|">"|">="|"=="|"!=") add_expr ]
-    add_expr    := mul_expr { ("+"|"-") mul_expr }
-    mul_expr    := unary { ("*"|"/") unary }
+    expr        := unary { binop unary }
     unary       := ("not" | "-") unary | atom
     atom        := NUMBER | duration | STRING | "true" | "false"
                  | IDENT "(" [expr {"," expr}] ")" | IDENT | "(" expr ")"
 
-Precedence, loosest first: or < and < comparisons < + - < * / < not/-.
-Comparisons do not chain.  ``//`` starts a line comment.  Numeric literals
-are unit-polymorphic; duration literals carry seconds.
+Binary operators by precedence, loosest first (``_LEVELS``): or < and <
+comparisons < + - < * /; not and unary minus bind tighter than all of
+them.  Each level associates to the left, except that comparisons do not
+chain.  An expression's tree is at most ``MAX_DEPTH`` levels deep, and so
+is the nesting of parentheses, call arguments and unary operands in its
+text.  Numeric literals are unit-polymorphic; duration literals carry
+seconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 
 _CMP_OPS = ("<=", ">=", "==", "!=", "<", ">")
 _KINDS = ("invariant", "execution", "pre_temporal", "pre_physical",
           "post_temporal", "post_physical")
-_SEVERITIES = ("safety", "performance")
-_MODES = ("first", "all")
-_ON_MISSING = ("fail", "pass", "not_applicable")
+# optional fields with a fixed set of values, in the order they may appear:
+# (field, token description, error noun, values with the default first)
+_OPTIONS = (("severity", "severity", "severity", ("safety", "performance")),
+            ("mode", "reference mode", "mode", ("first", "all")),
+            ("on_missing", "missing-actor policy", "policy",
+             ("fail", "pass", "not_applicable")))
+
+#: binary operators by precedence level, loosest first
+_LEVELS = (("or",), ("and",), _CMP_OPS, ("+", "-"), ("*", "/"))
+_LEVEL_OF = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
+_CMP_LEVEL = _LEVEL_OF["<"]
+_UNARY_LEVEL = len(_LEVELS)
+
+#: deepest expression accepted, so that no recursive walk of one overflows
+MAX_DEPTH = 200
+TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 @dataclass(frozen=True)
@@ -63,10 +95,9 @@ class ParseError(ValueError):
         self.line = line
         self.col = col
         self.expected = tuple(expected)
-        suffix = ""
         if self.expected:
-            suffix = f" (expected {', '.join(self.expected)})"
-        super().__init__(f"{line}:{col}: {message}{suffix}")
+            message += f" (expected {', '.join(self.expected)})"
+        super().__init__(f"{line}:{col}: {message}")
 
 
 # --- AST ------------------------------------------------------------------
@@ -159,6 +190,18 @@ class Document:
     assertions: tuple
 
 
+def children(node: Expr) -> list:
+    """The sub-expressions of ``node``, in field order."""
+    out = []
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, Expr):
+            out.append(value)
+        elif isinstance(value, tuple):
+            out.extend(value)
+    return out
+
+
 # --- Lexer ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -169,111 +212,73 @@ class Token:
     col: int
 
 
+# each match is the blanks before one item; "bad" is any other character
+_TOKEN = re.compile(r"""
+    (?P<blanks>[ \t\r]*)
+    (?: (?P<newline>\n)
+      | (?P<comment>//[^\n]*)
+      | (?P<NUMBER>(?P<digits>(?:\d+\.?\d*|\.\d+)(?:[eE](?=[-+\d])[-+]?\d*)?)
+                   (?:(?P<unit>m?s)(?!\w))?)
+      | (?P<IDENT>\w+)
+      | (?P<STRING>"(?P<body>(?:\\[\s\S]|[^"\\\n])*)")
+      | (?P<PUNCT>[<>=!]=|[{}(),:=<>+\-*/])
+      | (?P<bad>[\s\S])
+      | \Z )
+""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+
 def _lex(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line = col = 1
+    pos = 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        col += len(m["blanks"])
+        kind = m.lastgroup
+        if kind == "blanks":            # nothing but blanks after them
+            break
+        raw = m[kind]
+        pos = m.end()
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":           # leaves the column where it is
             continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = seen_exp = False
-            while j < n:
-                c = text[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j + 1 < n and (
-                        text[j + 1].isdigit() or text[j + 1] in "+-"):
-                    seen_exp = True
-                    j += 1
-                    if text[j] in "+-":
-                        j += 1
-                else:
-                    break
-            raw = text[i:j]
+        if kind == "bad" or (kind == "IDENT" and not (
+                raw[0].isalpha() or raw[0] == "_")):
+            if raw == '"':
+                raise ParseError("unterminated string", line, col)
+            raise ParseError(f"unexpected character {raw[0]!r}", line, col)
+        value = raw
+        if kind == "NUMBER":
             try:
-                value = float(raw)
+                value = float(m["digits"])
             except ValueError:
-                raise ParseError(f"malformed number {raw!r}", line, start_col)
-            # духation suffix: s or ms not followed by more identifier chars
-            if j < n and text[j] == "m" and j + 1 < n and text[j + 1] == "s" \
-                    and (j + 2 >= n or not (text[j + 2].isalnum() or text[j + 2] == "_")):
-                tokens.append(Token("DURATION", value / 1000.0, line, start_col))
-                j += 2
-            elif j < n and text[j] == "s" and (
-                    j + 1 >= n or not (text[j + 1].isalnum() or text[j + 1] == "_")):
-                tokens.append(Token("DURATION", value, line, start_col))
-                j += 1
-            else:
-                tokens.append(Token("NUMBER", value, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", line, start_col)
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, start_col)
-            tokens.append(Token("STRING", "".join(buf), line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        two = text[i:i + 2]
-        if two in ("<=", ">=", "==", "!="):
-            tokens.append(Token("PUNCT", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{}(),:=<>+-*/":
-            tokens.append(Token("PUNCT", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+                raise ParseError(f"malformed number {m['digits']!r}",
+                                 line, col) from None
+            if m["unit"]:
+                kind = "DURATION"
+                if m["unit"] == "ms":
+                    value /= 1000.0
+        elif kind == "STRING":
+            value = _ESCAPE.sub(r"\1", m["body"])
+        tokens.append(Token(kind, value, line, col))
+        col += len(raw)
     tokens.append(Token("EOF", None, line, col))
     return tokens
 
 
 # --- Parser ---------------------------------------------------------------
 
+_LITERALS = {"NUMBER": NumberLit, "DURATION": DurationLit, "STRING": StringLit}
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0      # operands being parsed, one per nesting level
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -287,23 +292,29 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col, expected)
 
-    def expect_punct(self, value) -> Token:
+    def found(self, expected):
+        """Report the next token where ``expected`` should stand."""
         tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == value:
-            return self.next()
         got = repr(tok.value) if tok.kind != "EOF" else "end of input"
-        self.error(f"found {got}", expected=(repr(value),))
+        self.error(f"found {got}", expected=(expected,))
+
+    def expect_punct(self, value) -> Token:
+        if self.at_punct(value):
+            return self.next()
+        self.found(repr(value))
 
     def expect_ident(self, description="identifier") -> Token:
-        tok = self.peek()
-        if tok.kind == "IDENT":
+        if self.peek().kind == "IDENT":
             return self.next()
-        got = repr(tok.value) if tok.kind != "EOF" else "end of input"
-        self.error(f"found {got}", expected=(description,))
+        self.found(description)
 
     def at_ident(self, value) -> bool:
         tok = self.peek()
         return tok.kind == "IDENT" and tok.value == value
+
+    def at_punct(self, value) -> bool:
+        tok = self.peek()
+        return tok.kind == "PUNCT" and tok.value == value
 
     # -- document --
 
@@ -339,12 +350,19 @@ class _Parser:
         if self.at_ident(name):
             save = self.pos
             self.next()
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.value == ":":
+            if self.at_punct(":"):
                 self.next()
                 return True
             self.pos = save
         return False
+
+    def _choice(self, description, noun, values) -> Token:
+        """An identifier that must be one of ``values``."""
+        tok = self.expect_ident(description)
+        if tok.value not in values:
+            raise ParseError(f"unknown {noun} {tok.value!r}",
+                             tok.line, tok.col, expected=values)
+        return tok
 
     def parse_assertion(self) -> AssertionDecl:
         kw = self.next()
@@ -355,16 +373,13 @@ class _Parser:
             self.error("assertion body must start with the odd tag list",
                        expected=("'odd:'",))
         tags = [self.expect_ident("ODD tag").value]
-        while self.peek().kind == "PUNCT" and self.peek().value == ",":
+        while self.at_punct(","):
             self.next()
             tags.append(self.expect_ident("ODD tag").value)
 
         if not self._field("type"):
             self.error("expected the assertion type", expected=("'type:'",))
-        kind_tok = self.expect_ident("assertion kind")
-        if kind_tok.value not in _KINDS:
-            raise ParseError(f"unknown assertion kind {kind_tok.value!r}",
-                             kind_tok.line, kind_tok.col, expected=_KINDS)
+        kind_tok = self._choice("assertion kind", "assertion kind", _KINDS)
         kind = kind_tok.value
 
         window = None
@@ -377,36 +392,14 @@ class _Parser:
             if tok.value <= 0.0:
                 raise ParseError("window must be positive", tok.line, tok.col)
             window = tok.value
-        if kind in ("invariant", "execution") and window is not None:
-            raise ParseError(f"{kind} assertions take no window",
-                             kind_tok.line, kind_tok.col)
-        if kind not in ("invariant", "execution") and window is None:
-            raise ParseError(f"{kind} assertions require a window",
+        if (kind in ("invariant", "execution")) != (window is None):
+            need = "require a" if window is None else "take no"
+            raise ParseError(f"{kind} assertions {need} window",
                              kind_tok.line, kind_tok.col)
 
-        severity = "safety"
-        if self._field("severity"):
-            tok = self.expect_ident("severity")
-            if tok.value not in _SEVERITIES:
-                raise ParseError(f"unknown severity {tok.value!r}",
-                                 tok.line, tok.col, expected=_SEVERITIES)
-            severity = tok.value
-
-        mode = "first"
-        if self._field("mode"):
-            tok = self.expect_ident("reference mode")
-            if tok.value not in _MODES:
-                raise ParseError(f"unknown mode {tok.value!r}",
-                                 tok.line, tok.col, expected=_MODES)
-            mode = tok.value
-
-        on_missing = "fail"
-        if self._field("on_missing"):
-            tok = self.expect_ident("missing-actor policy")
-            if tok.value not in _ON_MISSING:
-                raise ParseError(f"unknown policy {tok.value!r}",
-                                 tok.line, tok.col, expected=_ON_MISSING)
-            on_missing = tok.value
+        severity, mode, on_missing = (
+            self._choice(*spec).value if self._field(key) else spec[-1][0]
+            for key, *spec in _OPTIONS)
 
         reference = None
         if self._field("reference"):
@@ -431,86 +424,51 @@ class _Parser:
 
     # -- expressions --
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at_ident("or"):
-            tok = self.next()
-            right = self.parse_and()
-            left = BinaryOp(op="or", left=left, right=right,
-                            span=Span(tok.line, tok.col))
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_cmp()
-        while self.at_ident("and"):
-            tok = self.next()
-            right = self.parse_cmp()
-            left = BinaryOp(op="and", left=left, right=right,
-                            span=Span(tok.line, tok.col))
-        return left
-
-    def parse_cmp(self) -> Expr:
-        left = self.parse_add()
+    def operator_level(self):
+        """The ``_LEVELS`` index of the next token as a binary operator."""
         tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value in _CMP_OPS:
-            self.next()
-            right = self.parse_add()
-            nxt = self.peek()
-            if nxt.kind == "PUNCT" and nxt.value in _CMP_OPS:
-                self.error("comparisons do not chain; parenthesise")
-            return Compare(op=tok.value, left=left, right=right,
-                           span=Span(tok.line, tok.col))
-        return left
+        return None if tok.kind == "STRING" else _LEVEL_OF.get(tok.value)
 
-    def parse_add(self) -> Expr:
-        left = self.parse_mul()
-        while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.value in ("+", "-"):
-                self.next()
-                right = self.parse_mul()
-                left = BinaryOp(op=tok.value, left=left, right=right,
-                                span=Span(tok.line, tok.col))
-            else:
-                return left
-
-    def parse_mul(self) -> Expr:
+    def parse_expr(self, min_level=0) -> Expr:
+        """Operators of level ``min_level`` or tighter, by precedence
+        climbing: a right operand takes only tighter operators, so each
+        level associates to the left."""
         left = self.parse_unary()
         while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.value in ("*", "/"):
-                self.next()
-                right = self.parse_unary()
-                left = BinaryOp(op=tok.value, left=left, right=right,
-                                span=Span(tok.line, tok.col))
-            else:
+            level = self.operator_level()
+            if level is None or level < min_level:
                 return left
+            tok = self.next()
+            right = self.parse_expr(level + 1)
+            cls = Compare if level == _CMP_LEVEL else BinaryOp
+            left = cls(op=tok.value, left=left, right=right,
+                       span=Span(tok.line, tok.col))
+            if level == _CMP_LEVEL and self.operator_level() == _CMP_LEVEL:
+                self.error("comparisons do not chain; parenthesise")
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
+        span = Span(tok.line, tok.col)
+        if self.depth == MAX_DEPTH:
+            self.error(TOO_DEEP)
+        self.depth += 1
         if self.at_ident("not"):
             self.next()
-            return Not(operand=self.parse_unary(), span=Span(tok.line, tok.col))
-        if tok.kind == "PUNCT" and tok.value == "-":
+            node = Not(operand=self.parse_unary(), span=span)
+        elif self.at_punct("-"):
             self.next()
-            return Neg(operand=self.parse_unary(), span=Span(tok.line, tok.col))
-        return self.parse_atom()
+            node = Neg(operand=self.parse_unary(), span=span)
+        else:
+            node = self.parse_atom()
+        self.depth -= 1
+        return node
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
         span = Span(tok.line, tok.col)
-        if tok.kind == "NUMBER":
+        if tok.kind in _LITERALS:
             self.next()
-            return NumberLit(value=tok.value, span=span)
-        if tok.kind == "DURATION":
-            self.next()
-            return DurationLit(seconds=tok.value, span=span)
-        if tok.kind == "STRING":
-            self.next()
-            return StringLit(value=tok.value, span=span)
+            return _LITERALS[tok.kind](tok.value, span=span)
         if tok.kind == "IDENT":
             if tok.value in ("true", "false"):
                 self.next()
@@ -518,30 +476,42 @@ class _Parser:
             if tok.value in ("and", "or", "not"):
                 self.error(f"{tok.value!r} is not a value")
             self.next()
-            nxt = self.peek()
-            if nxt.kind == "PUNCT" and nxt.value == "(":
-                self.next()
-                args = []
-                if not (self.peek().kind == "PUNCT" and self.peek().value == ")"):
+            if not self.at_punct("("):
+                return NameRef(name=tok.value, span=span)
+            self.next()
+            args = []
+            if not self.at_punct(")"):
+                args.append(self.parse_expr())
+                while self.at_punct(","):
+                    self.next()
                     args.append(self.parse_expr())
-                    while self.peek().kind == "PUNCT" and self.peek().value == ",":
-                        self.next()
-                        args.append(self.parse_expr())
-                self.expect_punct(")")
-                return Call(name=tok.value, args=tuple(args), span=span)
-            return NameRef(name=tok.value, span=span)
-        if tok.kind == "PUNCT" and tok.value == "(":
+            self.expect_punct(")")
+            return Call(name=tok.value, args=tuple(args), span=span)
+        if self.at_punct("("):
             self.next()
             inner = self.parse_expr()
             self.expect_punct(")")
             return inner
-        got = repr(tok.value) if tok.kind != "EOF" else "end of input"
-        self.error(f"found {got}", expected=("an expression",))
+        self.found("an expression")
+
+
+def _check_depth(exprs):
+    """Raise ParseError at a node nested deeper than ``MAX_DEPTH``."""
+    stack = [(expr, 1) for expr in exprs]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ParseError(TOO_DEEP, node.span.line, node.span.col)
+        stack.extend((child, depth + 1) for child in children(node))
 
 
 def parse(text: str) -> Document:
     """Parse a document; raises ParseError with line:column on bad input."""
-    return _Parser(_lex(text)).parse_document()
+    doc = _Parser(_lex(text)).parse_document()
+    _check_depth([c.expr for c in doc.consts]
+                 + [e for a in doc.assertions
+                    for e in (a.reference, a.condition) if e is not None])
+    return doc
 
 
 def parse_expression(text: str) -> Expr:
@@ -550,23 +520,24 @@ def parse_expression(text: str) -> Expr:
     expr = parser.parse_expr()
     if parser.peek().kind != "EOF":
         parser.error("trailing input after expression")
+    _check_depth([expr])
     return expr
 
 
 # --- Pretty-printer -------------------------------------------------------
 
-_PREC = {"or": 1, "and": 2, "cmp": 3, "+": 4, "-": 4, "*": 5, "/": 5,
-         "unary": 6, "atom": 7}
-
-
-def _prec(node: Expr) -> int:
-    if isinstance(node, BinaryOp):
-        return _PREC[node.op]
-    if isinstance(node, Compare):
-        return _PREC["cmp"]
+def _level(node: Expr) -> int:
+    """Binding strength: a ``_LEVELS`` index, then unary, then atoms."""
+    if isinstance(node, (BinaryOp, Compare)):
+        return _LEVEL_OF[node.op]
     if isinstance(node, (Not, Neg)):
-        return _PREC["unary"]
-    return _PREC["atom"]
+        return _UNARY_LEVEL
+    return _UNARY_LEVEL + 1
+
+
+def _operand(node: Expr, min_level: int) -> str:
+    text = format_expr(node)
+    return f"({text})" if _level(node) < min_level else text
 
 
 def format_expr(node: Expr) -> str:
@@ -584,32 +555,15 @@ def format_expr(node: Expr) -> str:
     if isinstance(node, Call):
         return f"{node.name}({', '.join(format_expr(a) for a in node.args)})"
     if isinstance(node, Not):
-        inner = format_expr(node.operand)
-        if _prec(node.operand) < _PREC["unary"]:
-            inner = f"({inner})"
-        return f"not {inner}"
+        return f"not {_operand(node.operand, _UNARY_LEVEL)}"
     if isinstance(node, Neg):
-        inner = format_expr(node.operand)
-        if _prec(node.operand) < _PREC["unary"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Compare):
-        lhs, rhs = format_expr(node.left), format_expr(node.right)
-        if _prec(node.left) <= _PREC["cmp"]:
-            lhs = f"({lhs})"
-        if _prec(node.right) <= _PREC["cmp"]:
-            rhs = f"({rhs})"
-        return f"{lhs} {node.op} {rhs}"
-    if isinstance(node, BinaryOp):
-        prec = _PREC[node.op]
-        lhs, rhs = format_expr(node.left), format_expr(node.right)
-        if _prec(node.left) < prec:
-            lhs = f"({lhs})"
-        # operators parse left-associative, so a right child at equal
-        # precedence must keep its parentheses to re-parse identically
-        if _prec(node.right) <= prec:
-            rhs = f"({rhs})"
-        return f"{lhs} {node.op} {rhs}"
+        return f"-{_operand(node.operand, _UNARY_LEVEL)}"
+    if isinstance(node, (BinaryOp, Compare)):
+        # as the parser reads it: a right operand at the same level keeps
+        # its parentheses, and so does either side of a comparison
+        level = _LEVEL_OF[node.op]
+        lhs = _operand(node.left, level + (level == _CMP_LEVEL))
+        return f"{lhs} {node.op} {_operand(node.right, level + 1)}"
     raise TypeError(f"unknown expression node {type(node).__name__}")
 
 

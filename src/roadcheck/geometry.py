@@ -147,8 +147,8 @@ def _project(poly: ConvexPolygon, ax: float, ay: float) -> tuple[float, float]:
     return lo, hi
 
 
-def overlaps(a: ConvexPolygon, b: ConvexPolygon) -> bool:
-    """Closed-set overlap test via separating axes; touching counts."""
+def _separated(a: ConvexPolygon, b: ConvexPolygon) -> bool:
+    """True iff an edge normal of either polygon separates them."""
     for poly in (a, b):
         for (x1, y1), (x2, y2) in poly.edges():
             # outward normal of a CCW edge
@@ -156,8 +156,13 @@ def overlaps(a: ConvexPolygon, b: ConvexPolygon) -> bool:
             alo, ahi = _project(a, ax, ay)
             blo, bhi = _project(b, ax, ay)
             if alo > bhi or blo > ahi:
-                return False
-    return True
+                return True
+    return False
+
+
+def overlaps(a: ConvexPolygon, b: ConvexPolygon) -> bool:
+    """Closed-set overlap test via separating axes; touching counts."""
+    return not _separated(a, b)
 
 
 def _support(poly: ConvexPolygon, dx: float, dy: float) -> tuple[float, float]:
@@ -244,7 +249,8 @@ def _clip_halfplane(points, ax, ay, bx, by):
 
 
 def overlap_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """Area of the intersection (convex clip); 0.0 when disjoint."""
+    """Area of the intersection (convex clip); 0.0 whenever ``overlaps``
+    calls the polygons disjoint, however small the clip's rounding left."""
     pts = list(a.vertices)
     for (p, q) in b.edges():
         pts = _clip_halfplane(pts, p[0], p[1], q[0], q[1])
@@ -256,7 +262,9 @@ def overlap_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
         ax_, ay_ = pts[i]
         bx_, by_ = pts[(i + 1) % n]
         area2 += ax_ * by_ - bx_ * ay_
-    return max(0.0, 0.5 * area2)
+    if area2 <= 0.0 or _separated(a, b):
+        return 0.0
+    return 0.5 * area2
 
 
 def danger_space(pose: Pose2D, dims: BoxDims, ds_length: float):

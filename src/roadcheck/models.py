@@ -54,15 +54,8 @@ class UndefinedTtcError(ModelError):
     """Time to collision is undefined for a non-positive closing speed."""
 
 
-@dataclass(frozen=True)
-class StoppingCoefficients:
-    a: float = 0.300
-    b: float = 0.058
-    c: float = -0.011
-    d: float = 0.015
-
-
-DEFAULT_COEFFICIENTS = StoppingCoefficients()
+# Rule 126 regression coefficients a, b, c, d of the module docstring
+_SD_A, _SD_B, _SD_C, _SD_D = 0.300, 0.058, -0.011, 0.015
 
 
 @dataclass(frozen=True)
@@ -75,22 +68,18 @@ class StoppingDistance:
         return self.thinking + self.braking
 
 
-def stopping_distance(v_mph: float,
-                      coeffs: StoppingCoefficients = DEFAULT_COEFFICIENTS
-                      ) -> StoppingDistance:
+def stopping_distance(v_mph: float) -> StoppingDistance:
     """Thinking + braking distance in metres for a speed in mph."""
     if v_mph < 0.0:
         raise ModelError(f"speed must be >= 0 mph, got {v_mph}")
-    thinking = coeffs.a * v_mph
-    braking = coeffs.b + coeffs.c * v_mph + coeffs.d * v_mph * v_mph
+    thinking = _SD_A * v_mph
+    braking = _SD_B + _SD_C * v_mph + _SD_D * v_mph * v_mph
     return StoppingDistance(thinking=thinking, braking=braking)
 
 
-def danger_space_length(v_mph: float,
-                        coeffs: StoppingCoefficients = DEFAULT_COEFFICIENTS
-                        ) -> float:
+def danger_space_length(v_mph: float) -> float:
     """Length of the forward danger space: equal to the stopping distance."""
-    return stopping_distance(v_mph, coeffs).total
+    return stopping_distance(v_mph).total
 
 
 @dataclass(frozen=True)
@@ -145,16 +134,15 @@ def manoeuvre_time(profile: DrivingProfile, geom: ManoeuvreGeometry) -> float:
     return t_pull_out + t_pass + t_cut_in
 
 
-def safe_distance_ahead(profile: DrivingProfile, geom: ManoeuvreGeometry,
-                        coeffs: StoppingCoefficients = DEFAULT_COEFFICIENTS
-                        ) -> float:
+def safe_distance_ahead(profile: DrivingProfile,
+                        geom: ManoeuvreGeometry) -> float:
     """Required gap to the oncoming vehicle at the start of the overtake.
 
     Closure during the manoeuvre plus the oncoming vehicle's own danger
     space, evaluated at its measured speed.
     """
     t_total = manoeuvre_time(profile, geom)
-    ds_ov = danger_space_length(mps_to_mph(geom.v_ov), coeffs)
+    ds_ov = danger_space_length(mps_to_mph(geom.v_ov))
     return (geom.v_av + geom.v_ov) * t_total + ds_ov
 
 
@@ -229,6 +217,9 @@ def load_profiles(source=None) -> ModelConfig:
         return _profiles_from_doc(json.loads(text))
     except ModelError:
         raise
+    except RecursionError:
+        raise ModelError("malformed profile config: "
+                         "JSON nested too deeply") from None
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ModelError(f"malformed profile config: {what}") from exc

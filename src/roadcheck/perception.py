@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .models import MPH_TO_MPS, ModelConfig, default_profiles
+from .models import MPH_TO_MPS, default_profiles
 from .trace import ActorState, Trace
 from .geometry import BoxDims, Pose2D
 from .worldmap import read_text
@@ -106,17 +106,11 @@ class CameraCalibration:
             "frame_centre_px": self.frame_centre_px}, sort_keys=True, indent=2)
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Reconstruction assumptions for the 2-D scenario."""
-
-    av_speed_mph: float = 60.0
-    av_length: float = 4.5
-    av_width: float = 2.0
-    lane_width: float = 3.65
-    class_lengths: dict = field(default_factory=lambda: {
-        "car": 4.5, "goods_vehicle": 8.0})
-    model: ModelConfig = field(default_factory=default_profiles)
+# reconstruction assumptions for the 2-D scenario
+AV_LENGTH = 4.5
+AV_WIDTH = 2.0
+LANE_WIDTH = 3.65
+CLASS_LENGTHS = {"car": 4.5, "goods_vehicle": 8.0}
 
 
 def longitudinal_distance(rec: DetectionRecord, cal: CameraCalibration) -> float:
@@ -145,37 +139,46 @@ def load_detections(source):
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise PerceptionError(f"invalid JSON: {exc.msg}", index) from exc
-        t = float(obj["t"])
+        except RecursionError:
+            raise PerceptionError("invalid JSON: nested too deeply",
+                                  index) from None
+        if not isinstance(obj, dict):
+            raise PerceptionError("record is not a JSON object", index)
+        try:
+            t = float(obj["t"])
+            frame = int(obj.get("frame", 0))
+            if "line_px" in obj:
+                record = LineRecord(frame_index=frame, t=t,
+                                    line_px=float(obj["line_px"]))
+            else:
+                record = DetectionRecord(
+                    frame_index=frame, t=t,
+                    actor_class=str(obj["class"]),
+                    box_width_px=float(obj["box_width_px"]),
+                    box_centre_px=float(obj.get("box_centre_px", 0.0)),
+                    role_hint=str(obj.get("role_hint", "unknown")))
+        except KeyError as exc:
+            raise PerceptionError(f"missing field {exc.args[0]!r}", index) from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise PerceptionError(str(exc), index) from exc
         if last_t is not None and t < last_t:
             raise PerceptionError(f"out-of-order timestamp {t}", index)
         last_t = t
-        frame = int(obj.get("frame", 0))
-        if "line_px" in obj:
-            lines.append(LineRecord(frame_index=frame, t=t,
-                                    line_px=float(obj["line_px"])))
-            continue
-        try:
-            detections.append(DetectionRecord(
-                frame_index=frame, t=t,
-                actor_class=str(obj["class"]),
-                box_width_px=float(obj["box_width_px"]),
-                box_centre_px=float(obj.get("box_centre_px", 0.0)),
-                role_hint=str(obj.get("role_hint", "unknown"))))
-        except KeyError as exc:
-            raise PerceptionError(f"missing field {exc.args[0]!r}", index) from exc
+        (lines if isinstance(record, LineRecord) else detections).append(record)
     return detections, lines
 
 
 def boxes_to_trace(detections, line_records, cal: CameraCalibration,
-                   config: EstimatorConfig | None = None) -> Trace:
+                   av_speed_mph: float = 60.0) -> Trace:
     """Reconstruct a world-frame trace from per-frame detections.
 
     The ego advances at the assumed speed; its lateral position comes from
     the lane-line records.  Detected vehicles sit at their estimated range
     ahead of the ego, at fixed lateral offsets of half a lane width each
-    side of the line.  Speeds are worst-case class limits.
+    side of the line.  Speeds are the packaged profiles' worst-case class
+    limits.
     """
-    config = config or EstimatorConfig()
+    worst_case_speed_mph = default_profiles().worst_case_speed_mph
     by_t: dict = {}
     for rec in detections:
         by_t.setdefault(rec.t, []).append(rec)
@@ -186,8 +189,8 @@ def boxes_to_trace(detections, line_records, cal: CameraCalibration,
     times = sorted(set(by_t) | set(line_by_t))
     if not times:
         raise PerceptionError("no detection records")
-    v_av = config.av_speed_mph * MPH_TO_MPS
-    half_lane = config.lane_width / 2.0
+    v_av = av_speed_mph * MPH_TO_MPS
+    half_lane = LANE_WIDTH / 2.0
 
     steps = []
     last_offset = -half_lane
@@ -210,7 +213,7 @@ def boxes_to_trace(detections, line_records, cal: CameraCalibration,
             heading = math.atan2(y - y0, x - x0)
         av_states.append(ActorState(
             actor_id="ego", role="AV", t=t, pose=Pose2D(x, y, heading),
-            dims=BoxDims(config.av_length, config.av_width), speed=v_av))
+            dims=BoxDims(AV_LENGTH, AV_WIDTH), speed=v_av))
 
     out_steps = []
     for i, (t, x_av, _, recs) in enumerate(steps):
@@ -224,12 +227,12 @@ def boxes_to_trace(detections, line_records, cal: CameraCalibration,
             else:
                 y = -half_lane
                 heading = 0.0
-            v = config.model.worst_case_speed_mph[rec.actor_class] * MPH_TO_MPS
+            v = worst_case_speed_mph[rec.actor_class] * MPH_TO_MPS
             actor_id = f"{role.lower()}_{rec.actor_class}"
             step[actor_id] = ActorState(
                 actor_id=actor_id, role=role, t=t,
                 pose=Pose2D(x_av + s, y, heading),
-                dims=BoxDims(config.class_lengths[rec.actor_class],
+                dims=BoxDims(CLASS_LENGTHS[rec.actor_class],
                              cal.assumed_vehicle_width),
                 speed=v,
                 low_confidence=rec.box_width_px < LOW_CONFIDENCE_PX)
@@ -238,14 +241,12 @@ def boxes_to_trace(detections, line_records, cal: CameraCalibration,
     return Trace(times=tuple(times), steps=tuple(out_steps), dt=dt)
 
 
-def trace_to_detections(trace: Trace, cal: CameraCalibration,
-                        config: EstimatorConfig | None = None) -> str:
+def trace_to_detections(trace: Trace, cal: CameraCalibration) -> str:
     """Synthesise a detection JSONL from a trace (fixture generation).
 
     Inverts the pinhole range model for every VBP/OV ahead of the ego and
     emits a lane-line record per frame from the ego's lateral position.
     """
-    config = config or EstimatorConfig()
     lines = []
     for frame, step in enumerate(trace.steps):
         av = next((s for s in step.values() if s.role == "AV"), None)

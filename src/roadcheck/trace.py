@@ -231,13 +231,16 @@ def iter_steps(lines):
         index += 1
         try:
             obj, end = _decode(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             end = None
         if end != len(line):    # json.loads words the error of this line
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"invalid JSON: {exc.msg}", index) from exc
+            except RecursionError:
+                raise TraceError("invalid JSON: nested too deeply",
+                                 index) from None
         state = _parse_record(obj, index, dims_seen)
         aid = state.actor_id
         if step and state.t < t:

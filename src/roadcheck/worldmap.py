@@ -253,6 +253,8 @@ def load_map(source) -> RoadMap:
     except json.JSONDecodeError as exc:
         raise MapError(f"invalid JSON: {exc.msg}",
                        location=f"line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError:
+        raise MapError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise MapError("top-level value must be an object")
     _check_keys(doc, _TOP_KEYS, "map document")

@@ -205,6 +205,58 @@ class TestBadProfiles:
         assert "malformed profile config" in res.output
 
 
+def _nested_condition(kind):
+    if kind == "parens":
+        return "(" * 5000 + "true" + ")" * 5000
+    if kind == "not":
+        return "not " * 5000 + "true"
+    return " + ".join(["1"] * 2000) + " > 0"
+
+
+class TestDeepNesting:
+    """Input nested past what the readers accept is a usage error (exit 2)
+    with a message, never a RecursionError traceback and exit 1."""
+
+    @pytest.mark.parametrize("kind", ["parens", "not", "chain"])
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_rules(self, fixture_dir, tmp_path, command, kind):
+        rules = tmp_path / "deep.rules"
+        rules.write_text("assertion deep { odd: x type: invariant condition: "
+                         + _nested_condition(kind) + " }")
+        res = invoke(fixture_dir, command, "--rules", str(rules))
+        no_traceback(res)
+        assert res.exit_code == 2
+        assert "nested deeper than 200 levels" in res.output
+
+    @pytest.mark.parametrize("option", ["--map", "--profiles"])
+    @pytest.mark.parametrize("command", ["check", "monitor", "zones"])
+    def test_json_inputs(self, fixture_dir, tmp_path, command, option):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        map_path = deep if option == "--map" else fixture_dir / "safe_map.json"
+        args = [command, "--map", str(map_path)]
+        if option == "--profiles":
+            args += ["--profiles", str(deep)]
+        trace = fixture_dir / "safe_trace.jsonl"
+        if command == "monitor":
+            res = runner.invoke(main, args, input=trace.read_text())
+        else:
+            res = runner.invoke(main, args + ["--trace", str(trace)])
+        no_traceback(res)
+        assert res.exit_code == 2
+        assert "nested too deeply" in res.output
+
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_trace_line(self, fixture_dir, tmp_path, command):
+        lines = (fixture_dir / "safe_trace.jsonl").read_text().splitlines()
+        trace = tmp_path / "deep_trace.jsonl"
+        trace.write_text("\n".join(lines[:3] + ["[" * 100_000]) + "\n")
+        res = invoke(fixture_dir, command, trace=trace)
+        no_traceback(res)
+        assert res.exit_code == 2
+        assert "error: record 3: invalid JSON: nested too deeply" in res.output
+
+
 _DELETE = object()
 
 

@@ -1,8 +1,7 @@
 import pytest
 
 from roadcheck import dsl
-from roadcheck.checker import (TypecheckError, compile_text, serialise_plan,
-                               typecheck)
+from roadcheck.checker import TypecheckError, compile_text, typecheck
 from roadcheck.dsl import (BinaryOp, Call, Compare, Document, DurationLit,
                            Not, NumberLit, ParseError, StringLit, format_document,
                            format_expr, parse, parse_expression)
@@ -97,6 +96,61 @@ class TestParse:
         for text in bad:
             with pytest.raises(ParseError):
                 parse(text)
+
+
+# tokens as (kind, value, line, col), EOF included, or the lexical error as
+# (message, line, col); a digit that is not a decimal digit, such as a
+# superscript two, is an unexpected character, not part of a number
+LEXER_TABLE = [
+    ("1e+", ("malformed number '1e+'", 1, 1)),
+    ("1e-", ("malformed number '1e-'", 1, 1)),
+    ("5ms", [("DURATION", 0.005, 1, 1), ("EOF", None, 1, 4)]),
+    ("2sx", [("NUMBER", 2.0, 1, 1), ("IDENT", "sx", 1, 2),
+             ("EOF", None, 1, 4)]),
+    ("5msx 3s", [("NUMBER", 5.0, 1, 1), ("IDENT", "msx", 1, 2),
+                 ("DURATION", 3.0, 1, 6), ("EOF", None, 1, 8)]),
+    ("1e5s .5e-1ms", [("DURATION", 100000.0, 1, 1), ("DURATION", 5e-05, 1, 6),
+                      ("EOF", None, 1, 13)]),
+    (".5", [("NUMBER", 0.5, 1, 1), ("EOF", None, 1, 3)]),
+    ("1.2.3", [("NUMBER", 1.2, 1, 1), ("NUMBER", 0.3, 1, 4),
+               ("EOF", None, 1, 6)]),
+    ('"a\\"b"', [("STRING", 'a"b', 1, 1), ("EOF", None, 1, 7)]),
+    ('"a\\\nb" x', [("STRING", "a\nb", 1, 1), ("IDENT", "x", 1, 8),
+                     ("EOF", None, 1, 9)]),
+    ("x // tail", [("IDENT", "x", 1, 1), ("EOF", None, 1, 3)]),
+    ("x\r\n\ty", [("IDENT", "x", 1, 1), ("IDENT", "y", 2, 2),
+                  ("EOF", None, 2, 3)]),
+    ("a <= b != c", [("IDENT", "a", 1, 1), ("PUNCT", "<=", 1, 3),
+                     ("IDENT", "b", 1, 6), ("PUNCT", "!=", 1, 8),
+                     ("IDENT", "c", 1, 11), ("EOF", None, 1, 12)]),
+    ("\u0663", [("NUMBER", 3.0, 1, 1), ("EOF", None, 1, 2)]),  # Arabic-Indic 3
+    ("\u2167", ("unexpected character '\u2167'", 1, 1)),  # Roman numeral 8
+    ("x !y", ("unexpected character '!'", 1, 3)),
+    ('"open', ("unterminated string", 1, 1)),
+    ('a\n  "open\nb"', ("unterminated string", 2, 3)),
+    ("\u00b2", ("unexpected character '\u00b2'", 1, 1)),  # superscript 2
+]
+
+
+class TestLexer:
+    @pytest.mark.parametrize("text, expected", LEXER_TABLE,
+                             ids=[repr(text) for text, _ in LEXER_TABLE])
+    def test_tokens_and_errors(self, text, expected):
+        if isinstance(expected, list):
+            assert [(t.kind, t.value, t.line, t.col)
+                    for t in dsl._lex(text)] == expected
+        else:
+            with pytest.raises(ParseError) as err:
+                dsl._lex(text)
+            message, line, col = expected
+            assert str(err.value) == f"{line}:{col}: {message}"
+            assert (err.value.line, err.value.col) == (line, col)
+
+    def test_chained_comparison_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_expression("a <= b != c")
+        assert str(err.value) == "1:8: comparisons do not chain; parenthesise"
+        assert err.value.expected == ()
 
 
 class TestPrecedence:
@@ -201,13 +255,48 @@ class TestTypecheck:
 
 
 class TestCompilationDeterminism:
-    def test_identical_text_identical_plan_bytes(self):
-        p1 = serialise_plan(compile_text(RULE162_SDA))
-        p2 = serialise_plan(compile_text(RULE162_SDA))
-        assert p1 == p2
-
     def test_format_then_compile_identical(self):
         doc = parse(DANGER_SPACE_RULES)
-        p1 = serialise_plan(typecheck(doc))
-        p2 = serialise_plan(compile_text(format_document(doc)))
-        assert p1 == p2
+        direct = typecheck(doc).assertions
+        again = compile_text(format_document(doc)).assertions
+        assert again == direct
+
+
+class TestNestingLimit:
+    """Expressions nest at most dsl.MAX_DEPTH levels, in the text and once
+    constants are inlined; deeper input is an error with a location."""
+
+    @pytest.mark.parametrize("text", [
+        "(" * 150 + "1" + ")" * 150,
+        "not " * 150 + "true",
+        " + ".join(["1"] * 150),
+        "f(" * 150 + ")" * 150,
+    ], ids=["parens", "not", "chain", "calls"])
+    def test_within_limit_parses(self, text):
+        parse_expression(text)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 5000 + "1" + ")" * 5000,
+        "not " * 5000 + "true",
+        "- " * 5000 + "1",
+        " + ".join(["1"] * 2000),
+        "f(" * 5000 + ")" * 5000,
+    ], ids=["parens", "not", "neg", "chain", "calls"])
+    def test_too_deep_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested deeper than 200") as err:
+            parse_expression(text)
+        assert err.value.line == 1 and err.value.col >= 1
+
+    def test_too_deep_after_inlining(self):
+        chain = " + ".join(["1"] * 150)
+        text = (f"const c0 = {chain}\nconst c1 = c0 + {chain}\n"
+                "assertion a { odd: x type: invariant condition: c1 > 0 }")
+        with pytest.raises(TypecheckError, match="nested deeper than 200"):
+            compile_text(text)
+
+    def test_long_alias_chain(self):
+        consts = "\n".join(f"const c{i + 1} = c{i}" for i in range(5000))
+        text = (f"const c0 = 1\n{consts}\n"
+                "assertion a { odd: x type: invariant condition: c5000 > 0 }")
+        with pytest.raises(TypecheckError, match="nested deeper than 200"):
+            compile_text(text)

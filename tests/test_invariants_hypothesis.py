@@ -57,6 +57,9 @@ polygon_pairs = st.tuples(convex_polygons(), convex_polygons(shift=5.0)).filter(
 @given(polygon_pairs)
 @example((ConvexPolygon(((0.0, -1.0), (1.0, -1.0), (0.0, -3.19e-157))),
           ConvexPolygon(((0.0, 0.0), (5.0, 0.0), (5.0, 1.0)))))
+@example((ConvexPolygon(((-8.0, 0.0), (2.68238, 0.0), (0.0, 1.0))),
+          ConvexPolygon(((-2.5, -1.35345787959442e-282), (5.0, -7.5),
+                         (5.0, -1.0)))))
 @settings(max_examples=150, deadline=None)
 def test_distance_symmetric_and_consistent(pair):
     a, b = pair

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from roadcheck.perception import (CameraCalibration, DetectionRecord,
-                                  EstimatorConfig, LineRecord, PerceptionError,
+                                  LineRecord, PerceptionError,
                                   boxes_to_trace, lateral_offset,
                                   load_detections, longitudinal_distance,
                                   trace_to_detections)
@@ -113,6 +113,35 @@ class TestBoxesToTrace:
             load_detections(text)
 
 
+GOOD_LINE = json.dumps({"t": 0.0, "frame": 0, "line_px": 300.0})
+
+
+class TestMalformedDetections:
+    """A bad detection line raises PerceptionError naming the record."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("[]", "not a JSON object"),
+        ('"text"', "not a JSON object"),
+        ('{"frame": 1, "line_px": 300.0}', "missing field 't'"),
+        ('{"t": null, "line_px": 300.0}', "record 1: "),
+        ('{"t": "soon", "line_px": 300.0}', "record 1: "),
+        ('{"t": 1.0, "frame": "two", "line_px": 300.0}', "record 1: "),
+        ('{"t": 1.0, "frame": [], "line_px": 300.0}', "record 1: "),
+        ('{"t": 1.0, "frame": 1e400, "line_px": 300.0}', "record 1: "),
+        ('{"t": 1.0, "line_px": "left"}', "record 1: "),
+        ('{"t": 1.0, "class": "car", "box_width_px": "wide"}', "record 1: "),
+        ('{"t": 1.0, "class": "car", "box_width_px": -1.0}',
+         "record 1: box width"),
+        ("[" * 100_000, "nested too deeply"),
+    ], ids=["list", "string", "no-t", "null-t", "text-t", "text-frame",
+            "list-frame", "infinite-frame", "text-line", "text-width",
+            "negative-width", "deep"])
+    def test_perception_error_with_index(self, line, message):
+        with pytest.raises(PerceptionError, match="record 1: ") as err:
+            load_detections(GOOD_LINE + "\n" + line + "\n")
+        assert message in str(err.value)
+
+
 class TestFixtureChain:
     def test_occlusion_detections_round_trip(self, occlusion_scenario):
         road, trace = occlusion_scenario
@@ -122,8 +151,7 @@ class TestFixtureChain:
         text = trace_to_detections(trace, cal)
         detections, lines = load_detections(text)
         assert detections and lines
-        est = boxes_to_trace(detections, lines, cal,
-                             EstimatorConfig(av_speed_mph=40.0))
+        est = boxes_to_trace(detections, lines, cal, av_speed_mph=40.0)
         # the OV enters the estimated trace when it becomes visible
         first_ov = min(t for t, step in zip(est.times, est.steps)
                        if any(s.role == "OV" for s in step.values()))
