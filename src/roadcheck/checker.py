@@ -237,34 +237,43 @@ class _Checker:
                                f"{lt} and {rt}")
 
 
-def _inline_consts(expr, consts, stack, diagnostics, depth=1):
+def _inline_consts(expr, consts, diagnostics):
     """Substitute const references; detects cycles.  Each constant reference
-    followed counts as a level towards ``dsl.MAX_DEPTH``."""
-    if depth > dsl.MAX_DEPTH:
-        raise TypecheckError([TypeDiagnostic(
-            f"{dsl.TOO_DEEP} once constants are inlined",
-            expr.span.line, expr.span.col)])
-    if isinstance(expr, NameRef):
-        if expr.name not in consts:
-            return expr  # leave for the type checker to report
-        if expr.name in stack:
-            diagnostics.append(TypeDiagnostic(
-                f"constant cycle through {expr.name!r}",
-                expr.span.line, expr.span.col))
-            return expr
-        return _inline_consts(consts[expr.name], consts,
-                              stack | {expr.name}, diagnostics, depth + 1)
-    changes = {}
-    for f in fields(expr):
-        value = getattr(expr, f.name)
-        if isinstance(value, dsl.Expr):
-            changes[f.name] = _inline_consts(value, consts, stack, diagnostics,
-                                             depth + 1)
-        elif isinstance(value, tuple):
-            changes[f.name] = tuple(
-                _inline_consts(v, consts, stack, diagnostics, depth + 1)
-                for v in value)
-    return replace(expr, **changes) if changes else expr
+    followed counts as a level towards ``dsl.MAX_DEPTH``, and the result may
+    hold at most ``dsl.MAX_NODES`` nodes: constants that each use the one
+    before twice would otherwise double it with every line."""
+    budget = [dsl.MAX_NODES]
+
+    def too_big(message, node):
+        return TypecheckError([TypeDiagnostic(
+            f"{message} once constants are inlined",
+            node.span.line, node.span.col)])
+
+    def inline(node, stack, depth):
+        if depth > dsl.MAX_DEPTH:
+            raise too_big(dsl.TOO_DEEP, node)
+        if isinstance(node, NameRef) and node.name in consts:
+            if node.name in stack:
+                diagnostics.append(TypeDiagnostic(
+                    f"constant cycle through {node.name!r}",
+                    node.span.line, node.span.col))
+                return node
+            return inline(consts[node.name], stack | {node.name}, depth + 1)
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise too_big(f"expression has more than {dsl.MAX_NODES} nodes",
+                          expr)
+        changes = {}
+        for f in fields(node):
+            value = getattr(node, f.name)
+            if isinstance(value, dsl.Expr):
+                changes[f.name] = inline(value, stack, depth + 1)
+            elif isinstance(value, tuple):
+                changes[f.name] = tuple(inline(v, stack, depth + 1)
+                                        for v in value)
+        return replace(node, **changes) if changes else node
+
+    return inline(expr, frozenset(), 1)
 
 
 def typecheck(doc: Document) -> CompiledDocument:
@@ -277,7 +286,7 @@ def typecheck(doc: Document) -> CompiledDocument:
     checker = _Checker()
 
     def boolean(expr, role, name):
-        expr = _inline_consts(expr, consts, frozenset(), diagnostics)
+        expr = _inline_consts(expr, consts, diagnostics)
         t = checker.infer(expr)
         if t is not None and t is not BOOL:
             checker.fail(expr, f"{role} of {name!r} must be boolean, got {t}")

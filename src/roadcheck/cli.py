@@ -49,6 +49,14 @@ def _load_map(map_path):
         _die(f"{map_path}: {exc}")
 
 
+def _load_trace(trace_path):
+    try:
+        with open(trace_path, "rb") as fh:
+            return load_trace(fh)
+    except (OSError, TraceError) as exc:
+        _die(str(exc))
+
+
 def _load_config(profiles_path, profile_name):
     """The profile config, once the named profile is known to be in it."""
     try:
@@ -119,8 +127,9 @@ _shared_options = [
     click.option("--odd", "active_odd", multiple=True,
                  help="Active ODD tag (repeatable); empty means no filter."),
     click.option("--debounce", "debounce_n", default=1, show_default=True,
-                 type=int, help="Publish result changes only after this many "
-                                "consecutive steps."),
+                 type=click.IntRange(min=1),
+                 help="Publish result changes only after this many "
+                      "consecutive steps."),
     click.option("--strict-windows/--lenient-windows", default=True,
                  show_default=True,
                  help="Incomplete pre/post windows fail (strict) or become "
@@ -155,11 +164,7 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
     ctx, assertions = _load_inputs(map_path, rules_paths, profiles_path,
                                    profile_name, active_odd, strict_windows,
                                    worst_case_speeds)
-    try:
-        with open(trace_path, "rb") as fh:
-            trace = load_trace(fh)
-    except (OSError, TraceError) as exc:
-        _die(str(exc))
+    trace = _load_trace(trace_path)
     try:
         verdicts = evaluate_document(assertions, trace, ctx)
     except (EvalError, StreamError) as exc:
@@ -198,33 +203,26 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
                                    profile_name, active_odd, strict_windows,
                                    worst_case_speeds)
     stream = StreamingEngine(assertions, ctx)
-    filters: dict = {}
+    debouncer = DebounceFilter(debounce_n)
     if hasattr(sys.stdin, "reconfigure"):
         # decode as load_trace does, whatever the locale
         sys.stdin.reconfigure(errors="surrogateescape")
 
-    def publish(verdicts):
+    def publish(verdicts, last=False):
         # one write per verdict line, one flush per step so that downstream
         # pipeline stages see each step's verdicts together
         out = sys.stdout
         for v in verdicts:
-            if debounce_n > 1:
-                filt = filters.setdefault(v.assertion_id,
-                                          DebounceFilter(debounce_n))
-                for d in filt.feed(v):
-                    out.write(d.to_json() + "\n")
-            else:
-                out.write(v.to_json() + "\n")
+            for d in debouncer.feed(v):
+                out.write(d.to_json() + "\n")
+        for d in debouncer.finish() if last else ():
+            out.write(d.to_json() + "\n")
         out.flush()
 
     try:
         for t, step in iter_steps(sys.stdin):
             publish(stream.feed(t, step))
-        publish(stream.finish())
-        for filt in filters.values():
-            for d in filt.finish():
-                sys.stdout.write(d.to_json() + "\n")
-        sys.stdout.flush()
+        publish(stream.finish(), last=True)
     except (TraceError, StreamError, EvalError) as exc:
         _die(str(exc))
     sys.exit(0)
@@ -276,7 +274,8 @@ def estimate(detections_path, calibration_path, out_path, av_speed_mph):
     from . import perception
     from .perception import CameraCalibration, PerceptionError
     try:
-        cal = CameraCalibration.from_json(calibration_path)
+        with open(calibration_path, "rb") as fh:
+            cal = CameraCalibration.from_json(fh)
         with open(detections_path, "rb") as fh:
             detections, lines = perception.load_detections(fh)
         trace = perception.boxes_to_trace(detections, lines, cal,
@@ -307,11 +306,7 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
     """Zone classification at the overtake decision point."""
     from . import zones as zones_mod
     road = _load_map(map_path)
-    try:
-        with open(trace_path, "rb") as fh:
-            trace = load_trace(fh)
-    except (OSError, TraceError) as exc:
-        _die(str(exc))
+    trace = _load_trace(trace_path)
     config = _load_config(profiles_path, profile_name)
     ctx = EvaluationContext(road=road, config=config,
                             profile_name=profile_name)

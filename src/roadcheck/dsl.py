@@ -77,6 +77,8 @@ _UNARY_LEVEL = len(_LEVELS)
 #: deepest expression accepted, so that no recursive walk of one overflows
 MAX_DEPTH = 200
 TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+#: most nodes in an expression once constants are inlined
+MAX_NODES = 10_000
 
 
 @dataclass(frozen=True)

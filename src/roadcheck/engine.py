@@ -51,9 +51,9 @@ from .geometry import overlap_area as poly_overlap_area
 from .models import ModelConfig, ModelError, default_profiles, mps_to_mph
 from .models import danger_space_length as model_ds_length
 from .models import safe_distance_ahead
-from .trace import ActorState, Trace, derive_row
+from .trace import ActorState, Trace, derive_row, role_index
 from .worldmap import RoadMap, crosses_centreline as map_crosses_centreline
-from .worldmap import OffRoadError, lane_orientation_at, lanelets_containing
+from .worldmap import OffRoadError, lane_orientation_at, within
 from .geometry import projection_interval
 
 PASS = "pass"
@@ -61,7 +61,6 @@ FAIL = "fail"
 NOT_APPLICABLE = "not_applicable"
 
 _T_EPS = 1e-9
-_AREA_EPS = 1e-6
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
@@ -146,12 +145,7 @@ class _BufferedStep:
         """The actor with role ``ref`` (any case) and the smallest id."""
         roles = self.roles
         if roles is None:
-            roles = self.roles = {}
-            for st in self.step.values():
-                key = st.role.lower()
-                held = roles.get(key)
-                if held is None or st.actor_id < held.actor_id:
-                    roles[key] = st
+            roles = self.roles = role_index(self.step)
         return roles.get(ref.lower())
 
 
@@ -272,9 +266,7 @@ class _StepView:
         return max(0.0, b_lo - a_hi, a_lo - b_hi)
 
     def within_lane(self, st: ActorState) -> bool:
-        box = self.box_of(st)
-        covered = sum(area for _, area in lanelets_containing(self.ctx.road, box))
-        return abs(covered - box.area) <= _AREA_EPS
+        return within(self.ctx.road, self.box_of(st))
 
     def heading_rel_lane(self, st: ActorState) -> float:
         d = self.at.dynamics(st.actor_id, self.ctx.road)
@@ -576,9 +568,6 @@ class StreamingEngine:
         while len(buf) > 3 and buf[1].t <= horizon:
             buf.popleft()
 
-    def _view(self, idx: int) -> _StepView:
-        return _StepView(self.ctx, self._buffer[idx])
-
     def _process(self, idx: int, at_end: bool = False) -> list[Verdict]:
         buf = self._buffer
         at = buf[idx]
@@ -587,8 +576,8 @@ class StreamingEngine:
         # evaluated for windows build their own
         shapes: dict = {}
 
-        def here():
-            return _StepView(self.ctx, at, shapes)
+        def here(k=idx):
+            return _StepView(self.ctx, buf[k], shapes if k == idx else None)
 
         out = []
         # 1. open post-window conditions are checked before window closing
@@ -610,9 +599,8 @@ class StreamingEngine:
             if t >= target - _T_EPS:
                 times = [b.t for b in buf]
                 k = nearest_index(times, target)
-                view = here() if k == idx else self._view(k)
                 out.append(_checked_at(
-                    _condition_verdict(assertion, view, t_ref), times[k]))
+                    _condition_verdict(assertion, here(k), t_ref), times[k]))
                 self._post_targets.remove(entry)
         # 3. per-assertion work at this step
         fired: dict = {}    # reference slot -> holds at this step
@@ -663,8 +651,7 @@ class StreamingEngine:
                 return [_insufficient(assertion, t_ref, self.ctx)]
             times = [b.t for b in self._buffer]
             k = nearest_index(times, lo)
-            view = here() if k == idx else self._view(k)
-            return [_checked_at(_condition_verdict(assertion, view, t_ref),
+            return [_checked_at(_condition_verdict(assertion, here(k), t_ref),
                                 times[k])]
         raise EvalError(f"unknown assertion kind {kind!r}")
 
@@ -672,66 +659,60 @@ class StreamingEngine:
 # --- debounce ---------------------------------------------------------------
 
 class DebounceFilter:
-    """Suppresses result flicker shorter than ``n`` consecutive steps.
+    """Suppresses result flicker shorter than ``n`` consecutive steps, per
+    assertion id.
 
-    The published state changes only once a new result has persisted for
-    n observations; the change is then published retroactively from the
-    first step of the qualifying run, so debouncing is idempotent and
-    n=1 is the identity.  Used per assertion id.
+    An assertion's published state changes only once a new result has
+    persisted for n of its verdicts; the change is then published
+    retroactively from the first verdict of the qualifying run, so
+    debouncing is idempotent and n=1 is the identity.  Feed each
+    assertion's verdicts in time order.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"debounce depth must be >= 1, got {n}")
         self.n = n
-        self.published: str | None = None
-        self.pending: list[Verdict] = []
-
-    def _suppress(self, v: Verdict) -> Verdict:
-        detail = dict(v.detail)
-        detail["debounced_from"] = v.result
-        return replace(v, result=self.published, detail=detail)
+        self._runs: dict = {}   # assertion id -> [published result, pending]
 
     def feed(self, v: Verdict) -> list[Verdict]:
-        if self.published is None:
-            self.published = v.result
+        if self.n == 1:
             return [v]
-        if v.result == self.published:
-            flushed = [self._suppress(p) for p in self.pending]
-            self.pending.clear()
+        run = self._runs.setdefault(v.assertion_id, [v.result, []])
+        published, pending = run
+        flushed = []
+        if pending and pending[0].result != v.result:
+            # the run ended short of n: published as it was
+            flushed = [_suppressed(p, published) for p in pending]
+            pending = run[1] = []
+        if v.result == published:
             return flushed + [v]
-        if self.pending and self.pending[0].result != v.result:
-            flushed = [self._suppress(p) for p in self.pending]
-            self.pending = [v]
-            if len(self.pending) >= self.n:
-                self.published = v.result
-                out = flushed + self.pending
-                self.pending = []
-                return out
+        pending.append(v)
+        if len(pending) < self.n:
             return flushed
-        self.pending.append(v)
-        if len(self.pending) >= self.n:
-            self.published = v.result
-            out = list(self.pending)
-            self.pending.clear()
-            return out
-        return []
+        run[:] = [v.result, []]
+        return flushed + pending
 
     def finish(self) -> list[Verdict]:
-        flushed = [self._suppress(p) for p in self.pending]
-        self.pending.clear()
-        return flushed
+        """The pending verdicts, published as their assertions were."""
+        out = []
+        for run in self._runs.values():
+            out.extend(_suppressed(p, run[0]) for p in run[1])
+            run[1] = []
+        return out
+
+
+def _suppressed(v: Verdict, published: str) -> Verdict:
+    detail = dict(v.detail)
+    detail["debounced_from"] = v.result
+    return replace(v, result=published, detail=detail)
 
 
 def debounce(verdicts, n: int) -> list[Verdict]:
     """Debounce a time-ordered verdict list, per assertion id."""
-    filters: dict = {}
-    out: list[Verdict] = []
-    for v in verdicts:
-        filt = filters.setdefault(v.assertion_id, DebounceFilter(n))
-        out.extend(filt.feed(v))
-    for filt in filters.values():
-        out.extend(filt.finish())
+    filt = DebounceFilter(n)
+    out = [d for v in verdicts for d in filt.feed(v)]
+    out.extend(filt.finish())
     out.sort(key=lambda v: (v.t, v.assertion_id))
     return out
 

@@ -34,10 +34,6 @@ from pathlib import Path
 MPH_TO_MPS = 0.44704
 
 
-def mph_to_mps(v_mph: float) -> float:
-    return v_mph * MPH_TO_MPS
-
-
 def mps_to_mph(v_mps: float) -> float:
     return v_mps / MPH_TO_MPS
 

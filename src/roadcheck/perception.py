@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 from .models import MPH_TO_MPS, default_profiles
-from .trace import ActorState, Trace
-from .geometry import BoxDims, Pose2D
+from .trace import ActorState, Trace, TraceError, role_index
+from .geometry import BoxDims, GeometryError, Pose2D
 from .worldmap import read_text
 
 LOW_CONFIDENCE_PX = 5.0
@@ -77,26 +77,34 @@ class CameraCalibration:
     def __post_init__(self):
         for name in ("c", "assumed_vehicle_width", "lane_width_real",
                      "lane_width_px", "frame_centre_px"):
-            if getattr(self, name) <= 0.0:
-                raise PerceptionError(f"calibration {name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise PerceptionError(
+                    f"calibration {name} must be finite and > 0, got {value}")
 
     @classmethod
     def from_json(cls, source) -> "CameraCalibration":
-        if hasattr(source, "read"):
-            doc = json.load(source)
-        elif isinstance(source, (str, bytes)) and str(source).lstrip().startswith("{"):
-            doc = json.loads(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        """The calibration in a JSON document: bytes, text or a file of
+        either."""
+        try:
+            doc = json.loads(read_text(source, "calibration"))
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, not JSON, or nested too deeply
+            raise PerceptionError(f"calibration is not a JSON document: "
+                                  f"{exc}") from None
+        if not isinstance(doc, dict):
+            raise PerceptionError("calibration must be a JSON object")
         if "c" not in doc:
             raise PerceptionError("calibration must supply the focal "
                                   "constant 'c' (no default exists)")
-        return cls(c=float(doc["c"]),
-                   assumed_vehicle_width=float(doc.get("assumed_vehicle_width", 2.0)),
-                   lane_width_real=float(doc.get("lane_width_real", 3.65)),
-                   lane_width_px=float(doc.get("lane_width_px", 365.0)),
-                   frame_centre_px=float(doc.get("frame_centre_px", 320.0)))
+        defaults = {"c": None, "assumed_vehicle_width": 2.0,
+                    "lane_width_real": 3.65, "lane_width_px": 365.0,
+                    "frame_centre_px": 320.0}
+        try:
+            values = {k: float(doc.get(k, d)) for k, d in defaults.items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise PerceptionError(f"calibration: {exc}") from None
+        return cls(**values)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -123,6 +131,13 @@ def lateral_offset(d_px: float, cal: CameraCalibration) -> float:
     return (cal.lane_width_real / cal.lane_width_px) * d_px
 
 
+def _finite(obj: dict, key: str, default=None) -> float:
+    value = float(obj[key] if default is None else obj.get(key, default))
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
 def load_detections(source):
     """Parse the detection JSONL; returns (detections, line_records)."""
     text = read_text(source, "detections")
@@ -145,17 +160,17 @@ def load_detections(source):
         if not isinstance(obj, dict):
             raise PerceptionError("record is not a JSON object", index)
         try:
-            t = float(obj["t"])
+            t = _finite(obj, "t")
             frame = int(obj.get("frame", 0))
             if "line_px" in obj:
                 record = LineRecord(frame_index=frame, t=t,
-                                    line_px=float(obj["line_px"]))
+                                    line_px=_finite(obj, "line_px"))
             else:
                 record = DetectionRecord(
                     frame_index=frame, t=t,
                     actor_class=str(obj["class"]),
-                    box_width_px=float(obj["box_width_px"]),
-                    box_centre_px=float(obj.get("box_centre_px", 0.0)),
+                    box_width_px=_finite(obj, "box_width_px"),
+                    box_centre_px=_finite(obj, "box_centre_px", 0.0),
                     role_hint=str(obj.get("role_hint", "unknown")))
         except KeyError as exc:
             raise PerceptionError(f"missing field {exc.args[0]!r}", index) from exc
@@ -200,42 +215,43 @@ def boxes_to_trace(detections, line_records, cal: CameraCalibration,
             last_offset = lateral_offset(d_px, cal)
         steps.append((t, v_av * t, last_offset, by_t.get(t, [])))
 
-    # ego headings from the finite differences of its reconstructed path
-    av_states = []
-    for i, (t, x, y, _) in enumerate(steps):
+    out_steps = []
+    for i, (t, x_av, y_av, recs) in enumerate(steps):
+        # ego heading from the finite differences of its reconstructed path
         if len(steps) == 1:
             heading = 0.0
         elif i + 1 < len(steps):
-            t2, x2, y2, _ = steps[i + 1]
-            heading = math.atan2(y2 - y, x2 - x)
+            _, x2, y2, _ = steps[i + 1]
+            heading = math.atan2(y2 - y_av, x2 - x_av)
         else:
-            t0, x0, y0, _ = steps[i - 1]
-            heading = math.atan2(y - y0, x - x0)
-        av_states.append(ActorState(
-            actor_id="ego", role="AV", t=t, pose=Pose2D(x, y, heading),
-            dims=BoxDims(AV_LENGTH, AV_WIDTH), speed=v_av))
-
-    out_steps = []
-    for i, (t, x_av, _, recs) in enumerate(steps):
-        step = {"ego": av_states[i]}
-        for rec in recs:
-            s = longitudinal_distance(rec, cal)
-            role = rec.role_hint if rec.role_hint in ("VBP", "OV") else "other"
-            if role == "OV":
-                y = half_lane
-                heading = math.pi
-            else:
-                y = -half_lane
-                heading = 0.0
-            v = worst_case_speed_mph[rec.actor_class] * MPH_TO_MPS
-            actor_id = f"{role.lower()}_{rec.actor_class}"
-            step[actor_id] = ActorState(
-                actor_id=actor_id, role=role, t=t,
-                pose=Pose2D(x_av + s, y, heading),
-                dims=BoxDims(CLASS_LENGTHS[rec.actor_class],
-                             cal.assumed_vehicle_width),
-                speed=v,
-                low_confidence=rec.box_width_px < LOW_CONFIDENCE_PX)
+            _, x0, y0, _ = steps[i - 1]
+            heading = math.atan2(y_av - y0, x_av - x0)
+        try:
+            step = {"ego": ActorState(
+                actor_id="ego", role="AV", t=t,
+                pose=Pose2D(x_av, y_av, heading),
+                dims=BoxDims(AV_LENGTH, AV_WIDTH), speed=v_av)}
+            for rec in recs:
+                s = longitudinal_distance(rec, cal)
+                role = rec.role_hint if rec.role_hint in ("VBP", "OV") else "other"
+                y, heading = ((half_lane, math.pi) if role == "OV"
+                              else (-half_lane, 0.0))
+                v = worst_case_speed_mph[rec.actor_class] * MPH_TO_MPS
+                actor_id = f"{role.lower()}_{rec.actor_class}"
+                if actor_id in step:
+                    raise PerceptionError(
+                        f"frame {rec.frame_index} (t={t}): a second "
+                        f"{rec.actor_class} detection of actor {actor_id!r}")
+                step[actor_id] = ActorState(
+                    actor_id=actor_id, role=role, t=t,
+                    pose=Pose2D(x_av + s, y, heading),
+                    dims=BoxDims(CLASS_LENGTHS[rec.actor_class],
+                                 cal.assumed_vehicle_width),
+                    speed=v,
+                    low_confidence=rec.box_width_px < LOW_CONFIDENCE_PX)
+        except (GeometryError, TraceError) as exc:
+            raise PerceptionError(f"t={t}: cannot place the vehicles: "
+                                  f"{exc}") from exc
         out_steps.append(step)
     dt = times[1] - times[0] if len(times) > 1 else 1.0
     return Trace(times=tuple(times), steps=tuple(out_steps), dt=dt)
@@ -249,7 +265,7 @@ def trace_to_detections(trace: Trace, cal: CameraCalibration) -> str:
     """
     lines = []
     for frame, step in enumerate(trace.steps):
-        av = next((s for s in step.values() if s.role == "AV"), None)
+        av = role_index(step).get("av")
         if av is None:
             continue
         t = av.t

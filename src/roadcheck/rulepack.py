@@ -27,11 +27,10 @@ from pathlib import Path
 
 from .checker import CompiledAssertion, compile_text
 from .engine import FAIL, PASS, EvaluationContext, Verdict, evaluate_document
-from .geometry import projection_interval
-from .trace import Trace
-from .worldmap import RoadMap, lanelet_at, lanelets_containing
+from .geometry import normalize_angle, projection_interval
+from .trace import Trace, role_index
+from .worldmap import RoadMap, lanelet_at, lanelets_containing, within
 
-_AREA_EPS = 1e-6
 _ANGLE_EPS = 1e-6
 
 
@@ -49,133 +48,78 @@ class StageIntervals:
     aborted: bool
     times: tuple[float, ...]
 
-    def span(self, name: str) -> tuple[float, float]:
-        """Inclusive (t_start, t_end) of a stage."""
-        rng = getattr(self, name)
-        if rng is None:
-            raise KeyError(f"stage {name!r} absent")
-        return (self.times[rng[0]], self.times[rng[1] - 1])
-
     @property
     def manoeuvre_range(self) -> tuple[int, int]:
         end = self.cut_in[1] if self.cut_in is not None else self.passing[1]
         return (self.pull_out[0], end)
 
     def stage_names(self):
-        names = ["pull_out", "passing"]
-        if self.cut_in is not None:
-            names.append("cut_in")
-        return names
+        return ["pull_out", "passing"] + (["cut_in"] if self.cut_in else [])
 
 
-def _role_state(step: dict, role: str):
-    for st in step.values():
-        if st.role == role:
-            return st
-    return None
+def _first(indices, test, default=None):
+    """The first index that passes ``test``, else ``default``."""
+    return next((k for k in indices if test(k)), default)
 
 
 def detect_stages(trace: Trace, road: RoadMap) -> StageIntervals:
-    """Locate pull-out / passing / cut-in from the geometry of the trace."""
+    """Locate pull-out / passing / cut-in from the geometry of the trace.
+    The AV and the VBP of a step are the actors that the rules resolve
+    "av" and "vbp" to: of each role, the one with the smallest id."""
     n = len(trace)
-    av0 = None
-    for k in range(n):
-        av0 = _role_state(trace.steps[k], "AV")
-        if av0 is not None:
-            break
+    roles = [role_index(step) for step in trace.steps]
+    avs = [r.get("av") for r in roles]
+    vbps = [r.get("vbp") for r in roles]
+    av0 = next((a for a in avs if a is not None), None)
     if av0 is None:
         raise NoManoeuvreError("trace has no AV actor")
     home = lanelet_at(road, (av0.pose.x, av0.pose.y))
     axis = home.orientation
-    opposing = [l for l in road.lanelets if l.direction != home.direction]
-    same_side = [l for l in road.lanelets if l.direction == home.direction]
+    opposing = {l.id for l in road.lanelets if l.direction != home.direction}
+    same_side = {l.id for l in road.lanelets if l.direction == home.direction}
     if not opposing:
         raise NoManoeuvreError("map has no opposing lane to overtake into")
-    opposing_ids = {l.id for l in opposing}
-    same_ids = {l.id for l in same_side}
 
-    def av(k):
-        return _role_state(trace.steps[k], "AV")
+    def extent(st):     # (rear, front) along the home lane
+        return projection_interval(st.box(), axis)
 
-    def vbp(k):
-        return _role_state(trace.steps[k], "VBP")
+    def rel_heading(k):
+        return normalize_angle(avs[k].pose.heading - axis)
 
     def in_opposing(k):
-        st = av(k)
-        if st is None:
-            return False
-        hits = lanelets_containing(road, st.box())
-        return any(lid in opposing_ids for lid, _ in hits)
+        return avs[k] is not None and any(
+            lid in opposing for lid, _ in lanelets_containing(road, avs[k].box()))
 
     def fully_home(k):
-        st = av(k)
-        if st is None:
-            return False
-        box = st.box()
-        covered = sum(a for lid, a in lanelets_containing(road, box)
-                      if lid in same_ids)
-        return abs(covered - box.area) <= _AREA_EPS
+        return avs[k] is not None and within(road, avs[k].box(), same_side)
 
-    k_start = next((k for k in range(n) if in_opposing(k)), None)
+    def both(k):
+        return avs[k] is not None and vbps[k] is not None
+
+    k_start = _first(range(n), in_opposing)
     if k_start is None:
         raise NoManoeuvreError("AV never enters the opposing lane")
-
-    def rear(st):
-        return projection_interval(st.box(), axis)[0]
-
-    def front(st):
-        return projection_interval(st.box(), axis)[1]
-
-    k_pass = None
-    for k in range(k_start, n):
-        a, b = av(k), vbp(k)
-        if a is None or b is None:
-            continue
-        if rear(a) > rear(b):
-            k_pass = k
-            break
+    k_pass = _first(range(k_start, n), lambda k: both(k)
+                    and extent(avs[k])[0] > extent(vbps[k])[0])
     if k_pass is None:
         raise NoManoeuvreError("AV never draws level with the VBP")
-
     # sign of the lane-relative heading while pulling out
-    side = 0.0
-    for k in range(k_start, k_pass):
-        st = av(k)
-        if st is None:
-            continue
-        rel = _rel_heading(st, home.orientation)
-        if abs(rel) > _ANGLE_EPS:
-            side = math.copysign(1.0, rel)
-            break
-    if side == 0.0:
-        side = 1.0
-
-    k_cut = None
-    for k in range(k_pass, n):
-        a, b = av(k), vbp(k)
-        if a is None or b is None:
-            continue
-        rel = _rel_heading(a, home.orientation)
-        if rel * side < -_ANGLE_EPS and rear(a) > front(b):
-            k_cut = k
-            break
-
-    if k_cut is not None:
-        k_return = next((k for k in range(k_cut, n) if fully_home(k)), n - 1)
-        return StageIntervals(pull_out=(k_start, k_pass),
-                              passing=(k_pass, k_cut),
-                              cut_in=(k_cut, k_return + 1),
-                              aborted=False, times=trace.times)
-    # aborted: passing lasts until the AV is back in its own lane
-    k_return = next((k for k in range(k_pass, n) if fully_home(k)), n)
-    return StageIntervals(pull_out=(k_start, k_pass),
-                          passing=(k_pass, k_return),
-                          cut_in=None, aborted=True, times=trace.times)
-
-
-def _rel_heading(st, lane_orientation):
-    from .geometry import normalize_angle
-    return normalize_angle(st.pose.heading - lane_orientation)
+    k_side = _first(range(k_start, k_pass), lambda k: avs[k] is not None
+                    and abs(rel_heading(k)) > _ANGLE_EPS)
+    side = 1.0 if k_side is None else math.copysign(1.0, rel_heading(k_side))
+    k_cut = _first(range(k_pass, n), lambda k: both(k)
+                   and rel_heading(k) * side < -_ANGLE_EPS
+                   and extent(avs[k])[0] > extent(vbps[k])[1])
+    if k_cut is None:
+        # aborted: passing lasts until the AV is back in its own lane
+        passing = (k_pass, _first(range(k_pass, n), fully_home, n))
+        cut_in = None
+    else:
+        passing = (k_pass, k_cut)
+        cut_in = (k_cut, _first(range(k_cut, n), fully_home, n - 1) + 1)
+    return StageIntervals(pull_out=(k_start, k_pass), passing=passing,
+                          cut_in=cut_in, aborted=k_cut is None,
+                          times=trace.times)
 
 
 # --- rule definitions -------------------------------------------------------
@@ -207,10 +151,6 @@ DANGER_SPACE_RULES = "".join(_BLOCKS[aid] for aid in DANGER_SPACE_IDS)
 
 def rule162_sda_assertion() -> CompiledAssertion:
     return compile_text(RULE162_SDA).assertions[0]
-
-
-def rule163_pullout_separation_assertion() -> CompiledAssertion:
-    return compile_text(RULE163_PULL_OUT).assertions[0]
 
 
 def danger_space_assertions() -> tuple[CompiledAssertion, ...]:

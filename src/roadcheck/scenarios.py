@@ -30,18 +30,26 @@ class InvalidSpecError(ValueError):
     pass
 
 
+# vehicle footprints, metres
+AV_LENGTH, AV_WIDTH = 4.5, 2.0
+OV_LENGTH, OV_WIDTH = 4.5, 2.0
+VBP_WIDTH = 2.0
+
+# the occlusion abort: the OV and the ego each react and brake
+OV_REACT_S = 0.5
+OV_DECEL = 4.0          # m/s^2, the OV brakes to a stop
+ABORT_REACT_S = 0.25    # ego reaction after the OV appears
+AV_DECEL = 6.0          # m/s^2, the ego brakes down to AV_FLOOR_MPH
+AV_FLOOR_MPH = 15.0
+FALLBACK_GAP = 11.0     # the ego drops this far behind the VBP's rear
+                        # before steering back into lane
+
+
 @dataclass(frozen=True)
 class OcclusionSpec:
     visible_from_t: float            # OV records absent before this time
     flicker_steps: tuple[int, ...]   # absolute step indices with OV dropped
     visibility_gap: float            # AV-OV projected gap at first visible step
-    ov_react_s: float = 0.5
-    ov_decel: float = 4.0            # m/s^2, OV brakes to a stop
-    abort_react_s: float = 0.25      # ego reaction after the OV appears
-    av_decel: float = 6.0
-    av_floor_mph: float = 15.0
-    fallback_gap: float = 11.0       # drop this far behind the VBP's rear
-                                     # before steering back into lane
 
 
 @dataclass(frozen=True)
@@ -59,11 +67,6 @@ class ScenarioSpec:
     lateral_offset: float
     ov_start_offset: float | None = None   # distance ahead at the crossing step
     v_vbp_mph: float = 0.0
-    av_length: float = 4.5
-    av_width: float = 2.0
-    ov_length: float = 4.5
-    ov_width: float = 2.0
-    vbp_width: float = 2.0
     trail_s: float = 1.5
     occlusion: OcclusionSpec | None = None
 
@@ -81,7 +84,7 @@ class ScenarioSpec:
             raise InvalidSpecError(
                 f"profile infeasible: lateral offset {self.lateral_offset} "
                 f"exceeds lane width {self.lane_width}")
-        if self.lateral_offset <= (self.av_width + self.vbp_width) / 2.0:
+        if self.lateral_offset <= (AV_WIDTH + VBP_WIDTH) / 2.0:
             raise InvalidSpecError(
                 "profile infeasible: lateral offset cannot clear the VBP")
 
@@ -122,11 +125,11 @@ class _AvPlan:
         lon_po = L / math.tan(self.beta)
         vbp_at_t2 = spec.vbp_position + self.v_vbp * self.t2
         self.x2 = (vbp_at_t2 - spec.vbp_length / 2.0
-                   - p.pull_out_clearance - spec.av_length / 2.0)
+                   - p.pull_out_clearance - AV_LENGTH / 2.0)
         self.x_ps = self.x2 - lon_po
         self.x0 = self.x_ps - v * self.t1
         gap_run = (p.pull_out_clearance + p.cut_in_clearance
-                   + spec.vbp_length + spec.av_length)
+                   + spec.vbp_length + AV_LENGTH)
         self.t3 = self.t2 + gap_run / (v - self.v_vbp)
         self.x3 = self.x2 + v * (self.t3 - self.t2)
         self.T_ci = L / (v * math.sin(self.theta))
@@ -138,12 +141,12 @@ class _AvPlan:
             self._plan_abort(spec.occlusion)
 
     def _plan_abort(self, occ: OcclusionSpec):
-        t_ab = occ.visible_from_t + occ.abort_react_s
+        t_ab = occ.visible_from_t + ABORT_REACT_S
         if not (self.t2 < t_ab < self.t3):
             raise InvalidSpecError(
                 "occlusion abort must begin during the passing phase")
-        v, a = self.v, occ.av_decel
-        v_floor = occ.av_floor_mph * MPH_TO_MPS
+        v, a = self.v, AV_DECEL
+        v_floor = AV_FLOOR_MPH * MPH_TO_MPS
         T_b = (v - v_floor) / a
         x_ab = self.x2 + v * (t_ab - self.t2)
 
@@ -159,7 +162,7 @@ class _AvPlan:
                 x = x_tb + v_floor * (t - t_ab - T_b)
             vbp_rear = (self.spec.vbp_position + self.v_vbp * t
                         - self.spec.vbp_length / 2.0)
-            return x + self.spec.av_length / 2.0 <= vbp_rear - occ.fallback_gap
+            return x + AV_LENGTH / 2.0 <= vbp_rear - FALLBACK_GAP
 
         # earliest time the ego has dropped far enough behind the VBP;
         # scanned at fine resolution, then the analytic pose carries on
@@ -187,7 +190,6 @@ class _AvPlan:
 
     def state(self, t: float) -> tuple[float, float, float, float]:
         """(x, y, heading, speed) at time t."""
-        sp = self.spec
         if self._abort is not None and t >= self._abort["t_ab"]:
             return self._abort_state(t)
         v = self.v
@@ -240,8 +242,8 @@ class _OvPlan:
         self.brake_from = None
         self.decel = 0.0
         if spec.occlusion is not None:
-            self.brake_from = anchor_t + spec.occlusion.ov_react_s
-            self.decel = spec.occlusion.ov_decel
+            self.brake_from = anchor_t + OV_REACT_S
+            self.decel = OV_DECEL
 
     def state(self, t: float) -> tuple[float, float]:
         """(x, speed) at time t; the OV heads in -x."""
@@ -260,7 +262,7 @@ def _av_state_at(plan: _AvPlan, spec: ScenarioSpec, t: float) -> ActorState:
     x, y, h, v = plan.state(t)
     return ActorState(actor_id="ego", role="AV", t=t,
                       pose=Pose2D(x, y, h),
-                      dims=BoxDims(spec.av_length, spec.av_width), speed=v)
+                      dims=BoxDims(AV_LENGTH, AV_WIDTH), speed=v)
 
 
 def generate(spec: ScenarioSpec) -> tuple[RoadMap, Trace]:
@@ -288,7 +290,7 @@ def generate(spec: ScenarioSpec) -> tuple[RoadMap, Trace]:
         av_box = _av_state_at(plan, spec, t_cross).box()
         av_hi = projection_interval(av_box, 0.0)[1]
         anchor_t = t_cross
-        anchor_x = av_hi + spec.ov_start_offset + spec.ov_length / 2.0
+        anchor_x = av_hi + spec.ov_start_offset + OV_LENGTH / 2.0
         ov = _OvPlan(spec, anchor_t, anchor_x)
         v_closing = (spec.v_av_mph + spec.v_ov_mph) * MPH_TO_MPS
         t_meet = t_cross + spec.ov_start_offset / v_closing
@@ -298,7 +300,7 @@ def generate(spec: ScenarioSpec) -> tuple[RoadMap, Trace]:
         t_vis = occ.visible_from_t
         av_box = _av_state_at(plan, spec, t_vis).box()
         av_hi = projection_interval(av_box, 0.0)[1]
-        ov = _OvPlan(spec, t_vis, av_hi + occ.visibility_gap + spec.ov_length / 2.0)
+        ov = _OvPlan(spec, t_vis, av_hi + occ.visibility_gap + OV_LENGTH / 2.0)
         t_end = plan.abort_done_t + spec.trail_s
 
     n = int(math.floor(t_end / dt + 1e-9)) + 1
@@ -312,7 +314,7 @@ def generate(spec: ScenarioSpec) -> tuple[RoadMap, Trace]:
         step["parked"] = ActorState(
             actor_id="parked", role="VBP", t=t,
             pose=Pose2D(vbp_x, -spec.lane_width / 2.0, 0.0),
-            dims=BoxDims(spec.vbp_length, spec.vbp_width),
+            dims=BoxDims(spec.vbp_length, VBP_WIDTH),
             speed=spec.v_vbp_mph * MPH_TO_MPS)
         visible = (spec.occlusion is None
                    or (t >= spec.occlusion.visible_from_t - 1e-9
@@ -322,7 +324,7 @@ def generate(spec: ScenarioSpec) -> tuple[RoadMap, Trace]:
             step["oncoming"] = ActorState(
                 actor_id="oncoming", role="OV", t=t,
                 pose=Pose2D(ov_x, y_ov, math.pi),
-                dims=BoxDims(spec.ov_length, spec.ov_width), speed=ov_v)
+                dims=BoxDims(OV_LENGTH, OV_WIDTH), speed=ov_v)
         steps.append(step)
     return road, Trace(times=tuple(times), steps=tuple(steps), dt=dt)
 

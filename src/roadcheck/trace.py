@@ -29,11 +29,10 @@ import operator
 from dataclasses import dataclass
 
 from .geometry import BoxDims, Pose2D, normalize_angle, oriented_box
+from .models import MPH_TO_MPS
 from .worldmap import OffRoadError, RoadMap, lane_orientation_at
 # bench/tracing.py hooks the centre-line query under this name
 from .worldmap import nearest_centreline_point as _nearest_centreline_point
-
-MPH_TO_MPS = 0.44704
 
 ROLES = ("AV", "VBP", "OV", "other")
 
@@ -134,6 +133,18 @@ class Trace:
 
     def __len__(self):
         return len(self.times)
+
+
+def role_index(step: dict) -> dict:
+    """Lower-cased role -> the actor of that role with the smallest id: the
+    actor that a role name stands for at ``step``, in rules and stages."""
+    roles: dict = {}
+    for st in step.values():
+        key = st.role.lower()
+        held = roles.get(key)
+        if held is None or st.actor_id < held.actor_id:
+            roles[key] = st
+    return roles
 
 
 def _number(obj: dict, key: str) -> float:

@@ -43,6 +43,7 @@ DIRECTIONS = ("with_map_axis", "against_map_axis")
 _LEAF = 8               # entries per R-tree node
 _PAD = 1e-9             # relative padding of every bounding box
 _SLACK = 1.0 + 1e-9     # relative slack of the nearest-item stopping rule
+_AREA_EPS = 1e-6        # area a shape may stick out of the lanes it is within
 
 
 class MapError(ValueError):
@@ -334,6 +335,14 @@ def lanelets_containing(road: RoadMap, shape: ConvexPolygon):
         if area > 0.0:
             out.append((l.id, area))
     return out
+
+
+def within(road: RoadMap, shape: ConvexPolygon, ids=None) -> bool:
+    """True iff the lanelets, or those whose id is in ``ids``, cover the
+    shape to within ``_AREA_EPS`` of its area."""
+    covered = sum(area for lid, area in lanelets_containing(road, shape)
+                  if ids is None or lid in ids)
+    return abs(covered - shape.area) <= _AREA_EPS
 
 
 def crosses_centreline(road: RoadMap, shape: ConvexPolygon) -> bool:

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from .models import (DrivingProfile, ManoeuvreGeometry, ModelError,
                      manoeuvre_time, safe_distance_ahead, ttc)
 
-ZONES = ("A", "B", "C", "D")
-
 
 @dataclass(frozen=True)
 class ZoneThresholds:

@@ -93,3 +93,29 @@ def test_check_and_monitor_match_oracle(tmp_path, seed, pairs):
     mon = runner.invoke(main, ["monitor", *common], input=trace)
     assert mon.exception is None, mon.exception
     assert Counter(verdict_lines(mon.output)) == Counter(lines)
+
+
+def test_check_and_monitor_debounced_alike(tmp_path):
+    # the windows workload's rules, debounced: check debounces the sorted
+    # verdicts, monitor each verdict as the engine emits it; 600 steps of
+    # seed 7 hold a post-physical verdict run shorter than 3
+    steps = 600
+    trace = gen.trace_text(gen.build_drive(7, steps), steps)
+    road = gen.map_text(gen.ROAD_X0,
+                        gen.ROAD_TAIL + steps * gen.DT * gen.V_EGO, 1)
+    for name, text in (("trace.jsonl", trace), ("map.json", road),
+                       ("drive.rules", gen.WORKLOADS["windows"][3])):
+        (tmp_path / name).write_text(text)
+    common = ["--map", str(tmp_path / "map.json"),
+              "--rules", str(tmp_path / "drive.rules"), "--debounce", "3"]
+    out = tmp_path / "verdicts.jsonl"
+    chk = runner.invoke(main, ["check", *common,
+                               "--trace", str(tmp_path / "trace.jsonl"),
+                               "--out-jsonl", str(out)])
+    assert chk.exception is None or isinstance(chk.exception, SystemExit), \
+        chk.exception
+    lines = verdict_lines(out.read_text())
+    assert any('"debounced_from"' in line for line in lines)
+    mon = runner.invoke(main, ["monitor", *common], input=trace)
+    assert mon.exception is None, mon.exception
+    assert Counter(verdict_lines(mon.output)) == Counter(lines)

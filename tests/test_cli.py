@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -834,6 +835,106 @@ class TestEstimate:
         assert len(est) > 100
         roles = {st.role for step in est.steps for st in step.values()}
         assert {"AV", "VBP", "OV"} <= roles
+
+
+def estimate_on(root, tmp_path, calibration=None, extra_lines=()):
+    """``estimate`` on the occlusion fixture, with a replaced calibration
+    file or detection lines appended after those of its first frames."""
+    cal = root / "occlusion_abort_calibration.json"
+    if calibration is not None:
+        cal = tmp_path / "calibration.json"
+        cal.write_bytes(calibration)
+    lines = (root / "occlusion_abort_detections.jsonl").read_text().splitlines()
+    detections = tmp_path / "detections.jsonl"
+    detections.write_text("\n".join(lines[:5] + list(extra_lines)) + "\n")
+    res = runner.invoke(main, ["estimate", "--detections", str(detections),
+                               "--calibration", str(cal),
+                               "--out", str(tmp_path / "out.jsonl")])
+    no_traceback(res)
+    return res
+
+
+class TestEstimateBadInput:
+    """Input that ``estimate`` cannot use exits 2 with a message, never a
+    traceback and exit 1, the safety-failure code."""
+
+    @pytest.mark.parametrize("calibration", [
+        b'{"c": "x"}', b"5", b"[" * 100_000, b'{"c": 1200.0, "x": "\xff"}',
+        b'{"c": NaN}', b'{"c": 1e400}', b'{"c": 1200.0, "lane_width_px": NaN}',
+    ], ids=["text-c", "number", "deep", "not-utf8", "nan-c", "huge-c",
+            "nan-lane"])
+    def test_calibration(self, fixture_dir, tmp_path, calibration):
+        res = estimate_on(fixture_dir, tmp_path, calibration=calibration)
+        assert res.exit_code == 2
+        assert "error: " in res.output
+
+    @pytest.mark.parametrize("record, shown", [
+        ('{"t": 9.0, "frame": 180, "class": "car", "box_width_px": NaN}',
+         "record 5: "),
+        ('{"t": 9.0, "frame": 180, "class": "car", "box_width_px": 1e-320}',
+         "t=9.0"),
+        ('{"t": NaN, "frame": 180, "class": "car", "box_width_px": 100.0}',
+         "record 5: "),
+        ('{"t": 1e308, "frame": 180, "class": "car", "box_width_px": 100.0}',
+         "t=1e+308"),
+        ('{"t": 9.0, "frame": 180, "line_px": Infinity}', "record 5: "),
+    ], ids=["nan-width", "tiny-width", "nan-t", "huge-t", "infinite-line"])
+    def test_detection(self, fixture_dir, tmp_path, record, shown):
+        res = estimate_on(fixture_dir, tmp_path, extra_lines=[record])
+        assert res.exit_code == 2
+        assert shown in res.output
+
+    def test_two_detections_of_one_actor_in_a_frame(self, fixture_dir,
+                                                    tmp_path):
+        record = '{"t": 9.0, "frame": 180, "class": "car", ' \
+                 '"box_width_px": %s, "role_hint": "OV"}'
+        res = estimate_on(fixture_dir, tmp_path,
+                          extra_lines=[record % 100.0, record % 90.0])
+        assert res.exit_code == 2
+        assert "frame 180" in res.output
+
+
+def constant_chain(lines: int) -> str:
+    """Constants that each use the one before twice: the inlined condition
+    has 2 ** lines leaves."""
+    consts = ["const c0 = 1"] + [f"const c{i} = c{i - 1} + c{i - 1}"
+                                 for i in range(1, lines)]
+    return "\n".join(consts + [
+        f"assertion chain {{ odd: x type: invariant "
+        f"condition: c{lines - 1} > 0 }}"])
+
+
+class TestRuleSize:
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_constant_chain_exit_2_at_once(self, fixture_dir, tmp_path,
+                                           command):
+        rules = tmp_path / "chain.rules"
+        rules.write_text(constant_chain(30))
+        start = time.perf_counter()
+        res = invoke(fixture_dir, command, "--rules", str(rules))
+        elapsed = time.perf_counter() - start
+        no_traceback(res)
+        assert res.exit_code == 2
+        assert "more than 10000 nodes once constants are inlined" in res.output
+        assert "31:" in res.output
+        assert elapsed < 1.0
+
+    def test_short_chain_compiles(self, fixture_dir, tmp_path):
+        rules = tmp_path / "chain.rules"
+        rules.write_text(constant_chain(8))
+        res = invoke(fixture_dir, "check", "--rules", str(rules))
+        assert res.exit_code == 0, res.output
+        assert "chain: PASS" in res.output
+
+
+class TestDebounceOption:
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_below_one_exit_2(self, fixture_dir, command, depth):
+        res = invoke(fixture_dir, command, "--debounce", depth)
+        no_traceback(res)
+        assert res.exit_code == 2
+        assert "--debounce" in res.output
 
 
 class TestZonesCommand:

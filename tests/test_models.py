@@ -6,7 +6,7 @@ from roadcheck.models import (MPH_TO_MPS, DrivingProfile, ManoeuvreGeometry,
                               ModelError, OvertakeInfeasibleError,
                               UndefinedTtcError, danger_space_length,
                               default_profiles, load_profiles, manoeuvre_time,
-                              mph_to_mps, mps_to_mph, safe_distance_ahead,
+                              mps_to_mph, safe_distance_ahead,
                               stopping_distance, ttc)
 
 V25 = 25 * MPH_TO_MPS      # 11.176 m/s exactly
@@ -193,9 +193,9 @@ class TestProfiles:
         assert loaded.profile("custom").pull_out_clearance == 3.0
 
     def test_unit_conversions_exact(self):
-        assert mph_to_mps(1.0) == 0.44704
+        assert MPH_TO_MPS == 0.44704
         assert mps_to_mph(0.44704) == pytest.approx(1.0, abs=1e-15)
-        assert mph_to_mps(25.0) == pytest.approx(11.176, abs=1e-12)
+        assert 25.0 * MPH_TO_MPS == pytest.approx(11.176, abs=1e-12)
 
 
 def test_geometry_invariants(config):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from roadcheck.checker import compile_text
 from roadcheck.engine import FAIL, PASS, EvaluationContext, evaluate_document
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck.models import MPH_TO_MPS, default_profiles
@@ -10,8 +11,7 @@ from roadcheck.rulepack import (DANGER_SPACE_IDS, NoManoeuvreError,
                                 aggregate_by_stage, danger_space_assertions,
                                 danger_space_stage_table, detect_stages,
                                 first_failures, load_rulepack,
-                                rule162_sda_assertion,
-                                rule163_pullout_separation_assertion,
+                                RULE163_PULL_OUT, rule162_sda_assertion,
                                 scope_to_manoeuvre)
 from roadcheck.trace import ActorState, Trace
 from roadcheck.worldmap import load_map
@@ -81,6 +81,31 @@ class TestDetectStages:
             detect_stages(trace, ROAD)
 
 
+def with_far_vbp(trace: Trace, first: bool) -> Trace:
+    """``trace`` with a second VBP, ``a_far``, parked far ahead of the
+    ego, its record put before or after those of each step."""
+    steps = []
+    for t, step in zip(trace.times, trace.steps):
+        far = {"a_far": actor(t, "a_far", "VBP", 1000.0, -1.825)}
+        steps.append({**far, **step} if first else {**step, **far})
+    return Trace(times=trace.times, steps=tuple(steps), dt=trace.dt)
+
+
+def stages_or_error(trace, road):
+    try:
+        return detect_stages(trace, road)
+    except NoManoeuvreError as exc:
+        return str(exc)
+
+
+def test_stage_roles_do_not_depend_on_record_order(safe_scenario):
+    # the VBP is the VBP actor with the smallest id, as in the rules
+    road, trace = safe_scenario
+    first = stages_or_error(with_far_vbp(trace, True), road)
+    last = stages_or_error(with_far_vbp(trace, False), road)
+    assert first == last == "AV never draws level with the VBP"
+
+
 def pullout_trace(gap: float):
     """AV crossing the centre line at 25 mph with a VBP ahead.
 
@@ -102,7 +127,7 @@ def pullout_trace(gap: float):
 
 class TestRule163PullOut:
     def run(self, gap):
-        rule = rule163_pullout_separation_assertion()
+        rule = compile_text(RULE163_PULL_OUT).assertions[0]
         ctx = EvaluationContext(road=ROAD, config=default_profiles(),
                                 profile_name="nominal")
         verdicts = evaluate_document([rule], pullout_trace(gap), ctx)
@@ -209,7 +234,6 @@ def test_shipped_rulepack_compiles():
 
 
 def test_rule_texts_are_the_shipped_blocks():
-    from roadcheck.checker import compile_text
     from roadcheck.rulepack import (DANGER_SPACE_RULES, RULE162_SDA,
                                     RULE163_PULL_OUT)
     parts = [RULE162_SDA, RULE163_PULL_OUT, DANGER_SPACE_RULES]
@@ -223,7 +247,6 @@ def test_aggregation_any_step_fails_stage(safe_scenario, config):
     st = detect_stages(trace, road)
     ctx = EvaluationContext(road=road, config=config, profile_name="nominal")
     # an invariant that fails exactly once inside the passing stage
-    from roadcheck.checker import compile_text
     k_mid = (st.passing[0] + st.passing[1]) // 2
     t_mid = trace.times[k_mid]
     rule = compile_text(
