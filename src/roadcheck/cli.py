@@ -36,9 +36,9 @@ from .worldmap import MapError, load_map, serialise_map
 _NA_REASONS = ("odd-excluded", "reference-never-fired")
 
 
-def _die(message: str, code: int = 2):
+def _die(message: str):
     click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    sys.exit(2)
 
 
 def _load_map(map_path):
@@ -169,8 +169,7 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
         verdicts = evaluate_document(assertions, trace, ctx)
     except (EvalError, StreamError) as exc:
         _die(str(exc))
-    if debounce_n > 1:
-        verdicts = debounce(verdicts, debounce_n)
+    verdicts = debounce(verdicts, debounce_n)
     if out_jsonl:
         Path(out_jsonl).write_text(verdicts_to_jsonl(verdicts), "utf-8")
     if out_csv:
@@ -320,7 +319,7 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
     decisions = [v for v in verdicts
                  if v.detail.get("reason") != "reference-never-fired"]
     if not decisions:
-        _die("the ego never crosses the centre line", code=1)
+        _die("the ego never crosses the centre line")
     observations = []
     try:
         for v in decisions:

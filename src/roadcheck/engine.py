@@ -10,10 +10,15 @@ Four assertion kinds are evaluated against traces:
                           fixed offset before/after the reference point
 
 Reference points are the steps where the reference expression holds;
-``mode: first`` (the default) keeps only the earliest.  Windows snap to
-available timesteps.  A window reaching beyond the recorded data yields a
-FAIL with reason "insufficient-data" under strict window semantics and a
-not_applicable verdict under lenient semantics.
+``mode: first`` (the default) keeps only the earliest.  A window's far end
+lies ``window`` before (pre) or after (post) the reference point, as in
+the bounded past and future operators of Maler & Nickovic (FORMATS 2004).
+A temporal window covers the steps strictly past the reference point up
+to and including the far end and ends at its first failure; a physical
+window checks the step nearest the far end.  A window that the trace does
+not reach, failing nowhere, yields a FAIL with reason "insufficient-data"
+under strict window semantics and a not_applicable verdict under lenient
+semantics.
 
 There is one evaluator, the streaming engine, which emits each verdict as
 soon as it is decidable; batch evaluation is that engine run to the end of
@@ -37,7 +42,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import operator
 from bisect import bisect_left
 from collections import deque
@@ -61,6 +65,9 @@ FAIL = "fail"
 NOT_APPLICABLE = "not_applicable"
 
 _T_EPS = 1e-9
+
+# the result of a verdict whose condition names a missing actor
+_ON_MISSING = {"fail": FAIL, "pass": PASS, "not_applicable": NOT_APPLICABLE}
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
@@ -128,8 +135,8 @@ class _BufferedStep:
         self.derived: dict = {}
         self.roles: dict | None = None
         # assertion position -> None (the condition passed) or its FAIL or
-        # NOT_APPLICABLE verdict; created by the first temporal window
-        self.held: dict | None = None
+        # NOT_APPLICABLE verdict, for the temporal windows that cover it
+        self.held: dict = {}
 
     def dynamics(self, aid: str, road: RoadMap):
         """Derived state of ``aid``; None when it appears at this step only."""
@@ -208,18 +215,12 @@ class _StepView:
         return self._shape("danger_space", st, self._danger_space)
 
     def overlaps(self, a, b) -> bool:
-        if a is None or b is None:
-            return False    # degenerate danger space is overlap-inert
         return poly_overlaps(a, b)
 
     def min_distance(self, a, b) -> float:
-        if a is None or b is None:
-            return math.inf
         return poly_min_distance(a, b)
 
     def overlap_area(self, a, b) -> float:
-        if a is None or b is None:
-            return 0.0
         return poly_overlap_area(a, b)
 
     def crosses_centreline(self, st: ActorState) -> bool:
@@ -328,6 +329,7 @@ def _eval(node, view: _StepView):
 def _condition_verdict(assertion: CompiledAssertion, view: _StepView,
                        t: float) -> Verdict:
     """Evaluate the condition at one step and build the verdict."""
+    view.touched = []       # the actors that this condition reads
     detail: dict = {}
     cond = assertion.condition
     # a top-level comparison's operands are the verdict's diagnostics
@@ -340,14 +342,10 @@ def _condition_verdict(assertion: CompiledAssertion, view: _StepView,
         else:
             ok = bool(_eval(cond, view))
     except ActorNotFound as exc:
-        policy = assertion.decl.on_missing
         detail["reason"] = "actor-not-found"
         detail["actor"] = str(exc.args[0] if exc.args else "")
-        if policy == "pass":
-            return Verdict(assertion.id, t, PASS, detail)
-        if policy == "not_applicable":
-            return Verdict(assertion.id, t, NOT_APPLICABLE, detail)
-        return Verdict(assertion.id, t, FAIL, detail)
+        return Verdict(assertion.id, t, _ON_MISSING[assertion.decl.on_missing],
+                       detail)
     except EvalError as exc:
         detail["reason"] = "evaluation-error"
         detail["error"] = str(exc)
@@ -388,13 +386,6 @@ def nearest_index(times, target: float) -> int:
     return i - 1 if target - before <= after - target else i
 
 
-def _insufficient(assertion: CompiledAssertion, t_ref: float,
-                  ctx: EvaluationContext) -> Verdict:
-    detail = {"reason": "insufficient-data"}
-    result = FAIL if ctx.strict_windows else NOT_APPLICABLE
-    return Verdict(assertion.id, t_ref, result, detail)
-
-
 def _held_condition(assertion: CompiledAssertion, pos: int,
                     at: _BufferedStep, ctx: EvaluationContext,
                     shapes: dict | None = None) -> Verdict | None:
@@ -402,40 +393,11 @@ def _held_condition(assertion: CompiledAssertion, pos: int,
     once and held for every window that covers the step: None when it
     passed, else the FAIL or NOT_APPLICABLE verdict."""
     held = at.held
-    if held is None:
-        held = at.held = {}
-    elif pos in held:
+    if pos in held:
         return held[pos]
     v = _condition_verdict(assertion, _StepView(ctx, at, shapes), at.t)
     v = held[pos] = None if v.result == PASS else v
     return v
-
-
-def _window_failure(v: Verdict, t_ref: float, t: float) -> Verdict:
-    """A held verdict stamped for the window at ``t_ref``; a failure also
-    names the step ``t`` that violated it."""
-    if v.result == FAIL:
-        detail = dict(v.detail)
-        detail["violated_t"] = t
-        return replace(v, t=t_ref, detail=detail)
-    return replace(v, t=t_ref)
-
-
-def _window_verdict(assertion, pos, steps, t_ref, incomplete, ctx) -> Verdict:
-    for at in steps:
-        v = _held_condition(assertion, pos, at, ctx)
-        if v is not None:
-            return _window_failure(v, t_ref, at.t)
-    if incomplete:
-        return _insufficient(assertion, t_ref, ctx)
-    return Verdict(assertion.id, t_ref, PASS,
-                   {"steps_checked": len(steps)})
-
-
-def _checked_at(v: Verdict, checked_t: float) -> Verdict:
-    detail = dict(v.detail)
-    detail["checked_t"] = checked_t
-    return replace(v, detail=detail)
 
 
 def manoeuvre_at(trace: Trace, k: int, ctx: EvaluationContext):
@@ -464,13 +426,16 @@ def evaluate_document(assertions, trace: Trace,
 
 # --- streaming evaluation ---------------------------------------------------
 
-@dataclass
-class _OpenWindow:
+@dataclass(slots=True)
+class _Window:
+    """A windowed assertion's window at reference time ``t_ref``."""
+
     assertion: CompiledAssertion
-    pos: int                        # in StreamingEngine._active
+    pos: int                # in StreamingEngine._active
     t_ref: float
-    deadline: float
-    checked: int = 0
+    far: float
+    temporal: bool
+    checked: int = 0        # steps of a temporal window that held
 
 
 class StreamingEngine:
@@ -495,17 +460,13 @@ class StreamingEngine:
         self._ref_slot = [None if a.reference is None
                           else slots.setdefault(a.reference, len(slots))
                           for a in self._active]
-        lookbacks = [a.decl.window for a in self._active
-                     if a.decl.kind in ("pre_temporal", "pre_physical")
-                     and a.decl.window]
-        self._lookback = max(lookbacks, default=0.0)
+        self._lookback = max((a.decl.window for a in self._active
+                              if a.decl.kind.startswith("pre_")), default=0.0)
         self._buffer: deque = deque()   # of _BufferedStep
         self._first_t: float | None = None
         self._last_fed: float | None = None
-        self._ref_seen: set = set()      # ids with mode=first already fired
-        self._ref_ever: set = set()      # ids whose reference fired at all
-        self._open_windows: list[_OpenWindow] = []
-        self._post_targets: list = []    # (assertion, t_ref, target)
+        self._fired: set = set()         # ids whose reference has fired
+        self._open: list[_Window] = []   # post windows, in opening order
         self._finished = False
 
     # -- public API --
@@ -538,20 +499,15 @@ class StreamingEngine:
         if self._finished:
             return []
         self._finished = True
-        out = []
-        if self._buffer:
-            out.extend(self._process(len(self._buffer) - 1, at_end=True))
-        for w in self._open_windows:
-            out.append(_insufficient(w.assertion, w.t_ref, self.ctx))
-        self._open_windows.clear()
-        for assertion, t_ref, _ in self._post_targets:
-            out.append(_insufficient(assertion, t_ref, self.ctx))
-        self._post_targets.clear()
-        if self._buffer:
-            for a in self._active:
-                if a.decl.kind != "invariant" and a.id not in self._ref_ever:
-                    out.append(Verdict(a.id, self._last_fed, NOT_APPLICABLE,
-                                       {"reason": "reference-never-fired"}))
+        if not self._buffer:
+            return []
+        out = self._process(len(self._buffer) - 1)
+        # the trace ends short of the post windows still open
+        out.extend(self._close(w) for w in self._open)
+        for a in self._active:
+            if a.decl.kind != "invariant" and a.id not in self._fired:
+                out.append(Verdict(a.id, self._last_fed, NOT_APPLICABLE,
+                                   {"reason": "reference-never-fired"}))
         return out
 
     @property
@@ -568,92 +524,106 @@ class StreamingEngine:
         while len(buf) > 3 and buf[1].t <= horizon:
             buf.popleft()
 
-    def _process(self, idx: int, at_end: bool = False) -> list[Verdict]:
-        buf = self._buffer
-        at = buf[idx]
+    def _process(self, idx: int) -> list[Verdict]:
+        at = self._buffer[idx]
         t = at.t
         # the assertions of this step share its polygons; older steps
         # evaluated for windows build their own
         shapes: dict = {}
+        view = _StepView(self.ctx, at, shapes)
 
-        def here(k=idx):
-            return _StepView(self.ctx, buf[k], shapes if k == idx else None)
-
-        out = []
-        # 1. open post-window conditions are checked before window closing
-        for w in list(self._open_windows):
-            if t > w.t_ref + _T_EPS and t <= w.deadline + _T_EPS:
-                v = _held_condition(w.assertion, w.pos, at, self.ctx, shapes)
-                w.checked += 1
-                if v is not None:
-                    out.append(_window_failure(v, w.t_ref, t))
-                    self._open_windows.remove(w)
-                    continue
-            if t >= w.deadline - _T_EPS:
-                out.append(Verdict(w.assertion.id, w.t_ref, PASS,
-                                   {"steps_checked": w.checked}))
-                self._open_windows.remove(w)
-        # 2. physical post targets
-        for entry in list(self._post_targets):
-            assertion, t_ref, target = entry
-            if t >= target - _T_EPS:
-                times = [b.t for b in buf]
-                k = nearest_index(times, target)
-                out.append(_checked_at(
-                    _condition_verdict(assertion, here(k), t_ref), times[k]))
-                self._post_targets.remove(entry)
-        # 3. per-assertion work at this step
+        # open post windows see this step before any window opens at it
+        out = self._advance(idx, shapes) if self._open else []
         fired: dict = {}    # reference slot -> holds at this step
         for pos, assertion in enumerate(self._active):
-            if assertion.decl.kind == "invariant":
-                out.append(_condition_verdict(assertion, here(), t))
+            decl = assertion.decl
+            if decl.kind != "invariant":
+                if decl.mode == "first" and assertion.id in self._fired:
+                    continue
+                ref = self._ref_slot[pos]
+                holds = fired.get(ref)
+                if holds is None:
+                    holds = fired[ref] = _reference_holds(assertion, view)
+                if not holds:
+                    continue
+                self._fired.add(assertion.id)
+            if decl.window is None:     # an invariant or execution assertion
+                out.append(_condition_verdict(assertion, view, t))
                 continue
-            if assertion.id in self._ref_seen:
-                continue
-            ref = self._ref_slot[pos]
-            holds = fired.get(ref)
-            if holds is None:
-                holds = fired[ref] = _reference_holds(assertion, here())
-            if not holds:
-                continue
-            self._ref_ever.add(assertion.id)
-            if assertion.decl.mode == "first":
-                self._ref_seen.add(assertion.id)
-            out.extend(self._fire_reference(assertion, pos, idx, t, here,
-                                            at_end))
+            pre = decl.kind.startswith("pre_")
+            far = t - decl.window if pre else t + decl.window
+            w = _Window(assertion, pos, t, far, decl.kind.endswith("temporal"))
+            if pre:
+                out.append(self._decide_pre(w, idx, shapes))
+            else:
+                self._open.append(w)
         return out
 
-    def _fire_reference(self, assertion: CompiledAssertion, pos: int,
-                        idx: int, t_ref: float, here,
-                        at_end: bool) -> list[Verdict]:
-        kind = assertion.decl.kind
-        window = assertion.decl.window
-        if kind == "execution":
-            return [_condition_verdict(assertion, here(), t_ref)]
-        if kind in ("post_temporal", "post_physical"):
-            if at_end:
-                return [_insufficient(assertion, t_ref, self.ctx)]
-            if kind == "post_temporal":
-                self._open_windows.append(
-                    _OpenWindow(assertion, pos, t_ref, t_ref + window))
+    def _decide_pre(self, w: _Window, idx: int, shapes: dict) -> Verdict:
+        """A pre window, decided from the buffer: a temporal one walks the
+        steps from its far end up to t_ref."""
+        reached = w.far >= self._first_t - _T_EPS
+        if not w.temporal:
+            return self._nearest(w, idx, shapes) if reached else self._close(w)
+        for at in self._buffer:
+            if at.t >= w.t_ref - _T_EPS:
+                break
+            if at.t >= w.far - _T_EPS:
+                v = _held_condition(w.assertion, w.pos, at, self.ctx)
+                if v is not None:
+                    return self._close(w, at.t, v)
+                w.checked += 1
+        return self._close(w, w.t_ref if reached else None)
+
+    def _advance(self, idx: int, shapes: dict) -> list[Verdict]:
+        """Advance the open post windows over step ``idx`` and close those
+        that fail at it or whose far end it reaches."""
+        at = self._buffer[idx]
+        t = at.t
+        out, still_open = [], []
+        for w in self._open:
+            if w.temporal and t <= w.far + _T_EPS:
+                v = _held_condition(w.assertion, w.pos, at, self.ctx, shapes)
+                if v is not None:
+                    out.append(self._close(w, t, v))
+                    continue
+                w.checked += 1
+            if t < w.far - _T_EPS:
+                still_open.append(w)
+            elif w.temporal:
+                out.append(self._close(w, t))
             else:
-                self._post_targets.append((assertion, t_ref, t_ref + window))
-            return []
-        lo = t_ref - window
-        if kind == "pre_temporal":
-            steps = [b for b in self._buffer
-                     if b.t >= lo - _T_EPS and b.t < t_ref - _T_EPS]
-            incomplete = lo < self._first_t - _T_EPS
-            return [_window_verdict(assertion, pos, steps, t_ref,
-                                    incomplete, self.ctx)]
-        if kind == "pre_physical":
-            if lo < self._first_t - _T_EPS:
-                return [_insufficient(assertion, t_ref, self.ctx)]
-            times = [b.t for b in self._buffer]
-            k = nearest_index(times, lo)
-            return [_checked_at(_condition_verdict(assertion, here(k), t_ref),
-                                times[k])]
-        raise EvalError(f"unknown assertion kind {kind!r}")
+                out.append(self._nearest(w, idx, shapes))
+        self._open = still_open
+        return out
+
+    def _nearest(self, w: _Window, idx: int, shapes: dict) -> Verdict:
+        """A physical window's verdict: the condition at the buffered step
+        nearest its far end."""
+        buf = self._buffer
+        k = nearest_index([b.t for b in buf], w.far)
+        view = _StepView(self.ctx, buf[k], shapes if k == idx else None)
+        return self._close(w, buf[k].t,
+                           _condition_verdict(w.assertion, view, w.t_ref))
+
+    def _close(self, w: _Window, t: float | None = None,
+               v: Verdict | None = None) -> Verdict:
+        """The verdict of window ``w``, decided at step ``t``; None when
+        the trace does not reach its far end.  ``v`` is the condition
+        verdict at ``t``: a temporal window's first held failure (None when
+        every step held), or a physical window's step nearest ``far``."""
+        if t is None:
+            result = FAIL if self.ctx.strict_windows else NOT_APPLICABLE
+            detail = {"reason": "insufficient-data"}
+        elif v is None:
+            result, detail = PASS, {"steps_checked": w.checked}
+        else:
+            result, detail = v.result, dict(v.detail)
+            if not w.temporal:
+                detail["checked_t"] = t
+            elif result == FAIL:
+                detail["violated_t"] = t
+        return Verdict(w.assertion.id, w.t_ref, result, detail)
 
 
 # --- debounce ---------------------------------------------------------------

@@ -56,9 +56,9 @@ class BoxDims:
     width: float
 
     def __post_init__(self):
-        if not (self.length > 0.0 and self.width > 0.0):
-            raise GeometryError(
-                f"box dimensions must be positive, got {self.length}x{self.width}")
+        if not (0.0 < self.length < math.inf and 0.0 < self.width < math.inf):
+            raise GeometryError(f"box dimensions must be finite and positive, "
+                                f"got {self.length}x{self.width}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,9 @@ class ConvexPolygon:
                     "polygon is not strictly convex in CCW order "
                     f"(cross={cross:g} at vertex {i})")
             area2 += ax * by - bx * ay
+        if not math.isfinite(area2):
+            # a NaN vertex passes every convexity test above
+            raise GeometryError("polygon vertices must be finite")
         object.__setattr__(self, "_area", 0.5 * area2)
 
     @classmethod
@@ -270,14 +273,11 @@ def overlap_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
 def danger_space(pose: Pose2D, dims: BoxDims, ds_length: float):
     """Rectangle projected forward from the vehicle's front face.
 
-    Length is ``ds_length`` along the heading, width is the vehicle width.
-    A zero-length danger space is degenerate and overlap-inert, represented
-    as None; callers must treat None as never overlapping anything.
+    Length is ``ds_length`` (> 0) along the heading, width is the vehicle
+    width.
     """
-    if ds_length < 0.0:
-        raise GeometryError(f"danger space length must be >= 0, got {ds_length}")
-    if ds_length == 0.0:
-        return None
+    if not ds_length > 0.0:
+        raise GeometryError(f"danger space length must be > 0, got {ds_length}")
     c, s = math.cos(pose.heading), math.sin(pose.heading)
     fx = pose.x + c * dims.length / 2.0
     fy = pose.y + s * dims.length / 2.0

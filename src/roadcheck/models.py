@@ -70,6 +70,8 @@ def stopping_distance(v_mph: float) -> StoppingDistance:
         raise ModelError(f"speed must be >= 0 mph, got {v_mph}")
     thinking = _SD_A * v_mph
     braking = _SD_B + _SD_C * v_mph + _SD_D * v_mph * v_mph
+    if not math.isfinite(braking):      # a NaN, infinite or huge speed
+        raise ModelError(f"stopping distance at {v_mph} mph is not finite")
     return StoppingDistance(thinking=thinking, braking=braking)
 
 

@@ -145,7 +145,7 @@ def load_detections(source):
     lines = []
     index = -1
     last_t = None
-    for raw in text.splitlines():
+    for raw in text.split("\n"):     # as trace.load_trace: "\n" ends a record
         raw = raw.strip()
         if not raw:
             continue
@@ -260,21 +260,21 @@ def boxes_to_trace(detections, line_records, cal: CameraCalibration,
 def trace_to_detections(trace: Trace, cal: CameraCalibration) -> str:
     """Synthesise a detection JSONL from a trace (fixture generation).
 
-    Inverts the pinhole range model for every VBP/OV ahead of the ego and
-    emits a lane-line record per frame from the ego's lateral position.
+    Inverts the pinhole range model for the VBP and the OV that the rules
+    see (``trace.role_index``) when they are ahead of the ego, and emits a
+    lane-line record per frame from the ego's lateral position.
     """
     lines = []
     for frame, step in enumerate(trace.steps):
-        av = role_index(step).get("av")
+        roles = role_index(step)
+        av = roles.get("av")
         if av is None:
             continue
         t = av.t
         line_px = cal.frame_centre_px - (av.pose.y * cal.lane_width_px
                                          / cal.lane_width_real)
         lines.append(json.dumps({"t": t, "frame": frame, "line_px": line_px}))
-        for st in step.values():
-            if st.role not in ("VBP", "OV"):
-                continue
+        for st in filter(None, (roles.get("vbp"), roles.get("ov"))):
             s = st.pose.x - av.pose.x
             if s <= 1.0:
                 continue   # behind or on top of the camera

@@ -147,12 +147,15 @@ def role_index(step: dict) -> dict:
     return roles
 
 
-def _number(obj: dict, key: str) -> float:
+def _number(obj: dict, key: str, finite: bool = False) -> float:
     """``obj[key]`` as a float; float() would also take a JSON boolean."""
     value = obj[key]
     if isinstance(value, bool):
         raise TraceError(f"{key} must be a number, got {json.dumps(value)}")
-    return float(value)
+    value = float(value)
+    if finite and not math.isfinite(value):
+        raise TraceError(f"{key} must be finite, got {value}")
+    return value
 
 
 _REQUIRED = ("t", "actor_id", "role", "x", "y", "heading_rad", "length_m",
@@ -172,7 +175,8 @@ def _parse_record(obj: dict, index: int, dims_seen: dict | None = None) -> Actor
         fast = (type(t) is type(x) is type(y) is type(heading)
                 is type(length) is type(width) is float
                 and type(actor_id) is type(role) is str
-                and (type(speed) is float or "speed_mps" not in obj)
+                and (type(speed) is float and math.isfinite(speed)
+                     or "speed_mps" not in obj)
                 and "speed_mph" not in obj
                 and (low_confidence is False or low_confidence is True)
                 and math.isfinite(x) and math.isfinite(y)
@@ -198,9 +202,9 @@ def _parse_record(obj: dict, index: int, dims_seen: dict | None = None) -> Actor
         try:
             speed = None
             if "speed_mps" in obj:
-                speed = _number(obj, "speed_mps")
+                speed = _number(obj, "speed_mps", finite=True)
             elif "speed_mph" in obj:
-                speed = _number(obj, "speed_mph") * MPH_TO_MPS
+                speed = _number(obj, "speed_mph", finite=True) * MPH_TO_MPS
             role = str(obj["role"])
             t = _number(obj, "t")
             x, y, heading = (_number(obj, k) for k in ("x", "y", "heading_rad"))

@@ -334,6 +334,18 @@ MALFORMED = [
      'record 5: low_confidence must be true or false, got "false"'),
     ("huge-integer-x", _mutate(5, x=10 ** 400),
      "record 5: int too large to convert to float"),
+    # Python's JSON decoder takes NaN and Infinity; RFC 8259 does not
+    ("nan-speed", _mutate(5, speed_mps=float("nan")),
+     "record 5: speed_mps must be finite, got nan"),
+    ("infinite-speed-mph", _mutate(5, speed_mps=_DELETE,
+                                   speed_mph=float("-inf")),
+     "record 5: speed_mph must be finite, got -inf"),
+    ("infinite-length", _mutate(5, length_m=float("inf")),
+     "record 5: box dimensions must be finite and positive, got inf"
+     "x2.0"),
+    ("nan-width", _mutate(5, width_m=float("nan")),
+     "record 5: box dimensions must be finite and positive, got 8.0"
+     "xnan"),
     # decoding the joined lines would accept them; each line alone fails
     ("joined-lines", _joined_lines,
      "record 0: invalid JSON: Expecting ',' delimiter"),
@@ -734,6 +746,35 @@ class TestMutatedRecordFuzz:
         assert any("speed must be >= 0 mph" in v["detail"]["error"]
                    and v["t"] == 0.0 for v in errors)
 
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_huge_speed_of_single_step_actor(self, fixture_dir, tmp_path,
+                                             command):
+        # 1e200 m/s is finite, its stopping distance is not: the verdicts
+        # are evaluation errors and no verdict line holds Infinity or NaN
+        records = [json.loads(l) for l in
+                   (fixture_dir / "safe_trace.jsonl").read_text().splitlines()]
+        kept = [r for r in records
+                if r["actor_id"] != "oncoming" or r["t"] == 1.05]
+        for r in kept:
+            if r["actor_id"] == "oncoming":
+                r["speed_mps"] = 1e200
+        trace = tmp_path / "huge_speed_trace.jsonl"
+        trace.write_text("\n".join(json.dumps(r) for r in kept) + "\n")
+        res = run_on(command, fixture_dir / "safe_map.json", trace,
+                     *(["--print-verdicts"] if command == "check" else []))
+        no_traceback(res)
+        assert res.exit_code == (1 if command == "check" else 0)
+
+        def reject(token):
+            raise AssertionError(f"{token} in a verdict line")
+
+        verdicts = [json.loads(l, parse_constant=reject)
+                    for l in res.output.splitlines() if l.startswith("{")]
+        sda = [v for v in verdicts
+               if v["assertion_id"] == "rule162_safe_distance_ahead"]
+        assert [(v["t"], v["detail"]["reason"]) for v in sda] == [
+            (1.05, "evaluation-error")]
+
 
 class TestMonitor:
     def monitor_args(self, root, preset):
@@ -950,3 +991,17 @@ class TestZonesCommand:
         fields = lines[1].split(",")
         assert float(fields[1]) == pytest.approx(76.43, abs=0.01)
         assert fields[4] == "C"
+
+    def test_no_decision_point_exits_2(self, fixture_dir, tmp_path):
+        # exit 1 means a failed safety assertion; an ego that never pulls
+        # out gives zones nothing to classify, which is an input error
+        records = [json.loads(l) for l in
+                   (fixture_dir / "safe_trace.jsonl").read_text().splitlines()]
+        for r in records:
+            if r["actor_id"] == "ego":
+                r["y"], r["heading_rad"] = -1.825, 0.0
+        trace = tmp_path / "no_pull_out_trace.jsonl"
+        trace.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        res = invoke(fixture_dir, "zones", trace=trace)
+        assert res.exit_code == 2, res.output
+        assert "error: the ego never crosses the centre line" in res.stderr

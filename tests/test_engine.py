@@ -195,6 +195,26 @@ class TestTemporalWindows:
         verdicts = evaluate_document([rule], straight_trace(n=30), ctx)
         assert verdicts[0].result == NOT_APPLICABLE
 
+    def test_pre_failure_before_missing_start_fails(self):
+        # the window starts before the trace, but a step that it does cover
+        # fails: that failure is the verdict, not insufficient-data
+        rule = self.make_rule("pre_temporal", window="5s",
+                              cond="time() > 0.05s")
+        verdicts = evaluate_document([rule], straight_trace(n=30), CTX)
+        assert results(verdicts) == [(2.0, FAIL)]
+        assert verdicts[0].detail["violated_t"] == 0.0
+
+    # the last step is t = 3.9: a 1.9 s window ends on it, a 2 s window
+    # one step past it
+    @pytest.mark.parametrize("window,result,detail", [
+        ("1.9s", PASS, {"steps_checked": 19}),
+        ("2s", FAIL, {"reason": "insufficient-data"})])
+    def test_post_far_end_at_trace_end(self, window, result, detail):
+        rule = self.make_rule("post_temporal", window=window)
+        verdicts = evaluate_document([rule], straight_trace(n=40), CTX)
+        assert results(verdicts) == [(2.0, result)]
+        assert verdicts[0].detail == detail
+
     def test_post_past_trace_end_strict_fails(self):
         rule = compiled('assertion w { odd: road type: post_temporal '
                         'window: 5s reference: time() >= 2s '
@@ -231,6 +251,20 @@ class TestPhysicalOffsets:
         verdicts = evaluate_document([rule], straight_trace(n=40), CTX)
         assert verdicts[0].result == PASS
         assert verdicts[0].detail["checked_t"] == pytest.approx(1.0)
+
+    # the first step is t = 0: a 2 s offset lands on it, a 2.001 s offset
+    # 1 ms before it
+    @pytest.mark.parametrize("window,result,detail", [
+        ("2s", PASS, {"checked_t": 0.0, "measured": 0.0, "op": "<",
+                      "threshold": 0.05}),
+        ("2.001s", FAIL, {"reason": "insufficient-data"})])
+    def test_pre_offset_at_trace_start(self, window, result, detail):
+        rule = compiled('assertion w { odd: road type: pre_physical '
+                        f'window: {window} reference: time() >= 2s '
+                        'condition: time() < 0.05s }')
+        verdicts = evaluate_document([rule], straight_trace(n=40), CTX)
+        assert results(verdicts) == [(2.0, result)]
+        assert verdicts[0].detail == detail
 
     def test_target_beyond_end_insufficient(self):
         rule = compiled('assertion w { odd: road type: post_physical '

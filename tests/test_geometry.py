@@ -46,6 +46,8 @@ class TestOrientedBox:
             BoxDims(0.0, 2.0)
         with pytest.raises(GeometryError):
             BoxDims(4.0, -1.0)
+        with pytest.raises(GeometryError):
+            BoxDims(math.inf, 2.0)
 
 
 class TestMinDistance:
@@ -72,6 +74,11 @@ class TestMinDistance:
             ConvexPolygon(((0, 0), (1, 0)))
         with pytest.raises(GeometryError):
             ConvexPolygon(((0, 0), (1, 0), (2, 0)))   # collinear
+        # a NaN corner makes every convexity cross product NaN, which no
+        # comparison with the tolerance catches
+        for bad in (math.nan, math.inf):
+            with pytest.raises(GeometryError):
+                ConvexPolygon(((0, 0), (1, 0), (1, bad), (0, 1)))
 
 
 class TestOverlaps:
@@ -139,17 +146,17 @@ class TestDangerSpace:
         assert (min(xs), max(xs)) == (2.0, 12.0)
         assert (min(ys), max(ys)) == (-1.0, 1.0)
 
-    def test_zero_length_is_inert(self):
-        assert danger_space(Pose2D(0, 0, 0), BoxDims(4, 2), 0.0) is None
-
     def test_reflected_heading(self):
         ds = danger_space(Pose2D(0, 0, math.pi), BoxDims(4, 2), 10.0)
         xs = [round(v[0], 9) for v in ds.vertices]
         assert (min(xs), max(xs)) == (-12.0, -2.0)
 
     def test_negative_length_rejected(self):
-        with pytest.raises(GeometryError):
-            danger_space(Pose2D(0, 0, 0), BoxDims(4, 2), -1.0)
+        # the stopping distance is at least 0.058 m, so a zero length is
+        # as malformed as a negative one
+        for length in (-1.0, 0.0, math.nan):
+            with pytest.raises(GeometryError):
+                danger_space(Pose2D(0, 0, 0), BoxDims(4, 2), length)
 
 
 class TestRigidMotionInvariance:

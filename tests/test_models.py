@@ -37,6 +37,12 @@ class TestStoppingDistance:
         with pytest.raises(ModelError):
             stopping_distance(-1.0)
 
+    @pytest.mark.parametrize("v_mph", [math.nan, math.inf, 1e200])
+    def test_non_finite_rejected(self, v_mph):
+        # 1e200 mph is finite, but its braking distance overflows
+        with pytest.raises(ModelError):
+            stopping_distance(v_mph)
+
     def test_strictly_increasing(self):
         prev = stopping_distance(0.0).total
         v = 0.1

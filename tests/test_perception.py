@@ -8,7 +8,8 @@ from roadcheck.perception import (CameraCalibration, DetectionRecord,
                                   boxes_to_trace, lateral_offset,
                                   load_detections, longitudinal_distance,
                                   trace_to_detections)
-from roadcheck.trace import load_trace, serialise_trace
+from roadcheck.geometry import BoxDims, Pose2D
+from roadcheck.trace import ActorState, Trace, load_trace, serialise_trace
 
 CAL = CameraCalibration(c=1200.0, assumed_vehicle_width=1.8,
                         lane_width_real=3.65, lane_width_px=365.0,
@@ -141,6 +142,15 @@ class TestMalformedDetections:
             load_detections(GOOD_LINE + "\n" + line + "\n")
         assert message in str(err.value)
 
+    def test_line_separator_in_string_accepted(self):
+        # U+2028 may stand unescaped in a JSON string; only "\n" ends a
+        # record, as in a trace
+        line = json.dumps({"t": 0.0, "frame": 0, "class": "car",
+                           "box_width_px": 100.0, "role_hint": "O\u2028V"},
+                          ensure_ascii=False)
+        detections, _ = load_detections(GOOD_LINE + "\n" + line + "\n")
+        assert [d.role_hint for d in detections] == ["O\u2028V"]
+
 
 class TestFixtureChain:
     def test_occlusion_detections_round_trip(self, occlusion_scenario):
@@ -164,6 +174,29 @@ class TestFixtureChain:
                          if any(s.role == "OV" for s in step.values())}
         flick_ts = {trace.times[k] for k in spec.occlusion.flicker_steps}
         assert not (flick_ts & times_with_ov)
+
+    def test_second_passed_vehicle_left_out(self, occlusion_scenario):
+        # the rules see the VBP with the smallest id (trace.role_index);
+        # a second 8 m VBP gets no detection, so the estimate still has
+        # one actor per role and class
+        road, trace = occlusion_scenario
+        steps = []
+        for step in trace.steps:
+            step = dict(step)
+            vbp = step.get("parked")
+            if vbp is not None:
+                step["queued"] = ActorState(
+                    "queued", "VBP", vbp.t,
+                    Pose2D(vbp.pose.x + 20.0, vbp.pose.y, vbp.pose.heading),
+                    vbp.dims)
+            steps.append(step)
+        cal = CameraCalibration(c=1200.0, assumed_vehicle_width=2.0,
+                                lane_width_real=3.65, lane_width_px=365.0,
+                                frame_centre_px=320.0)
+        text = trace_to_detections(Trace(trace.times, steps, trace.dt), cal)
+        assert text == trace_to_detections(trace, cal)
+        detections, lines = load_detections(text)
+        boxes_to_trace(detections, lines, cal)
 
     def test_worst_case_speeds_applied(self):
         records = [det(0.1 * k, 100.0, cls="goods_vehicle", role="VBP")
