@@ -33,8 +33,15 @@ the buffered step for the windows that reach it later.  Each distinct
 reference expression is evaluated at most once per step, whichever
 assertions share it.
 
+Each assertion's condition and reference are compiled once per engine
+into a tree of closures, the classic cure for interpreter dispatch
+(Feeley & Lapalme, "Using Closures for Code Generation", Computer
+Languages 12(1), 1987); structurally equal subtrees share one closure.
+A builtin call goes to the ``_StepView`` method of its name.
+
 Comparisons are encoded per rule with explicit <, <=, >, >=: a rule that
-must fail on ties uses the strict operator.
+must fail on ties uses the strict operator.  A comparison with an
+infinite or NaN operand is an evaluation error, as a division by zero is.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import operator
 from bisect import bisect_left
 from collections import deque
@@ -71,6 +79,9 @@ _ON_MISSING = {"fail": FAIL, "pass": PASS, "not_applicable": NOT_APPLICABLE}
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_isfinite = math.isfinite
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class ActorNotFound(LookupError):
@@ -93,9 +104,14 @@ class Verdict:
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({"assertion_id": self.assertion_id, "t": self.t,
-                           "result": self.result, "detail": self.detail},
-                          sort_keys=True)
+        """``json.dumps`` of the four fields with sorted keys; the keys and
+        separators are written out here, and only the values encoded."""
+        t = self.t
+        t = (float.__repr__(t) if type(t) is float and _isfinite(t)
+             else _encode(t))
+        return (f'{{"assertion_id": {_encode(self.assertion_id)}, '
+                f'"detail": {_encode(self.detail)}, '
+                f'"result": {_encode(self.result)}, "t": {t}}}')
 
 
 @dataclass(frozen=True)
@@ -289,58 +305,97 @@ def _ds_length(v_mph: float) -> float:
         raise EvalError(str(exc)) from exc
 
 
-def _eval(node, view: _StepView):
-    if isinstance(node, dsl.NumberLit):
-        return node.value
-    if isinstance(node, dsl.DurationLit):
-        return node.seconds
-    if isinstance(node, dsl.BoolLit):
-        return node.value
+def _compile(node, memo: dict):
+    """``node`` as a closure ``view -> value``.  ``memo`` maps each subtree
+    compiled so far to its closure, so that structurally equal subtrees
+    (spans aside) share one."""
+    fn = memo.get(node)
+    if fn is None:
+        fn = memo[node] = _compile_node(node, memo)
+    return fn
+
+
+def _compile_node(node, memo: dict):
+    if isinstance(node, (dsl.NumberLit, dsl.DurationLit, dsl.BoolLit)):
+        value = node.seconds if isinstance(node, dsl.DurationLit) else node.value
+        return lambda view: value
     if isinstance(node, dsl.StringLit):
-        return view.resolve(node.value)
+        ref = node.value
+        return lambda view: view.resolve(ref)
     if isinstance(node, dsl.Not):
-        return not _eval(node.operand, view)
+        operand = _compile(node.operand, memo)
+        return lambda view: not operand(view)
     if isinstance(node, dsl.Neg):
-        return -_eval(node.operand, view)
+        operand = _compile(node.operand, memo)
+        return lambda view: -operand(view)
     if isinstance(node, dsl.Compare):
-        return _COMPARE[node.op](_eval(node.left, view),
-                                 _eval(node.right, view))
+        operands, op = _operands(node, memo), _COMPARE[node.op]
+        return lambda view: op(*operands(view))
     if isinstance(node, dsl.BinaryOp):
+        left, right = _compile(node.left, memo), _compile(node.right, memo)
         if node.op == "and":
-            return _eval(node.left, view) and _eval(node.right, view)
+            return lambda view: left(view) and right(view)
         if node.op == "or":
-            return _eval(node.left, view) or _eval(node.right, view)
-        left = _eval(node.left, view)
-        right = _eval(node.right, view)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right == 0:
-            raise EvalError("division by zero")
-        return left / right
+            return lambda view: left(view) or right(view)
+        if node.op == "/":
+            def divide(view):
+                dividend, divisor = left(view), right(view)
+                if divisor == 0:
+                    raise EvalError("division by zero")
+                return dividend / divisor
+            return divide
+        op = _ARITHMETIC[node.op]
+        return lambda view: op(left(view), right(view))
     if isinstance(node, dsl.Call):
-        return _BUILTINS[node.name](view, *[_eval(a, view) for a in node.args])
+        fn = _BUILTINS[node.name]
+        args = [_compile(a, memo) for a in node.args]
+        if not args:
+            return fn
+        if len(args) == 1:
+            (arg,) = args
+            return lambda view: fn(view, arg(view))
+        if len(args) == 2:
+            first, second = args
+            return lambda view: fn(view, first(view), second(view))
+        return lambda view: fn(view, *[a(view) for a in args])
     raise EvalError(f"cannot evaluate {type(node).__name__}")
 
 
-def _condition_verdict(assertion: CompiledAssertion, view: _StepView,
-                       t: float) -> Verdict:
-    """Evaluate the condition at one step and build the verdict."""
+def _operands(node: dsl.Compare, memo: dict):
+    """A comparison's operands as a closure ``view -> (left, right)``; an
+    operand that is not finite is an evaluation error."""
+    left, right = _compile(node.left, memo), _compile(node.right, memo)
+    op = node.op
+
+    def operands(view):
+        a, b = left(view), right(view)
+        if _isfinite(a) and _isfinite(b):
+            return a, b
+        raise EvalError(f"non-finite operand in comparison: {a!r} {op} {b!r}")
+    return operands
+
+
+def _compile_condition(node, memo: dict):
+    """``(fn, op)``: a top-level comparison's operands closure and its
+    operator, whose operands are the verdict's diagnostics; otherwise the
+    condition's closure and None."""
+    if isinstance(node, dsl.Compare):
+        return _operands(node, memo), node.op
+    return _compile(node, memo), None
+
+
+def _condition_verdict(assertion: CompiledAssertion, condition,
+                       view: _StepView, t: float) -> Verdict:
+    """Evaluate the compiled condition at one step and build the verdict."""
     view.touched = []       # the actors that this condition reads
     detail: dict = {}
-    cond = assertion.condition
-    # a top-level comparison's operands are the verdict's diagnostics
-    compare = isinstance(cond, dsl.Compare)
+    fn, op = condition
     try:
-        if compare:
-            measured = _eval(cond.left, view)
-            threshold = _eval(cond.right, view)
-            ok = _COMPARE[cond.op](measured, threshold)
+        if op is None:
+            ok = bool(fn(view))
         else:
-            ok = bool(_eval(cond, view))
+            measured, threshold = fn(view)
+            ok = _COMPARE[op](measured, threshold)
     except ActorNotFound as exc:
         detail["reason"] = "actor-not-found"
         detail["actor"] = str(exc.args[0] if exc.args else "")
@@ -350,24 +405,23 @@ def _condition_verdict(assertion: CompiledAssertion, view: _StepView,
         detail["reason"] = "evaluation-error"
         detail["error"] = str(exc)
         return Verdict(assertion.id, t, FAIL, detail)
-    if compare:
-        if isinstance(measured, (int, float)):
-            detail["measured"] = measured
-        if isinstance(threshold, (int, float)):
-            detail["threshold"] = threshold
-        detail["op"] = cond.op
-    else:
+    if op is None:
         detail["condition"] = ok
+    else:
+        detail["measured"] = measured
+        detail["threshold"] = threshold
+        detail["op"] = op
     low_conf = sorted({s.actor_id for s in view.touched if s.low_confidence})
     if low_conf:
         detail["low_confidence_actors"] = low_conf
     return Verdict(assertion.id, t, PASS if ok else FAIL, detail)
 
 
-def _reference_holds(assertion: CompiledAssertion, view: _StepView) -> bool:
+def _reference_holds(assertion: CompiledAssertion, reference,
+                     view: _StepView) -> bool:
     """A reference with a missing actor simply does not fire."""
     try:
-        return bool(_eval(assertion.reference, view))
+        return bool(reference(view))
     except ActorNotFound:
         return False
     except EvalError as exc:
@@ -384,20 +438,6 @@ def nearest_index(times, target: float) -> int:
         return len(times) - 1
     before, after = times[i - 1], times[i]
     return i - 1 if target - before <= after - target else i
-
-
-def _held_condition(assertion: CompiledAssertion, pos: int,
-                    at: _BufferedStep, ctx: EvaluationContext,
-                    shapes: dict | None = None) -> Verdict | None:
-    """The condition verdict of ``assertion`` at step ``at``, evaluated
-    once and held for every window that covers the step: None when it
-    passed, else the FAIL or NOT_APPLICABLE verdict."""
-    held = at.held
-    if pos in held:
-        return held[pos]
-    v = _condition_verdict(assertion, _StepView(ctx, at, shapes), at.t)
-    v = held[pos] = None if v.result == PASS else v
-    return v
 
 
 def manoeuvre_at(trace: Trace, k: int, ctx: EvaluationContext):
@@ -454,12 +494,17 @@ class StreamingEngine:
         # ODD applicability is fixed per run; keep the original order
         self._active = [a for a in assertions if ctx.applicable(a)]
         self._excluded = [a for a in assertions if not ctx.applicable(a)]
+        # each expression is compiled once, by assertion position;
         # structurally equal references (spans aside) share one slot and
         # are evaluated once per step
+        memo: dict = {}
+        self._conditions = [_compile_condition(a.condition, memo)
+                            for a in self._active]
         slots: dict = {}
         self._ref_slot = [None if a.reference is None
                           else slots.setdefault(a.reference, len(slots))
                           for a in self._active]
+        self._references = [_compile(ref, memo) for ref in slots]
         self._lookback = max((a.decl.window for a in self._active
                               if a.decl.kind.startswith("pre_")), default=0.0)
         self._buffer: deque = deque()   # of _BufferedStep
@@ -543,12 +588,14 @@ class StreamingEngine:
                 ref = self._ref_slot[pos]
                 holds = fired.get(ref)
                 if holds is None:
-                    holds = fired[ref] = _reference_holds(assertion, view)
+                    holds = fired[ref] = _reference_holds(
+                        assertion, self._references[ref], view)
                 if not holds:
                     continue
                 self._fired.add(assertion.id)
             if decl.window is None:     # an invariant or execution assertion
-                out.append(_condition_verdict(assertion, view, t))
+                out.append(_condition_verdict(
+                    assertion, self._conditions[pos], view, t))
                 continue
             pre = decl.kind.startswith("pre_")
             far = t - decl.window if pre else t + decl.window
@@ -569,7 +616,7 @@ class StreamingEngine:
             if at.t >= w.t_ref - _T_EPS:
                 break
             if at.t >= w.far - _T_EPS:
-                v = _held_condition(w.assertion, w.pos, at, self.ctx)
+                v = self._held_condition(w, at)
                 if v is not None:
                     return self._close(w, at.t, v)
                 w.checked += 1
@@ -583,7 +630,7 @@ class StreamingEngine:
         out, still_open = [], []
         for w in self._open:
             if w.temporal and t <= w.far + _T_EPS:
-                v = _held_condition(w.assertion, w.pos, at, self.ctx, shapes)
+                v = self._held_condition(w, at, shapes)
                 if v is not None:
                     out.append(self._close(w, t, v))
                     continue
@@ -603,8 +650,21 @@ class StreamingEngine:
         buf = self._buffer
         k = nearest_index([b.t for b in buf], w.far)
         view = _StepView(self.ctx, buf[k], shapes if k == idx else None)
-        return self._close(w, buf[k].t,
-                           _condition_verdict(w.assertion, view, w.t_ref))
+        return self._close(w, buf[k].t, _condition_verdict(
+            w.assertion, self._conditions[w.pos], view, w.t_ref))
+
+    def _held_condition(self, w: _Window, at: _BufferedStep,
+                        shapes: dict | None = None) -> Verdict | None:
+        """The condition verdict of ``w``'s assertion at step ``at``,
+        evaluated once and held for every window that covers the step: None
+        when it passed, else the FAIL or NOT_APPLICABLE verdict."""
+        held = at.held
+        if w.pos in held:
+            return held[w.pos]
+        v = _condition_verdict(w.assertion, self._conditions[w.pos],
+                               _StepView(self.ctx, at, shapes), at.t)
+        v = held[w.pos] = None if v.result == PASS else v
+        return v
 
     def _close(self, w: _Window, t: float | None = None,
                v: Verdict | None = None) -> Verdict:

@@ -126,17 +126,52 @@ class ConvexPolygon:
             (c * x - s * y + dx, s * x + c * y + dy) for x, y in self.vertices))
 
 
+def _rectangle(ox: float, oy: float, c: float, s: float, front: float,
+               back: float, hw: float) -> ConvexPolygon:
+    """The rectangle with local corners (front, hw), (back, hw),
+    (back, -hw), (front, -hw), rotated by (cos, sin) = (c, s) and moved to
+    (ox, oy): CCW from the front-left corner when front > back.
+
+    ``ConvexPolygon``'s checks unrolled for four float vertices, with the
+    same arithmetic and the same errors.
+    """
+    c_f, s_f, c_b, s_b = c * front, s * front, c * back, s * back
+    c_w, s_w = c * hw, s * hw
+    x0, y0 = ox + c_f - s_w, oy + s_f + c_w
+    x1, y1 = ox + c_b - s_w, oy + s_b + c_w
+    x2, y2 = ox + c_b + s_w, oy + s_b - c_w
+    x3, y3 = ox + c_f + s_w, oy + s_f - c_w
+    scale = max(max(x0, x1, x2, x3) - min(x0, x1, x2, x3),
+                max(y0, y1, y2, y3) - min(y0, y1, y2, y3)) or 1.0
+    eps = _CONVEXITY_EPS * scale * scale
+    for i, cross in enumerate((
+            (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0),
+            (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1),
+            (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2),
+            (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3))):
+        if cross <= eps:
+            raise GeometryError("polygon is not strictly convex in CCW order "
+                                f"(cross={cross:g} at vertex {i})")
+    # summed from 0.0 in vertex order, as ConvexPolygon sums it
+    area2 = 0.0 + (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1) \
+        + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3)
+    if not math.isfinite(area2):
+        raise GeometryError("polygon vertices must be finite")
+    poly = object.__new__(ConvexPolygon)
+    poly.__dict__.update(vertices=((x0, y0), (x1, y1), (x2, y2), (x3, y3)),
+                         _area=0.5 * area2)
+    return poly
+
+
 def oriented_box(pose: Pose2D, dims: BoxDims) -> ConvexPolygon:
     """Rectangle centred at the pose, long axis along the heading.
 
     Vertices come out CCW starting at the front-left corner, so an
     axis-aligned 4x2 box at the origin is (2,1), (-2,1), (-2,-1), (2,-1).
     """
-    hl, hw = dims.length / 2.0, dims.width / 2.0
-    c, s = math.cos(pose.heading), math.sin(pose.heading)
-    local = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-    return ConvexPolygon(tuple(
-        (pose.x + c * lx - s * ly, pose.y + s * lx + c * ly) for lx, ly in local))
+    hl = dims.length / 2.0
+    return _rectangle(pose.x, pose.y, math.cos(pose.heading),
+                      math.sin(pose.heading), hl, -hl, dims.width / 2.0)
 
 
 def _project(poly: ConvexPolygon, ax: float, ay: float) -> tuple[float, float]:
@@ -152,12 +187,30 @@ def _project(poly: ConvexPolygon, ax: float, ay: float) -> tuple[float, float]:
 
 def _separated(a: ConvexPolygon, b: ConvexPolygon) -> bool:
     """True iff an edge normal of either polygon separates them."""
-    for poly in (a, b):
-        for (x1, y1), (x2, y2) in poly.edges():
-            # outward normal of a CCW edge
-            ax, ay = y2 - y1, x1 - x2
-            alo, ahi = _project(a, ax, ay)
-            blo, bhi = _project(b, ax, ay)
+    av, bv = a.vertices, b.vertices
+    (ax0, ay0), a_rest = av[0], av[1:]
+    (bx0, by0), b_rest = bv[0], bv[1:]
+    for verts in (av, bv):
+        x1, y1 = verts[-1]
+        for x2, y2 in verts:
+            # outward normal of the CCW edge (x1, y1) -> (x2, y2), and each
+            # polygon's interval along it, as _project computes them
+            nx, ny = y2 - y1, x1 - x2
+            x1, y1 = x2, y2
+            alo = ahi = ax0 * nx + ay0 * ny
+            for x, y in a_rest:
+                d = x * nx + y * ny
+                if d < alo:
+                    alo = d
+                elif d > ahi:
+                    ahi = d
+            blo = bhi = bx0 * nx + by0 * ny
+            for x, y in b_rest:
+                d = x * nx + y * ny
+                if d < blo:
+                    blo = d
+                elif d > bhi:
+                    bhi = d
             if alo > bhi or blo > ahi:
                 return True
     return False
@@ -279,12 +332,9 @@ def danger_space(pose: Pose2D, dims: BoxDims, ds_length: float):
     if not ds_length > 0.0:
         raise GeometryError(f"danger space length must be > 0, got {ds_length}")
     c, s = math.cos(pose.heading), math.sin(pose.heading)
-    fx = pose.x + c * dims.length / 2.0
-    fy = pose.y + s * dims.length / 2.0
-    hw = dims.width / 2.0
-    local = ((ds_length, hw), (0.0, hw), (0.0, -hw), (ds_length, -hw))
-    return ConvexPolygon(tuple(
-        (fx + c * lx - s * ly, fy + s * lx + c * ly) for lx, ly in local))
+    return _rectangle(pose.x + c * dims.length / 2.0,
+                      pose.y + s * dims.length / 2.0, c, s, ds_length, 0.0,
+                      dims.width / 2.0)
 
 
 def segment_intersects_polygon(p: tuple[float, float], q: tuple[float, float],
@@ -300,9 +350,12 @@ def segment_intersects_polygon(p: tuple[float, float], q: tuple[float, float],
 
 def _point_in_polygon(pt, poly: ConvexPolygon) -> bool:
     x, y = pt
-    for (ax, ay), (bx, by) in poly.edges():
+    verts = poly.vertices
+    ax, ay = verts[-1]
+    for bx, by in verts:
         if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < 0.0:
             return False
+        ax, ay = bx, by
     return True
 
 

@@ -5,12 +5,15 @@ axes, GJK, polygon clipping): distances come from exhaustive vertex/edge
 enumeration, overlap from point membership and segment crossings, areas
 from Monte-Carlo sampling.  The map scans are the exception: they apply the
 package's own exact tests to every lanelet or centre-line segment, the
-reference the map index must reproduce bit for bit.
+reference the map index must reproduce bit for bit, and ``reference_eval``
+is the tree walk that the engine's compiled closures replaced.
 """
 
 import math
 import random
 
+from roadcheck import dsl
+from roadcheck.engine import _BUILTINS, _COMPARE, EvalError
 from roadcheck.geometry import (ConvexPolygon, _point_in_polygon, overlap_area,
                                 segment_intersects_polygon)
 
@@ -174,3 +177,51 @@ def scan_nearest_centreline_point(road, p):
         if d < best_d:
             best, best_d = (qx, qy), d
     return best
+
+
+# --- reference expression evaluator -----------------------------------------
+
+def reference_eval(node, view):
+    """Evaluate ``node`` at the step of ``view`` by walking the tree, node by
+    node: the evaluator the engine ran before it compiled expressions into
+    closures, with the rule that a comparison of a non-finite operand is
+    an evaluation error."""
+    if isinstance(node, dsl.NumberLit):
+        return node.value
+    if isinstance(node, dsl.DurationLit):
+        return node.seconds
+    if isinstance(node, dsl.BoolLit):
+        return node.value
+    if isinstance(node, dsl.StringLit):
+        return view.resolve(node.value)
+    if isinstance(node, dsl.Not):
+        return not reference_eval(node.operand, view)
+    if isinstance(node, dsl.Neg):
+        return -reference_eval(node.operand, view)
+    if isinstance(node, dsl.Compare):
+        left = reference_eval(node.left, view)
+        right = reference_eval(node.right, view)
+        if not (math.isfinite(left) and math.isfinite(right)):
+            raise EvalError(f"non-finite operand in comparison: "
+                            f"{left!r} {node.op} {right!r}")
+        return _COMPARE[node.op](left, right)
+    if isinstance(node, dsl.BinaryOp):
+        if node.op == "and":
+            return reference_eval(node.left, view) and reference_eval(node.right, view)
+        if node.op == "or":
+            return reference_eval(node.left, view) or reference_eval(node.right, view)
+        left = reference_eval(node.left, view)
+        right = reference_eval(node.right, view)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if right == 0:
+            raise EvalError("division by zero")
+        return left / right
+    if isinstance(node, dsl.Call):
+        return _BUILTINS[node.name](view, *[reference_eval(a, view)
+                                            for a in node.args])
+    raise EvalError(f"cannot evaluate {type(node).__name__}")

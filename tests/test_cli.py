@@ -776,6 +776,53 @@ class TestMutatedRecordFuzz:
             (1.05, "evaluation-error")]
 
 
+class TestNonFiniteComparison:
+    """A comparison of an infinite or NaN value is an evaluation error, as a
+    division by zero is: no verdict line holds Infinity or NaN."""
+
+    RULES = """
+assertion huge_speed {
+  odd: single_carriageway
+  type: invariant
+  condition: speed_of("av") * 1e308 * 10 > 1
+}
+assertion time_ratio {
+  odd: single_carriageway
+  type: invariant
+  condition: time() / 1e-320 < 5
+}
+"""
+
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_evaluation_error_and_strict_json(self, fixture_dir, tmp_path,
+                                              command):
+        rules = tmp_path / "non_finite.rules"
+        rules.write_text(self.RULES)
+        res = run_on(command, fixture_dir / "safe_map.json",
+                     fixture_dir / "safe_trace.jsonl", "--rules", str(rules),
+                     *(["--print-verdicts"] if command == "check" else []))
+        no_traceback(res)
+        assert res.exit_code == (1 if command == "check" else 0)
+
+        def reject(token):
+            raise AssertionError(f"{token} in a verdict line")
+
+        verdicts = [json.loads(l, parse_constant=reject)
+                    for l in res.output.splitlines() if l.startswith("{")]
+        assert len(verdicts) == 240
+        for v in verdicts:
+            if v["assertion_id"] == "time_ratio" and v["t"] == 0.0:
+                # 0 / 1e-320 is finite
+                assert (v["result"], v["detail"]["measured"]) == ("pass", 0.0)
+                continue
+            assert v["result"] == "fail"
+            assert v["detail"] == {
+                "reason": "evaluation-error",
+                "error": "non-finite operand in comparison: inf "
+                         + ("> 1.0" if v["assertion_id"] == "huge_speed"
+                            else "< 5.0")}
+
+
 class TestMonitor:
     def monitor_args(self, root, preset):
         return ["monitor",

@@ -5,6 +5,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadcheck.checker import REGISTRY, compile_text
 from roadcheck.engine import (FAIL, NOT_APPLICABLE, PASS, DebounceFilter,
@@ -584,9 +586,9 @@ class TestEvaluationCounts:
         calls = []
         original = engine_mod._condition_verdict
 
-        def counting(assertion, view, t):
+        def counting(assertion, condition, view, t):
             calls.append((assertion.id, view.t))
-            return original(assertion, view, t)
+            return original(assertion, condition, view, t)
         monkeypatch.setattr(engine_mod, "_condition_verdict", counting)
         return calls
 
@@ -630,9 +632,9 @@ class TestEvaluationCounts:
         calls = []
         original = engine_mod._reference_holds
 
-        def counting(assertion, view):
+        def counting(assertion, reference, view):
             calls.append((view.t, repr(assertion.reference)))
-            return original(assertion, view)
+            return original(assertion, reference, view)
         monkeypatch.setattr(engine_mod, "_reference_holds", counting)
         kinds = ("execution", "pre_temporal", "post_temporal", "pre_physical")
         rules = [compiled(f'assertion r{i} {{ odd: road type: {kind} '
@@ -727,3 +729,50 @@ class TestSummary:
         assert rows[0] == {"assertion_id": "a", "pass_count": 1,
                            "fail_count": 2, "first_fail_t": 1.0}
         assert rows[1]["fail_count"] == 0
+
+
+_DETAILS = [
+    {},
+    {"measured": 1e-07, "threshold": -0.0, "op": ">"},
+    {"measured": 5e+16, "threshold": 3, "op": "<=",
+     "low_confidence_actors": ['say "hi"', "back\\slash", "über✓"]},
+    {"condition": True},
+    {"condition": False, "checked_t": 0.30000000000000004},
+    {"measured": 2.0, "threshold": 1.5, "op": "<", "violated_t": 12.35},
+    {"steps_checked": 40},
+    {"reason": "actor-not-found", "actor": "ov "},
+    {"reason": "evaluation-error",
+     "error": "non-finite operand in comparison: inf > 1.0"},
+    {"condition": True, "debounced_from": "fail"},
+    {"reason": "odd-excluded", "active_odd": ["motorway", "single_carriageway"]},
+    {"reason": "insufficient-data"},
+    {"reason": "reference-never-fired"},
+    {"measured": math.inf, "threshold": math.nan, "op": "=="},
+]
+
+
+class TestVerdictJson:
+    """``Verdict.to_json`` writes the keys once and encodes only the
+    values: byte for byte what ``json.dumps(..., sort_keys=True)`` gives."""
+
+    @staticmethod
+    def reference(v):
+        return json.dumps({"assertion_id": v.assertion_id, "t": v.t,
+                           "result": v.result, "detail": v.detail},
+                          sort_keys=True)
+
+    @pytest.mark.parametrize("detail", _DETAILS)
+    def test_shapes(self, detail):
+        for aid in ("rule162", 'q"uote', "back\\slash", "ünïcødé ✓",
+                    "tab\tnew\nline", "\x00"):
+            for t in (0.0, -0.0, 1e-07, 5e+16, 1.05, 3, math.inf, math.nan):
+                v = Verdict(aid, t, PASS, detail)
+                assert v.to_json() == self.reference(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(), st.floats(), st.sampled_from([PASS, FAIL, NOT_APPLICABLE,
+                                                    'odd "result"']),
+           st.sampled_from(_DETAILS), st.floats(), st.text())
+    def test_random(self, aid, t, result, detail, value, text):
+        v = Verdict(aid, t, result, dict(detail, measured=value, actor=text))
+        assert v.to_json() == self.reference(v)

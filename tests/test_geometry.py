@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roadcheck import geometry
 from roadcheck.geometry import (BoxDims, ConvexPolygon, GeometryError, Pose2D,
                                 danger_space, min_distance, normalize_angle,
                                 oriented_box, overlap_area, overlaps)
@@ -157,6 +160,115 @@ class TestDangerSpace:
         for length in (-1.0, 0.0, math.nan):
             with pytest.raises(GeometryError):
                 danger_space(Pose2D(0, 0, 0), BoxDims(4, 2), length)
+
+
+def _corners_polygon(ox, oy, c, s, local):
+    """``ConvexPolygon`` of the corners the rectangle constructor computes,
+    written as oriented_box and danger_space computed them before it."""
+    return ConvexPolygon(tuple(
+        (ox + c * lx - s * ly, oy + s * lx + c * ly) for lx, ly in local))
+
+
+def _box_reference(pose, dims):
+    hl, hw = dims.length / 2.0, dims.width / 2.0
+    return _corners_polygon(pose.x, pose.y, math.cos(pose.heading),
+                            math.sin(pose.heading),
+                            ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)))
+
+
+def _danger_space_reference(pose, dims, length):
+    c, s = math.cos(pose.heading), math.sin(pose.heading)
+    hw = dims.width / 2.0
+    return _corners_polygon(pose.x + c * dims.length / 2.0,
+                            pose.y + s * dims.length / 2.0, c, s,
+                            ((length, hw), (0.0, hw), (0.0, -hw),
+                             (length, -hw)))
+
+
+def _built(make, *args):
+    """What ``make`` builds: vertices (with the signs of zeros) and area,
+    or the class and message of what it raises."""
+    try:
+        poly = make(*args)
+    except GeometryError as exc:
+        return "raise", type(exc), str(exc)
+    return "polygon", repr(poly.vertices), repr(poly.area), poly
+
+
+_centres = st.sampled_from([(0.0, 0.0), (5e5, 5.7e6), (1e17, 1e17),
+                            (-1e17, 3e16)])
+_offsets = st.floats(min_value=-100.0, max_value=100.0)
+_poses = st.builds(lambda c, dx, dy, h: Pose2D(c[0] + dx, c[1] + dy, h),
+                   _centres, _offsets, _offsets,
+                   st.floats(min_value=-50.0, max_value=50.0))
+_dims = st.builds(BoxDims, st.floats(min_value=0.01, max_value=40.0),
+                  st.floats(min_value=0.01, max_value=6.0))
+
+
+def _same(got, want):
+    assert got[:3] == want[:3]
+    if got[0] == "polygon":
+        assert got[3] == want[3]
+
+
+class TestRectangle:
+    """Boxes and danger spaces are built by one unrolled 4-corner
+    constructor; it must agree with ``ConvexPolygon(...)`` bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_poses, _dims)
+    def test_box_matches_polygon(self, pose, dims):
+        _same(_built(oriented_box, pose, dims),
+              _built(_box_reference, pose, dims))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_poses, _dims, st.floats(min_value=1e-3, max_value=500.0))
+    def test_danger_space_matches_polygon(self, pose, dims, length):
+        _same(_built(danger_space, pose, dims, length),
+              _built(_danger_space_reference, pose, dims, length))
+
+    def test_collapsed_corners_same_message(self):
+        pose, dims = Pose2D(1e17, 0.0, 0.3), BoxDims(4.5, 2.0)
+        got = _built(oriented_box, pose, dims)
+        assert got[0] == "raise" and "not strictly convex" in got[2]
+        assert got == _built(_box_reference, pose, dims)
+
+    @pytest.mark.parametrize("where", range(7))
+    def test_nan_corner_rejected(self, where):
+        args = [3.0, -2.0, math.cos(0.4), math.sin(0.4), 2.25, -2.25, 0.9]
+        args[where] = math.nan
+        ox, oy, c, s, front, back, hw = args
+        local = ((front, hw), (back, hw), (back, -hw), (front, -hw))
+        got = _built(geometry._rectangle, *args)
+        assert got == _built(_corners_polygon, ox, oy, c, s, local)
+        assert got[0] == "raise"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_poses, _dims, _offsets, _offsets, st.floats(-4.0, 4.0), _dims)
+    def test_separating_axes_match_projection(self, pose, dims, dx, dy,
+                                              heading, other_dims):
+        # the inlined edge loops against the edges() and _project walk
+        other = Pose2D(pose.x + dx / 10.0, pose.y + dy / 10.0, heading)
+        try:
+            a = oriented_box(pose, dims)
+            b = oriented_box(other, other_dims)
+        except GeometryError:
+            return
+
+        def separated(a, b):
+            for poly in (a, b):
+                for (x1, y1), (x2, y2) in poly.edges():
+                    alo, ahi = geometry._project(a, y2 - y1, x1 - x2)
+                    blo, bhi = geometry._project(b, y2 - y1, x1 - x2)
+                    if alo > bhi or blo > ahi:
+                        return True
+            return False
+
+        assert geometry._separated(a, b) == separated(a, b)
+        for x, y in b.vertices:
+            assert geometry._point_in_polygon((x, y), a) == all(
+                (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0.0
+                for (x1, y1), (x2, y2) in a.edges())
 
 
 class TestRigidMotionInvariance:
