@@ -24,16 +24,13 @@ import click
 from . import rulepack
 from .checker import TypecheckError, compile_text
 from .dsl import ParseError
-from .engine import (FAIL, DebounceFilter, EvalError, EvaluationContext,
-                     StreamError, StreamingEngine, debounce, evaluate_document,
-                     manoeuvre_at, summary_csv, summary_rows,
-                     verdicts_to_jsonl)
+from .engine import (FAIL, NOT_APPLICABLE, DebounceFilter, EvalError,
+                     EvaluationContext, StreamError, StreamingEngine,
+                     debounce, evaluate_document, manoeuvre_at, summary_csv,
+                     summary_rows, verdicts_to_jsonl)
 from .models import ModelError, load_profiles
 from .trace import TraceError, iter_steps, load_trace, serialise_trace
 from .worldmap import MapError, load_map, serialise_map
-
-# rules that have no verdict but this one are reported as N/A
-_NA_REASONS = ("odd-excluded", "reference-never-fired")
 
 
 def _die(message: str):
@@ -177,12 +174,14 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
     if print_verdicts:
         for v in verdicts:
             click.echo(v.to_json())
-    na_reason = {v.assertion_id: v.detail["reason"] for v in verdicts
-                 if v.detail.get("reason") in _NA_REASONS}
+    na_reasons: dict = {}   # a debounced N/A verdict may have no reason
+    for v in verdicts:
+        if v.result == NOT_APPLICABLE and "reason" in v.detail:
+            na_reasons.setdefault(v.assertion_id, set()).add(v.detail["reason"])
     for row in summary_rows(verdicts):
-        reason = na_reason.get(row["assertion_id"])
-        if reason is not None:
-            click.echo(f"{row['assertion_id']}: N/A ({reason})")
+        if not row["pass_count"] and not row["fail_count"]:
+            reasons = ", ".join(sorted(na_reasons[row["assertion_id"]]))
+            click.echo(f"{row['assertion_id']}: N/A ({reasons})")
             continue
         status = "FAIL" if row["fail_count"] else "PASS"
         first = ("" if row["first_fail_t"] is None

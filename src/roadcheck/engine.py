@@ -29,15 +29,16 @@ Evaluation is incremental (Donze, Ferrere & Maler, "Efficient Robust
 Monitoring for STL", CAV 2013): a step's condition value does not depend on
 the reference point, so each temporal condition is evaluated at most once
 per step, however many windows cover that step, and the verdict is kept on
-the buffered step for the windows that reach it later.  Each distinct
-reference expression is evaluated at most once per step, whichever
-assertions share it.
+the buffered step for the windows that reach it later.
 
 Each assertion's condition and reference are compiled once per engine
-into a tree of closures, the classic cure for interpreter dispatch
-(Feeley & Lapalme, "Using Closures for Code Generation", Computer
-Languages 12(1), 1987); structurally equal subtrees share one closure.
-A builtin call goes to the ``_StepView`` method of its name.
+into a tree of closures (Feeley & Lapalme, "Using Closures for Code
+Generation", Computer Languages 12(1), 1987), hash-consed so that equal
+subtrees share one closure (Filliatre & Conchon, "Type-Safe Modular
+Hash-Consing", ML Workshop 2006).  A builtin call goes to the ``_StepView``
+method of its name.  While a step is processed, one memo on it holds its
+shapes and its references' results, each computed once whichever
+assertions read it.
 
 Comparisons are encoded per rule with explicit <, <=, >, >=: a rule that
 must fail on ties uses the strict operator.  A comparison with an
@@ -73,9 +74,6 @@ FAIL = "fail"
 NOT_APPLICABLE = "not_applicable"
 
 _T_EPS = 1e-9
-
-# the result of a verdict whose condition names a missing actor
-_ON_MISSING = {"fail": FAIL, "pass": PASS, "not_applicable": NOT_APPLICABLE}
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
@@ -141,7 +139,8 @@ class _BufferedStep:
     verdicts held for the windows that cover this step.
     """
 
-    __slots__ = ("t", "step", "prev", "nxt", "derived", "roles", "held")
+    __slots__ = ("t", "step", "prev", "nxt", "derived", "roles", "held",
+                 "memo")
 
     def __init__(self, t: float, step: dict, prev: dict | None):
         self.t = t
@@ -153,6 +152,9 @@ class _BufferedStep:
         # assertion position -> None (the condition passed) or its FAIL or
         # NOT_APPLICABLE verdict, for the temporal windows that cover it
         self.held: dict = {}
+        # while the engine processes this step: (kind, actor_id) -> shape
+        # and reference closure -> result, shared by its assertions
+        self.memo: dict | None = None
 
     def dynamics(self, aid: str, road: RoadMap):
         """Derived state of ``aid``; None when it appears at this step only."""
@@ -181,13 +183,11 @@ class _StepView:
     names, looked up at call time, so that a tracer can rebind them.
     """
 
-    def __init__(self, ctx: EvaluationContext, at: _BufferedStep,
-                 shapes: dict | None = None):
+    def __init__(self, ctx: EvaluationContext, at: _BufferedStep):
         self.ctx = ctx
         self.at = at
         self.t = at.t
         self.step = at.step
-        self.shapes = shapes    # (kind, actor_id) -> polygon, shared per step
         self.touched: list[ActorState] = []
 
     def resolve(self, ref: str) -> ActorState:
@@ -211,17 +211,17 @@ class _StepView:
         raise EvalError(f"speed of {st.actor_id!r} is unavailable")
 
     def _shape(self, kind: str, st: ActorState, make):
-        shapes = self.shapes
+        memo = self.at.memo
         key = (kind, st.actor_id)
-        if shapes is not None and key in shapes:
-            return shapes[key]
+        if memo is not None and key in memo:
+            return memo[key]
         try:
             shape = make(st)
         except GeometryError as exc:
             # e.g. corners that collapse at coordinates too large to resolve
             raise EvalError(f"{kind} of {st.actor_id!r}: {exc}") from exc
-        if shapes is not None:
-            shapes[key] = shape
+        if memo is not None:
+            memo[key] = shape
         return shape
 
     def box_of(self, st: ActorState):
@@ -306,67 +306,71 @@ def _ds_length(v_mph: float) -> float:
 
 
 def _compile(node, memo: dict):
-    """``node`` as a closure ``view -> value``.  ``memo`` maps each subtree
-    compiled so far to its closure, so that structurally equal subtrees
-    (spans aside) share one."""
-    fn = memo.get(node)
-    if fn is None:
-        fn = memo[node] = _compile_node(node, memo)
-    return fn
+    """``node`` as a closure ``view -> value``, hash-consed in ``memo`` by
+    its type, its own fields and its children's closures: equal subtrees
+    (spans aside) share one closure, and no subtree is hashed."""
+    if isinstance(node, (dsl.BinaryOp, dsl.Compare)):
+        key = (type(node), node.op, _compile(node.left, memo),
+               _compile(node.right, memo))
+    elif isinstance(node, (dsl.Not, dsl.Neg)):
+        key = (type(node), None, _compile(node.operand, memo))
+    elif isinstance(node, dsl.Call):
+        key = (dsl.Call, node.name, *[_compile(a, memo) for a in node.args])
+    elif isinstance(node, dsl.DurationLit):
+        key = (dsl.DurationLit, node.seconds)
+    elif isinstance(node, (dsl.NumberLit, dsl.StringLit, dsl.BoolLit)):
+        key = (type(node), node.value)
+    else:
+        raise EvalError(f"cannot evaluate {type(node).__name__}")
+    if key not in memo:
+        memo[key] = _compile_node(*key)
+    return memo[key]
 
 
-def _compile_node(node, memo: dict):
-    if isinstance(node, (dsl.NumberLit, dsl.DurationLit, dsl.BoolLit)):
-        value = node.seconds if isinstance(node, dsl.DurationLit) else node.value
-        return lambda view: value
-    if isinstance(node, dsl.StringLit):
-        ref = node.value
-        return lambda view: view.resolve(ref)
-    if isinstance(node, dsl.Not):
-        operand = _compile(node.operand, memo)
+def _compile_node(kind, own, *children):
+    if kind in (dsl.NumberLit, dsl.DurationLit, dsl.BoolLit):
+        return lambda view: own
+    if kind is dsl.StringLit:
+        return lambda view: view.resolve(own)
+    if kind is dsl.Not:
+        (operand,) = children
         return lambda view: not operand(view)
-    if isinstance(node, dsl.Neg):
-        operand = _compile(node.operand, memo)
+    if kind is dsl.Neg:
+        (operand,) = children
         return lambda view: -operand(view)
-    if isinstance(node, dsl.Compare):
-        operands, op = _operands(node, memo), _COMPARE[node.op]
+    if kind is dsl.Compare:
+        operands, op = _operands(*children, own), _COMPARE[own]
         return lambda view: op(*operands(view))
-    if isinstance(node, dsl.BinaryOp):
-        left, right = _compile(node.left, memo), _compile(node.right, memo)
-        if node.op == "and":
+    if kind is dsl.BinaryOp:
+        left, right = children
+        if own == "and":
             return lambda view: left(view) and right(view)
-        if node.op == "or":
+        if own == "or":
             return lambda view: left(view) or right(view)
-        if node.op == "/":
+        if own == "/":
             def divide(view):
                 dividend, divisor = left(view), right(view)
                 if divisor == 0:
                     raise EvalError("division by zero")
                 return dividend / divisor
             return divide
-        op = _ARITHMETIC[node.op]
+        op = _ARITHMETIC[own]
         return lambda view: op(left(view), right(view))
-    if isinstance(node, dsl.Call):
-        fn = _BUILTINS[node.name]
-        args = [_compile(a, memo) for a in node.args]
-        if not args:
-            return fn
-        if len(args) == 1:
-            (arg,) = args
-            return lambda view: fn(view, arg(view))
-        if len(args) == 2:
-            first, second = args
-            return lambda view: fn(view, first(view), second(view))
-        return lambda view: fn(view, *[a(view) for a in args])
-    raise EvalError(f"cannot evaluate {type(node).__name__}")
+    fn = _BUILTINS[own]     # a call
+    if not children:
+        return fn
+    if len(children) == 1:
+        (arg,) = children
+        return lambda view: fn(view, arg(view))
+    if len(children) == 2:
+        first, second = children
+        return lambda view: fn(view, first(view), second(view))
+    return lambda view: fn(view, *[a(view) for a in children])
 
 
-def _operands(node: dsl.Compare, memo: dict):
-    """A comparison's operands as a closure ``view -> (left, right)``; an
-    operand that is not finite is an evaluation error."""
-    left, right = _compile(node.left, memo), _compile(node.right, memo)
-    op = node.op
-
+def _operands(left, right, op: str):
+    """A comparison's compiled operands as a closure ``view -> (left,
+    right)``; an operand that is not finite is an evaluation error."""
     def operands(view):
         a, b = left(view), right(view)
         if _isfinite(a) and _isfinite(b):
@@ -380,7 +384,8 @@ def _compile_condition(node, memo: dict):
     operator, whose operands are the verdict's diagnostics; otherwise the
     condition's closure and None."""
     if isinstance(node, dsl.Compare):
-        return _operands(node, memo), node.op
+        return _operands(_compile(node.left, memo),
+                         _compile(node.right, memo), node.op), node.op
     return _compile(node, memo), None
 
 
@@ -399,8 +404,8 @@ def _condition_verdict(assertion: CompiledAssertion, condition,
     except ActorNotFound as exc:
         detail["reason"] = "actor-not-found"
         detail["actor"] = str(exc.args[0] if exc.args else "")
-        return Verdict(assertion.id, t, _ON_MISSING[assertion.decl.on_missing],
-                       detail)
+        # the on_missing policies are spelled as the results they give
+        return Verdict(assertion.id, t, assertion.decl.on_missing, detail)
     except EvalError as exc:
         detail["reason"] = "evaluation-error"
         detail["error"] = str(exc)
@@ -494,17 +499,14 @@ class StreamingEngine:
         # ODD applicability is fixed per run; keep the original order
         self._active = [a for a in assertions if ctx.applicable(a)]
         self._excluded = [a for a in assertions if not ctx.applicable(a)]
-        # each expression is compiled once, by assertion position;
-        # structurally equal references (spans aside) share one slot and
-        # are evaluated once per step
+        # each expression is compiled once, by assertion position; equal
+        # references share one closure and are evaluated once per step
         memo: dict = {}
         self._conditions = [_compile_condition(a.condition, memo)
                             for a in self._active]
-        slots: dict = {}
-        self._ref_slot = [None if a.reference is None
-                          else slots.setdefault(a.reference, len(slots))
-                          for a in self._active]
-        self._references = [_compile(ref, memo) for ref in slots]
+        self._references = [None if a.reference is None
+                            else _compile(a.reference, memo)
+                            for a in self._active]
         self._lookback = max((a.decl.window for a in self._active
                               if a.decl.kind.startswith("pre_")), default=0.0)
         self._buffer: deque = deque()   # of _BufferedStep
@@ -572,24 +574,22 @@ class StreamingEngine:
     def _process(self, idx: int) -> list[Verdict]:
         at = self._buffer[idx]
         t = at.t
-        # the assertions of this step share its polygons; older steps
-        # evaluated for windows build their own
-        shapes: dict = {}
-        view = _StepView(self.ctx, at, shapes)
+        # the assertions of this step share its shapes and reference
+        # results; older steps evaluated for windows build their own
+        memo = at.memo = {}
+        view = _StepView(self.ctx, at)
 
         # open post windows see this step before any window opens at it
-        out = self._advance(idx, shapes) if self._open else []
-        fired: dict = {}    # reference slot -> holds at this step
+        out = self._advance(at) if self._open else []
         for pos, assertion in enumerate(self._active):
             decl = assertion.decl
             if decl.kind != "invariant":
                 if decl.mode == "first" and assertion.id in self._fired:
                     continue
-                ref = self._ref_slot[pos]
-                holds = fired.get(ref)
+                ref = self._references[pos]
+                holds = memo.get(ref)
                 if holds is None:
-                    holds = fired[ref] = _reference_holds(
-                        assertion, self._references[ref], view)
+                    holds = memo[ref] = _reference_holds(assertion, ref, view)
                 if not holds:
                     continue
                 self._fired.add(assertion.id)
@@ -601,17 +601,18 @@ class StreamingEngine:
             far = t - decl.window if pre else t + decl.window
             w = _Window(assertion, pos, t, far, decl.kind.endswith("temporal"))
             if pre:
-                out.append(self._decide_pre(w, idx, shapes))
+                out.append(self._decide_pre(w))
             else:
                 self._open.append(w)
+        at.memo = None
         return out
 
-    def _decide_pre(self, w: _Window, idx: int, shapes: dict) -> Verdict:
+    def _decide_pre(self, w: _Window) -> Verdict:
         """A pre window, decided from the buffer: a temporal one walks the
         steps from its far end up to t_ref."""
         reached = w.far >= self._first_t - _T_EPS
         if not w.temporal:
-            return self._nearest(w, idx, shapes) if reached else self._close(w)
+            return self._nearest(w) if reached else self._close(w)
         for at in self._buffer:
             if at.t >= w.t_ref - _T_EPS:
                 break
@@ -622,15 +623,14 @@ class StreamingEngine:
                 w.checked += 1
         return self._close(w, w.t_ref if reached else None)
 
-    def _advance(self, idx: int, shapes: dict) -> list[Verdict]:
-        """Advance the open post windows over step ``idx`` and close those
+    def _advance(self, at: _BufferedStep) -> list[Verdict]:
+        """Advance the open post windows over step ``at`` and close those
         that fail at it or whose far end it reaches."""
-        at = self._buffer[idx]
         t = at.t
         out, still_open = [], []
         for w in self._open:
             if w.temporal and t <= w.far + _T_EPS:
-                v = self._held_condition(w, at, shapes)
+                v = self._held_condition(w, at)
                 if v is not None:
                     out.append(self._close(w, t, v))
                     continue
@@ -640,21 +640,20 @@ class StreamingEngine:
             elif w.temporal:
                 out.append(self._close(w, t))
             else:
-                out.append(self._nearest(w, idx, shapes))
+                out.append(self._nearest(w))
         self._open = still_open
         return out
 
-    def _nearest(self, w: _Window, idx: int, shapes: dict) -> Verdict:
+    def _nearest(self, w: _Window) -> Verdict:
         """A physical window's verdict: the condition at the buffered step
         nearest its far end."""
         buf = self._buffer
         k = nearest_index([b.t for b in buf], w.far)
-        view = _StepView(self.ctx, buf[k], shapes if k == idx else None)
+        view = _StepView(self.ctx, buf[k])
         return self._close(w, buf[k].t, _condition_verdict(
             w.assertion, self._conditions[w.pos], view, w.t_ref))
 
-    def _held_condition(self, w: _Window, at: _BufferedStep,
-                        shapes: dict | None = None) -> Verdict | None:
+    def _held_condition(self, w: _Window, at: _BufferedStep) -> Verdict | None:
         """The condition verdict of ``w``'s assertion at step ``at``,
         evaluated once and held for every window that covers the step: None
         when it passed, else the FAIL or NOT_APPLICABLE verdict."""
@@ -662,7 +661,7 @@ class StreamingEngine:
         if w.pos in held:
             return held[w.pos]
         v = _condition_verdict(w.assertion, self._conditions[w.pos],
-                               _StepView(self.ctx, at, shapes), at.t)
+                               _StepView(self.ctx, at), at.t)
         v = held[w.pos] = None if v.result == PASS else v
         return v
 

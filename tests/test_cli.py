@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -478,6 +479,96 @@ class TestNotApplicableSummary:
         # the CSV keeps its columns
         assert out_csv.read_text() == ("assertion_id,pass_count,fail_count,"
                                        "first_fail_t\nlate,0,0,\n")
+
+
+    @pytest.mark.parametrize("rule, extra, reason", [
+        ('type: invariant on_missing: not_applicable '
+         'condition: speed_of("nobody") > 0', [], "actor-not-found"),
+        ('type: post_temporal window: 1000s reference: true '
+         'condition: true', ["--lenient-windows"], "insufficient-data"),
+        # the one passing step, t=1.05, is debounced into an N/A verdict
+        # that has no reason
+        ('type: invariant on_missing: not_applicable condition: '
+         'time() > 1s and time() < 1.1s or speed_of("nobody") > 0',
+         ["--debounce", "3"], "actor-not-found"),
+    ])
+    def test_only_not_applicable_verdicts(self, fixture_dir, tmp_path, rule,
+                                          extra, reason):
+        """A rule with no pass and no fail verdict is N/A, with the reasons
+        of its not_applicable verdicts, not PASS (0 pass, 0 fail)."""
+        rules = tmp_path / "na.rules"
+        rules.write_text(f"assertion na {{ odd: x {rule} }}")
+        res = runner.invoke(main, [
+            "check", "--map", str(fixture_dir / "safe_map.json"),
+            "--trace", str(fixture_dir / "safe_trace.jsonl"),
+            "--rules", str(rules), *extra])
+        assert res.exit_code == 0, res.output
+        assert res.output == f"na: N/A ({reason})\n"
+
+    def test_reasons_sorted_and_distinct(self, fixture_dir, tmp_path):
+        """Verdicts of two not_applicable reasons list both, once each."""
+        rules = tmp_path / "na.rules"
+        rules.write_text('assertion na { odd: x type: post_temporal '
+                         'window: 2s mode: all on_missing: not_applicable '
+                         'reference: time() > 5s '
+                         'condition: speed_of("nobody") > 0 }')
+        res = runner.invoke(main, [
+            "check", "--map", str(fixture_dir / "safe_map.json"),
+            "--trace", str(fixture_dir / "safe_trace.jsonl"),
+            "--rules", str(rules), "--lenient-windows"])
+        assert res.exit_code == 0, res.output
+        assert res.output == "na: N/A (actor-not-found, insufficient-data)\n"
+
+
+class TestSharedShapeErrors:
+    """Assertions that read one shape share its evaluation error too: with
+    the ego at x = 1e17 and the oncoming vehicle 1 000 km ahead, no box
+    resolves, and both assertions fail with the same message at every step,
+    in check and in monitor."""
+
+    RULES = """
+    assertion a_ds { odd: x type: invariant
+      condition: not overlaps(box_of("ov"), danger_space_of("av")) }
+    assertion b_box { odd: x type: invariant
+      condition: not overlaps(box_of("ov"), box_of("av")) }
+    """
+
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_same_error_every_step(self, fixture_dir, tmp_path, command):
+        records = []
+        for k in range(10):
+            t = k * 0.05
+            records += [
+                {"t": t, "actor_id": "ego", "role": "AV", "x": 1e17 + 11 * t,
+                 "y": -1.825, "heading_rad": 0.0, "length_m": 4.5,
+                 "width_m": 2.0, "speed_mps": 11.0},
+                {"t": t, "actor_id": "onc", "role": "OV",
+                 "x": 1e17 + 1e6 - 11 * t, "y": 1.825,
+                 "heading_rad": math.pi, "length_m": 4.5, "width_m": 2.0,
+                 "speed_mps": 11.0}]
+        trace = tmp_path / "far_trace.jsonl"
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rules = tmp_path / "shared.rules"
+        rules.write_text(self.RULES)
+        res = run_on(command, fixture_dir / "safe_map.json", trace,
+                     "--rules", str(rules), "--worst-case-speeds",
+                     *(["--print-verdicts"] if command == "check" else []))
+        no_traceback(res)
+        verdicts = [json.loads(l) for l in res.output.splitlines()
+                    if l.startswith("{")]
+        assert len(verdicts) == 20
+        by_step: dict = {}
+        for v in verdicts:
+            by_step.setdefault(v["t"], {})[v["assertion_id"]] = \
+                (v["result"], v["detail"])
+        assert len(by_step) == 10
+        for got in by_step.values():
+            assert got["a_ds"] == got["b_box"]
+            result, detail = got["a_ds"]
+            assert result == "fail"
+            assert detail["reason"] == "evaluation-error"
+            assert detail["error"].startswith(
+                "box of 'onc': polygon is not strictly convex")
 
 
 def test_cli_import_leaves_out_command_only_modules():

@@ -12,10 +12,12 @@ import random
 import pytest
 
 from oracles import reference_eval
+from roadcheck import dsl
 from roadcheck.checker import TypecheckError, compile_text
 from roadcheck.dsl import ParseError
-from roadcheck.engine import (FAIL, PASS, EvaluationContext, _BufferedStep,
-                              _compile, _StepView, evaluate_document)
+from roadcheck.engine import (FAIL, PASS, EvaluationContext, StreamingEngine,
+                              _BufferedStep, _compile, _StepView,
+                              evaluate_document)
 from roadcheck.models import default_profiles
 from roadcheck.scenarios import PRESET_NAMES, generate, preset
 from roadcheck.trace import ActorState
@@ -156,9 +158,13 @@ def test_compiled_matches_reference_walk(corpus, name, worst_case):
     raised = 0
     for at in _steps(trace):
         for node, fn in zip(corpus, compiled_fns):
-            got = _outcome(fn, _StepView(ctx, at, {}))
+            # each side gets its own per-step memo, so that the reference
+            # walk builds its shapes itself
+            at.memo = {}
+            got = _outcome(fn, _StepView(ctx, at))
+            at.memo = {}
             want = _outcome(lambda view: reference_eval(node, view),
-                            _StepView(ctx, at, {}))
+                            _StepView(ctx, at))
             assert got == want, (at.t, node)
             raised += got[0][0] == "raise"
     assert raised       # the corpus reaches the error paths
@@ -226,6 +232,25 @@ def test_equal_subtrees_share_one_closure():
     b = _accepted('not crosses_centreline("av")')
     _compile(a, memo)
     _compile(b, memo)
-    assert memo[a.left] is memo[b.operand]
+    assert _compile(a.left, memo) is _compile(b.operand, memo)
     # "av", the two calls, 1, the comparison, "and" and "not"
     assert len(memo) == 7
+
+
+def test_engine_build_hashes_no_subtree(monkeypatch):
+    """Hash-consing looks each node up by its children's closures, so an
+    engine build hashes no ``dsl`` node, instead of re-hashing every subtree
+    at each lookup: that took quadratic time in the condition's length."""
+    terms = 190
+    doc = compile_text("assertion a { odd: x type: invariant condition: "
+                       + " + ".join(['speed_of("av")'] * terms) + " > 0 }")
+    calls = []
+    for cls in dsl.Expr.__subclasses__():
+        def counting(node, _hash=cls.__hash__):
+            calls.append(type(node))
+            return _hash(node)
+        monkeypatch.setattr(cls, "__hash__", counting)
+    StreamingEngine(doc.assertions, CTX)
+    # each term is a call and its string; then the additions, 0 and ">"
+    nodes = 2 * terms + (terms - 1) + 2
+    assert len(calls) <= nodes
