@@ -203,8 +203,8 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
     stream = StreamingEngine(assertions, ctx)
     debouncer = DebounceFilter(debounce_n)
     if hasattr(sys.stdin, "reconfigure"):
-        # decode as load_trace does, whatever the locale
-        sys.stdin.reconfigure(errors="surrogateescape")
+        # decode as trace.read_lines does, whatever the locale
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
 
     def publish(verdicts, last=False):
         # one write per verdict line, one flush per step so that downstream

@@ -91,8 +91,10 @@ class DrivingProfile:
     cut_in_angle: float
 
     def __post_init__(self):
-        if self.pull_out_clearance < 0.0 or self.cut_in_clearance < 0.0:
-            raise ModelError(f"profile {self.name!r}: clearances must be >= 0")
+        for clearance in (self.pull_out_clearance, self.cut_in_clearance):
+            if not (math.isfinite(clearance) and clearance >= 0.0):
+                raise ModelError(f"profile {self.name!r}: clearances must be "
+                                 f"finite and >= 0")
         for ang in (self.pull_out_angle, self.cut_in_angle):
             if not 0.0 < ang < math.pi / 2:
                 raise ModelError(
@@ -179,6 +181,18 @@ class ModelConfig:
         return self.worst_case_speed_mph[cls]
 
 
+def _quantity(value, what: str, positive: bool = False) -> float:
+    """``value``, a JSON number, as a finite float >= 0 (> 0 if
+    ``positive``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{what} must be a number, got {json.dumps(value)}")
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ModelError(f"{what} must be finite and {'>' if positive else '>='}"
+                         f" 0, got {value}")
+    return value
+
+
 def _profiles_from_doc(doc: dict) -> ModelConfig:
     profiles = {}
     for name, p in doc["profiles"].items():
@@ -190,15 +204,24 @@ def _profiles_from_doc(doc: dict) -> ModelConfig:
             cut_in_angle=float(p["cut_in_angle_rad"]),
         )
     man = doc.get("manoeuvre", {})
+    speeds = doc.get("worst_case_speed_mph",
+                     {"car": 60.0, "goods_vehicle": 50.0})
+    speeds = {cls: _quantity(v, f"worst_case_speed_mph {cls}")
+              for cls, v in speeds.items()}
+    classes = dict(doc.get("role_vehicle_class",
+                           {"AV": "car", "OV": "car",
+                            "VBP": "goods_vehicle", "other": "car"}))
+    # "car" is the class of a role that role_vehicle_class does not name
+    for cls in sorted(set(classes.values()) | {"car"}):
+        if cls not in speeds:
+            raise ModelError(f"no worst-case speed for class {cls!r}")
     return ModelConfig(
         profiles=profiles,
-        lateral_offset=float(man.get("lateral_offset_m", 2.9)),
-        vbp_length=float(man.get("vbp_length_m", 4.4)),
-        worst_case_speed_mph=dict(doc.get("worst_case_speed_mph",
-                                          {"car": 60.0, "goods_vehicle": 50.0})),
-        role_vehicle_class=dict(doc.get("role_vehicle_class",
-                                        {"AV": "car", "OV": "car",
-                                         "VBP": "goods_vehicle", "other": "car"})),
+        lateral_offset=_quantity(man.get("lateral_offset_m", 2.9),
+                                 "lateral_offset_m", positive=True),
+        vbp_length=_quantity(man.get("vbp_length_m", 4.4), "vbp_length_m"),
+        worst_case_speed_mph=speeds,
+        role_vehicle_class=classes,
     )
 
 
@@ -218,7 +241,8 @@ def load_profiles(source=None) -> ModelConfig:
     except RecursionError:
         raise ModelError("malformed profile config: "
                          "JSON nested too deeply") from None
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError,
+            OverflowError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ModelError(f"malformed profile config: {what}") from exc
 

@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass
 
 from .models import MPH_TO_MPS, default_profiles
-from .trace import ActorState, Trace, TraceError, role_index
+from .trace import (ActorState, Trace, TraceError, json_records, read_lines,
+                    role_index)
 from .geometry import BoxDims, GeometryError, Pose2D
 from .worldmap import read_text
 
@@ -139,24 +140,12 @@ def _finite(obj: dict, key: str, default=None) -> float:
 
 
 def load_detections(source):
-    """Parse the detection JSONL; returns (detections, line_records)."""
-    text = read_text(source, "detections")
+    """Parse the detection JSONL, read as ``trace.load_trace`` reads a
+    trace; returns (detections, line_records)."""
     detections = []
     lines = []
-    index = -1
     last_t = None
-    for raw in text.split("\n"):     # as trace.load_trace: "\n" ends a record
-        raw = raw.strip()
-        if not raw:
-            continue
-        index += 1
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise PerceptionError(f"invalid JSON: {exc.msg}", index) from exc
-        except RecursionError:
-            raise PerceptionError("invalid JSON: nested too deeply",
-                                  index) from None
+    for index, obj in json_records(read_lines(source), PerceptionError):
         if not isinstance(obj, dict):
             raise PerceptionError("record is not a JSON object", index)
         try:

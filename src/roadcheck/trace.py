@@ -6,12 +6,13 @@ Traces are ingested from JSON-lines, one record per actor per timestep:
      "heading_rad": 0.0, "length_m": 4.5, "width_m": 2.0, "speed_mps": 11.176}
 
 ``speed_mph`` is accepted and converted (1 mph = 0.44704 m/s).
-``iter_steps`` validates the records and groups them into timesteps, for
-``load_trace`` and for the streaming monitor alike.  Each line is decoded
-on its own; a record of floats is checked in one pass, any other field by
-field, with the same messages.  A state read so builds its ``Pose2D`` when
-``pose`` is first read, so actors that no rule reads build none, and
-``load_trace`` skips the checks of ``Trace.__post_init__``.
+``read_lines`` frames a document into lines and ``json_records`` decodes
+them, one value per line; they are the one JSON-lines reader, for traces
+and for camera detections alike.  ``iter_steps`` validates the records and
+groups them into timesteps, for ``load_trace`` and for the streaming
+monitor alike.  A record of floats is checked in one pass, any other field
+by field, with the same messages.  A state read so builds its ``Pose2D``
+when ``pose`` is first read, so actors that no rule reads build none.
 
 ``derive_row`` derives the dynamics of an actor at one step from its
 neighbouring steps: speed from positions by central finite differences at
@@ -98,38 +99,14 @@ class ActorState:
 
 @dataclass(frozen=True)
 class Trace:
+    """A plain record of timesteps.  ``load_trace`` builds it from what
+    ``iter_steps`` checked; code that builds one keeps the same invariants:
+    times strictly increasing, each step keyed by actor id, and each
+    actor's dims the same at every step."""
+
     times: tuple[float, ...]
     steps: tuple[dict, ...]          # per-step {actor_id: ActorState}
     dt: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(self.times))
-        object.__setattr__(self, "steps", tuple(dict(s) for s in self.steps))
-        if len(self.times) != len(self.steps):
-            raise TraceError("times and steps length mismatch")
-        for i in range(1, len(self.times)):
-            if not self.times[i] > self.times[i - 1]:
-                raise TraceError(
-                    f"timestamps must be strictly increasing "
-                    f"(step {i}: {self.times[i]} after {self.times[i - 1]})")
-        if self.dt <= 0.0:
-            raise TraceError(f"dt must be > 0, got {self.dt}")
-        dims_seen: dict = {}
-        for i, step in enumerate(self.steps):
-            for aid, st in step.items():
-                if st.actor_id != aid:
-                    raise TraceError(f"step {i}: key {aid!r} != state id {st.actor_id!r}")
-                prev = dims_seen.setdefault(aid, st.dims)
-                if prev != st.dims:
-                    raise TraceError(
-                        f"step {i}: actor {aid!r} changed dims {prev} -> {st.dims}")
-
-    @classmethod
-    def _checked(cls, times: tuple, steps: tuple, dt: float) -> Trace:
-        """A trace of steps checked by ``iter_steps``: no ``__post_init__``."""
-        trace = object.__new__(cls)
-        trace.__dict__.update(times=times, steps=steps, dt=dt)
-        return trace
 
     def __len__(self):
         return len(self.times)
@@ -223,7 +200,42 @@ def _parse_record(obj: dict, index: int, dims_seen: dict | None = None) -> Actor
     return state
 
 
-_decode = json.JSONDecoder().raw_decode
+def read_lines(source):
+    """The lines of ``source``: text, bytes, or a file of either.  Bytes are
+    read as ``monitor`` reads stdin: UTF-8 with ``surrogateescape``, and
+    only "\\n" ends a line, so both accept and reject the same bytes."""
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, str):
+        return source.split("\n")
+    return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8",
+                            errors="surrogateescape", newline="\n")
+
+
+# the scanner that JSONDecoder.raw_decode calls, without its Python frame:
+# (value, end), or StopIteration where no value starts
+_scan = json.JSONDecoder().scan_once
+
+
+def json_records(lines, error):
+    """``(index, value)`` of each JSON-lines record in ``lines``, blank
+    lines skipped and not counted.  A line that is not one JSON value
+    raises ``error(message, index)``."""
+    for index, line in enumerate(filter(None, map(str.strip, lines))):
+        try:
+            obj, end = _scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = None
+        if end != len(line):    # json.loads words the error of this line
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"invalid JSON: {exc.msg}", index) from exc
+            except ValueError as exc:   # an integer past int_max_str_digits
+                raise error(f"invalid JSON: {exc}", index) from None
+            except RecursionError:
+                raise error("invalid JSON: nested too deeply", index) from None
+        yield index, obj
 
 
 def iter_steps(lines):
@@ -238,24 +250,7 @@ def iter_steps(lines):
     """
     dims_seen: dict = {}
     t, step = None, {}
-    index = -1
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        index += 1
-        try:
-            obj, end = _decode(line)
-        except (ValueError, RecursionError):
-            end = None
-        if end != len(line):    # json.loads words the error of this line
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"invalid JSON: {exc.msg}", index) from exc
-            except RecursionError:
-                raise TraceError("invalid JSON: nested too deeply",
-                                 index) from None
+    for index, obj in json_records(lines, TraceError):
         state = _parse_record(obj, index, dims_seen)
         aid = state.actor_id
         if step and state.t < t:
@@ -276,23 +271,13 @@ def iter_steps(lines):
 
 
 def load_trace(source) -> Trace:
-    """Read a JSON-lines record stream and group it into timesteps, built
-    with ``Trace._checked``.  Bytes are read as ``monitor`` reads stdin:
-    UTF-8 with ``surrogateescape``, and only "\\n" ends a line, so both
-    accept and reject the same bytes."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, str):
-        lines = source.split("\n")
-    else:
-        lines = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8",
-                                 errors="surrogateescape", newline="\n")
-    pairs = list(iter_steps(lines))
+    """Read a JSON-lines record stream, from ``read_lines(source)``, and
+    group it into timesteps."""
+    pairs = list(iter_steps(read_lines(source)))
     if not pairs:
         raise TraceError("empty trace")
     times, steps = zip(*pairs)
-    return Trace._checked(times, steps,
-                          times[1] - times[0] if len(times) >= 2 else 1.0)
+    return Trace(times, steps, times[1] - times[0] if len(times) >= 2 else 1.0)
 
 
 def serialise_trace(trace: Trace) -> str:

@@ -69,9 +69,12 @@ class Lanelet:
     direction: str
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise MapError(f"lanelet width must be > 0, got {self.width}",
-                           location=f"lanelet {self.id!r}")
+        if not (math.isfinite(self.width) and self.width > 0.0):
+            raise MapError(f"lanelet width must be finite and > 0, got "
+                           f"{self.width}", location=f"lanelet {self.id!r}")
+        if not math.isfinite(self.orientation):
+            raise MapError(f"lanelet orientation must be finite, got "
+                           f"{self.orientation}", location=f"lanelet {self.id!r}")
         if self.direction not in DIRECTIONS:
             raise MapError(f"unknown direction {self.direction!r}",
                            location=f"lanelet {self.id!r}")
@@ -256,6 +259,8 @@ def load_map(source) -> RoadMap:
                        location=f"line {exc.lineno}, column {exc.colno}") from exc
     except RecursionError:
         raise MapError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:       # an integer past int_max_str_digits
+        raise MapError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MapError("top-level value must be an object")
     _check_keys(doc, _TOP_KEYS, "map document")
@@ -263,6 +268,8 @@ def load_map(source) -> RoadMap:
         raise MapError("missing required key 'lanelets'")
     if "centreline" not in doc:
         raise MapError("missing required key 'centreline'")
+    if not isinstance(doc["lanelets"], list):
+        raise MapError("lanelets must be a list", location="lanelets")
 
     lanelets = []
     for i, entry in enumerate(doc["lanelets"]):
@@ -277,14 +284,14 @@ def load_map(source) -> RoadMap:
         where = f"lanelet {lid!r}"
         try:
             shape = ConvexPolygon.from_points(entry["vertices"])
-        except (GeometryError, TypeError, ValueError) as exc:
+        except (GeometryError, TypeError, ValueError, OverflowError) as exc:
             raise MapError(f"invalid shape: {exc}", location=where) from exc
         if not all(map(math.isfinite, (c for v in shape.vertices for c in v))):
             raise MapError("vertex coordinates must be finite", location=where)
         try:
             width = float(entry["width_m"])
             orientation = float(entry["orientation_rad"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MapError(f"invalid number: {exc}", location=where) from exc
         lanelets.append(Lanelet(id=lid, shape=shape, orientation=orientation,
                                 width=width, direction=str(entry["direction"])))
@@ -294,7 +301,10 @@ def load_map(source) -> RoadMap:
             or not all(isinstance(p, list) and len(p) == 2 for p in centreline)):
         raise MapError("centreline must be a list of >= 2 [x, y] points",
                        location="centreline")
-    centreline = tuple((float(x), float(y)) for x, y in centreline)
+    try:
+        centreline = tuple((float(x), float(y)) for x, y in centreline)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MapError(f"invalid number: {exc}", location="centreline") from exc
     if not all(map(math.isfinite, (c for p in centreline for c in p))):
         raise MapError("centreline coordinates must be finite",
                        location="centreline")

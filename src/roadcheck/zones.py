@@ -35,8 +35,12 @@ class ZoneThresholds:
     ttc_conservative: float = 2.5
 
     def __post_init__(self):
-        if self.safety_margin_fraction < 0.0:
-            raise ModelError("safety margin fraction must be >= 0")
+        if not self.safety_margin_fraction >= 0.0:     # NaN too
+            raise ModelError(f"safety margin fraction must be >= 0, got "
+                             f"{self.safety_margin_fraction}")
+        if not self.ttc_conservative >= 0.0:
+            raise ModelError(f"ttc limit must be >= 0, got "
+                             f"{self.ttc_conservative}")
 
 
 DEFAULT_THRESHOLDS = ZoneThresholds()

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import roadcheck
 from roadcheck.cli import main
 from roadcheck.rulepack import RULE162_SDA
 
 runner = CliRunner()
+PACKAGED_PROFILES = Path(roadcheck.__file__).parent / "data" / "profiles.json"
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +208,54 @@ class TestBadProfiles:
         assert res.exit_code == 2
         assert "malformed profile config" in res.output
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["worst_case_speed_mph"].update(car="fast"),
+        lambda d: d["role_vehicle_class"].update(VBP="bus"),
+        lambda d: d["manoeuvre"].update(lateral_offset_m=math.nan),
+        lambda d: d["profiles"]["nominal"].update(
+            pull_out_clearance_m=math.nan),
+    ], ids=["text-speed", "class-without-speed", "nan-offset",
+            "nan-pull-out"])
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_bad_values_exit_2(self, fixture_dir, tmp_path, command, edit):
+        # a bad config is an input error, not a failed safety assertion
+        doc = json.loads(PACKAGED_PROFILES.read_text("utf-8"))
+        edit(doc)
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps(doc))
+        res = invoke(fixture_dir, command, "--profiles", str(profiles),
+                     "--worst-case-speeds")
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith(f"error: {profiles}: "), res.stderr
+
+
+class TestMalformedMap:
+    """A map that load_map cannot use exits 2 naming the file."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(lanelets=5),
+        lambda d: d["centreline"].__setitem__(0, ["a", 0]),
+        lambda d: d["lanelets"][0].update(orientation_rad=math.inf),
+        lambda d: d["lanelets"][0].update(width_m=math.nan),
+    ], ids=["lanelets-number", "text-point", "infinite-orientation",
+            "nan-width"])
+    @pytest.mark.parametrize("command", ["check", "monitor", "zones"])
+    def test_exit_2(self, fixture_dir, tmp_path, command, edit):
+        doc = json.loads((fixture_dir / "safe_map.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad_map.json"
+        bad.write_text(json.dumps(doc))
+        args = [command, "--map", str(bad)]
+        if command == "monitor":
+            res = runner.invoke(main, args, input="")
+        else:
+            res = runner.invoke(main, args + [
+                "--trace", str(fixture_dir / "safe_trace.jsonl")])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith(f"error: {bad}: "), res.stderr
+
 
 def _nested_condition(kind):
     if kind == "parens":
@@ -319,6 +369,11 @@ MALFORMED = [
     ("not-an-object", lambda rs: [json.dumps(r) for r in rs[:5]]
      + ["5"] + [json.dumps(r) for r in rs[6:]],
      "record 5: record is not a JSON object"),
+    ("int-past-digit-limit", lambda rs: [json.dumps(r) for r in rs[:5]]
+     + ['{"t": 1%s}' % ("0" * 5000)] + [json.dumps(r) for r in rs[6:]],
+     "record 5: invalid JSON: Exceeds the limit (4300 digits) for integer "
+     "string conversion: value has 5001 digits; use "
+     "sys.set_int_max_str_digits() to increase the limit"),
     ("null-t", _mutate(5, t=None),
      "record 5: float() argument must be a string or a real number, not "
      "'NoneType'"),
@@ -431,6 +486,36 @@ class TestNonUtf8Input:
             assert isinstance(res.exception, SystemExit), res.exception
             assert res.exit_code == 2, res.output
             assert res.stderr == "error: record 0: invalid JSON: Expecting value\n"
+
+    def test_monitor_reads_utf8_whatever_the_locale(self, fixture_dir):
+        # stdin opened in the locale's encoding, here Latin-1, must read
+        # the bytes that check reads as the same text
+        records = [json.loads(l) for l in
+                   (fixture_dir / "safe_trace.jsonl").read_text().splitlines()]
+        for r in records:
+            if r["actor_id"] == "parked":
+                r["actor_id"], r["low_confidence"] = "parké", True
+        data = "".join(json.dumps(r, ensure_ascii=False) + "\n"
+                       for r in records).encode("utf-8")
+        res = CliRunner(charset="latin-1").invoke(main, [
+            "monitor", "--map", str(fixture_dir / "safe_map.json"),
+            "--rules", str(fixture_dir / "rule162.rules")], input=data)
+        assert res.exit_code == 0, res.output
+        assert '"low_confidence_actors": ["park\\u00e9"]' in res.stdout
+
+    def test_detections_read_as_a_trace(self, fixture_dir, tmp_path):
+        # detections share the trace reader: a byte that is not UTF-8 is
+        # a bad record, not a decoding traceback
+        lines = (fixture_dir / "occlusion_abort_detections.jsonl").read_bytes()
+        detections = tmp_path / "latin_detections.jsonl"
+        detections.write_bytes(lines.split(b"\n", 1)[0] + b"\n\xff\n")
+        res = runner.invoke(main, [
+            "estimate", "--detections", str(detections),
+            "--calibration", str(fixture_dir / "occlusion_abort_calibration.json"),
+            "--out", str(tmp_path / "out.jsonl")])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2, res.output
+        assert res.stderr == "error: record 1: invalid JSON: Expecting value\n"
 
     @pytest.mark.parametrize("command,option", [
         (c, o) for c in ("check", "monitor", "zones")
@@ -1129,6 +1214,14 @@ class TestZonesCommand:
         fields = lines[1].split(",")
         assert float(fields[1]) == pytest.approx(76.43, abs=0.01)
         assert fields[4] == "C"
+
+    @pytest.mark.parametrize("option, value", [
+        ("--margin", "nan"), ("--ttc-limit", "nan")])
+    def test_nan_threshold_exits_2(self, fixture_dir, option, value):
+        res = invoke(fixture_dir, "zones", option, value)
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith("error: "), res.stderr
 
     def test_no_decision_point_exits_2(self, fixture_dir, tmp_path):
         # exit 1 means a failed safety assertion; an ego that never pulls

@@ -48,7 +48,7 @@ def straight_trace(n=10, dt=0.1, v=10.0, with_ov=False, ov_x0=200.0):
             step["ov1"] = actor(t, aid="ov1", role="OV", x=ov_x0 - v * t,
                                 y=1.825, heading=math.pi)
         steps.append(step)
-    return Trace(times=times, steps=steps, dt=dt)
+    return Trace(times=times, steps=tuple(steps), dt=dt)
 
 
 def compiled(text):

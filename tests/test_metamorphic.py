@@ -4,7 +4,12 @@ with itself on two related inputs, so no second implementation is needed
 Opportunities", ACM CSUR 2018).  Each relation is exact on the sorted
 verdict JSONL, on the four presets under two profiles and three flag sets.
 
-1. Shuffling the records within each step changes nothing.
+1. Shuffling the records within each step changes nothing, also when a
+   role has two actors (a second VBP whose id sorts first), so that which
+   record of the role comes first must not matter.
+3. Renaming the actor ids, keeping their order within each role, changes
+   only the names in ``low_confidence_actors``.  The new ids differ from
+   every string literal in the rules, which may name an actor by id.
 4. Checking two rule sets with distinct ids together gives the union of
    checking each alone.  The sets are the shipped rulepack's execution
    rules and its danger-space invariants, and the benchmark's copy of the
@@ -17,6 +22,7 @@ verdict JSONL, on the four presets under two profiles and three flag sets.
 import importlib.util
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -53,9 +59,45 @@ RULE_SETS = {
     "bench_shipped": gen.SHIPPED_RULES,
     "bench_windows": gen.WINDOW_RULES,
 }
+# every string literal of the shipped rules: actor ids or role names
+RULE_LITERALS = set(re.findall(r'"([^"]*)"', RULE_SETS["execution"]
+                               + RULE_SETS["danger_spaces"]))
 # a rule set checked whole, and the two parts it is split into
 SPLITS = [("shipped", "execution", "danger_spaces"),
           ("bench", "bench_shipped", "bench_windows")]
+
+
+def _records(text: str) -> list[dict]:
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def _text(records) -> str:
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def _two_vbps(text: str) -> list[dict]:
+    """The trace with a second VBP 20 m behind the first, under an id that
+    sorts before the first's, and every third record low-confidence."""
+    records = []
+    for r in _records(text):
+        records.append(r)
+        if r["role"] == "VBP":
+            records.append({**r, "actor_id": "a" + r["actor_id"],
+                            "x": r["x"] - 20.0})
+            assert records[-1]["actor_id"] < r["actor_id"]
+    for r in records[::3]:
+        r["low_confidence"] = True
+    return records
+
+
+def _new_names(records) -> dict:
+    """Old id -> new id, the new ids in the old ones' order within each
+    role."""
+    names, count = {}, {}
+    for role, aid in sorted({(r["role"], r["actor_id"]) for r in records}):
+        count[role] = count.get(role, -1) + 1
+        names[aid] = f"{role.lower()}-{count[role]:02d}"
+    return names
 
 
 def _shuffled(text: str, seed: int) -> str:
@@ -83,6 +125,14 @@ def inputs(tmp_path_factory):
         shuffled = _shuffled(trace, seed=len(name))
         assert shuffled != trace
         (root / f"{name}_shuffled.jsonl").write_text(shuffled)
+        records = _two_vbps(trace)
+        (root / f"{name}_two_vbps.jsonl").write_text(_text(records))
+        (root / f"{name}_two_vbps_shuffled.jsonl").write_text(
+            _shuffled(_text(records), seed=len(name)))
+        names = _new_names(records)
+        assert not set(names.values()) & RULE_LITERALS
+        (root / f"{name}_renamed.jsonl").write_text(_text(
+            {**r, "actor_id": names[r["actor_id"]]} for r in records))
     for name, text in RULE_SETS.items():
         if text is not None:
             (root / f"{name}.rules").write_text(text)
@@ -121,6 +171,39 @@ def test_record_order_within_a_step(check, preset, profile, flags):
     plain = check(preset, profile, flags)
     assert plain
     assert check(preset, profile, flags, trace="shuffled") == plain
+
+
+@pytest.mark.parametrize("preset, profile, flags", CASES)
+def test_record_order_with_two_actors_of_a_role(check, preset, profile,
+                                                flags):
+    plain = check(preset, profile, flags, trace="two_vbps")
+    assert plain
+    assert check(preset, profile, flags, trace="two_vbps_shuffled") == plain
+
+
+def _low_confidence_renamed(lines, names=None) -> list[str]:
+    """The verdicts with the ids in ``low_confidence_actors`` renamed by
+    ``names``, if given."""
+    out = []
+    for line in lines:
+        v = json.loads(line)
+        low = v["detail"].get("low_confidence_actors")
+        if low is not None:
+            v["detail"]["low_confidence_actors"] = sorted(
+                names[a] if names else a for a in low)
+        out.append(json.dumps(v, sort_keys=True))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("preset, profile, flags", CASES)
+def test_actor_names(check, inputs, preset, profile, flags):
+    names = _new_names(_records(
+        (inputs / f"{preset}_two_vbps.jsonl").read_text()))
+    plain = check(preset, profile, flags, trace="two_vbps")
+    assert any("low_confidence_actors" in line for line in plain)
+    renamed = check(preset, profile, flags, trace="renamed")
+    assert (_low_confidence_renamed(renamed)
+            == _low_confidence_renamed(plain, names))
 
 
 @pytest.mark.parametrize("whole, part_a, part_b", SPLITS)

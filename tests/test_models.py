@@ -1,7 +1,11 @@
+import io
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+import roadcheck
 from roadcheck.models import (MPH_TO_MPS, DrivingProfile, ManoeuvreGeometry,
                               ModelError, OvertakeInfeasibleError,
                               UndefinedTtcError, danger_space_length,
@@ -9,6 +13,7 @@ from roadcheck.models import (MPH_TO_MPS, DrivingProfile, ManoeuvreGeometry,
                               mps_to_mph, safe_distance_ahead,
                               stopping_distance, ttc)
 
+PACKAGED = Path(roadcheck.__file__).parent / "data" / "profiles.json"
 V25 = 25 * MPH_TO_MPS      # 11.176 m/s exactly
 CLOSING = 2 * V25
 
@@ -197,6 +202,41 @@ class TestProfiles:
         path.write_text(json.dumps(doc))
         loaded = load_profiles(path)
         assert loaded.profile("custom").pull_out_clearance == 3.0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["worst_case_speed_mph"].update(car="fast"),
+         "worst_case_speed_mph car must be a number"),
+        (lambda d: d["worst_case_speed_mph"].update(car=math.nan),
+         "worst_case_speed_mph car must be finite"),
+        (lambda d: d["worst_case_speed_mph"].update(car=-5.0),
+         "worst_case_speed_mph car must be finite and >= 0"),
+        (lambda d: d.update(worst_case_speed_mph=[60.0]),
+         "malformed profile config"),
+        (lambda d: d["role_vehicle_class"].update(VBP="bus"),
+         "no worst-case speed for class 'bus'"),
+        (lambda d: d["manoeuvre"].update(lateral_offset_m=math.nan),
+         "lateral_offset_m must be finite"),
+        (lambda d: d["manoeuvre"].update(vbp_length_m=math.inf),
+         "vbp_length_m must be finite"),
+        (lambda d: d["manoeuvre"].update(lateral_offset_m=0.0),
+         "lateral_offset_m must be finite and > 0"),
+        (lambda d: d["profiles"]["nominal"].update(
+            pull_out_clearance_m=math.nan), "clearances must be"),
+        (lambda d: d["profiles"]["nominal"].update(
+            cut_in_clearance_m=math.inf), "clearances must be"),
+        (lambda d: d["profiles"]["nominal"].update(
+            cut_in_clearance_m=10 ** 400), "too large"),
+        (lambda d: d["worst_case_speed_mph"].update(car=10 ** 400),
+         "too large"),
+    ], ids=["text-speed", "nan-speed", "negative-speed", "speeds-list",
+            "class-without-speed", "nan-offset", "infinite-length",
+            "zero-offset", "nan-pull-out", "infinite-cut-in",
+            "huge-int-clearance", "huge-int-speed"])
+    def test_malformed_values_rejected(self, edit, message):
+        doc = json.loads(PACKAGED.read_text("utf-8"))
+        edit(doc)
+        with pytest.raises(ModelError, match=message):
+            load_profiles(io.StringIO(json.dumps(doc)))
 
     def test_unit_conversions_exact(self):
         assert MPH_TO_MPS == 0.44704

@@ -134,9 +134,10 @@ class TestMalformedDetections:
         ('{"t": 1.0, "class": "car", "box_width_px": -1.0}',
          "record 1: box width"),
         ("[" * 100_000, "nested too deeply"),
+        ("1" + "0" * 5000, "invalid JSON: Exceeds the limit"),
     ], ids=["list", "string", "no-t", "null-t", "text-t", "text-frame",
             "list-frame", "infinite-frame", "text-line", "text-width",
-            "negative-width", "deep"])
+            "negative-width", "deep", "int-past-digit-limit"])
     def test_perception_error_with_index(self, line, message):
         with pytest.raises(PerceptionError, match="record 1: ") as err:
             load_detections(GOOD_LINE + "\n" + line + "\n")

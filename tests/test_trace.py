@@ -7,7 +7,8 @@ from roadcheck.checker import compile_text
 from roadcheck.engine import FAIL, EvaluationContext, evaluate_document
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck.trace import (ActorState, Trace, TraceError, derive_row,
-                             load_trace, serialise_trace)
+                             json_records, load_trace, read_lines,
+                             serialise_trace)
 from roadcheck.worldmap import load_map
 
 MPH = 0.44704
@@ -91,6 +92,28 @@ class TestLoadTrace:
         assert again.times == trace.times
         roles = {st.role for step in again.steps for st in step.values()}
         assert roles == {"AV", "VBP", "OV"}
+
+
+class TestJsonRecords:
+    """The one JSON-lines reader, of traces and of detections."""
+
+    def test_blank_lines_not_counted(self):
+        lines = read_lines(b'\n{"a": 1}\n  \n[2]\r\n\xff\n')
+        records = json_records(lines, TraceError)
+        assert [next(records), next(records)] == [(0, {"a": 1}), (1, [2])]
+        with pytest.raises(TraceError, match="^record 2: invalid JSON: "
+                                             "Expecting value$"):
+            next(records)
+
+    @pytest.mark.parametrize("line, message", [
+        ("{not json", "invalid JSON: Expecting property name"),
+        ('{"a": 1} 2', "invalid JSON: Extra data"),
+        ("[" * 100_000, "invalid JSON: nested too deeply"),
+        ("1" + "0" * 5000, "invalid JSON: Exceeds the limit"),
+    ], ids=["not-json", "extra-data", "deep", "int-past-digit-limit"])
+    def test_error_names_the_record(self, line, message):
+        with pytest.raises(TraceError, match=f"^record 1: {message}"):
+            list(json_records(["[]", line], TraceError))
 
 
 def derive_all(states_per_step):

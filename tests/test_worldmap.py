@@ -74,6 +74,30 @@ class TestLoadMap:
         with pytest.raises(MapError):
             load_map(text)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("lanelets",), "5", "lanelets must be a list"),
+        (("centreline", 1), '["a", 0]', "centreline"),
+        (("centreline", 1), "[1%s, 0]" % ("0" * 400), "centreline"),
+        (("lanelets", 0, "orientation_rad"), "1e400",
+         "orientation must be finite"),
+        (("lanelets", 0, "width_m"), "NaN", "width"),
+        (("lanelets", 0, "width_m"), "Infinity", "width"),
+        (("lanelets", 0, "width_m"), "1" + "0" * 400, "east"),
+        (("lanelets", 0, "vertices", 1), "[1%s, 0]" % ("0" * 400), "east"),
+        (("lanelets",), "1" + "0" * 5000, "invalid JSON"),
+    ], ids=["lanelets-number", "text-point", "huge-int-point",
+            "infinite-orientation", "nan-width", "infinite-width",
+            "huge-int-width", "huge-int-vertex", "int-past-digit-limit"])
+    def test_malformed_values_rejected(self, path, value, message):
+        doc = json.loads(json.dumps(TWO_LANE_DOC))
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = "@value@"
+        with pytest.raises(MapError, match=message):
+            load_map(json.dumps(doc).replace('"@value@"', value))
+
     def test_duplicate_ids_rejected(self):
         doc = json.loads(json.dumps(TWO_LANE_DOC))
         doc["lanelets"][1]["id"] = "east"

@@ -30,6 +30,12 @@ class TestClassify:
     def test_large_ttc_is_d(self):
         assert classify(200.0, 63.73, 5.0) == "D"
 
+    @pytest.mark.parametrize("margin, ttc_limit", [
+        (float("nan"), 2.5), (0.1, float("nan")), (-0.1, 2.5), (0.1, -1.0)])
+    def test_thresholds_rejected(self, margin, ttc_limit):
+        with pytest.raises(ModelError):
+            ZoneThresholds(margin, ttc_limit)
+
     def test_invalid_sda(self):
         with pytest.raises(ModelError):
             classify(10.0, 0.0, 1.0)
