@@ -166,11 +166,13 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
         verdicts = evaluate_document(assertions, trace, ctx)
     except (EvalError, StreamError) as exc:
         _die(str(exc))
-    verdicts = debounce(verdicts, debounce_n)
+    if debounce_n > 1:      # evaluate_document has sorted them already
+        verdicts = debounce(verdicts, debounce_n)
+    rows = summary_rows(verdicts)
     if out_jsonl:
         Path(out_jsonl).write_text(verdicts_to_jsonl(verdicts), "utf-8")
     if out_csv:
-        Path(out_csv).write_text(summary_csv(verdicts), "utf-8")
+        Path(out_csv).write_text(summary_csv(rows), "utf-8")
     if print_verdicts:
         for v in verdicts:
             click.echo(v.to_json())
@@ -178,7 +180,7 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
     for v in verdicts:
         if v.result == NOT_APPLICABLE and "reason" in v.detail:
             na_reasons.setdefault(v.assertion_id, set()).add(v.detail["reason"])
-    for row in summary_rows(verdicts):
+    for row in rows:
         if not row["pass_count"] and not row["fail_count"]:
             reasons = ", ".join(sorted(na_reasons[row["assertion_id"]]))
             click.echo(f"{row['assertion_id']}: N/A ({reasons})")

@@ -80,6 +80,18 @@ _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _isfinite = math.isfinite
 _encode = json.JSONEncoder(sort_keys=True).encode
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+class _Quoted(dict):
+    """Assertion id, result or detail key -> its JSON; never the data."""
+
+    def __missing__(self, s):
+        q = self[s] = _encode(s)
+        return q
+
+
+_quoted = _Quoted()
 
 
 class ActorNotFound(LookupError):
@@ -107,9 +119,27 @@ class Verdict:
         t = self.t
         t = (float.__repr__(t) if type(t) is float and _isfinite(t)
              else _encode(t))
-        return (f'{{"assertion_id": {_encode(self.assertion_id)}, '
-                f'"detail": {_encode(self.detail)}, '
-                f'"result": {_encode(self.result)}, "t": {t}}}')
+        return (f'{{"assertion_id": {_quoted[self.assertion_id]}, '
+                f'"detail": {_encode_detail(self.detail)}, '
+                f'"result": {_quoted[self.result]}, "t": {t}}}')
+
+
+def _encode_detail(detail: dict) -> str:
+    """``_encode(detail)``, written out directly when every key is a str and
+    every value a bool, str, int or finite float."""
+    parts = []
+    for key, value in sorted(detail.items()):
+        kind = type(value)
+        if type(key) is not str:
+            return _encode(detail)
+        if kind is str:
+            value = _encode_str(value)
+        elif kind is bool:
+            value = "true" if value else "false"
+        elif kind is not int and (kind is not float or not _isfinite(value)):
+            return _encode(detail)
+        parts.append(f"{_quoted[key]}: {value}")    # ints and floats: repr
+    return "{" + ", ".join(parts) + "}"
 
 
 @dataclass(frozen=True)
@@ -416,9 +446,9 @@ def _condition_verdict(assertion: CompiledAssertion, condition,
         detail["measured"] = measured
         detail["threshold"] = threshold
         detail["op"] = op
-    low_conf = sorted({s.actor_id for s in view.touched if s.low_confidence})
+    low_conf = [s.actor_id for s in view.touched if s.low_confidence]
     if low_conf:
-        detail["low_confidence_actors"] = low_conf
+        detail["low_confidence_actors"] = sorted(set(low_conf))
     return Verdict(assertion.id, t, PASS if ok else FAIL, detail)
 
 
@@ -768,11 +798,12 @@ def summary_rows(verdicts) -> list[dict]:
     return [agg[k] for k in sorted(agg)]
 
 
-def summary_csv(verdicts) -> str:
+def summary_csv(rows) -> str:
+    """The CSV of ``summary_rows``' rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["assertion_id", "pass_count", "fail_count", "first_fail_t"])
-    for row in summary_rows(verdicts):
+    for row in rows:
         writer.writerow([row["assertion_id"], row["pass_count"],
                          row["fail_count"],
                          "" if row["first_fail_t"] is None else row["first_fail_t"]])

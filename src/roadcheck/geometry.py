@@ -8,6 +8,17 @@ plane; angles are radians, counter-clockwise from the +x axis.
 Conventions:
   * polygons are strictly convex, counter-clockwise, >= 3 vertices
   * touching counts as overlapping (closed-set semantics)
+
+Boxes and danger spaces keep their seven inputs.  One whose checks are
+sure to pass (finite inputs; length L and half-width H with min(L, H) >
+1e-6 max(L, H); inputs below 1e9 min(L, H) and 1e150; cos^2 + sin^2 within
+1e-12 of 1) builds its corners, with the same arithmetic and checks, when
+first read; any other at once.  Its bounding circle, widened by 1e-10 of
+its coordinates' magnitude, is a broad phase before the separating-axis
+test (Ericson, "Real-Time Collision Detection", 2004, ch. 4).  Sound: the
+corners are within a few ulps of that magnitude of exact, rectangles at
+distance g are g/sqrt(2) apart along an edge normal, and that test rounds
+by a few ulps, so apart circles mean that it finds the rectangles apart.
 """
 
 from __future__ import annotations
@@ -66,7 +77,8 @@ class ConvexPolygon:
     """Strictly convex polygon with counter-clockwise vertex order."""
 
     vertices: tuple[tuple[float, float], ...]
-    _area: float = field(default=0.0, compare=False, repr=False)
+    _area: float = field(init=False, compare=False, repr=False)
+    _circle = None      # a deferred rectangle's (x, y, radius + slack)
 
     def __post_init__(self):
         verts = tuple((float(x), float(y)) for x, y in self.vertices)
@@ -93,6 +105,40 @@ class ConvexPolygon:
             # a NaN vertex passes every convexity test above
             raise GeometryError("polygon vertices must be finite")
         object.__setattr__(self, "_area", 0.5 * area2)
+
+    def __getattr__(self, name):
+        """A rectangle's corners and area from ``_rectangle``'s inputs: the
+        checks above unrolled for 4 vertices, with the same arithmetic."""
+        d = self.__dict__
+        if name not in ("vertices", "_area") or "_rect" not in d:
+            raise AttributeError(name)
+        ox, oy, c, s, front, back, hw = d["_rect"]
+        c_f, s_f, c_b, s_b = c * front, s * front, c * back, s * back
+        c_w, s_w = c * hw, s * hw
+        x0, y0 = ox + c_f - s_w, oy + s_f + c_w
+        x1, y1 = ox + c_b - s_w, oy + s_b + c_w
+        x2, y2 = ox + c_b + s_w, oy + s_b - c_w
+        x3, y3 = ox + c_f + s_w, oy + s_f - c_w
+        scale = max(max(x0, x1, x2, x3) - min(x0, x1, x2, x3),
+                    max(y0, y1, y2, y3) - min(y0, y1, y2, y3)) or 1.0
+        eps = _CONVEXITY_EPS * scale * scale
+        for i, cross in enumerate((
+                (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0),
+                (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1),
+                (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2),
+                (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3))):
+            if cross <= eps:
+                raise GeometryError(
+                    "polygon is not strictly convex in CCW order "
+                    f"(cross={cross:g} at vertex {i})")
+        # summed from 0.0 in vertex order, as ConvexPolygon sums it
+        area2 = 0.0 + (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1) \
+            + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3)
+        if not math.isfinite(area2):
+            raise GeometryError("polygon vertices must be finite")
+        d["vertices"] = ((x0, y0), (x1, y1), (x2, y2), (x3, y3))
+        d["_area"] = 0.5 * area2
+        return d[name]
 
     @classmethod
     def from_points(cls, points) -> "ConvexPolygon":
@@ -132,34 +178,24 @@ def _rectangle(ox: float, oy: float, c: float, s: float, front: float,
     (back, -hw), (front, -hw), rotated by (cos, sin) = (c, s) and moved to
     (ox, oy): CCW from the front-left corner when front > back.
 
-    ``ConvexPolygon``'s checks unrolled for four float vertices, with the
-    same arithmetic and the same errors.
+    Its corners are built here, raising what ``ConvexPolygon`` would,
+    unless its checks are sure to pass (see the module docstring).
     """
-    c_f, s_f, c_b, s_b = c * front, s * front, c * back, s * back
-    c_w, s_w = c * hw, s * hw
-    x0, y0 = ox + c_f - s_w, oy + s_f + c_w
-    x1, y1 = ox + c_b - s_w, oy + s_b + c_w
-    x2, y2 = ox + c_b + s_w, oy + s_b - c_w
-    x3, y3 = ox + c_f + s_w, oy + s_f - c_w
-    scale = max(max(x0, x1, x2, x3) - min(x0, x1, x2, x3),
-                max(y0, y1, y2, y3) - min(y0, y1, y2, y3)) or 1.0
-    eps = _CONVEXITY_EPS * scale * scale
-    for i, cross in enumerate((
-            (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0),
-            (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1),
-            (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2),
-            (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3))):
-        if cross <= eps:
-            raise GeometryError("polygon is not strictly convex in CCW order "
-                                f"(cross={cross:g} at vertex {i})")
-    # summed from 0.0 in vertex order, as ConvexPolygon sums it
-    area2 = 0.0 + (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1) \
-        + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3)
-    if not math.isfinite(area2):
-        raise GeometryError("polygon vertices must be finite")
     poly = object.__new__(ConvexPolygon)
-    poly.__dict__.update(vertices=((x0, y0), (x1, y1), (x2, y2), (x3, y3)),
-                         _area=0.5 * area2)
+    poly.__dict__["_rect"] = (ox, oy, c, s, front, back, hw)
+    length = front - back
+    # a NaN fails every comparison, so it never makes a rectangle eligible
+    lo, hi = (length, hw) if length < hw else (hw, length)
+    lim = 1e9 * lo
+    if not (1e-6 * hi < lo and lim < 1e150 and -lim < back and front < lim
+            and -lim < ox < lim and -lim < oy < lim
+            and -1e-12 < c * c + s * s - 1.0 < 1e-12):
+        poly.vertices  # noqa: B018  (built now, to raise here if invalid)
+        return poly
+    mid = 0.5 * (front + back)
+    x, y = ox + c * mid, oy + s * mid
+    r = math.sqrt(0.25 * length * length + hw * hw)
+    poly.__dict__["_circle"] = (x, y, r + 1e-10 * (r + abs(x) + abs(y)))
     return poly
 
 
@@ -218,6 +254,11 @@ def _separated(a: ConvexPolygon, b: ConvexPolygon) -> bool:
 
 def overlaps(a: ConvexPolygon, b: ConvexPolygon) -> bool:
     """Closed-set overlap test via separating axes; touching counts."""
+    ca, cb = a._circle, b._circle
+    if ca is not None and cb is not None:
+        dx, dy, reach = ca[0] - cb[0], ca[1] - cb[1], ca[2] + cb[2]
+        if dx * dx + dy * dy > reach * reach:
+            return False
     return not _separated(a, b)
 
 

@@ -751,6 +751,24 @@ _DETAILS = [
 ]
 
 
+# strings with non-ASCII and control characters and lone surrogates (what
+# surrogateescape decoding makes of bytes that are not UTF-8)
+_texts = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.binary().map(lambda b: b.decode("utf-8", "surrogateescape")))
+_numbers = st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf,
+                                                   -math.inf]),
+                     st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+_scalars = st.one_of(st.booleans(), _numbers, _texts)
+_values = st.recursive(
+    st.none() | _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_texts, inner, max_size=3), max_leaves=6)
+# details that take the direct path, and details that fall back
+_details = (st.dictionaries(_texts, _scalars, max_size=6)
+            | st.dictionaries(_texts, _values, max_size=4))
+
+
 class TestVerdictJson:
     """``Verdict.to_json`` writes the keys once and encodes only the
     values: byte for byte what ``json.dumps(..., sort_keys=True)`` gives."""
@@ -768,6 +786,14 @@ class TestVerdictJson:
             for t in (0.0, -0.0, 1e-07, 5e+16, 1.05, 3, math.inf, math.nan):
                 v = Verdict(aid, t, PASS, detail)
                 assert v.to_json() == self.reference(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_texts, _numbers, st.sampled_from([PASS, FAIL, NOT_APPLICABLE]),
+           _details)
+    def test_any_detail(self, aid, t, result, detail):
+        v = Verdict(aid, t, result, detail)
+        assert v.to_json() == self.reference(v)
+        assert v.to_json() == self.reference(v)     # from the caches too
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(), st.floats(), st.sampled_from([PASS, FAIL, NOT_APPLICABLE,

@@ -271,6 +271,202 @@ class TestRectangle:
                 for (x1, y1), (x2, y2) in a.edges())
 
 
+def _deferred(poly):
+    """True when ``poly``'s corners have not been built yet."""
+    return "vertices" not in vars(poly)
+
+
+_headings = st.floats(min_value=-4.0, max_value=4.0)
+_nudges = st.integers(min_value=-3, max_value=3)
+
+
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _shape_pair(kind_a, kind_b, pose_a, pose_b, dims_a, dims_b, length):
+    """The two shapes, each as ``_rectangle`` and as the eager reference
+    build; None when the reference build raises."""
+    make = {"box": (oriented_box, _box_reference),
+            "ds": (danger_space, _danger_space_reference)}
+    out = []
+    for kind, pose, dims in ((kind_a, pose_a, dims_a), (kind_b, pose_b, dims_b)):
+        fast, ref = make[kind]
+        args = (pose, dims) if kind == "box" else (pose, dims, length)
+        try:
+            out.append((fast(*args), ref(*args)))
+        except GeometryError:
+            return None
+    return out
+
+
+class TestBroadPhase:
+    """The bounding-circle test in ``overlaps`` never changes its answer:
+    it equals the separating-axis test on the eagerly built corners."""
+
+    _kinds = st.sampled_from(["box", "ds"])
+
+    def _agree(self, pair):
+        if pair is None:
+            return
+        (a, ref_a), (b, ref_b) = pair
+        assert overlaps(a, b) == (not geometry._separated(ref_a, ref_b))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_kinds, _kinds, _poses, _offsets, _offsets, _headings, _dims,
+           _dims, st.floats(min_value=1e-3, max_value=200.0))
+    def test_random_pairs(self, kind_a, kind_b, pose, dx, dy, heading,
+                          dims_a, dims_b, length):
+        other = Pose2D(pose.x + dx / 4.0, pose.y + dy / 4.0, heading)
+        self._agree(_shape_pair(kind_a, kind_b, pose, other, dims_a, dims_b,
+                                length))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_kinds, _centres, _offsets, _offsets,
+           st.sampled_from([0.0, math.pi / 2, -math.pi, -math.pi / 2]),
+           st.sampled_from([0.0, math.pi / 2]), _dims, _dims,
+           st.floats(min_value=1e-3, max_value=200.0), _nudges, _nudges)
+    def test_touching_pairs(self, kind_a, centre, dx, dy, heading, turn,
+                            dims_a, dims_b, length, nudge_x, nudge_y):
+        # the second box's back face (or side, when turned) meets the first
+        # shape's front face, along an axis, moved by a few ulps
+        pose = Pose2D(centre[0] + dx, centre[1] + dy, heading)
+        reach = dims_a.length / 2.0 + (length if kind_a == "ds" else 0.0)
+        reach += (dims_b.width if turn else dims_b.length) / 2.0
+        c, s = round(math.cos(heading)), round(math.sin(heading))
+        other = Pose2D(_nudged(pose.x + c * reach, nudge_x),
+                       _nudged(pose.y + s * reach, nudge_y), heading + turn)
+        self._agree(_shape_pair(kind_a, "box", pose, other, dims_a, dims_b,
+                                length))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_kinds, _centres, _offsets, _offsets, _headings, _dims, _dims,
+           st.floats(min_value=1e-3, max_value=200.0), _nudges, _nudges)
+    def test_corner_to_corner_pairs(self, kind_a, centre, dx, dy, heading,
+                                    dims_a, dims_b, length, nudge_x,
+                                    nudge_y):
+        # the tight case of the circles: the second box's rear-right corner
+        # at the first shape's front-left corner, both diagonals on one line
+        pose = Pose2D(centre[0] + dx, centre[1] + dy, heading)
+        front = dims_a.length / 2.0 + (length if kind_a == "ds" else 0.0)
+        back = dims_a.length / 2.0 if kind_a == "ds" else -front
+        mid, half = (front + back) / 2.0, (front - back) / 2.0
+        c, s = math.cos(heading), math.sin(heading)
+        lx, ly = half, dims_a.width / 2.0           # corner from the centre
+        ux, uy = c * lx - s * ly, s * lx + c * ly
+        norm = math.hypot(ux, uy)
+        ux, uy = ux / norm, uy / norm
+        r_b = math.hypot(dims_b.length, dims_b.width) / 2.0
+        x = pose.x + c * mid + ux * (norm + r_b)
+        y = pose.y + s * mid + uy * (norm + r_b)
+        other = Pose2D(_nudged(x, nudge_x), _nudged(y, nudge_y),
+                       math.atan2(-uy, -ux)
+                       - math.atan2(-dims_b.width, -dims_b.length))
+        self._agree(_shape_pair(kind_a, "box", pose, other, dims_a, dims_b,
+                                length))
+
+    def test_shared_edge(self):
+        a = oriented_box(Pose2D(0.0, 0.0, 0.0), BoxDims(4.0, 2.0))
+        b = oriented_box(Pose2D(4.0, 0.0, 0.0), BoxDims(4.0, 2.0))
+        apart = oriented_box(Pose2D(math.nextafter(4.0, 5.0), 0.0, 0.0),
+                             BoxDims(4.0, 2.0))
+        assert _deferred(a) and _deferred(b)
+        assert overlaps(a, b) and overlaps(b, a)
+        assert not overlaps(a, apart)
+
+    def test_far_pair_builds_no_corners(self):
+        a = oriented_box(Pose2D(5e5, 5.7e6, 0.3), BoxDims(4.5, 2.0))
+        b = danger_space(Pose2D(5e5 + 60.0, 5.7e6, 2.0), BoxDims(4.5, 2.0),
+                         20.0)
+        assert not overlaps(a, b)
+        assert _deferred(a) and _deferred(b)
+
+
+def _rectangle_args(exp, ratio_exp, fx, fy, heading, is_box, long_side):
+    """Inputs near the deferral bound: extents up to 1e6 apart, and a
+    centre up to 1e9 times the smaller extent away from the origin."""
+    lo = 10.0 ** exp
+    hi = lo * 10.0 ** ratio_exp
+    length, hw = (hi, lo) if long_side else (lo, hi)
+    lim = 1e9 * lo
+    back = -length / 2.0 if is_box else 0.0
+    return (fx * lim, fy * lim, math.cos(heading), math.sin(heading),
+            back + length, back, hw)
+
+
+class TestDeferredRectangle:
+    """A rectangle is deferred only when its checks are sure to pass:
+    every other one raises at construction, as ``ConvexPolygon`` does."""
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("where", range(7))
+    def test_infinite_corner_rejected(self, where, value):
+        args = [3.0, -2.0, math.cos(0.4), math.sin(0.4), 2.25, -2.25, 0.9]
+        args[where] = value
+        ox, oy, c, s, front, back, hw = args
+        local = ((front, hw), (back, hw), (back, -hw), (front, -hw))
+        got = _built(geometry._rectangle, *args)
+        assert got == _built(_corners_polygon, ox, oy, c, s, local)
+        assert got[0] == "raise"
+
+    @pytest.mark.parametrize("args", [
+        (3.0, -2.0, math.cos(0.4), math.sin(0.4), 2.25, -2.25, 1e308),
+        (3.0, -2.0, 1.0, 0.0, 1e308, -1e308, 0.9),
+        (1.7e308, 0.0, 1.0, 0.0, 1e308, 0.0, 5e307),
+        (1e298, 1e298, 1.0, 0.0, 1e290, -1e290, 1e290),
+        (1e17, 0.0, math.cos(0.3), math.sin(0.3), 2.25, -2.25, 1.0),
+        (-1e17, 3e16, math.cos(2.0), math.sin(2.0), 20.0, 0.0, 1.0),
+        (3.0, -2.0, 0.0, 0.0, 2.25, -2.25, 0.9),
+        (1e8, 0.0, 1e-12, 0.0, 2.25, -2.25, 0.9),
+        (3.0, -2.0, 1.0, 0.0, -2.25, 2.25, 0.9),
+        (3.0, -2.0, 1.0, 0.0, 2.25, -2.25, -0.9),
+        (0.0, 0.0, 1.0, 0.0, 1e-9, 0.0, 1e4),
+        (0.0, 0.0, math.cos(0.6040744871223511), math.sin(0.6040744871223511),
+         1e20, 1e20 - 16384.0, 11121.13313560678),
+    ], ids=["overflow-width", "overflow-length", "overflow-centre",
+            "overflow-area", "collapse-box", "collapse-ds", "no-rotation",
+            "short-rotation", "clockwise-length", "clockwise-width",
+            "sliver", "far-front"])
+    def test_error_at_construction(self, args):
+        ox, oy, c, s, front, back, hw = args
+        local = ((front, hw), (back, hw), (back, -hw), (front, -hw))
+        got = _built(geometry._rectangle, *args)
+        assert got[0] == "raise"
+        assert got == _built(_corners_polygon, ox, oy, c, s, local)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=-30.0, max_value=140.0),
+           st.floats(min_value=0.0, max_value=5.999),
+           st.floats(min_value=-0.999, max_value=0.999),
+           st.floats(min_value=-0.999, max_value=0.999),
+           _headings, st.booleans(), st.booleans())
+    def test_forced_corners_match_eager_build(self, exp, ratio_exp, fx, fy,
+                                              heading, is_box, long_side):
+        args = _rectangle_args(exp, ratio_exp, fx, fy, heading, is_box,
+                               long_side)
+        ox, oy, c, s, front, back, hw = args
+        poly = geometry._rectangle(*args)
+        assert _deferred(poly)
+        ref = _corners_polygon(ox, oy, c, s, ((front, hw), (back, hw),
+                                              (back, -hw), (front, -hw)))
+        assert repr(poly.vertices) == repr(ref.vertices)
+        assert repr(poly.area) == repr(ref.area)
+        assert poly == ref and ref == poly
+        assert hash(poly) == hash(ref)
+
+    def test_first_read_does_not_matter(self):
+        # corners forced by area, repr, hash and equality all agree
+        args = (3.0, -2.0, math.cos(0.4), math.sin(0.4), 2.25, -2.25, 0.9)
+        by_area, by_repr, by_hash, by_eq = (geometry._rectangle(*args)
+                                            for _ in range(4))
+        area, text, key = by_area.area, repr(by_repr), hash(by_hash)
+        assert by_eq == by_area
+        assert repr(by_area) == text and hash(by_repr) == key
+        assert repr(by_hash.area) == repr(area) == repr(by_eq.area)
+
+
 class TestRigidMotionInvariance:
     def test_distance_and_area_preserved(self):
         rng = random.Random(11)

@@ -7,6 +7,10 @@ verdict JSONL, on the four presets under two profiles and three flag sets.
 1. Shuffling the records within each step changes nothing, also when a
    role has two actors (a second VBP whose id sorts first), so that which
    record of the role comes first must not matter.
+2. Adding actors of role ``other`` at existing timestamps changes nothing.
+   They stand next to and in front of the ego, and half of them are
+   low-confidence; their ids differ from every string literal in the
+   rules, since ``resolve`` tries an actor id before a role name.
 3. Renaming the actor ids, keeping their order within each role, changes
    only the names in ``low_confidence_actors``.  The new ids differ from
    every string literal in the rules, which may name an actor by id.
@@ -90,6 +94,26 @@ def _two_vbps(text: str) -> list[dict]:
     return records
 
 
+OTHER_IDS = ("0-other", "other-a", "zz-other")
+
+
+def _with_others(text: str) -> list[dict]:
+    """The trace with three ``other`` actors added at every step: beside,
+    ahead of and behind the step's first record, every second one
+    low-confidence."""
+    records, seen = [], set()
+    for r in _records(text):
+        records.append(r)
+        if r["t"] in seen:
+            continue
+        seen.add(r["t"])
+        for k, aid in enumerate(OTHER_IDS):
+            records.append({**r, "actor_id": aid, "role": "other",
+                            "x": r["x"] + 6.0 * (k - 1), "y": r["y"] + 3.0,
+                            "low_confidence": k % 2 == 0})
+    return records
+
+
 def _new_names(records) -> dict:
     """Old id -> new id, the new ids in the old ones' order within each
     role."""
@@ -125,6 +149,7 @@ def inputs(tmp_path_factory):
         shuffled = _shuffled(trace, seed=len(name))
         assert shuffled != trace
         (root / f"{name}_shuffled.jsonl").write_text(shuffled)
+        (root / f"{name}_others.jsonl").write_text(_text(_with_others(trace)))
         records = _two_vbps(trace)
         (root / f"{name}_two_vbps.jsonl").write_text(_text(records))
         (root / f"{name}_two_vbps_shuffled.jsonl").write_text(
@@ -171,6 +196,13 @@ def test_record_order_within_a_step(check, preset, profile, flags):
     plain = check(preset, profile, flags)
     assert plain
     assert check(preset, profile, flags, trace="shuffled") == plain
+
+
+@pytest.mark.parametrize("preset, profile, flags", CASES)
+def test_unreferenced_actors(check, preset, profile, flags):
+    assert not set(OTHER_IDS) & RULE_LITERALS
+    plain = check(preset, profile, flags)
+    assert check(preset, profile, flags, trace="others") == plain
 
 
 @pytest.mark.parametrize("preset, profile, flags", CASES)
