@@ -166,8 +166,7 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
         verdicts = evaluate_document(assertions, trace, ctx)
     except (EvalError, StreamError) as exc:
         _die(str(exc))
-    if debounce_n > 1:      # evaluate_document has sorted them already
-        verdicts = debounce(verdicts, debounce_n)
+    verdicts = debounce(verdicts, debounce_n)
     rows = summary_rows(verdicts)
     if out_jsonl:
         Path(out_jsonl).write_text(verdicts_to_jsonl(verdicts), "utf-8")

@@ -48,6 +48,7 @@ infinite or NaN operand is an evaluation error, as a division by zero is.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -81,17 +82,7 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _isfinite = math.isfinite
 _encode = json.JSONEncoder(sort_keys=True).encode
 _encode_str = json.encoder.encode_basestring_ascii
-
-
-class _Quoted(dict):
-    """Assertion id, result or detail key -> its JSON; never the data."""
-
-    def __missing__(self, s):
-        q = self[s] = _encode(s)
-        return q
-
-
-_quoted = _Quoted()
+_quote = functools.cache(_encode)    # for ids, results and keys, not data
 
 
 class ActorNotFound(LookupError):
@@ -114,19 +105,17 @@ class Verdict:
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        """``json.dumps`` of the four fields with sorted keys; the keys and
-        separators are written out here, and only the values encoded."""
+        """``json.dumps`` of the four fields with sorted keys, written out."""
         t = self.t
         t = (float.__repr__(t) if type(t) is float and _isfinite(t)
              else _encode(t))
-        return (f'{{"assertion_id": {_quoted[self.assertion_id]}, '
+        return (f'{{"assertion_id": {_quote(self.assertion_id)}, '
                 f'"detail": {_encode_detail(self.detail)}, '
-                f'"result": {_quoted[self.result]}, "t": {t}}}')
+                f'"result": {_quote(self.result)}, "t": {t}}}')
 
 
 def _encode_detail(detail: dict) -> str:
-    """``_encode(detail)``, written out directly when every key is a str and
-    every value a bool, str, int or finite float."""
+    """``_encode(detail)``, written directly for str keys and plain values."""
     parts = []
     for key, value in sorted(detail.items()):
         kind = type(value)
@@ -138,7 +127,7 @@ def _encode_detail(detail: dict) -> str:
             value = "true" if value else "false"
         elif kind is not int and (kind is not float or not _isfinite(value)):
             return _encode(detail)
-        parts.append(f"{_quoted[key]}: {value}")    # ints and floats: repr
+        parts.append(f"{_quote(key)}: {value}")    # ints and floats: repr
     return "{" + ", ".join(parts) + "}"
 
 
@@ -440,12 +429,8 @@ def _condition_verdict(assertion: CompiledAssertion, condition,
         detail["reason"] = "evaluation-error"
         detail["error"] = str(exc)
         return Verdict(assertion.id, t, FAIL, detail)
-    if op is None:
-        detail["condition"] = ok
-    else:
-        detail["measured"] = measured
-        detail["threshold"] = threshold
-        detail["op"] = op
+    detail = ({"condition": ok} if op is None else
+              {"measured": measured, "threshold": threshold, "op": op})
     low_conf = [s.actor_id for s in view.touched if s.low_confidence]
     if low_conf:
         detail["low_confidence_actors"] = sorted(set(low_conf))
@@ -768,7 +753,9 @@ def _suppressed(v: Verdict, published: str) -> Verdict:
 
 
 def debounce(verdicts, n: int) -> list[Verdict]:
-    """Debounce a time-ordered verdict list, per assertion id."""
+    """Debounce a list sorted by (t, assertion_id), per assertion id."""
+    if n == 1:
+        return list(verdicts)
     filt = DebounceFilter(n)
     out = [d for v in verdicts for d in filt.feed(v)]
     out.extend(filt.finish())
@@ -803,8 +790,6 @@ def summary_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["assertion_id", "pass_count", "fail_count", "first_fail_t"])
-    for row in rows:
-        writer.writerow([row["assertion_id"], row["pass_count"],
-                         row["fail_count"],
-                         "" if row["first_fail_t"] is None else row["first_fail_t"]])
+    writer.writerows([r["assertion_id"], r["pass_count"], r["fail_count"],
+                      r["first_fail_t"]] for r in rows)     # None: empty
     return buf.getvalue()

@@ -9,16 +9,16 @@ Conventions:
   * polygons are strictly convex, counter-clockwise, >= 3 vertices
   * touching counts as overlapping (closed-set semantics)
 
-Boxes and danger spaces keep their seven inputs.  One whose checks are
-sure to pass (finite inputs; length L and half-width H with min(L, H) >
-1e-6 max(L, H); inputs below 1e9 min(L, H) and 1e150; cos^2 + sin^2 within
-1e-12 of 1) builds its corners, with the same arithmetic and checks, when
-first read; any other at once.  Its bounding circle, widened by 1e-10 of
-its coordinates' magnitude, is a broad phase before the separating-axis
-test (Ericson, "Real-Time Collision Detection", 2004, ch. 4).  Sound: the
-corners are within a few ulps of that magnitude of exact, rectangles at
-distance g are g/sqrt(2) apart along an edge normal, and that test rounds
-by a few ulps, so apart circles mean that it finds the rectangles apart.
+Boxes and danger spaces whose checks are sure to pass (finite inputs; for
+length L and half-width H, min(L, H) above 1e-100, so that no product
+underflows, and above 1e-6 max(L, H); inputs below 1e9 min(L, H) and
+1e150; cos^2 + sin^2 within 1e-12 of 1) build their corners when first
+read, any other at once.  overlaps first compares deferred ones' bounding
+circles, widened by 1e-10 of their coordinates, as a broad phase (Ericson,
+"Real-Time Collision Detection", 2004, ch. 4).  Sound: the corners are
+exact to a few ulps of that size, and rectangles at distance g are
+g/sqrt(2) apart along an edge normal, where separating axes round by a few
+ulps too.
 """
 
 from __future__ import annotations
@@ -107,12 +107,10 @@ class ConvexPolygon:
         object.__setattr__(self, "_area", 0.5 * area2)
 
     def __getattr__(self, name):
-        """A rectangle's corners and area from ``_rectangle``'s inputs: the
-        checks above unrolled for 4 vertices, with the same arithmetic."""
-        d = self.__dict__
-        if name not in ("vertices", "_area") or "_rect" not in d:
+        """Build a rectangle's corners: the checks above, unrolled."""
+        if name not in ("vertices", "_area") or "_rect" not in self.__dict__:
             raise AttributeError(name)
-        ox, oy, c, s, front, back, hw = d["_rect"]
+        ox, oy, c, s, front, back, hw = self._rect
         c_f, s_f, c_b, s_b = c * front, s * front, c * back, s * back
         c_w, s_w = c * hw, s * hw
         x0, y0 = ox + c_f - s_w, oy + s_f + c_w
@@ -128,17 +126,16 @@ class ConvexPolygon:
                 (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2),
                 (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3))):
             if cross <= eps:
-                raise GeometryError(
-                    "polygon is not strictly convex in CCW order "
-                    f"(cross={cross:g} at vertex {i})")
+                raise GeometryError("polygon is not strictly convex in CCW "
+                                    f"order (cross={cross:g} at vertex {i})")
         # summed from 0.0 in vertex order, as ConvexPolygon sums it
         area2 = 0.0 + (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1) \
             + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3)
         if not math.isfinite(area2):
             raise GeometryError("polygon vertices must be finite")
-        d["vertices"] = ((x0, y0), (x1, y1), (x2, y2), (x3, y3))
-        d["_area"] = 0.5 * area2
-        return d[name]
+        self.__dict__.update(vertices=((x0, y0), (x1, y1), (x2, y2), (x3, y3)),
+                             _area=0.5 * area2)
+        return self.__dict__[name]
 
     @classmethod
     def from_points(cls, points) -> "ConvexPolygon":
@@ -176,10 +173,8 @@ def _rectangle(ox: float, oy: float, c: float, s: float, front: float,
                back: float, hw: float) -> ConvexPolygon:
     """The rectangle with local corners (front, hw), (back, hw),
     (back, -hw), (front, -hw), rotated by (cos, sin) = (c, s) and moved to
-    (ox, oy): CCW from the front-left corner when front > back.
-
-    Its corners are built here, raising what ``ConvexPolygon`` would,
-    unless its checks are sure to pass (see the module docstring).
+    (ox, oy): CCW from the front-left corner when front > back.  Its corners
+    are built at once only if its checks may fail (see the module docstring).
     """
     poly = object.__new__(ConvexPolygon)
     poly.__dict__["_rect"] = (ox, oy, c, s, front, back, hw)
@@ -187,14 +182,13 @@ def _rectangle(ox: float, oy: float, c: float, s: float, front: float,
     # a NaN fails every comparison, so it never makes a rectangle eligible
     lo, hi = (length, hw) if length < hw else (hw, length)
     lim = 1e9 * lo
-    if not (1e-6 * hi < lo and lim < 1e150 and -lim < back and front < lim
-            and -lim < ox < lim and -lim < oy < lim
+    if not (1e-100 < lo and 1e-6 * hi < lo and lim < 1e150 and -lim < back
+            and front < lim and -lim < ox < lim and -lim < oy < lim
             and -1e-12 < c * c + s * s - 1.0 < 1e-12):
         poly.vertices  # noqa: B018  (built now, to raise here if invalid)
         return poly
-    mid = 0.5 * (front + back)
+    mid, r = 0.5 * (front + back), math.hypot(0.5 * length, hw)
     x, y = ox + c * mid, oy + s * mid
-    r = math.sqrt(0.25 * length * length + hw * hw)
     poly.__dict__["_circle"] = (x, y, r + 1e-10 * (r + abs(x) + abs(y)))
     return poly
 
@@ -255,10 +249,8 @@ def _separated(a: ConvexPolygon, b: ConvexPolygon) -> bool:
 def overlaps(a: ConvexPolygon, b: ConvexPolygon) -> bool:
     """Closed-set overlap test via separating axes; touching counts."""
     ca, cb = a._circle, b._circle
-    if ca is not None and cb is not None:
-        dx, dy, reach = ca[0] - cb[0], ca[1] - cb[1], ca[2] + cb[2]
-        if dx * dx + dy * dy > reach * reach:
-            return False
+    if ca and cb and math.hypot(ca[0] - cb[0], ca[1] - cb[1]) > ca[2] + cb[2]:
+        return False
     return not _separated(a, b)
 
 

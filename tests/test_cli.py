@@ -656,6 +656,49 @@ class TestSharedShapeErrors:
                 "box of 'onc': polygon is not strictly convex")
 
 
+class TestUnresolvableActor:
+    """An actor 1e-170 m across, at the origin, has corners whose cross
+    products underflow to 0, so its box does not resolve: every assertion
+    that reads it fails with an evaluation error, also where it is far from
+    the other shape."""
+
+    RULES = """
+    assertion apart { odd: x type: invariant
+      condition: not overlaps(box_of("ov"), danger_space_of("av")) }
+    assertion gap { odd: x type: invariant
+      condition: min_distance(box_of("ov"), box_of("av")) > 1.0 }
+    """
+
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_evaluation_error(self, fixture_dir, tmp_path, command):
+        records = []
+        for k in range(5):
+            t = k * 0.05
+            records += [
+                {"t": t, "actor_id": "ego", "role": "AV", "x": 100 + 11 * t,
+                 "y": -1.825, "heading_rad": 0.0, "length_m": 4.5,
+                 "width_m": 2.0, "speed_mps": 11.0},
+                {"t": t, "actor_id": "dot", "role": "OV", "x": 0.0,
+                 "y": 0.0, "heading_rad": 0.0, "length_m": 1e-170,
+                 "width_m": 1e-170, "speed_mps": 0.0}]
+        trace = tmp_path / "dot_trace.jsonl"
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rules = tmp_path / "dot.rules"
+        rules.write_text(self.RULES)
+        res = run_on(command, fixture_dir / "safe_map.json", trace,
+                     "--rules", str(rules),
+                     *(["--print-verdicts"] if command == "check" else []))
+        no_traceback(res)
+        verdicts = [json.loads(l) for l in res.output.splitlines()
+                    if l.startswith("{")]
+        assert len(verdicts) == 10
+        for v in verdicts:
+            assert v["result"] == "fail"
+            assert v["detail"]["reason"] == "evaluation-error"
+            assert v["detail"]["error"].startswith(
+                "box of 'dot': polygon is not strictly convex")
+
+
 def test_cli_import_leaves_out_command_only_modules():
     code = ("import sys, roadcheck.cli; print(sorted(m for m in sys.modules "
             "if m in ('roadcheck.scenarios', 'roadcheck.perception', "

@@ -425,10 +425,12 @@ class TestDeferredRectangle:
         (0.0, 0.0, 1.0, 0.0, 1e-9, 0.0, 1e4),
         (0.0, 0.0, math.cos(0.6040744871223511), math.sin(0.6040744871223511),
          1e20, 1e20 - 16384.0, 11121.13313560678),
+        (0.0, 0.0, 1.0, 0.0, 5e-171, -5e-171, 5e-171),
+        (2e-162, -3e-162, math.cos(0.4), math.sin(0.4), 1e-170, 0.0, 5e-171),
     ], ids=["overflow-width", "overflow-length", "overflow-centre",
             "overflow-area", "collapse-box", "collapse-ds", "no-rotation",
             "short-rotation", "clockwise-length", "clockwise-width",
-            "sliver", "far-front"])
+            "sliver", "far-front", "underflow-box", "underflow-ds"])
     def test_error_at_construction(self, args):
         ox, oy, c, s, front, back, hw = args
         local = ((front, hw), (back, hw), (back, -hw), (front, -hw))
@@ -436,8 +438,16 @@ class TestDeferredRectangle:
         assert got[0] == "raise"
         assert got == _built(_corners_polygon, ox, oy, c, s, local)
 
+    def test_extent_floor(self):
+        # below 1e-100 the corners are built at once, whether they resolve
+        # or not; above it they are deferred, and resolve when read
+        for size, deferred in ((5e-101, False), (2e-100, True)):
+            poly = geometry._rectangle(0.0, 0.0, 1.0, 0.0, size, -size, size)
+            assert _deferred(poly) == deferred
+            assert poly.area > 0.0
+
     @settings(max_examples=500, deadline=None)
-    @given(st.floats(min_value=-30.0, max_value=140.0),
+    @given(st.floats(min_value=-99.9, max_value=140.0),
            st.floats(min_value=0.0, max_value=5.999),
            st.floats(min_value=-0.999, max_value=0.999),
            st.floats(min_value=-0.999, max_value=0.999),
