@@ -29,7 +29,8 @@ from .engine import (FAIL, NOT_APPLICABLE, DebounceFilter, EvalError,
                      debounce, evaluate_document, manoeuvre_at, summary_csv,
                      summary_rows, verdicts_to_jsonl)
 from .models import ModelError, load_profiles
-from .trace import TraceError, iter_steps, load_trace, serialise_trace
+from .trace import (TraceError, iter_steps, load_trace, read_lines,
+                    serialise_trace)
 from .worldmap import MapError, load_map, serialise_map
 
 
@@ -203,9 +204,9 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
                                    worst_case_speeds)
     stream = StreamingEngine(assertions, ctx)
     debouncer = DebounceFilter(debounce_n)
-    if hasattr(sys.stdin, "reconfigure"):
-        # decode as trace.read_lines does, whatever the locale
-        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+    # the bytes of stdin are decoded as a trace file's, whatever the locale
+    lines = (read_lines(sys.stdin.buffer) if hasattr(sys.stdin, "buffer")
+             else sys.stdin)
 
     def publish(verdicts, last=False):
         # one write per verdict line, one flush per step so that downstream
@@ -219,7 +220,7 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
         out.flush()
 
     try:
-        for t, step in iter_steps(sys.stdin):
+        for t, step in iter_steps(lines):
             publish(stream.feed(t, step))
         publish(stream.finish(), last=True)
     except (TraceError, StreamError, EvalError) as exc:

@@ -97,7 +97,7 @@ class StreamError(ValueError):
     """Record stream violated ordering or framing rules."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     assertion_id: str
     t: float

@@ -44,7 +44,7 @@ def normalize_angle(a: float) -> float:
     return a - math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose2D:
     """Position plus heading; heading is normalised to [-pi, pi)."""
 

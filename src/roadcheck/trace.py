@@ -6,13 +6,16 @@ Traces are ingested from JSON-lines, one record per actor per timestep:
      "heading_rad": 0.0, "length_m": 4.5, "width_m": 2.0, "speed_mps": 11.176}
 
 ``speed_mph`` is accepted and converted (1 mph = 0.44704 m/s).
-``read_lines`` frames a document into lines and ``json_records`` decodes
-them, one value per line; they are the one JSON-lines reader, for traces
-and for camera detections alike.  ``iter_steps`` validates the records and
-groups them into timesteps, for ``load_trace`` and for the streaming
-monitor alike.  A record of floats is checked in one pass, any other field
-by field, with the same messages.  A state read so builds its ``Pose2D``
-when ``pose`` is first read, so actors that no rule reads build none.
+``read_lines`` frames a document into lines, reading a file or stdin one
+line at a time, and ``json_records`` decodes them, one value per line; they
+are the one JSON-lines reader, for trace files, camera detections and the
+monitor's stdin alike.  ``iter_steps`` validates the records and groups
+them into timesteps, for ``load_trace`` and for the streaming monitor
+alike.  A record of floats is checked in one pass, any other field by
+field, with the same messages.  An actor's states share one id, role and
+dims object, and a step's states one time; a state read so builds its
+``Pose2D`` when ``pose`` is first read, so actors that no rule reads build
+none.
 
 ``derive_row`` derives the dynamics of an actor at one step from its
 neighbouring steps: speed from positions by central finite differences at
@@ -36,6 +39,7 @@ from .worldmap import OffRoadError, RoadMap, lane_orientation_at
 from .worldmap import nearest_centreline_point as _nearest_centreline_point
 
 ROLES = ("AV", "VBP", "OV", "other")
+_ROLE_NAMES = {role: role for role in ROLES}    # one copy of each name
 
 # Disagreement between recorded and positionally-derived speed that earns a
 # warning; the positional value wins either way.
@@ -62,12 +66,12 @@ class ActorState:
     def __init__(self, actor_id: str, role: str, t: float, pose: Pose2D,
                  dims: BoxDims, speed: float | None = None,
                  low_confidence: bool = False):
-        if role not in ROLES:
+        self.role = _ROLE_NAMES.get(role)
+        if self.role is None:
             raise TraceError(f"unknown role {role!r} for {actor_id!r}")
         if not (math.isfinite(t) and t >= 0.0):
             raise TraceError(f"timestamp must be finite and >= 0, got {t}")
         self.actor_id = actor_id
-        self.role = role
         self.t = t
         self._pose = pose       # None until built from _x, _y, _heading
         self.dims = dims
@@ -140,11 +144,12 @@ _REQUIRED = ("t", "actor_id", "role", "x", "y", "heading_rad", "length_m",
 _required = operator.itemgetter(*_REQUIRED)
 
 
-def _parse_record(obj: dict, index: int, dims_seen: dict | None = None) -> ActorState:
-    """One record as an ActorState, its pose not yet built.  ``dims_seen``
-    maps actor ids to the dims of their earlier records; equal dims reuse
-    that object.  A record of floats and strings is read at once, any other
-    field by field; either way its first fault in field order is reported."""
+def _parse_record(obj: dict, index: int, seen: dict | None = None) -> ActorState:
+    """One record as an ActorState, its pose not yet built.  ``seen`` maps
+    actor ids to their first states; the record reuses that id object, and
+    those dims when equal.  A record of floats and strings is read at once,
+    any other field by field; either way its first fault in field order is
+    reported."""
     try:
         t, actor_id, role, x, y, heading, length, width = _required(obj)
         speed = obj.get("speed_mps")
@@ -189,9 +194,11 @@ def _parse_record(obj: dict, index: int, dims_seen: dict | None = None) -> Actor
             length, width = _number(obj, "length_m"), _number(obj, "width_m")
         except (ValueError, TypeError, OverflowError) as exc:
             raise TraceError(str(exc), index) from exc
-    dims = dims_seen.get(actor_id) if dims_seen else None
+    first = seen.get(actor_id) if seen else None
+    if first is not None:
+        actor_id, dims = first.actor_id, first.dims
     try:
-        if dims is None or dims.length != length or dims.width != width:
+        if first is None or dims.length != length or dims.width != width:
             dims = BoxDims(length, width)
         state = ActorState(actor_id, role, t, None, dims, speed, low_confidence)
     except ValueError as exc:
@@ -201,15 +208,22 @@ def _parse_record(obj: dict, index: int, dims_seen: dict | None = None) -> Actor
 
 
 def read_lines(source):
-    """The lines of ``source``: text, bytes, or a file of either.  Bytes are
-    read as ``monitor`` reads stdin: UTF-8 with ``surrogateescape``, and
-    only "\\n" ends a line, so both accept and reject the same bytes."""
-    if hasattr(source, "read"):
-        source = source.read()
+    """The lines of ``source``: text, bytes, or a binary file, which is read
+    a line at a time and left open.  Bytes are UTF-8 with
+    ``surrogateescape``, and only "\\n" ends a line, for trace files,
+    detections and ``monitor``'s stdin alike."""
     if isinstance(source, str):
-        return source.split("\n")
-    return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8",
+        yield from source.split("\n")
+        return
+    binary = io.BytesIO(source) if isinstance(source, bytes) else source
+    text = io.TextIOWrapper(binary, encoding="utf-8",
                             errors="surrogateescape", newline="\n")
+    try:
+        for line in text:   # "yield from" would close ``text`` and ``binary``
+            yield line
+    finally:
+        if not binary.closed:
+            text.detach()   # so that ``text``, when collected, spares ``binary``
 
 
 # the scanner that JSONDecoder.raw_decode calls, without its Python frame:
@@ -248,23 +262,25 @@ def iter_steps(lines):
     its dims; a violation raises TraceError with the index of the record
     (blank lines not counted).
     """
-    dims_seen: dict = {}
+    seen: dict = {}     # actor id -> its first state
     t, step = None, {}
     for index, obj in json_records(lines, TraceError):
-        state = _parse_record(obj, index, dims_seen)
-        aid = state.actor_id
-        if step and state.t < t:
-            raise TraceError(f"out-of-order timestamp {state.t} after {t}", index)
-        if state.t == t and aid in step:
-            raise TraceError(f"duplicate actor {aid!r} at t={state.t}", index)
-        dims = dims_seen.setdefault(aid, state.dims)
+        state = _parse_record(obj, index, seen)
+        aid, st = state.actor_id, state.t
+        if step and st < t:
+            raise TraceError(f"out-of-order timestamp {st} after {t}", index)
+        if st == t and aid in step:
+            raise TraceError(f"duplicate actor {aid!r} at t={st}", index)
+        dims = seen.setdefault(aid, state).dims
         if dims is not state.dims:
             raise TraceError(f"actor {aid!r} changed dims {dims} -> {state.dims}",
                              index)
-        if state.t != t:
+        if st != t:
             if step:
                 yield t, step
-            t, step = state.t, {}
+            t, step = st, {}
+        elif t or math.copysign(1.0, st) == math.copysign(1.0, t):
+            state.t = t     # one float per step, but -0.0 == 0.0 keeps its sign
         step[aid] = state
     if step:
         yield t, step
@@ -299,7 +315,7 @@ def serialise_trace(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivedState:
     speed: float                     # |velocity vector|, m/s
     heading_rel_lane: float | None   # radians in [-pi, pi), None off-road

@@ -60,7 +60,7 @@ class OffRoadError(LookupError):
     """A query point lies outside every lanelet."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lanelet:
     id: str
     shape: ConvexPolygon

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -537,6 +538,70 @@ class TestNonUtf8Input:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == 2, res.output
         assert res.stderr.startswith(f"error: {bad}: "), res.stderr
+
+
+class _LinePipe(io.RawIOBase):
+    """A pipe whose writer sends one line at a time: a read returns at most
+    the next line, and counts the lines handed over."""
+
+    def __init__(self, data: bytes):
+        self.lines = data.splitlines(keepends=True)
+        self.handed = 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        if self.handed == len(self.lines):
+            return 0
+        line = self.lines[self.handed]
+        buf[:len(line)] = line
+        self.handed += 1
+        return len(line)
+
+
+class _StampedOut(io.StringIO):
+    """stdout that keeps each write with the number of lines read so far."""
+
+    def __init__(self, pipe):
+        super().__init__()
+        self.pipe = pipe
+        self.stamps = []
+
+    def write(self, s):
+        self.stamps.append((s, self.pipe.handed))
+        return super().write(s)
+
+
+class TestMonitorReadsLazily:
+    def test_step_published_by_first_record_two_steps_on(
+            self, fixture_dir, tmp_path, monkeypatch):
+        # stdin's bytes are framed by the trace reader, still one line at a
+        # time: step k's verdicts are out before the line after the first
+        # record of step k+2 is read
+        rules = tmp_path / "speed.rules"
+        rules.write_text('assertion moving { odd: x type: invariant '
+                         'condition: speed_of("av") > 0 }')
+        data = (fixture_dir / "safe_trace.jsonl").read_bytes()
+        times = [json.loads(line)["t"] for line in data.splitlines()]
+        steps = sorted(set(times))
+        first_record = {t: times.index(t) for t in steps}
+        pipe = _LinePipe(data)
+        out = _StampedOut(pipe)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BufferedReader(pipe, buffer_size=1 << 16), encoding="latin-1"))
+        monkeypatch.setattr(sys, "stdout", out)
+        with pytest.raises(SystemExit) as info:
+            main(["monitor", "--map", str(fixture_dir / "safe_map.json"),
+                  "--rules", str(rules)], standalone_mode=False)
+        assert info.value.code == 0
+        written = [(json.loads(s)["t"], handed) for s, handed in out.stamps
+                   if s.strip()]
+        assert len(written) == len(steps)
+        for t, handed in written:
+            k = steps.index(t)
+            if k + 2 < len(steps):
+                assert handed <= first_record[steps[k + 2]] + 1, t
 
 
 class TestNotApplicableSummary:

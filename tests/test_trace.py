@@ -1,13 +1,16 @@
+import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from roadcheck.checker import compile_text
-from roadcheck.engine import FAIL, EvaluationContext, evaluate_document
+from roadcheck.engine import FAIL, EvaluationContext, Verdict, evaluate_document
 from roadcheck.geometry import BoxDims, Pose2D
-from roadcheck.trace import (ActorState, Trace, TraceError, derive_row,
-                             json_records, load_trace, read_lines,
+from roadcheck.trace import (ActorState, DerivedState, Trace, TraceError,
+                             derive_row, json_records, load_trace, read_lines,
                              serialise_trace)
 from roadcheck.worldmap import load_map
 
@@ -114,6 +117,131 @@ class TestJsonRecords:
     def test_error_names_the_record(self, line, message):
         with pytest.raises(TraceError, match=f"^record 1: {message}"):
             list(json_records(["[]", line], TraceError))
+
+
+class TestSharedValues:
+    """A loaded trace keeps one copy of each actor's id and role, and of
+    each step's time, without changing what the trace holds."""
+
+    def test_one_id_and_role_object_per_actor(self):
+        text = "\n".join(record(0.1 * k, actor=actor, role=role, x=k)
+                          for k in range(4)
+                          for actor, role in (("ego", "AV"), ("ov1", "OV"),
+                                              ("p", "other")))
+        states = [st for step in load_trace(text).steps for st in step.values()]
+        for actor in ("ego", "ov1", "p"):
+            mine = [st for st in states if st.actor_id == actor]
+            assert len(mine) == 4
+            assert all(st.actor_id is mine[0].actor_id for st in mine)
+            assert all(st.role is mine[0].role for st in mine)
+
+    def test_role_change_kept_per_record(self):
+        roles = ["OV", "other", "other", "VBP"]
+        text = "\n".join(record(0.1 * k, actor="x", role=role, x=k)
+                          for k, role in enumerate(roles))
+        trace = load_trace(text)
+        assert [step["x"].role for step in trace.steps] == roles
+
+    def test_dims_change_same_error(self):
+        text = "\n".join([record(0.0), record(0.0, actor="b", role="OV"),
+                          record(0.1, actor="b", role="OV"),
+                          record(0.1, length=4.5)])
+        with pytest.raises(TraceError) as info:
+            load_trace(text)
+        assert str(info.value) == (
+            "record 3: actor 'ego' changed dims BoxDims(length=4.0, width=2.0)"
+            " -> BoxDims(length=4.5, width=2.0)")
+
+    def test_equal_times_share_one_float(self):
+        text = "\n".join(record(0.1 * k, actor=actor, x=k)
+                          for k in range(3) for actor in ("a", "b", "c"))
+        for step in load_trace(text).steps:
+            a, b, c = step.values()
+            assert a.t is b.t is c.t
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_times_serialise_as_before(self, first, second):
+        text = "\n".join([record(first, actor="a"), record(second, actor="b"),
+                          record(0.1, actor="a"), record(0.1, actor="b")])
+        lines = serialise_trace(load_trace(text)).splitlines()
+        signs = [math.copysign(1.0, json.loads(line)["t"]) for line in lines[:2]]
+        assert signs == [math.copysign(1.0, first), math.copysign(1.0, second)]
+        assert lines == [record(t, actor=a) for t, a in
+                         ((first, "a"), (second, "b"), (0.1, "a"), (0.1, "b"))]
+
+
+class TestLazyReading:
+    def test_binary_file_read_a_line_at_a_time_and_left_open(self, tmp_path):
+        path = tmp_path / "big.jsonl"
+        count = 8000
+        path.write_text("".join(record(0.05 * k, x=k) + "\n"
+                                for k in range(count)), "utf-8")
+        size = path.stat().st_size
+        assert size > 900_000
+        with open(path, "rb") as fh:
+            lines = read_lines(fh)
+            assert json.loads(next(lines))["t"] == 0.0
+            assert fh.tell() < size // 20
+            rest = list(lines)
+            assert len(rest) == count - 1 and not fh.closed
+            fh.seek(0)
+            assert fh.read(1) == b"{"
+
+    def test_partly_read_file_left_open(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(record(0.1 * k) for k in range(3)), "utf-8")
+        with open(path, "rb") as fh:
+            lines = read_lines(fh)
+            next(lines)
+            del lines
+            gc.collect()
+            assert not fh.closed
+            assert fh.read(0) == b""
+
+
+def crowded_text(steps, actors):
+    """JSON lines of ``steps`` steps of ``actors`` vehicles on the road."""
+    roles = ["AV", "VBP", "OV"] + ["other"] * (actors - 3)
+    return "".join(
+        record(0.05 * k, actor=f"car{a:02d}", role=roles[a], x=1.1 * k + 7.3 * a,
+               y=-1.825 + 0.01 * a, heading=0.001 * k, length=4.5,
+               speed_mps=11.176 + 0.001 * a) + "\n"
+        for k in range(steps) for a in range(actors))
+
+
+class TestIngestMemory:
+    """Guards the memory a loaded trace holds per record: about 240 B with
+    shared ids, roles and step times and a file read a line at a time,
+    where a whole-file read with a copy of each per record took 530 B."""
+
+    BYTES_PER_RECORD = 300
+
+    def test_load_trace_peak_per_record(self, tmp_path):
+        path = tmp_path / "crowded.jsonl"
+        path.write_text(crowded_text(100, 30), "utf-8")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                trace = load_trace(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 100
+        assert (peak - base) / 3000 < self.BYTES_PER_RECORD
+
+    @pytest.mark.parametrize("value, field", [
+        (Verdict("a", 0.0, "pass"), "result"),
+        (DerivedState(speed=1.0, heading_rel_lane=0.0), "speed"),
+        (Pose2D(1.0, 2.0, 0.5), "x"),
+        (ROAD.lanelets[0], "width"),
+    ], ids=["Verdict", "DerivedState", "Pose2D", "Lanelet"])
+    def test_value_records_slotted_and_frozen(self, value, field):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
 
 
 def derive_all(states_per_step):
