@@ -17,6 +17,7 @@ the exit code), 2 for usage or parse errors.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -37,6 +38,15 @@ from .worldmap import MapError, load_map, serialise_map
 def _die(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
+
+
+@contextmanager
+def _writing(path):
+    """Exit 2 naming ``path`` if writing it fails (1 means a safety FAIL)."""
+    try:
+        yield
+    except OSError as exc:
+        _die(f"{path}: {exc.strerror or exc}")
 
 
 def _load_map(map_path):
@@ -170,9 +180,11 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
     verdicts = debounce(verdicts, debounce_n)
     rows = summary_rows(verdicts)
     if out_jsonl:
-        Path(out_jsonl).write_text(verdicts_to_jsonl(verdicts), "utf-8")
+        with _writing(out_jsonl), open(out_jsonl, "w", encoding="utf-8") as fh:
+            verdicts_to_jsonl(verdicts, fh)
     if out_csv:
-        Path(out_csv).write_text(summary_csv(rows), "utf-8")
+        with _writing(out_csv):
+            Path(out_csv).write_text(summary_csv(rows), "utf-8")
     if print_verdicts:
         for v in verdicts:
             click.echo(v.to_json())
@@ -242,22 +254,22 @@ def gen(preset_name, out_dir):
     except scenarios.InvalidSpecError as exc:
         _die(str(exc))
     road, trace = scenarios.generate(spec)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{preset_name}_map.json").write_text(serialise_map(road), "utf-8")
-    (out / f"{preset_name}_trace.jsonl").write_text(serialise_trace(trace), "utf-8")
-    written = [f"{preset_name}_map.json", f"{preset_name}_trace.jsonl"]
+    files = {f"{preset_name}_map.json": serialise_map(road),
+             f"{preset_name}_trace.jsonl": serialise_trace(trace)}
     if spec.occlusion is not None:
         cal = CameraCalibration(c=1200.0, assumed_vehicle_width=2.0,
                                 lane_width_real=spec.lane_width,
                                 lane_width_px=365.0, frame_centre_px=320.0)
-        (out / f"{preset_name}_detections.jsonl").write_text(
-            perception.trace_to_detections(trace, cal), "utf-8")
-        (out / f"{preset_name}_calibration.json").write_text(
-            cal.to_json(), "utf-8")
-        written += [f"{preset_name}_detections.jsonl",
-                    f"{preset_name}_calibration.json"]
-    for name in written:
+        files[f"{preset_name}_detections.jsonl"] = (
+            perception.trace_to_detections(trace, cal))
+        files[f"{preset_name}_calibration.json"] = cal.to_json()
+    out = Path(out_dir)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        with _writing(out / name):
+            (out / name).write_text(text, "utf-8")
+    for name in files:
         click.echo(f"wrote {out / name}")
 
 
@@ -282,7 +294,8 @@ def estimate(detections_path, calibration_path, out_path, av_speed_mph):
                                           av_speed_mph)
     except (OSError, PerceptionError, TraceError) as exc:
         _die(str(exc))
-    Path(out_path).write_text(serialise_trace(trace), "utf-8")
+    with _writing(out_path):
+        Path(out_path).write_text(serialise_trace(trace), "utf-8")
     click.echo(f"wrote {out_path} ({len(trace)} steps)")
 
 
@@ -341,7 +354,8 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
         _die(str(exc))
     text = zones_mod.zone_report_csv(rows)
     if out_path:
-        Path(out_path).write_text(text, "utf-8")
+        with _writing(out_path):
+            Path(out_path).write_text(text, "utf-8")
         click.echo(f"wrote {out_path}")
     else:
         click.echo(text, nl=False)

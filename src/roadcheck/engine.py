@@ -38,7 +38,9 @@ subtrees share one closure (Filliatre & Conchon, "Type-Safe Modular
 Hash-Consing", ML Workshop 2006).  A builtin call goes to the ``_StepView``
 method of its name.  While a step is processed, one memo on it holds its
 shapes and its references' results, each computed once whichever
-assertions read it.
+assertions read it.  A plain condition's verdict without low-confidence
+actors shares one of two read-only details, ``{"condition": true|false}``,
+which code adding to a detail copies first.
 
 Comparisons are encoded per rule with explicit <, <=, >, >=: a rule that
 must fail on ties uses the strict operator.  A comparison with an
@@ -56,6 +58,7 @@ import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from . import dsl
 from .checker import REGISTRY, CompiledAssertion
@@ -83,6 +86,8 @@ _isfinite = math.isfinite
 _encode = json.JSONEncoder(sort_keys=True).encode
 _encode_str = json.encoder.encode_basestring_ascii
 _quote = functools.cache(_encode)    # for ids, results and keys, not data
+_CONDITION_DETAIL = (MappingProxyType({"condition": False}),    # shared
+                     MappingProxyType({"condition": True}))
 
 
 class ActorNotFound(LookupError):
@@ -429,9 +434,12 @@ def _condition_verdict(assertion: CompiledAssertion, condition,
         detail["reason"] = "evaluation-error"
         detail["error"] = str(exc)
         return Verdict(assertion.id, t, FAIL, detail)
+    low_conf = [s.actor_id for s in view.touched if s.low_confidence]
+    if op is None and not low_conf:
+        return Verdict(assertion.id, t, PASS if ok else FAIL,
+                       _CONDITION_DETAIL[ok])
     detail = ({"condition": ok} if op is None else
               {"measured": measured, "threshold": threshold, "op": op})
-    low_conf = [s.actor_id for s in view.touched if s.low_confidence]
     if low_conf:
         detail["low_confidence_actors"] = sorted(set(low_conf))
     return Verdict(assertion.id, t, PASS if ok else FAIL, detail)
@@ -480,8 +488,14 @@ def evaluate_document(assertions, trace: Trace,
     for t, step in zip(trace.times, trace.steps):
         out.extend(stream.feed(t, step))
     out.extend(stream.finish())
-    out.sort(key=lambda v: (v.t, v.assertion_id))
+    _sort(out)
     return out
+
+
+def _sort(verdicts: list) -> None:
+    """Sort by (t, assertion_id) in two stable passes, with no key tuples."""
+    verdicts.sort(key=operator.attrgetter("assertion_id"))
+    verdicts.sort(key=operator.attrgetter("t"))
 
 
 # --- streaming evaluation ---------------------------------------------------
@@ -759,14 +773,15 @@ def debounce(verdicts, n: int) -> list[Verdict]:
     filt = DebounceFilter(n)
     out = [d for v in verdicts for d in filt.feed(v)]
     out.extend(filt.finish())
-    out.sort(key=lambda v: (v.t, v.assertion_id))
+    _sort(out)
     return out
 
 
 # --- output -----------------------------------------------------------------
 
-def verdicts_to_jsonl(verdicts) -> str:
-    return "\n".join(v.to_json() for v in verdicts) + ("\n" if verdicts else "")
+def verdicts_to_jsonl(verdicts, fh) -> None:
+    """Write each verdict's JSON line to the text file ``fh`` as it is encoded."""
+    fh.writelines(v.to_json() + "\n" for v in verdicts)
 
 
 def summary_rows(verdicts) -> list[dict]:

@@ -1193,6 +1193,48 @@ class TestGen:
         assert res.exit_code == 2
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with the path and the
+    reason: exit 1 would read as a failed safety assertion, and on the safe
+    preset every assertion passes."""
+
+    @pytest.mark.parametrize("command, option", [
+        ("check", "--out-jsonl"), ("check", "--out-csv"), ("zones", "--out")])
+    def test_missing_directory(self, fixture_dir, tmp_path, command, option):
+        target = tmp_path / "missing" / "out.txt"
+        res = invoke(fixture_dir, command, option, str(target))
+        no_traceback(res)
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: {target}: No such file or directory\n"
+
+    def test_estimate_missing_directory(self, fixture_dir, tmp_path):
+        target = tmp_path / "missing" / "estimated.jsonl"
+        res = runner.invoke(main, [
+            "estimate",
+            "--detections", str(fixture_dir / "occlusion_abort_detections.jsonl"),
+            "--calibration", str(fixture_dir / "occlusion_abort_calibration.json"),
+            "--out", str(target)])
+        no_traceback(res)
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: {target}: No such file or directory\n"
+
+    def test_gen_out_dir_under_a_file(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "presets"
+        res = runner.invoke(main, ["gen", "safe", "--out-dir", str(target)])
+        no_traceback(res)
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: {target}: Not a directory\n"
+
+    def test_gen_file_name_taken_by_a_directory(self, tmp_path):
+        (tmp_path / "safe_trace.jsonl").mkdir()
+        res = runner.invoke(main, ["gen", "safe", "--out-dir", str(tmp_path)])
+        no_traceback(res)
+        assert res.exit_code == 2, res.output
+        assert res.stderr == (f"error: {tmp_path / 'safe_trace.jsonl'}: "
+                              "Is a directory\n")
+
+
 class TestEstimate:
     def test_occlusion_chain(self, fixture_dir, tmp_path):
         out = tmp_path / "estimated.jsonl"

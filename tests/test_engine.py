@@ -1,7 +1,9 @@
+import gc
 import inspect
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,10 +13,11 @@ from hypothesis import strategies as st
 from roadcheck.checker import REGISTRY, compile_text
 from roadcheck.engine import (FAIL, NOT_APPLICABLE, PASS, DebounceFilter,
                               EvaluationContext, StreamingEngine, StreamError,
-                              Verdict, debounce, evaluate_document,
-                              nearest_index, summary_rows)
+                              Verdict, _sort, debounce, evaluate_document,
+                              nearest_index, summary_rows, verdicts_to_jsonl)
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck.models import default_profiles
+from roadcheck.rulepack import danger_space_assertions
 from roadcheck.trace import ActorState, Trace, load_trace, serialise_trace
 from roadcheck.worldmap import load_map
 
@@ -802,3 +805,139 @@ class TestVerdictJson:
     def test_random(self, aid, t, result, detail, value, text):
         v = Verdict(aid, t, result, dict(detail, measured=value, actor=text))
         assert v.to_json() == self.reference(v)
+
+
+def plain_rule(cond, kind="invariant", extra=""):
+    return compiled(f"assertion p {{ odd: road type: {kind} {extra} "
+                    f"condition: {cond} }}")
+
+
+class TestSharedDetails:
+    """A plain condition's verdict without low-confidence actors shares one
+    of two read-only details; every verdict whose detail differs from
+    those has a dict of its own."""
+
+    def test_shared_and_read_only(self):
+        verdicts = evaluate_document(
+            [plain_rule("true"), compiled(
+                'assertion q { odd: road type: invariant '
+                'condition: time() < 0.45s or time() > 0.75s }')],
+            straight_trace(n=10), CTX)
+        passed = {id(v.detail) for v in verdicts if v.result == PASS}
+        failed = {id(v.detail) for v in verdicts if v.result == FAIL}
+        assert len(passed) == len(failed) == 1 and len(verdicts) == 20
+        for v in verdicts:
+            assert v.detail == {"condition": v.result == PASS}
+            with pytest.raises(TypeError):
+                v.detail["debounced_from"] = FAIL
+
+    @pytest.mark.parametrize("kind, extra, added", [
+        ("post_physical", "window: 1s reference: time() >= 0.2s",
+         {"checked_t": pytest.approx(1.2)}),
+        ("pre_temporal", "window: 0.5s reference: time() >= 0.8s",
+         {"violated_t": pytest.approx(0.3)}),
+    ])
+    def test_window_verdict_own_dict(self, kind, extra, added):
+        cond = "time() > 0.35s and true" if kind == "pre_temporal" else "true"
+        ok = kind != "pre_temporal"
+        v, = evaluate_document([plain_rule(cond, kind, extra)],
+                               straight_trace(n=20), CTX)
+        assert type(v.detail) is dict
+        assert v.detail == {"condition": ok, **added}
+        # the shared detail is left as it was
+        plain, = evaluate_document([plain_rule(cond)], straight_trace(n=1),
+                                   CTX)
+        assert dict(plain.detail) == {"condition": ok}
+
+    def test_debounced_verdict_own_dict(self):
+        rule = plain_rule("time() < 0.15s or time() > 0.25s")
+        out = debounce(evaluate_document([rule], straight_trace(n=6), CTX), 3)
+        assert [v.result for v in out] == [PASS] * 6
+        flipped = out[2]
+        assert type(flipped.detail) is dict
+        assert flipped.detail == {"condition": False, "debounced_from": FAIL}
+        assert out[0].detail == {"condition": True}
+
+    def test_low_confidence_verdict_own_dict(self):
+        tr = straight_trace(n=2)
+        st0 = tr.steps[0]["ego"]
+        flagged = ActorState(actor_id=st0.actor_id, role=st0.role, t=st0.t,
+                             pose=st0.pose, dims=st0.dims, low_confidence=True)
+        tr = Trace(times=tr.times, steps=({"ego": flagged},) + tr.steps[1:],
+                   dt=tr.dt)
+        low, plain = evaluate_document(
+            [plain_rule('speed_of("av") >= 0 or true')], tr, CTX)
+        assert type(low.detail) is dict
+        assert low.detail == {"condition": True,
+                              "low_confidence_actors": ["ego"]}
+        assert plain.detail == {"condition": True}
+        assert type(plain.detail) is not dict
+
+
+class TestVerdictOutput:
+    def test_jsonl_file_equals_joined_lines(self, tmp_path):
+        verdicts = [Verdict(aid, t, result, detail) for aid, t, result, detail
+                    in zip("abcdefghijklmn", range(14),
+                           [PASS, FAIL, NOT_APPLICABLE] * 5, _DETAILS)]
+        verdicts += evaluate_document(
+            [plain_rule("time() < 0.45s")],
+            straight_trace(n=10), CTX)
+        path = tmp_path / "v.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            verdicts_to_jsonl(verdicts, fh)
+        assert path.read_text("utf-8") == (
+            "\n".join(v.to_json() for v in verdicts) + "\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            verdicts_to_jsonl([], fh)
+        assert path.read_bytes() == b""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.1, 0.2, 1e-300]),
+                              st.sampled_from(["a", "b", "ab", ""]),
+                              st.integers())))
+    def test_two_pass_sort_is_the_key_tuple_sort(self, items):
+        verdicts = [Verdict(aid, t, PASS, {"n": n}) for t, aid, n in items]
+        expected = sorted(verdicts, key=lambda v: (v.t, v.assertion_id))
+        _sort(verdicts)
+        assert [id(v) for v in verdicts] == [id(v) for v in expected]
+
+
+class TestOutputMemory:
+    """Guards the memory that ``check``'s output path takes per verdict: the
+    shared details, JSONL written line by line and a sort without key
+    tuples hold about 133 B per verdict on 3 000 steps of the four danger
+    space assertions, where a dict per verdict, one joined JSONL string and
+    (t, id) tuples took about 565 B."""
+
+    BYTES_PER_VERDICT = 165
+
+    def test_evaluate_and_write_peak_per_verdict(self, tmp_path):
+        n, dt = 3000, 0.05
+        steps = tuple({"ego": actor(t, x=12 * t % 400),
+                       "vbp": actor(t, aid="vbp", role="VBP",
+                                    x=20 + 12 * t % 400),
+                       "ov": actor(t, aid="ov", role="OV", x=480 - 12 * t % 400,
+                                   y=1.825, heading=math.pi)}
+                      for t in (k * dt for k in range(n)))
+        path = tmp_path / "drive.jsonl"
+        path.write_text(serialise_trace(Trace(
+            times=tuple(k * dt for k in range(n)), steps=steps, dt=dt)),
+            "utf-8")
+        rules = danger_space_assertions()
+        with open(path, "rb") as fh:
+            trace = load_trace(fh)
+        out = tmp_path / "verdicts.jsonl"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            verdicts = evaluate_document(rules, trace, CTX)
+            with open(out, "w", encoding="utf-8") as fh:
+                verdicts_to_jsonl(verdicts, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(verdicts) == 4 * n
+        assert {v.result for v in verdicts} == {PASS, FAIL}
+        assert (peak - base) / len(verdicts) < self.BYTES_PER_VERDICT
