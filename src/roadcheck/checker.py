@@ -13,20 +13,17 @@ present is an evaluation-time concern, not a compile-time one.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, fields, replace
 
 from . import dsl
-from .dsl import (AssertionDecl, BoolLit, Call, Compare, Document,
-                  DurationLit, NameRef, Neg, Not, NumberLit, StringLit)
+from .dsl import Document, Expr
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Record):
     """Dimension exponents over (metres, seconds, radians)."""
 
-    m: int = 0
-    s: int = 0
-    rad: int = 0
+    __slots__ = _fields = ("m", "s", "rad")
+    _defaults = {"m": 0, "s": 0, "rad": 0}
 
     def __str__(self):
         if self == DIMENSIONLESS:
@@ -62,8 +59,8 @@ BOOL = _Sentinel("boolean")
 POLYGON = _Sentinel("polygon")
 ACTOR = _Sentinel("actor")
 POLY_NUM = _Sentinel("number")   # unit-polymorphic literal
-_LITERAL_TYPES = {NumberLit: POLY_NUM, DurationLit: SECONDS, StringLit: ACTOR,
-                  BoolLit: BOOL}
+_LITERAL_TYPES = {"number": POLY_NUM, "duration": SECONDS, "string": ACTOR,
+                  "bool": BOOL}
 
 
 #: name -> (parameter types, return type); the evaluator dispatches each
@@ -85,11 +82,8 @@ REGISTRY = {
 }
 
 
-@dataclass(frozen=True)
-class TypeDiagnostic:
-    message: str
-    line: int
-    col: int
+class TypeDiagnostic(Record):
+    __slots__ = _fields = ("message", "line", "col")
 
     def __str__(self):
         return f"{self.line}:{self.col}: {self.message}"
@@ -101,22 +95,18 @@ class TypecheckError(ValueError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class CompiledAssertion:
+class CompiledAssertion(Record):
     """A type-checked assertion with constants inlined."""
 
-    decl: AssertionDecl
-    reference: dsl.Expr | None
-    condition: dsl.Expr
+    __slots__ = _fields = ("decl", "reference", "condition")
 
     @property
     def id(self):
         return self.decl.name
 
 
-@dataclass(frozen=True)
-class CompiledDocument:
-    assertions: tuple
+class CompiledDocument(Record):
+    __slots__ = _fields = ("assertions",)
 
     def __iter__(self):
         return iter(self.assertions)
@@ -154,31 +144,31 @@ class _Checker:
         raise AssertionError(f"unhandled type {want}")
 
     def infer(self, node):
-        if isinstance(node, (NumberLit, DurationLit, StringLit, BoolLit)):
-            return _LITERAL_TYPES[type(node)]
-        if isinstance(node, NameRef):
-            return self.fail(node, f"unresolved name {node.name!r}")
-        if isinstance(node, Call):
+        op = node.op
+        if op in _LITERAL_TYPES:
+            return _LITERAL_TYPES[op]
+        if op == "name":
+            return self.fail(node, f"unresolved name {node.value!r}")
+        if op == "call":
             return self._call(node)
-        operands = [self.infer(child) for child in dsl.children(node)]
+        operands = [self.infer(child) for child in node.args]
         if any(t is None for t in operands):
             return None
-        if isinstance(node, Not):
+        if op == "not":
             (inner,) = operands
             if inner is not BOOL:
                 return self.fail(node, f"'not' needs a boolean, got {inner}")
             return BOOL
-        if isinstance(node, Neg):
+        if op == "neg":
             (inner,) = operands
             if inner is POLY_NUM or isinstance(inner, Quantity):
                 return inner
             return self.fail(node, f"'-' needs a quantity, got {inner}")
         lt, rt = operands
-        if isinstance(node, Compare):
-            if lt is BOOL and rt is BOOL and node.op in ("==", "!="):
+        if op in dsl._CMP_OPS:
+            if lt is BOOL and rt is BOOL and op in ("==", "!="):
                 return BOOL
-            ok = self._merge_quantities(node, lt, rt,
-                                        f"comparison {node.op!r}")
+            ok = self._merge_quantities(node, lt, rt, f"comparison {op!r}")
             return BOOL if ok is not None else None
         if node.op in ("and", "or"):
             for side, t in (("left", lt), ("right", rt)):
@@ -203,20 +193,21 @@ class _Checker:
                         lq.rad + sign * rq.rad)
 
     def _call(self, node):
-        if node.name not in REGISTRY:
-            hint = difflib.get_close_matches(node.name, REGISTRY, 1)
+        name = node.value
+        if name not in REGISTRY:
+            hint = difflib.get_close_matches(name, REGISTRY, 1)
             extra = f"; did you mean {hint[0]!r}?" if hint else ""
-            return self.fail(node, f"unknown function {node.name!r}{extra}")
-        params, ret = REGISTRY[node.name]
+            return self.fail(node, f"unknown function {name!r}{extra}")
+        params, ret = REGISTRY[name]
         if len(node.args) != len(params):
             return self.fail(
-                node, f"{node.name}() takes {len(params)} argument(s), "
+                node, f"{name}() takes {len(params)} argument(s), "
                       f"got {len(node.args)}")
         ok = True
         for i, (arg, want) in enumerate(zip(node.args, params)):
             got = self.infer(arg)
             if got is None or self.unify(
-                    arg, got, want, f"{node.name}() argument {i + 1}") is None:
+                    arg, got, want, f"{name}() argument {i + 1}") is None:
                 ok = False
         return ret if ok else None
 
@@ -252,26 +243,22 @@ def _inline_consts(expr, consts, diagnostics):
     def inline(node, stack, depth):
         if depth > dsl.MAX_DEPTH:
             raise too_big(dsl.TOO_DEEP, node)
-        if isinstance(node, NameRef) and node.name in consts:
-            if node.name in stack:
+        name = node.value
+        if node.op == "name" and name in consts:
+            if name in stack:
                 diagnostics.append(TypeDiagnostic(
-                    f"constant cycle through {node.name!r}",
+                    f"constant cycle through {name!r}",
                     node.span.line, node.span.col))
                 return node
-            return inline(consts[node.name], stack | {node.name}, depth + 1)
+            return inline(consts[name], stack | {name}, depth + 1)
         budget[0] -= 1
         if budget[0] < 0:
             raise too_big(f"expression has more than {dsl.MAX_NODES} nodes",
                           expr)
-        changes = {}
-        for f in fields(node):
-            value = getattr(node, f.name)
-            if isinstance(value, dsl.Expr):
-                changes[f.name] = inline(value, stack, depth + 1)
-            elif isinstance(value, tuple):
-                changes[f.name] = tuple(inline(v, stack, depth + 1)
-                                        for v in value)
-        return replace(node, **changes) if changes else node
+        if not node.args:
+            return node
+        return Expr(node.op, tuple([inline(a, stack, depth + 1)
+                                    for a in node.args]), name, node.span)
 
     return inline(expr, frozenset(), 1)
 

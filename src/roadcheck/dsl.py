@@ -15,9 +15,10 @@ decimal digit, ``letter`` a Unicode letter):
     PUNCT       := "<=" | ">=" | "==" | "!=" | "{" | "}" | "(" | ")" | ","
                  | ":" | "=" | "<" | ">" | "+" | "-" | "*" | "/"
 
-An exponent sign with no digit after it is a malformed number.  Lines and
-columns count characters; a column advances over a string's escaped
-newline and stays put over a comment.
+An exponent sign with no digit after it is a malformed number, and one
+too large for a float is an error.  Lines and columns count characters; a
+column advances over a string's escaped newline and stays put over a
+comment.
 
 Grammar (EBNF):
 
@@ -50,13 +51,21 @@ them.  Each level associates to the left, except that comparisons do not
 chain.  An expression's tree is at most ``MAX_DEPTH`` levels deep, and so
 is the nesting of parentheses, call arguments and unary operands in its
 text.  Numeric literals are unit-polymorphic; duration literals carry
-seconds.
+seconds.  A document declares each constant and each assertion id once.
+
+The AST has one node type, ``Expr``: its ``op`` names the kind of node,
+``args`` holds the operands and ``value`` a literal or an identifier.
+Nodes are equal when their op, args and value are, whatever their spans,
+so ``true`` is not ``1.0``.  ``format_document`` writes a document that
+``parse`` reads back equal.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field, fields
+
+from .record import Record
 
 _CMP_OPS = ("<=", ">=", "==", "!=", "<", ">")
 _KINDS = ("invariant", "execution", "pre_temporal", "pre_physical",
@@ -81,10 +90,8 @@ TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 MAX_NODES = 10_000
 
 
-@dataclass(frozen=True)
-class Span:
-    line: int
-    col: int
+class Span(Record):
+    __slots__ = _fields = ("line", "col")
 
     def __str__(self):
         return f"{self.line}:{self.col}"
@@ -104,114 +111,45 @@ class ParseError(ValueError):
 
 # --- AST ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Expr:
-    span: Span = field(compare=False, repr=False, kw_only=True,
-                       default=Span(0, 0))
+class Expr(Record):
+    """An expression node.  ``op`` is "number", "duration" (in seconds),
+    "string", "bool", "name", "call", "not", "neg" (unary minus) or a
+    binary operator of ``_LEVELS``; ``args`` are the operands or a call's
+    arguments, ``value`` a literal's value or a name's or call's
+    identifier.  Equality and hashing ignore ``span``."""
+
+    __slots__ = _fields = ("op", "args", "value", "span")
+    _compare = ("op", "args", "value")
+    _defaults = {"span": Span(0, 0)}
 
 
-@dataclass(frozen=True)
-class NumberLit(Expr):
-    value: float
+class ConstDecl(Record):
+    __slots__ = _fields = ("name", "expr", "span")
+    _compare = ("name", "expr")
+    _defaults = {"span": Span(0, 0)}
 
 
-@dataclass(frozen=True)
-class DurationLit(Expr):
-    seconds: float
+class AssertionDecl(Record):
+    """One assertion; ``reference`` is None for an invariant and ``window``
+    for an invariant or execution assertion."""
+
+    __slots__ = _fields = ("name", "odd_tags", "kind", "window", "severity",
+                           "mode", "on_missing", "reference", "condition",
+                           "span")
+    _compare = _fields[:-1]
+    _defaults = {"span": Span(0, 0)}
 
 
-@dataclass(frozen=True)
-class StringLit(Expr):
-    value: str
-
-
-@dataclass(frozen=True)
-class BoolLit(Expr):
-    value: bool
-
-
-@dataclass(frozen=True)
-class NameRef(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    name: str
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Not(Expr):
-    operand: Expr
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    operand: Expr
-
-
-@dataclass(frozen=True)
-class BinaryOp(Expr):
-    op: str            # "and", "or", "+", "-", "*", "/"
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Compare(Expr):
-    op: str            # one of _CMP_OPS
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class ConstDecl:
-    name: str
-    expr: Expr
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
-
-
-@dataclass(frozen=True)
-class AssertionDecl:
-    name: str
-    odd_tags: tuple
-    kind: str
-    window: float | None
-    severity: str
-    mode: str
-    on_missing: str
-    reference: Expr | None
-    condition: Expr
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
-
-
-@dataclass(frozen=True)
-class Document:
-    consts: tuple
-    assertions: tuple
-
-
-def children(node: Expr) -> list:
-    """The sub-expressions of ``node``, in field order."""
-    out = []
-    for f in fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, Expr):
-            out.append(value)
-        elif isinstance(value, tuple):
-            out.extend(value)
-    return out
+class Document(Record):
+    __slots__ = _fields = ("consts", "assertions")
 
 
 # --- Lexer ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    kind: str      # IDENT NUMBER DURATION STRING PUNCT EOF
-    value: object
-    line: int
-    col: int
+class Token(Record):
+    """``kind`` is IDENT, NUMBER, DURATION, STRING, PUNCT or EOF."""
+
+    __slots__ = _fields = ("kind", "value", "line", "col")
 
 
 # each match is the blanks before one item; "bad" is any other character
@@ -259,6 +197,9 @@ def _lex(text: str) -> list[Token]:
             except ValueError:
                 raise ParseError(f"malformed number {m['digits']!r}",
                                  line, col) from None
+            if value == math.inf:
+                raise ParseError(f"number {m['digits']!r} is too large",
+                                 line, col)
             if m["unit"]:
                 kind = "DURATION"
                 if m["unit"] == "ms":
@@ -272,9 +213,6 @@ def _lex(text: str) -> list[Token]:
 
 
 # --- Parser ---------------------------------------------------------------
-
-_LITERALS = {"NUMBER": NumberLit, "DURATION": DurationLit, "STRING": StringLit}
-
 
 class _Parser:
     def __init__(self, tokens):
@@ -321,31 +259,28 @@ class _Parser:
     # -- document --
 
     def parse_document(self) -> Document:
-        consts = []
-        assertions = []
-        names = set()
+        consts, assertions = {}, {}     # by name
         while self.peek().kind != "EOF":
             if self.at_ident("const"):
-                consts.append(self.parse_const())
+                decl, named, noun = self.parse_const(), consts, "const"
             elif self.at_ident("assertion"):
-                decl = self.parse_assertion()
-                if decl.name in names:
-                    raise ParseError(f"duplicate assertion id {decl.name!r}",
-                                     decl.span.line, decl.span.col)
-                names.add(decl.name)
-                assertions.append(decl)
+                decl, named = self.parse_assertion(), assertions
+                noun = "assertion id"
             else:
                 self.error("expected a declaration",
                            expected=("'const'", "'assertion'"))
-        return Document(consts=tuple(consts), assertions=tuple(assertions))
+            if decl.name in named:
+                raise ParseError(f"duplicate {noun} {decl.name!r}",
+                                 decl.span.line, decl.span.col)
+            named[decl.name] = decl
+        return Document(tuple(consts.values()), tuple(assertions.values()))
 
     def parse_const(self) -> ConstDecl:
         kw = self.next()
         name = self.expect_ident("constant name")
         self.expect_punct("=")
         expr = self.parse_expr()
-        return ConstDecl(name=name.value, expr=expr,
-                         span=Span(kw.line, kw.col))
+        return ConstDecl(name.value, expr, Span(kw.line, kw.col))
 
     def _field(self, name) -> bool:
         """Consume ``name ':'`` when present."""
@@ -419,10 +354,9 @@ class _Parser:
         condition = self.parse_expr()
 
         self.expect_punct("}")
-        return AssertionDecl(name=name.value, odd_tags=tuple(tags), kind=kind,
-                             window=window, severity=severity, mode=mode,
-                             on_missing=on_missing, reference=reference,
-                             condition=condition, span=Span(kw.line, kw.col))
+        return AssertionDecl(name.value, tuple(tags), kind, window, severity,
+                             mode, on_missing, reference, condition,
+                             Span(kw.line, kw.col))
 
     # -- expressions --
 
@@ -442,9 +376,8 @@ class _Parser:
                 return left
             tok = self.next()
             right = self.parse_expr(level + 1)
-            cls = Compare if level == _CMP_LEVEL else BinaryOp
-            left = cls(op=tok.value, left=left, right=right,
-                       span=Span(tok.line, tok.col))
+            left = Expr(tok.value, (left, right), None,
+                        Span(tok.line, tok.col))
             if level == _CMP_LEVEL and self.operator_level() == _CMP_LEVEL:
                 self.error("comparisons do not chain; parenthesise")
 
@@ -454,12 +387,9 @@ class _Parser:
         if self.depth == MAX_DEPTH:
             self.error(TOO_DEEP)
         self.depth += 1
-        if self.at_ident("not"):
-            self.next()
-            node = Not(operand=self.parse_unary(), span=span)
-        elif self.at_punct("-"):
-            self.next()
-            node = Neg(operand=self.parse_unary(), span=span)
+        if self.at_ident("not") or self.at_punct("-"):
+            op = "not" if self.next().value == "not" else "neg"
+            node = Expr(op, (self.parse_unary(),), None, span)
         else:
             node = self.parse_atom()
         self.depth -= 1
@@ -468,18 +398,18 @@ class _Parser:
     def parse_atom(self) -> Expr:
         tok = self.peek()
         span = Span(tok.line, tok.col)
-        if tok.kind in _LITERALS:
+        if tok.kind in ("NUMBER", "DURATION", "STRING"):
             self.next()
-            return _LITERALS[tok.kind](tok.value, span=span)
+            return Expr(tok.kind.lower(), (), tok.value, span)
         if tok.kind == "IDENT":
             if tok.value in ("true", "false"):
                 self.next()
-                return BoolLit(value=(tok.value == "true"), span=span)
+                return Expr("bool", (), tok.value == "true", span)
             if tok.value in ("and", "or", "not"):
                 self.error(f"{tok.value!r} is not a value")
             self.next()
             if not self.at_punct("("):
-                return NameRef(name=tok.value, span=span)
+                return Expr("name", (), tok.value, span)
             self.next()
             args = []
             if not self.at_punct(")"):
@@ -488,7 +418,7 @@ class _Parser:
                     self.next()
                     args.append(self.parse_expr())
             self.expect_punct(")")
-            return Call(name=tok.value, args=tuple(args), span=span)
+            return Expr("call", tuple(args), tok.value, span)
         if self.at_punct("("):
             self.next()
             inner = self.parse_expr()
@@ -504,7 +434,7 @@ def _check_depth(exprs):
         node, depth = stack.pop()
         if depth > MAX_DEPTH:
             raise ParseError(TOO_DEEP, node.span.line, node.span.col)
-        stack.extend((child, depth + 1) for child in children(node))
+        stack.extend((child, depth + 1) for child in node.args)
 
 
 def parse(text: str) -> Document:
@@ -530,9 +460,9 @@ def parse_expression(text: str) -> Expr:
 
 def _level(node: Expr) -> int:
     """Binding strength: a ``_LEVELS`` index, then unary, then atoms."""
-    if isinstance(node, (BinaryOp, Compare)):
+    if node.op in _LEVEL_OF:
         return _LEVEL_OF[node.op]
-    if isinstance(node, (Not, Neg)):
+    if node.op in ("not", "neg"):
         return _UNARY_LEVEL
     return _UNARY_LEVEL + 1
 
@@ -542,31 +472,36 @@ def _operand(node: Expr, min_level: int) -> str:
     return f"({text})" if _level(node) < min_level else text
 
 
+_TO_ESCAPE = re.compile(r'[\\"\n]')
+
+
 def format_expr(node: Expr) -> str:
     """Deterministic rendering with minimal parentheses."""
-    if isinstance(node, NumberLit):
-        return repr(node.value)
-    if isinstance(node, DurationLit):
-        return f"{node.seconds!r}s"
-    if isinstance(node, StringLit):
-        return '"' + node.value.replace('"', '\\"') + '"'
-    if isinstance(node, BoolLit):
-        return "true" if node.value else "false"
-    if isinstance(node, NameRef):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(format_expr(a) for a in node.args)})"
-    if isinstance(node, Not):
-        return f"not {_operand(node.operand, _UNARY_LEVEL)}"
-    if isinstance(node, Neg):
-        return f"-{_operand(node.operand, _UNARY_LEVEL)}"
-    if isinstance(node, (BinaryOp, Compare)):
+    op, value = node.op, node.value
+    if op == "number":
+        return repr(value)
+    if op == "duration":
+        return f"{value!r}s"
+    if op == "string":
+        return '"' + _TO_ESCAPE.sub(r"\\\g<0>", value) + '"'
+    if op == "bool":
+        return "true" if value else "false"
+    if op == "name":
+        return value
+    if op == "call":
+        return f"{value}({', '.join(map(format_expr, node.args))})"
+    if op == "not":
+        return f"not {_operand(node.args[0], _UNARY_LEVEL)}"
+    if op == "neg":
+        return f"-{_operand(node.args[0], _UNARY_LEVEL)}"
+    if op in _LEVEL_OF:
         # as the parser reads it: a right operand at the same level keeps
         # its parentheses, and so does either side of a comparison
-        level = _LEVEL_OF[node.op]
-        lhs = _operand(node.left, level + (level == _CMP_LEVEL))
-        return f"{lhs} {node.op} {_operand(node.right, level + 1)}"
-    raise TypeError(f"unknown expression node {type(node).__name__}")
+        level = _LEVEL_OF[op]
+        left, right = node.args
+        lhs = _operand(left, level + (level == _CMP_LEVEL))
+        return f"{lhs} {op} {_operand(right, level + 1)}"
+    raise TypeError(f"unknown expression op {op!r}")
 
 
 def format_document(doc: Document) -> str:

@@ -33,14 +33,16 @@ the buffered step for the windows that reach it later.
 
 Each assertion's condition and reference are compiled once per engine
 into a tree of closures (Feeley & Lapalme, "Using Closures for Code
-Generation", Computer Languages 12(1), 1987), hash-consed so that equal
-subtrees share one closure (Filliatre & Conchon, "Type-Safe Modular
-Hash-Consing", ML Workshop 2006).  A builtin call goes to the ``_StepView``
-method of its name.  While a step is processed, one memo on it holds its
-shapes and its references' results, each computed once whichever
-assertions read it.  A plain condition's verdict without low-confidence
-actors shares one of two read-only details, ``{"condition": true|false}``,
-which code adding to a detail copies first.
+Generation", Computer Languages 12(1), 1987), hash-consed (Filliatre &
+Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006): a node's
+closure is looked up by one key, its op, its value and its operands'
+closures, so that equal subtrees share one closure and no subtree is
+hashed.  A builtin call goes to the ``_StepView`` method of its name.
+While a step is processed, one memo on it holds its shapes and its
+references' results, each computed once whichever assertions read it.  A
+plain condition's verdict without low-confidence actors shares one of two
+read-only details, ``{"condition": true|false}``, and a verdict built
+without a detail an empty one; code adding to a detail copies it first.
 
 Comparisons are encoded per rule with explicit <, <=, >, >=: a rule that
 must fail on ties uses the strict operator.  A comparison with an
@@ -57,10 +59,8 @@ import math
 import operator
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
-from . import dsl
 from .checker import REGISTRY, CompiledAssertion
 from .geometry import GeometryError, danger_space
 from .geometry import min_distance as poly_min_distance, overlaps as poly_overlaps
@@ -72,6 +72,7 @@ from .trace import ActorState, Trace, derive_row, role_index
 from .worldmap import RoadMap, crosses_centreline as map_crosses_centreline
 from .worldmap import OffRoadError, lane_orientation_at, within
 from .geometry import projection_interval
+from .record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -102,12 +103,9 @@ class StreamError(ValueError):
     """Record stream violated ordering or framing rules."""
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
-    assertion_id: str
-    t: float
-    result: str
-    detail: dict = field(default_factory=dict)
+class Verdict(Record):
+    __slots__ = _fields = ("assertion_id", "t", "result", "detail")
+    _defaults = {"detail": MappingProxyType({})}     # shared, read-only
 
     def to_json(self) -> str:
         """``json.dumps`` of the four fields with sorted keys, written out."""
@@ -136,16 +134,19 @@ def _encode_detail(detail: dict) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-@dataclass(frozen=True)
-class EvaluationContext:
-    """Shared immutable evaluation configuration."""
+class EvaluationContext(Record):
+    """Shared immutable evaluation configuration; ``config`` defaults to
+    the packaged profiles."""
 
-    road: RoadMap
-    config: ModelConfig = field(default_factory=default_profiles)
-    profile_name: str | None = None
-    active_odd: frozenset = frozenset()
-    strict_windows: bool = True
-    worst_case_speeds: bool = False
+    __slots__ = _fields = ("road", "config", "profile_name", "active_odd",
+                           "strict_windows", "worst_case_speeds")
+    _defaults = {"config": None, "profile_name": None,
+                 "active_odd": frozenset(), "strict_windows": True,
+                 "worst_case_speeds": False}
+
+    def __post_init__(self):
+        if self.config is None:
+            object.__setattr__(self, "config", default_profiles())
 
     def applicable(self, assertion: CompiledAssertion) -> bool:
         tags = frozenset(assertion.decl.odd_tags)
@@ -331,65 +332,55 @@ def _ds_length(v_mph: float) -> float:
 
 def _compile(node, memo: dict):
     """``node`` as a closure ``view -> value``, hash-consed in ``memo`` by
-    its type, its own fields and its children's closures: equal subtrees
-    (spans aside) share one closure, and no subtree is hashed."""
-    if isinstance(node, (dsl.BinaryOp, dsl.Compare)):
-        key = (type(node), node.op, _compile(node.left, memo),
-               _compile(node.right, memo))
-    elif isinstance(node, (dsl.Not, dsl.Neg)):
-        key = (type(node), None, _compile(node.operand, memo))
-    elif isinstance(node, dsl.Call):
-        key = (dsl.Call, node.name, *[_compile(a, memo) for a in node.args])
-    elif isinstance(node, dsl.DurationLit):
-        key = (dsl.DurationLit, node.seconds)
-    elif isinstance(node, (dsl.NumberLit, dsl.StringLit, dsl.BoolLit)):
-        key = (type(node), node.value)
-    else:
-        raise EvalError(f"cannot evaluate {type(node).__name__}")
+    its op, its value and its children's closures: equal subtrees (spans
+    aside) share one closure, and no subtree is hashed."""
+    key = (node.op, node.value, *[_compile(a, memo) for a in node.args])
     if key not in memo:
         memo[key] = _compile_node(*key)
     return memo[key]
 
 
-def _compile_node(kind, own, *children):
-    if kind in (dsl.NumberLit, dsl.DurationLit, dsl.BoolLit):
-        return lambda view: own
-    if kind is dsl.StringLit:
-        return lambda view: view.resolve(own)
-    if kind is dsl.Not:
+def _compile_node(op, value, *children):
+    if op in ("number", "duration", "bool"):
+        return lambda view: value
+    if op == "string":
+        return lambda view: view.resolve(value)
+    if op == "name":    # a name that typecheck did not resolve
+        raise EvalError(f"cannot evaluate the name {value!r}")
+    if op == "call":
+        fn = _BUILTINS[value]
+        if not children:
+            return fn
+        if len(children) == 1:
+            (arg,) = children
+            return lambda view: fn(view, arg(view))
+        if len(children) == 2:
+            first, second = children
+            return lambda view: fn(view, first(view), second(view))
+        return lambda view: fn(view, *[a(view) for a in children])
+    if op == "not":
         (operand,) = children
         return lambda view: not operand(view)
-    if kind is dsl.Neg:
+    if op == "neg":
         (operand,) = children
         return lambda view: -operand(view)
-    if kind is dsl.Compare:
-        operands, op = _operands(*children, own), _COMPARE[own]
-        return lambda view: op(*operands(view))
-    if kind is dsl.BinaryOp:
-        left, right = children
-        if own == "and":
-            return lambda view: left(view) and right(view)
-        if own == "or":
-            return lambda view: left(view) or right(view)
-        if own == "/":
-            def divide(view):
-                dividend, divisor = left(view), right(view)
-                if divisor == 0:
-                    raise EvalError("division by zero")
-                return dividend / divisor
-            return divide
-        op = _ARITHMETIC[own]
-        return lambda view: op(left(view), right(view))
-    fn = _BUILTINS[own]     # a call
-    if not children:
-        return fn
-    if len(children) == 1:
-        (arg,) = children
-        return lambda view: fn(view, arg(view))
-    if len(children) == 2:
-        first, second = children
-        return lambda view: fn(view, first(view), second(view))
-    return lambda view: fn(view, *[a(view) for a in children])
+    if op in _COMPARE:
+        operands, compare = _operands(*children, op), _COMPARE[op]
+        return lambda view: compare(*operands(view))
+    left, right = children
+    if op == "and":
+        return lambda view: left(view) and right(view)
+    if op == "or":
+        return lambda view: left(view) or right(view)
+    if op == "/":
+        def divide(view):
+            dividend, divisor = left(view), right(view)
+            if divisor == 0:
+                raise EvalError("division by zero")
+            return dividend / divisor
+        return divide
+    arithmetic = _ARITHMETIC[op]
+    return lambda view: arithmetic(left(view), right(view))
 
 
 def _operands(left, right, op: str):
@@ -407,9 +398,10 @@ def _compile_condition(node, memo: dict):
     """``(fn, op)``: a top-level comparison's operands closure and its
     operator, whose operands are the verdict's diagnostics; otherwise the
     condition's closure and None."""
-    if isinstance(node, dsl.Compare):
-        return _operands(_compile(node.left, memo),
-                         _compile(node.right, memo), node.op), node.op
+    if node.op in _COMPARE:
+        left, right = node.args
+        return _operands(_compile(left, memo), _compile(right, memo),
+                         node.op), node.op
     return _compile(node, memo), None
 
 
@@ -500,16 +492,18 @@ def _sort(verdicts: list) -> None:
 
 # --- streaming evaluation ---------------------------------------------------
 
-@dataclass(slots=True)
 class _Window:
     """A windowed assertion's window at reference time ``t_ref``."""
 
-    assertion: CompiledAssertion
-    pos: int                # in StreamingEngine._active
-    t_ref: float
-    far: float
-    temporal: bool
-    checked: int = 0        # steps of a temporal window that held
+    __slots__ = ("assertion", "pos", "t_ref", "far", "temporal", "checked")
+
+    def __init__(self, assertion, pos, t_ref, far, temporal):
+        self.assertion = assertion
+        self.pos = pos          # in StreamingEngine._active
+        self.t_ref = t_ref
+        self.far = far
+        self.temporal = temporal
+        self.checked = 0        # steps of a temporal window that held
 
 
 class StreamingEngine:
@@ -763,7 +757,7 @@ class DebounceFilter:
 def _suppressed(v: Verdict, published: str) -> Verdict:
     detail = dict(v.detail)
     detail["debounced_from"] = v.result
-    return replace(v, result=published, detail=detail)
+    return v.replace(result=published, detail=detail)
 
 
 def debounce(verdicts, n: int) -> list[Verdict]:

@@ -24,7 +24,8 @@ ulps too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
+from .record import Record
 
 _TWO_PI = 2.0 * math.pi
 
@@ -44,13 +45,10 @@ def normalize_angle(a: float) -> float:
     return a - math.pi
 
 
-@dataclass(frozen=True, slots=True)
-class Pose2D:
+class Pose2D(Record):
     """Position plus heading; heading is normalised to [-pi, pi)."""
 
-    x: float
-    y: float
-    heading: float
+    __slots__ = _fields = ("x", "y", "heading")
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)
@@ -59,12 +57,10 @@ class Pose2D:
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
 
-@dataclass(frozen=True)
-class BoxDims:
+class BoxDims(Record):
     """Vehicle footprint: length along heading, width across it."""
 
-    length: float
-    width: float
+    __slots__ = _fields = ("length", "width")
 
     def __post_init__(self):
         if not (0.0 < self.length < math.inf and 0.0 < self.width < math.inf):
@@ -72,12 +68,12 @@ class BoxDims:
                                 f"got {self.length}x{self.width}")
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Strictly convex polygon with counter-clockwise vertex order."""
+class ConvexPolygon(Record):
+    """Strictly convex polygon with counter-clockwise vertex order.  Not
+    slotted: a deferred rectangle keeps its corners' inputs, and then the
+    corners, in the instance dict."""
 
-    vertices: tuple[tuple[float, float], ...]
-    _area: float = field(init=False, compare=False, repr=False)
+    _fields = ("vertices",)
     _circle = None      # a deferred rectangle's (x, y, radius + slack)
 
     def __post_init__(self):

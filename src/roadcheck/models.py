@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+
+from .record import Record
+from .worldmap import json_number
 
 MPH_TO_MPS = 0.44704
 
@@ -54,10 +56,8 @@ class UndefinedTtcError(ModelError):
 _SD_A, _SD_B, _SD_C, _SD_D = 0.300, 0.058, -0.011, 0.015
 
 
-@dataclass(frozen=True)
-class StoppingDistance:
-    thinking: float
-    braking: float
+class StoppingDistance(Record):
+    __slots__ = _fields = ("thinking", "braking")
 
     @property
     def total(self) -> float:
@@ -72,7 +72,7 @@ def stopping_distance(v_mph: float) -> StoppingDistance:
     braking = _SD_B + _SD_C * v_mph + _SD_D * v_mph * v_mph
     if not math.isfinite(braking):      # a NaN, infinite or huge speed
         raise ModelError(f"stopping distance at {v_mph} mph is not finite")
-    return StoppingDistance(thinking=thinking, braking=braking)
+    return StoppingDistance(thinking, braking)
 
 
 def danger_space_length(v_mph: float) -> float:
@@ -80,15 +80,11 @@ def danger_space_length(v_mph: float) -> float:
     return stopping_distance(v_mph).total
 
 
-@dataclass(frozen=True)
-class DrivingProfile:
+class DrivingProfile(Record):
     """Overtake urgency: clearances in metres, steering angles in radians."""
 
-    name: str
-    pull_out_clearance: float
-    pull_out_angle: float
-    cut_in_clearance: float
-    cut_in_angle: float
+    __slots__ = _fields = ("name", "pull_out_clearance", "pull_out_angle",
+                           "cut_in_clearance", "cut_in_angle")
 
     def __post_init__(self):
         for clearance in (self.pull_out_clearance, self.cut_in_clearance):
@@ -101,15 +97,11 @@ class DrivingProfile:
                     f"profile {self.name!r}: angles must lie in (0, pi/2)")
 
 
-@dataclass(frozen=True)
-class ManoeuvreGeometry:
+class ManoeuvreGeometry(Record):
     """Kinematic context of one overtake; speeds in m/s."""
 
-    lateral_offset: float
-    vbp_length: float
-    v_av: float
-    v_vbp: float
-    v_ov: float
+    __slots__ = _fields = ("lateral_offset", "vbp_length", "v_av", "v_vbp",
+                           "v_ov")
 
     def __post_init__(self):
         if self.lateral_offset <= 0.0:
@@ -154,15 +146,11 @@ def ttc(gap: float, closing_speed: float) -> float:
     return gap / closing_speed
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Record):
     """Profiles plus shared manoeuvre geometry and speed assumptions."""
 
-    profiles: dict
-    lateral_offset: float
-    vbp_length: float
-    worst_case_speed_mph: dict
-    role_vehicle_class: dict
+    __slots__ = _fields = ("profiles", "lateral_offset", "vbp_length",
+                           "worst_case_speed_mph", "role_vehicle_class")
 
     def profile(self, name: str) -> DrivingProfile:
         try:
@@ -172,9 +160,8 @@ class ModelConfig:
                              f"have {sorted(self.profiles)}") from None
 
     def geometry(self, v_av: float, v_vbp: float, v_ov: float) -> ManoeuvreGeometry:
-        return ManoeuvreGeometry(lateral_offset=self.lateral_offset,
-                                 vbp_length=self.vbp_length,
-                                 v_av=v_av, v_vbp=v_vbp, v_ov=v_ov)
+        return ManoeuvreGeometry(self.lateral_offset, self.vbp_length,
+                                 v_av, v_vbp, v_ov)
 
     def worst_case_mph(self, role: str) -> float:
         cls = self.role_vehicle_class.get(role, "car")
@@ -184,9 +171,7 @@ class ModelConfig:
 def _quantity(value, what: str, positive: bool = False) -> float:
     """``value``, a JSON number, as a finite float >= 0 (> 0 if
     ``positive``)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelError(f"{what} must be a number, got {json.dumps(value)}")
-    value = float(value)
+    value = json_number(value, what, ModelError)
     if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
         raise ModelError(f"{what} must be finite and {'>' if positive else '>='}"
                          f" 0, got {value}")
@@ -196,13 +181,10 @@ def _quantity(value, what: str, positive: bool = False) -> float:
 def _profiles_from_doc(doc: dict) -> ModelConfig:
     profiles = {}
     for name, p in doc["profiles"].items():
-        profiles[name] = DrivingProfile(
-            name=p.get("name", name),
-            pull_out_clearance=float(p["pull_out_clearance_m"]),
-            pull_out_angle=float(p["pull_out_angle_rad"]),
-            cut_in_clearance=float(p["cut_in_clearance_m"]),
-            cut_in_angle=float(p["cut_in_angle_rad"]),
-        )
+        profiles[name] = DrivingProfile(p.get("name", name), *(
+            json_number(p[key], f"profile {name!r}: {key}", ModelError)
+            for key in ("pull_out_clearance_m", "pull_out_angle_rad",
+                        "cut_in_clearance_m", "cut_in_angle_rad")))
     man = doc.get("manoeuvre", {})
     speeds = doc.get("worst_case_speed_mph",
                      {"car": 60.0, "goods_vehicle": 50.0})

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from .models import MPH_TO_MPS, default_profiles
+from .record import Record
 from .trace import (ActorState, Trace, TraceError, json_records, read_lines,
                     role_index)
 from .geometry import BoxDims, GeometryError, Pose2D
-from .worldmap import read_text
+from .worldmap import json_number, read_text
 
 LOW_CONFIDENCE_PX = 5.0
 
@@ -43,14 +43,10 @@ class PerceptionError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    frame_index: int
-    t: float
-    actor_class: str
-    box_width_px: float
-    box_centre_px: float
-    role_hint: str = "unknown"
+class DetectionRecord(Record):
+    __slots__ = _fields = ("frame_index", "t", "actor_class", "box_width_px",
+                           "box_centre_px", "role_hint")
+    _defaults = {"role_hint": "unknown"}
 
     def __post_init__(self):
         if self.box_width_px <= 0.0:
@@ -60,24 +56,18 @@ class DetectionRecord:
             raise PerceptionError(f"unknown class {self.actor_class!r}")
 
 
-@dataclass(frozen=True)
-class LineRecord:
-    frame_index: int
-    t: float
-    line_px: float
+class LineRecord(Record):
+    __slots__ = _fields = ("frame_index", "t", "line_px")
 
 
-@dataclass(frozen=True)
-class CameraCalibration:
-    c: float                      # focal constant, px*m/m
-    assumed_vehicle_width: float
-    lane_width_real: float
-    lane_width_px: float
-    frame_centre_px: float
+class CameraCalibration(Record):
+    """``c`` is the focal constant, in px*m/m."""
+
+    __slots__ = _fields = ("c", "assumed_vehicle_width", "lane_width_real",
+                           "lane_width_px", "frame_centre_px")
 
     def __post_init__(self):
-        for name in ("c", "assumed_vehicle_width", "lane_width_real",
-                     "lane_width_px", "frame_centre_px"):
+        for name in self._fields:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise PerceptionError(
@@ -102,8 +92,9 @@ class CameraCalibration:
                     "lane_width_real": 3.65, "lane_width_px": 365.0,
                     "frame_centre_px": 320.0}
         try:
-            values = {k: float(doc.get(k, d)) for k, d in defaults.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
+            values = {k: json_number(doc.get(k, d), k)
+                      for k, d in defaults.items()}
+        except (ValueError, OverflowError) as exc:
             raise PerceptionError(f"calibration: {exc}") from None
         return cls(**values)
 
@@ -132,13 +123,6 @@ def lateral_offset(d_px: float, cal: CameraCalibration) -> float:
     return (cal.lane_width_real / cal.lane_width_px) * d_px
 
 
-def _finite(obj: dict, key: str, default=None) -> float:
-    value = float(obj[key] if default is None else obj.get(key, default))
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value}")
-    return value
-
-
 def load_detections(source):
     """Parse the detection JSONL, read as ``trace.load_trace`` reads a
     trace; returns (detections, line_records)."""
@@ -149,18 +133,19 @@ def load_detections(source):
         if not isinstance(obj, dict):
             raise PerceptionError("record is not a JSON object", index)
         try:
-            t = _finite(obj, "t")
-            frame = int(obj.get("frame", 0))
+            t = json_number(obj["t"], "t", finite=True)
+            frame = int(json_number(obj.get("frame", 0), "frame", finite=True))
             if "line_px" in obj:
-                record = LineRecord(frame_index=frame, t=t,
-                                    line_px=_finite(obj, "line_px"))
+                record = LineRecord(frame, t, json_number(
+                    obj["line_px"], "line_px", finite=True))
             else:
                 record = DetectionRecord(
-                    frame_index=frame, t=t,
-                    actor_class=str(obj["class"]),
-                    box_width_px=_finite(obj, "box_width_px"),
-                    box_centre_px=_finite(obj, "box_centre_px", 0.0),
-                    role_hint=str(obj.get("role_hint", "unknown")))
+                    frame, t, str(obj["class"]),
+                    json_number(obj["box_width_px"], "box_width_px",
+                                finite=True),
+                    json_number(obj.get("box_centre_px", 0.0),
+                                "box_centre_px", finite=True),
+                    str(obj.get("role_hint", "unknown")))
         except KeyError as exc:
             raise PerceptionError(f"missing field {exc.args[0]!r}", index) from exc
         except (TypeError, ValueError, OverflowError) as exc:

@@ -22,12 +22,12 @@ Per-stage aggregation marks a stage FAIL when any step inside it fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .checker import CompiledAssertion, compile_text
 from .engine import FAIL, PASS, EvaluationContext, Verdict, evaluate_document
 from .geometry import normalize_angle, projection_interval
+from .record import Record
 from .trace import Trace, role_index
 from .worldmap import RoadMap, lanelet_at, lanelets_containing, within
 
@@ -38,15 +38,11 @@ class NoManoeuvreError(ValueError):
     """The ego vehicle never left its running lane."""
 
 
-@dataclass(frozen=True)
-class StageIntervals:
-    """Half-open step-index ranges for each overtake stage."""
+class StageIntervals(Record):
+    """Half-open step-index ranges for each overtake stage; ``cut_in`` is
+    None for an aborted overtake."""
 
-    pull_out: tuple[int, int]
-    passing: tuple[int, int]
-    cut_in: tuple[int, int] | None
-    aborted: bool
-    times: tuple[float, ...]
+    __slots__ = _fields = ("pull_out", "passing", "cut_in", "aborted", "times")
 
     @property
     def manoeuvre_range(self) -> tuple[int, int]:

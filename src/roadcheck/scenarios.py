@@ -18,10 +18,10 @@ danger-space check first fails; the oncoming driver brakes to a stop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geometry import BoxDims, ConvexPolygon, Pose2D, projection_interval
 from .models import MPH_TO_MPS, DrivingProfile, default_profiles
+from .record import Record
 from .trace import ActorState, Trace
 from .worldmap import Lanelet, RoadMap, crosses_centreline
 
@@ -45,30 +45,25 @@ FALLBACK_GAP = 11.0     # the ego drops this far behind the VBP's rear
                         # before steering back into lane
 
 
-@dataclass(frozen=True)
-class OcclusionSpec:
-    visible_from_t: float            # OV records absent before this time
-    flicker_steps: tuple[int, ...]   # absolute step indices with OV dropped
-    visibility_gap: float            # AV-OV projected gap at first visible step
+class OcclusionSpec(Record):
+    """The OV's records are absent before ``visible_from_t`` and at the
+    absolute step indices ``flicker_steps``; ``visibility_gap`` is the
+    AV-OV projected gap at its first visible step."""
+
+    __slots__ = _fields = ("visible_from_t", "flicker_steps", "visibility_gap")
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    name: str
-    road_length: float
-    lane_width: float
-    v_av_mph: float
-    v_ov_mph: float
-    vbp_position: float              # VBP centre x at t=0
-    vbp_length: float
-    profile: DrivingProfile
-    dt: float
-    pull_out_start_s: float
-    lateral_offset: float
-    ov_start_offset: float | None = None   # distance ahead at the crossing step
-    v_vbp_mph: float = 0.0
-    trail_s: float = 1.5
-    occlusion: OcclusionSpec | None = None
+class ScenarioSpec(Record):
+    """``vbp_position`` is the VBP's centre x at t=0; ``ov_start_offset``
+    the distance ahead at the crossing step."""
+
+    __slots__ = _fields = (
+        "name", "road_length", "lane_width", "v_av_mph", "v_ov_mph",
+        "vbp_position", "vbp_length", "profile", "dt", "pull_out_start_s",
+        "lateral_offset", "ov_start_offset", "v_vbp_mph", "trail_s",
+        "occlusion")
+    _defaults = {"ov_start_offset": None, "v_vbp_mph": 0.0, "trail_s": 1.5,
+                 "occlusion": None}
 
     def __post_init__(self):
         if self.dt <= 0.0:

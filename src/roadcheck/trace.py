@@ -30,10 +30,10 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass
 
 from .geometry import BoxDims, Pose2D, normalize_angle, oriented_box
 from .models import MPH_TO_MPS
+from .record import Record
 from .worldmap import OffRoadError, RoadMap, lane_orientation_at
 # bench/tracing.py hooks the centre-line query under this name
 from .worldmap import nearest_centreline_point as _nearest_centreline_point
@@ -101,16 +101,14 @@ class ActorState:
         return oriented_box(self.pose, self.dims)
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A plain record of timesteps.  ``load_trace`` builds it from what
+class Trace(Record):
+    """A plain record of timesteps: ``times``, ``steps`` (per step
+    {actor_id: ActorState}) and ``dt``.  ``load_trace`` builds it from what
     ``iter_steps`` checked; code that builds one keeps the same invariants:
     times strictly increasing, each step keyed by actor id, and each
     actor's dims the same at every step."""
 
-    times: tuple[float, ...]
-    steps: tuple[dict, ...]          # per-step {actor_id: ActorState}
-    dt: float
+    __slots__ = _fields = ("times", "steps", "dt")
 
     def __len__(self):
         return len(self.times)
@@ -315,12 +313,13 @@ def serialise_trace(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, slots=True)
-class DerivedState:
-    speed: float                     # |velocity vector|, m/s
-    heading_rel_lane: float | None   # radians in [-pi, pi), None off-road
-    pull_out_angle: float = 0.0
-    cut_in_angle: float = 0.0
+class DerivedState(Record):
+    """``speed`` is |velocity vector| in m/s; ``heading_rel_lane`` radians
+    in [-pi, pi), None off-road."""
+
+    __slots__ = _fields = ("speed", "heading_rel_lane", "pull_out_angle",
+                           "cut_in_angle")
+    _defaults = {"pull_out_angle": 0.0, "cut_in_angle": 0.0}
 
 
 def derive_state(prev: ActorState | None, cur: ActorState,
@@ -356,8 +355,7 @@ def derive_state(prev: ActorState | None, cur: ActorState,
             pull_out = heading_rel
         elif toward < -1e-9:
             cut_in = abs(heading_rel)
-    return DerivedState(speed=speed, heading_rel_lane=heading_rel,
-                        pull_out_angle=pull_out, cut_in_angle=cut_in)
+    return DerivedState(speed, heading_rel, pull_out, cut_in)
 
 
 def derive_row(prev_step: dict | None, cur_step: dict, nxt_step: dict | None,

@@ -32,11 +32,11 @@ import json
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field
 
 from .geometry import (ConvexPolygon, GeometryError, normalize_angle,
                        overlap_area, segment_intersects_polygon,
                        _point_in_polygon)
+from .record import Record
 
 DIRECTIONS = ("with_map_axis", "against_map_axis")
 
@@ -60,13 +60,8 @@ class OffRoadError(LookupError):
     """A query point lies outside every lanelet."""
 
 
-@dataclass(frozen=True, slots=True)
-class Lanelet:
-    id: str
-    shape: ConvexPolygon
-    orientation: float
-    width: float
-    direction: str
+class Lanelet(Record):
+    __slots__ = _fields = ("id", "shape", "orientation", "width", "direction")
 
     def __post_init__(self):
         if not (math.isfinite(self.width) and self.width > 0.0):
@@ -198,14 +193,9 @@ def _tree(boxes: array):
     return _BoxTree(boxes) if len(boxes) > 4 * _LEAF else None
 
 
-@dataclass(frozen=True)
-class RoadMap:
-    lanelets: tuple[Lanelet, ...]
-    centreline: tuple[tuple[float, float], ...]
-    _lanelet_tree: _BoxTree | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _segment_tree: _BoxTree | None = field(
-        default=None, init=False, repr=False, compare=False)
+class RoadMap(Record):
+    _fields = ("lanelets", "centreline")
+    __slots__ = _fields + ("_lanelet_tree", "_segment_tree")
 
     def __post_init__(self):
         ids = [l.id for l in self.lanelets]
@@ -249,6 +239,18 @@ def read_text(source, what: str) -> str:
     raise TypeError(f"cannot read {what} from {type(source).__name__}")
 
 
+def json_number(value, what: str, error=ValueError, finite=False) -> float:
+    """``value`` as a float if it is a JSON number, not a boolean or a
+    numeric string (finite if ``finite``); otherwise ``error`` naming
+    ``what``.  An integer too large for a float raises OverflowError."""
+    if type(value) is not float and type(value) is not int:
+        raise error(f"{what} must be a number, got {json.dumps(value)}")
+    value = float(value)
+    if finite and not math.isfinite(value):
+        raise error(f"{what} must be finite, got {value}")
+    return value
+
+
 def load_map(source) -> RoadMap:
     """Parse and validate a map document from bytes, text, or a file object."""
     text = read_text(source, "map")
@@ -283,18 +285,21 @@ def load_map(source) -> RoadMap:
         lid = str(entry["id"])
         where = f"lanelet {lid!r}"
         try:
-            shape = ConvexPolygon.from_points(entry["vertices"])
+            shape = ConvexPolygon.from_points(
+                [(json_number(x, "vertices"), json_number(y, "vertices"))
+                 for x, y in entry["vertices"]])
         except (GeometryError, TypeError, ValueError, OverflowError) as exc:
             raise MapError(f"invalid shape: {exc}", location=where) from exc
         if not all(map(math.isfinite, (c for v in shape.vertices for c in v))):
             raise MapError("vertex coordinates must be finite", location=where)
         try:
-            width = float(entry["width_m"])
-            orientation = float(entry["orientation_rad"])
-        except (TypeError, ValueError, OverflowError) as exc:
+            width = json_number(entry["width_m"], "width_m")
+            orientation = json_number(entry["orientation_rad"],
+                                      "orientation_rad")
+        except (ValueError, OverflowError) as exc:
             raise MapError(f"invalid number: {exc}", location=where) from exc
-        lanelets.append(Lanelet(id=lid, shape=shape, orientation=orientation,
-                                width=width, direction=str(entry["direction"])))
+        lanelets.append(Lanelet(lid, shape, orientation, width,
+                                str(entry["direction"])))
 
     centreline = doc["centreline"]
     if (not isinstance(centreline, list) or len(centreline) < 2
@@ -302,15 +307,16 @@ def load_map(source) -> RoadMap:
         raise MapError("centreline must be a list of >= 2 [x, y] points",
                        location="centreline")
     try:
-        centreline = tuple((float(x), float(y)) for x, y in centreline)
-    except (TypeError, ValueError, OverflowError) as exc:
+        centreline = tuple((json_number(x, "centreline"),
+                            json_number(y, "centreline")) for x, y in centreline)
+    except (ValueError, OverflowError) as exc:
         raise MapError(f"invalid number: {exc}", location="centreline") from exc
     if not all(map(math.isfinite, (c for p in centreline for c in p))):
         raise MapError("centreline coordinates must be finite",
                        location="centreline")
     # free the document first: the indexes are built in the memory it held
     del doc, text
-    return RoadMap(lanelets=tuple(lanelets), centreline=centreline)
+    return RoadMap(tuple(lanelets), centreline)
 
 
 def serialise_map(road: RoadMap) -> str:

@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 
 from .models import (DrivingProfile, ManoeuvreGeometry, ModelError,
                      manoeuvre_time, safe_distance_ahead, ttc)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ZoneThresholds:
-    safety_margin_fraction: float = 0.1
-    ttc_conservative: float = 2.5
+class ZoneThresholds(Record):
+    __slots__ = _fields = ("safety_margin_fraction", "ttc_conservative")
+    _defaults = {"safety_margin_fraction": 0.1, "ttc_conservative": 2.5}
 
     def __post_init__(self):
         if not self.safety_margin_fraction >= 0.0:     # NaN too
@@ -60,10 +59,8 @@ def classify(da: float, sda: float, ttc_s: float,
     return "C"
 
 
-@dataclass(frozen=True)
-class ProfileSelection:
-    profile: DrivingProfile
-    zone: str
+class ProfileSelection(Record):
+    __slots__ = _fields = ("profile", "zone")
 
 
 def residual_ttc(da: float, geom: ManoeuvreGeometry,

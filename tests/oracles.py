@@ -12,7 +12,6 @@ is the tree walk that the engine's compiled closures replaced.
 import math
 import random
 
-from roadcheck import dsl
 from roadcheck.engine import _BUILTINS, _COMPARE, EvalError
 from roadcheck.geometry import (ConvexPolygon, _point_in_polygon, overlap_area,
                                 segment_intersects_polygon)
@@ -186,42 +185,36 @@ def reference_eval(node, view):
     node: the evaluator the engine ran before it compiled expressions into
     closures, with the rule that a comparison of a non-finite operand is
     an evaluation error."""
-    if isinstance(node, dsl.NumberLit):
-        return node.value
-    if isinstance(node, dsl.DurationLit):
-        return node.seconds
-    if isinstance(node, dsl.BoolLit):
-        return node.value
-    if isinstance(node, dsl.StringLit):
-        return view.resolve(node.value)
-    if isinstance(node, dsl.Not):
-        return not reference_eval(node.operand, view)
-    if isinstance(node, dsl.Neg):
-        return -reference_eval(node.operand, view)
-    if isinstance(node, dsl.Compare):
-        left = reference_eval(node.left, view)
-        right = reference_eval(node.right, view)
+    op, value, args = node.op, node.value, node.args
+    if op in ("number", "duration", "bool"):
+        return value
+    if op == "string":
+        return view.resolve(value)
+    if op == "not":
+        return not reference_eval(args[0], view)
+    if op == "neg":
+        return -reference_eval(args[0], view)
+    if op == "call":
+        return _BUILTINS[value](view, *[reference_eval(a, view) for a in args])
+    if op == "and":
+        return reference_eval(args[0], view) and reference_eval(args[1], view)
+    if op == "or":
+        return reference_eval(args[0], view) or reference_eval(args[1], view)
+    if op not in _COMPARE and op not in ("+", "-", "*", "/"):
+        raise EvalError(f"cannot evaluate {op!r}")
+    left = reference_eval(args[0], view)
+    right = reference_eval(args[1], view)
+    if op in _COMPARE:
         if not (math.isfinite(left) and math.isfinite(right)):
             raise EvalError(f"non-finite operand in comparison: "
-                            f"{left!r} {node.op} {right!r}")
-        return _COMPARE[node.op](left, right)
-    if isinstance(node, dsl.BinaryOp):
-        if node.op == "and":
-            return reference_eval(node.left, view) and reference_eval(node.right, view)
-        if node.op == "or":
-            return reference_eval(node.left, view) or reference_eval(node.right, view)
-        left = reference_eval(node.left, view)
-        right = reference_eval(node.right, view)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right == 0:
-            raise EvalError("division by zero")
-        return left / right
-    if isinstance(node, dsl.Call):
-        return _BUILTINS[node.name](view, *[reference_eval(a, view)
-                                            for a in node.args])
-    raise EvalError(f"cannot evaluate {type(node).__name__}")
+                            f"{left!r} {op} {right!r}")
+        return _COMPARE[op](left, right)
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if right == 0:
+        raise EvalError("division by zero")
+    return left / right

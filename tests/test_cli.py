@@ -764,16 +764,35 @@ class TestUnresolvableActor:
                 "box of 'dot': polygon is not strictly convex")
 
 
-def test_cli_import_leaves_out_command_only_modules():
-    code = ("import sys, roadcheck.cli; print(sorted(m for m in sys.modules "
-            "if m in ('roadcheck.scenarios', 'roadcheck.perception', "
-            "'roadcheck.zones')))")
+def run_fresh(code: str) -> str:
+    """The standard output of ``code`` run by a fresh interpreter that
+    imports this checkout's package."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
+def test_cli_import_leaves_out_command_only_modules():
+    out = run_fresh(
+        "import sys, roadcheck.cli; print(sorted(m for m in sys.modules "
+        "if m in ('roadcheck.scenarios', 'roadcheck.perception', "
+        "'roadcheck.zones')))")
+    assert out.strip() == "[]"
+
+
+def test_cli_import_generates_no_dataclass_code():
+    # start-up of a short run was mostly dataclass code generation
+    out = run_fresh(
+        "import dataclasses\n"
+        "calls = []\n"
+        "generate = dataclasses._process_class\n"
+        "dataclasses._process_class = lambda cls, *a: (\n"
+        "    calls.append(cls.__qualname__), generate(cls, *a))[1]\n"
+        "import roadcheck.cli\n"
+        "print(calls)")
     assert out.strip() == "[]"
 
 
@@ -1316,6 +1335,65 @@ def constant_chain(lines: int) -> str:
     return "\n".join(consts + [
         f"assertion chain {{ odd: x type: invariant "
         f"condition: c{lines - 1} > 0 }}"])
+
+
+class TestNumbersOnly:
+    """A number in a map, profile, calibration or detection file must be a
+    JSON number: a boolean or a numeric string exits 2 naming the field,
+    instead of being read as its value."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("pull_out_clearance_m", True), ("cut_in_angle_rad", "0.4")])
+    def test_profiles(self, fixture_dir, tmp_path, field, value):
+        doc = json.loads(PACKAGED_PROFILES.read_text("utf-8"))
+        doc["profiles"]["nominal"][field] = value
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps(doc))
+        res = invoke(fixture_dir, "check", "--profiles", str(profiles))
+        no_traceback(res)
+        assert res.exit_code == 2, res.output
+        assert f"'nominal': {field} must be a number, got " \
+            f"{json.dumps(value)}" in res.stderr
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["lanelets"][0].update(width_m=True), "width_m"),
+        (lambda d: d["lanelets"][0].update(orientation_rad="0"),
+         "orientation_rad"),
+        (lambda d: d["lanelets"][0]["vertices"][0].__setitem__(0, "0.0"),
+         "vertices"),
+        (lambda d: d["centreline"][0].__setitem__(1, False), "centreline"),
+    ], ids=["boolean-width", "text-orientation", "text-vertex",
+            "boolean-centreline"])
+    def test_map(self, fixture_dir, tmp_path, edit, field):
+        doc = json.loads((fixture_dir / "safe_map.json").read_text())
+        edit(doc)
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(doc))
+        res = runner.invoke(main, [
+            "check", "--map", str(bad),
+            "--trace", str(fixture_dir / "safe_trace.jsonl")])
+        no_traceback(res)
+        assert res.exit_code == 2, res.output
+        assert f"{field} must be a number" in res.stderr
+
+    @pytest.mark.parametrize("calibration, field", [
+        (b'{"c": 1200.0, "lane_width_px": true}', "lane_width_px"),
+        (b'{"c": "1200"}', "c"),
+    ], ids=["boolean-lane-width", "text-c"])
+    def test_calibration(self, fixture_dir, tmp_path, calibration, field):
+        res = estimate_on(fixture_dir, tmp_path, calibration=calibration)
+        assert res.exit_code == 2, res.output
+        assert f"calibration: {field} must be a number" in res.stderr
+
+    @pytest.mark.parametrize("record, field", [
+        ('{"t": 9.0, "frame": 180, "line_px": "502.5"}', "line_px"),
+        ('{"t": 9.0, "frame": true, "line_px": 502.5}', "frame"),
+        ('{"t": 9.0, "class": "car", "box_width_px": "90"}', "box_width_px"),
+    ], ids=["text-line", "boolean-frame", "text-width"])
+    def test_detection(self, fixture_dir, tmp_path, record, field):
+        res = estimate_on(fixture_dir, tmp_path, extra_lines=[record])
+        assert res.exit_code == 2, res.output
+        assert f"record 5: {field} must be a number" in res.stderr
 
 
 class TestRuleSize:
