@@ -64,7 +64,7 @@ _LITERAL_TYPES = {"number": POLY_NUM, "duration": SECONDS, "string": ACTOR,
 
 
 #: name -> (parameter types, return type); the evaluator dispatches each
-#: name to the ``engine._StepView`` method of the same name
+#: name to the ``engine._BufferedStep`` method of the same name
 REGISTRY = {
     "time": ((), SECONDS),
     "speed_of": ((ACTOR,), MPS),
@@ -103,13 +103,6 @@ class CompiledAssertion(Record):
     @property
     def id(self):
         return self.decl.name
-
-
-class CompiledDocument(Record):
-    __slots__ = _fields = ("assertions",)
-
-    def __iter__(self):
-        return iter(self.assertions)
 
 
 class _Checker:
@@ -263,7 +256,7 @@ def _inline_consts(expr, consts, diagnostics):
     return inline(expr, frozenset(), 1)
 
 
-def typecheck(doc: Document) -> CompiledDocument:
+def typecheck(doc: Document) -> tuple[CompiledAssertion, ...]:
     """Resolve constants, check types and units, return compiled assertions.
 
     Raises TypecheckError carrying every diagnostic found.
@@ -289,9 +282,9 @@ def typecheck(doc: Document) -> CompiledDocument:
     diagnostics.extend(checker.diagnostics)
     if diagnostics:
         raise TypecheckError(diagnostics)
-    return CompiledDocument(assertions=tuple(compiled))
+    return tuple(compiled)
 
 
-def compile_text(text: str) -> CompiledDocument:
+def compile_text(text: str) -> tuple[CompiledAssertion, ...]:
     """parse + typecheck in one step."""
     return typecheck(dsl.parse(text))

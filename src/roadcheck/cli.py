@@ -92,7 +92,7 @@ def _load_inputs(map_path, rules_paths, profiles_path, profile_name,
         for path in rules_paths:
             try:
                 text = Path(path).read_text("utf-8")
-                compiled = compile_text(text).assertions
+                compiled = compile_text(text)
             except (OSError, UnicodeDecodeError, ParseError,
                     TypecheckError) as exc:
                 _die(f"{path}: {exc}")

@@ -37,10 +37,11 @@ Generation", Computer Languages 12(1), 1987), hash-consed (Filliatre &
 Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006): a node's
 closure is looked up by one key, its op, its value and its operands'
 closures, so that equal subtrees share one closure and no subtree is
-hashed.  A builtin call goes to the ``_StepView`` method of its name.
-While a step is processed, one memo on it holds its shapes and its
-references' results, each computed once whichever assertions read it.  A
-plain condition's verdict without low-confidence actors shares one of two
+hashed.  Expressions are evaluated against the ``_BufferedStep`` holding
+the timestep: a builtin call goes to its method of the same name.  While
+a step is processed, one memo on it holds its shapes and its references'
+results, each computed once whichever assertions read it.  A plain
+condition's verdict without low-confidence actors shares one of two
 read-only details, ``{"condition": true|false}``, and a verdict built
 without a detail an empty one; code adding to a detail copies it first.
 
@@ -69,7 +70,7 @@ from .models import ModelConfig, ModelError, default_profiles, mps_to_mph
 from .models import danger_space_length as model_ds_length
 from .models import safe_distance_ahead
 from .trace import ActorState, Trace, derive_row, role_index
-from .worldmap import RoadMap, crosses_centreline as map_crosses_centreline
+from .worldmap import crosses_centreline as map_crosses_centreline
 from .worldmap import OffRoadError, lane_orientation_at, within
 from .geometry import projection_interval
 from .record import Record
@@ -155,19 +156,25 @@ class EvaluationContext(Record):
 
 
 class _BufferedStep:
-    """One timestep held by the engine.
+    """One timestep held by the engine, and what its expressions are
+    evaluated against: each name in ``checker.REGISTRY`` is the method of
+    the same name, taking the evaluated arguments.
 
     Keeps the neighbouring steps' records next to its own, so that
     dynamics can be derived on demand, once per actor, whenever a rule
     first reads them (also after the predecessor has been pruned), a
     role index built on the first role lookup, and the temporal condition
-    verdicts held for the windows that cover this step.
+    verdicts held for the windows that cover this step.  Geometry, model
+    and map functions are called through this module's names, looked up at
+    call time, so that a tracer can rebind them.
     """
 
-    __slots__ = ("t", "step", "prev", "nxt", "derived", "roles", "held",
-                 "memo")
+    __slots__ = ("ctx", "t", "step", "prev", "nxt", "derived", "roles",
+                 "held", "memo", "touched")
 
-    def __init__(self, t: float, step: dict, prev: dict | None):
+    def __init__(self, ctx: EvaluationContext, t: float, step: dict,
+                 prev: dict | None):
+        self.ctx = ctx
         self.t = t
         self.step = step
         self.prev = prev
@@ -176,59 +183,41 @@ class _BufferedStep:
         self.roles: dict | None = None
         # assertion position -> None (the condition passed) or its FAIL or
         # NOT_APPLICABLE verdict, for the temporal windows that cover it
-        self.held: dict = {}
+        self.held: dict | None = None
         # while the engine processes this step: (kind, actor_id) -> shape
         # and reference closure -> result, shared by its assertions
         self.memo: dict | None = None
+        # while a condition is evaluated here: the actors that it reads
+        self.touched: list[ActorState] | None = None
 
-    def dynamics(self, aid: str, road: RoadMap):
+    def dynamics(self, aid: str):
         """Derived state of ``aid``; None when it appears at this step only."""
         try:
             return self.derived[aid]
         except KeyError:
-            row, _notes = derive_row(self.prev, self.step, self.nxt, road,
-                                     actor_ids=(aid,))
-            d = self.derived[aid] = row.get(aid)
+            d = self.derived[aid] = derive_row(self.prev, self.step, self.nxt,
+                                               self.ctx.road, aid)[0]
             return d
 
-    def by_role(self, ref: str) -> ActorState | None:
-        """The actor with role ``ref`` (any case) and the smallest id."""
-        roles = self.roles
-        if roles is None:
-            roles = self.roles = role_index(self.step)
-        return roles.get(ref.lower())
-
-
-class _StepView:
-    """Resolves expression builtins against one timestep: each name in
-    ``checker.REGISTRY`` is the method of the same name, taking the
-    evaluated arguments.
-
-    Geometry, model and map functions are called through this module's
-    names, looked up at call time, so that a tracer can rebind them.
-    """
-
-    def __init__(self, ctx: EvaluationContext, at: _BufferedStep):
-        self.ctx = ctx
-        self.at = at
-        self.t = at.t
-        self.step = at.step
-        self.touched: list[ActorState] = []
-
     def resolve(self, ref: str) -> ActorState:
+        """Actor ``ref`` by id, else by role (any case, smallest id)."""
         st = self.step.get(ref)
         if st is None:
-            st = self.at.by_role(ref)
+            roles = self.roles
+            if roles is None:
+                roles = self.roles = role_index(self.step)
+            st = roles.get(ref.lower())
             if st is None:
                 raise ActorNotFound(ref)
-        self.touched.append(st)
+        if self.touched is not None:
+            self.touched.append(st)
         return st
 
     def time(self) -> float:
         return self.t
 
     def speed_of(self, st: ActorState) -> float:
-        d = self.at.dynamics(st.actor_id, self.ctx.road)
+        d = self.dynamics(st.actor_id)
         if d is not None:
             return d.speed
         if st.speed is not None:
@@ -236,7 +225,7 @@ class _StepView:
         raise EvalError(f"speed of {st.actor_id!r} is unavailable")
 
     def _shape(self, kind: str, st: ActorState, make):
-        memo = self.at.memo
+        memo = self.memo
         key = (kind, st.actor_id)
         if memo is not None and key in memo:
             return memo[key]
@@ -311,15 +300,15 @@ class _StepView:
         return within(self.ctx.road, self.box_of(st))
 
     def heading_rel_lane(self, st: ActorState) -> float:
-        d = self.at.dynamics(st.actor_id, self.ctx.road)
+        d = self.dynamics(st.actor_id)
         if d is not None and d.heading_rel_lane is not None:
             return d.heading_rel_lane
         raise EvalError(f"{st.actor_id!r} has no lane-relative heading "
                         f"(off-road?)")
 
 
-# a declared builtin without a _StepView method fails here, at import
-_BUILTINS = {name: getattr(_StepView, name) for name in REGISTRY}
+# a declared builtin without a _BufferedStep method fails here, at import
+_BUILTINS = {name: getattr(_BufferedStep, name) for name in REGISTRY}
 
 
 def _ds_length(v_mph: float) -> float:
@@ -331,7 +320,7 @@ def _ds_length(v_mph: float) -> float:
 
 
 def _compile(node, memo: dict):
-    """``node`` as a closure ``view -> value``, hash-consed in ``memo`` by
+    """``node`` as a closure ``at -> value``, hash-consed in ``memo`` by
     its op, its value and its children's closures: equal subtrees (spans
     aside) share one closure, and no subtree is hashed."""
     key = (node.op, node.value, *[_compile(a, memo) for a in node.args])
@@ -342,9 +331,9 @@ def _compile(node, memo: dict):
 
 def _compile_node(op, value, *children):
     if op in ("number", "duration", "bool"):
-        return lambda view: value
+        return lambda at: value
     if op == "string":
-        return lambda view: view.resolve(value)
+        return lambda at: at.resolve(value)
     if op == "name":    # a name that typecheck did not resolve
         raise EvalError(f"cannot evaluate the name {value!r}")
     if op == "call":
@@ -353,41 +342,41 @@ def _compile_node(op, value, *children):
             return fn
         if len(children) == 1:
             (arg,) = children
-            return lambda view: fn(view, arg(view))
+            return lambda at: fn(at, arg(at))
         if len(children) == 2:
             first, second = children
-            return lambda view: fn(view, first(view), second(view))
-        return lambda view: fn(view, *[a(view) for a in children])
+            return lambda at: fn(at, first(at), second(at))
+        return lambda at: fn(at, *[a(at) for a in children])
     if op == "not":
         (operand,) = children
-        return lambda view: not operand(view)
+        return lambda at: not operand(at)
     if op == "neg":
         (operand,) = children
-        return lambda view: -operand(view)
+        return lambda at: -operand(at)
     if op in _COMPARE:
         operands, compare = _operands(*children, op), _COMPARE[op]
-        return lambda view: compare(*operands(view))
+        return lambda at: compare(*operands(at))
     left, right = children
     if op == "and":
-        return lambda view: left(view) and right(view)
+        return lambda at: left(at) and right(at)
     if op == "or":
-        return lambda view: left(view) or right(view)
+        return lambda at: left(at) or right(at)
     if op == "/":
-        def divide(view):
-            dividend, divisor = left(view), right(view)
+        def divide(at):
+            dividend, divisor = left(at), right(at)
             if divisor == 0:
                 raise EvalError("division by zero")
             return dividend / divisor
         return divide
     arithmetic = _ARITHMETIC[op]
-    return lambda view: arithmetic(left(view), right(view))
+    return lambda at: arithmetic(left(at), right(at))
 
 
 def _operands(left, right, op: str):
-    """A comparison's compiled operands as a closure ``view -> (left,
+    """A comparison's compiled operands as a closure ``at -> (left,
     right)``; an operand that is not finite is an evaluation error."""
-    def operands(view):
-        a, b = left(view), right(view)
+    def operands(at):
+        a, b = left(at), right(at)
         if _isfinite(a) and _isfinite(b):
             return a, b
         raise EvalError(f"non-finite operand in comparison: {a!r} {op} {b!r}")
@@ -406,16 +395,16 @@ def _compile_condition(node, memo: dict):
 
 
 def _condition_verdict(assertion: CompiledAssertion, condition,
-                       view: _StepView, t: float) -> Verdict:
-    """Evaluate the compiled condition at one step and build the verdict."""
-    view.touched = []       # the actors that this condition reads
+                       at: _BufferedStep, t: float) -> Verdict:
+    """Evaluate the compiled condition at step ``at`` and build the verdict."""
+    touched = at.touched = []   # the actors that this condition reads
     detail: dict = {}
     fn, op = condition
     try:
         if op is None:
-            ok = bool(fn(view))
+            ok = bool(fn(at))
         else:
-            measured, threshold = fn(view)
+            measured, threshold = fn(at)
             ok = _COMPARE[op](measured, threshold)
     except ActorNotFound as exc:
         detail["reason"] = "actor-not-found"
@@ -426,7 +415,9 @@ def _condition_verdict(assertion: CompiledAssertion, condition,
         detail["reason"] = "evaluation-error"
         detail["error"] = str(exc)
         return Verdict(assertion.id, t, FAIL, detail)
-    low_conf = [s.actor_id for s in view.touched if s.low_confidence]
+    finally:
+        at.touched = None
+    low_conf = [s.actor_id for s in touched if s.low_confidence]
     if op is None and not low_conf:
         return Verdict(assertion.id, t, PASS if ok else FAIL,
                        _CONDITION_DETAIL[ok])
@@ -438,14 +429,14 @@ def _condition_verdict(assertion: CompiledAssertion, condition,
 
 
 def _reference_holds(assertion: CompiledAssertion, reference,
-                     view: _StepView) -> bool:
+                     at: _BufferedStep) -> bool:
     """A reference with a missing actor simply does not fire."""
     try:
-        return bool(reference(view))
+        return bool(reference(at))
     except ActorNotFound:
         return False
     except EvalError as exc:
-        raise EvalError(f"reference of {assertion.id!r} at t={view.t}: "
+        raise EvalError(f"reference of {assertion.id!r} at t={at.t}: "
                         f"{exc}") from exc
 
 
@@ -462,10 +453,10 @@ def nearest_index(times, target: float) -> int:
 
 def manoeuvre_at(trace: Trace, k: int, ctx: EvaluationContext):
     """The overtake that sda() sizes at step ``k`` of ``trace``."""
-    at = _BufferedStep(trace.times[k], trace.steps[k],
+    at = _BufferedStep(ctx, trace.times[k], trace.steps[k],
                        trace.steps[k - 1] if k else None)
     at.nxt = trace.steps[k + 1] if k + 1 < len(trace) else None
-    return _StepView(ctx, at).manoeuvre()
+    return at.manoeuvre()
 
 
 def evaluate_document(assertions, trace: Trace,
@@ -559,7 +550,8 @@ class StreamingEngine:
         buf = self._buffer
         if buf:
             buf[-1].nxt = records
-        buf.append(_BufferedStep(t, records, buf[-1].step if buf else None))
+        buf.append(_BufferedStep(self.ctx, t, records,
+                                 buf[-1].step if buf else None))
         if len(buf) >= 2:
             out.extend(self._process(len(buf) - 2))
         self._prune()
@@ -600,7 +592,6 @@ class StreamingEngine:
         # the assertions of this step share its shapes and reference
         # results; older steps evaluated for windows build their own
         memo = at.memo = {}
-        view = _StepView(self.ctx, at)
 
         # open post windows see this step before any window opens at it
         out = self._advance(at) if self._open else []
@@ -612,13 +603,13 @@ class StreamingEngine:
                 ref = self._references[pos]
                 holds = memo.get(ref)
                 if holds is None:
-                    holds = memo[ref] = _reference_holds(assertion, ref, view)
+                    holds = memo[ref] = _reference_holds(assertion, ref, at)
                 if not holds:
                     continue
                 self._fired.add(assertion.id)
             if decl.window is None:     # an invariant or execution assertion
                 out.append(_condition_verdict(
-                    assertion, self._conditions[pos], view, t))
+                    assertion, self._conditions[pos], at, t))
                 continue
             pre = decl.kind.startswith("pre_")
             far = t - decl.window if pre else t + decl.window
@@ -671,20 +662,20 @@ class StreamingEngine:
         """A physical window's verdict: the condition at the buffered step
         nearest its far end."""
         buf = self._buffer
-        k = nearest_index([b.t for b in buf], w.far)
-        view = _StepView(self.ctx, buf[k])
-        return self._close(w, buf[k].t, _condition_verdict(
-            w.assertion, self._conditions[w.pos], view, w.t_ref))
+        at = buf[nearest_index([b.t for b in buf], w.far)]
+        return self._close(w, at.t, _condition_verdict(
+            w.assertion, self._conditions[w.pos], at, w.t_ref))
 
     def _held_condition(self, w: _Window, at: _BufferedStep) -> Verdict | None:
         """The condition verdict of ``w``'s assertion at step ``at``,
         evaluated once and held for every window that covers the step: None
         when it passed, else the FAIL or NOT_APPLICABLE verdict."""
         held = at.held
-        if w.pos in held:
+        if held is None:    # most steps are covered by no temporal window
+            held = at.held = {}
+        elif w.pos in held:
             return held[w.pos]
-        v = _condition_verdict(w.assertion, self._conditions[w.pos],
-                               _StepView(self.ctx, at), at.t)
+        v = _condition_verdict(w.assertion, self._conditions[w.pos], at, at.t)
         v = held[w.pos] = None if v.result == PASS else v
         return v
 

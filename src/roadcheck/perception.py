@@ -29,7 +29,7 @@ from .record import Record
 from .trace import (ActorState, Trace, TraceError, json_records, read_lines,
                     role_index)
 from .geometry import BoxDims, GeometryError, Pose2D
-from .worldmap import json_number, read_text
+from .worldmap import json_number, json_string, read_text
 
 LOW_CONFIDENCE_PX = 5.0
 
@@ -145,7 +145,7 @@ def load_detections(source):
                                 finite=True),
                     json_number(obj.get("box_centre_px", 0.0),
                                 "box_centre_px", finite=True),
-                    str(obj.get("role_hint", "unknown")))
+                    json_string(obj.get("role_hint", "unknown"), "role_hint"))
         except KeyError as exc:
             raise PerceptionError(f"missing field {exc.args[0]!r}", index) from exc
         except (TypeError, ValueError, OverflowError) as exc:

@@ -146,16 +146,16 @@ DANGER_SPACE_RULES = "".join(_BLOCKS[aid] for aid in DANGER_SPACE_IDS)
 
 
 def rule162_sda_assertion() -> CompiledAssertion:
-    return compile_text(RULE162_SDA).assertions[0]
+    return compile_text(RULE162_SDA)[0]
 
 
 def danger_space_assertions() -> tuple[CompiledAssertion, ...]:
-    return compile_text(DANGER_SPACE_RULES).assertions
+    return compile_text(DANGER_SPACE_RULES)
 
 
 def load_rulepack() -> tuple[CompiledAssertion, ...]:
     """The shipped assertion file: rule 162, rule 163 pull-out, danger spaces."""
-    return compile_text(_RULES_TEXT).assertions
+    return compile_text(_RULES_TEXT)
 
 
 # --- per-stage aggregation ---------------------------------------------------

@@ -17,11 +17,12 @@ dims object, and a step's states one time; a state read so builds its
 ``Pose2D`` when ``pose`` is first read, so actors that no rule reads build
 none.
 
-``derive_row`` derives the dynamics of an actor at one step from its
-neighbouring steps: speed from positions by central finite differences at
-interior steps and first-order one-sided differences at the endpoints, and
-the heading relative to the lane.  It is the one derivation routine: the
-engine calls it for the actors a rule reads.
+``derive_row`` derives the dynamics of the one actor it is asked for at
+one step from its neighbouring steps: speed from positions by central
+finite differences at interior steps and first-order one-sided
+differences at the endpoints, and the heading relative to the lane.  It
+is the one derivation routine: the engine calls it once per step for each
+actor that a rule reads.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import operator
 from .geometry import BoxDims, Pose2D, normalize_angle, oriented_box
 from .models import MPH_TO_MPS
 from .record import Record
-from .worldmap import OffRoadError, RoadMap, lane_orientation_at
+from .worldmap import OffRoadError, RoadMap, json_number, json_string
+from .worldmap import lane_orientation_at
 # bench/tracing.py hooks the centre-line query under this name
 from .worldmap import nearest_centreline_point as _nearest_centreline_point
 
@@ -126,17 +128,6 @@ def role_index(step: dict) -> dict:
     return roles
 
 
-def _number(obj: dict, key: str, finite: bool = False) -> float:
-    """``obj[key]`` as a float; float() would also take a JSON boolean."""
-    value = obj[key]
-    if isinstance(value, bool):
-        raise TraceError(f"{key} must be a number, got {json.dumps(value)}")
-    value = float(value)
-    if finite and not math.isfinite(value):
-        raise TraceError(f"{key} must be finite, got {value}")
-    return value
-
-
 _REQUIRED = ("t", "actor_id", "role", "x", "y", "heading_rad", "length_m",
              "width_m")
 _required = operator.itemgetter(*_REQUIRED)
@@ -171,25 +162,25 @@ def _parse_record(obj: dict, index: int, seen: dict | None = None) -> ActorState
                 raise TraceError(f"missing required field {key!r}", index)
         if "speed_mps" in obj and "speed_mph" in obj:
             raise TraceError("both speed_mps and speed_mph present", index)
-        actor_id = obj["actor_id"]
-        if not isinstance(actor_id, str):
-            raise TraceError(f"actor_id must be a string, got "
-                             f"{json.dumps(actor_id)}", index)
-        low_confidence = obj.get("low_confidence", False)
-        if not isinstance(low_confidence, bool):
-            raise TraceError(f"low_confidence must be true or false, got "
-                             f"{json.dumps(low_confidence)}", index)
         try:
+            actor_id = json_string(obj["actor_id"], "actor_id")
+            low_confidence = obj.get("low_confidence", False)
+            if not isinstance(low_confidence, bool):
+                raise ValueError(f"low_confidence must be true or false, got "
+                                 f"{json.dumps(low_confidence)}")
             speed = None
             if "speed_mps" in obj:
-                speed = _number(obj, "speed_mps", finite=True)
+                speed = json_number(obj["speed_mps"], "speed_mps", finite=True)
             elif "speed_mph" in obj:
-                speed = _number(obj, "speed_mph", finite=True) * MPH_TO_MPS
-            role = str(obj["role"])
-            t = _number(obj, "t")
-            x, y, heading = (_number(obj, k) for k in ("x", "y", "heading_rad"))
+                speed = json_number(obj["speed_mph"], "speed_mph",
+                                    finite=True) * MPH_TO_MPS
+            role = json_string(obj["role"], "role")
+            t = json_number(obj["t"], "t")
+            x, y, heading = (json_number(obj[k], k)
+                             for k in ("x", "y", "heading_rad"))
             Pose2D(x, y, heading)       # raises on a non-finite component
-            length, width = _number(obj, "length_m"), _number(obj, "width_m")
+            length, width = (json_number(obj[k], k)
+                             for k in ("length_m", "width_m"))
         except (ValueError, TypeError, OverflowError) as exc:
             raise TraceError(str(exc), index) from exc
     first = seen.get(actor_id) if seen else None
@@ -359,31 +350,25 @@ def derive_state(prev: ActorState | None, cur: ActorState,
 
 
 def derive_row(prev_step: dict | None, cur_step: dict, nxt_step: dict | None,
-               road: RoadMap, actor_ids=None) -> tuple[dict, list[str]]:
-    """Derived state for the actors ``actor_ids`` of one step (default:
-    all of them), given its neighbouring steps.
+               road: RoadMap, aid: str) -> tuple[DerivedState | None, tuple]:
+    """Derived state of the actor ``aid`` at one step, given its
+    neighbouring steps: None when it appears at this step only.
 
-    The streaming engine calls this for one actor at a time, when a rule
-    first reads that actor's dynamics at the step.  Returns the per-actor
-    map, without the actors seen at this step only, plus any
-    speed-disagreement and single-step warnings.
+    The streaming engine calls this when a rule first reads that actor's
+    dynamics at the step.  The notes are the speed-disagreement or
+    single-step warning, if any.
     """
-    row = {}
-    notes = []
-    for aid in sorted(cur_step) if actor_ids is None else actor_ids:
-        cur = cur_step[aid]
-        prev = prev_step.get(aid) if prev_step else None
-        nxt = nxt_step.get(aid) if nxt_step else None
-        try:
-            derived = derive_state(prev, cur, nxt, road)
-        except TraceError:
-            # actor visible at this step only: no positional dynamics
-            notes.append(f"t={cur.t}: actor {aid!r} appears at a single "
-                         f"step; dynamics unavailable")
-            continue
-        if cur.speed is not None and abs(cur.speed - derived.speed) > SPEED_WARN_MPS:
-            notes.append(
-                f"t={cur.t}: actor {aid!r} recorded speed {cur.speed:.3f} "
-                f"disagrees with positional {derived.speed:.3f}; positional wins")
-        row[aid] = derived
-    return row, notes
+    cur = cur_step[aid]
+    prev = prev_step.get(aid) if prev_step else None
+    nxt = nxt_step.get(aid) if nxt_step else None
+    try:
+        derived = derive_state(prev, cur, nxt, road)
+    except TraceError:
+        # actor visible at this step only: no positional dynamics
+        return None, (f"t={cur.t}: actor {aid!r} appears at a single "
+                      f"step; dynamics unavailable",)
+    if cur.speed is not None and abs(cur.speed - derived.speed) > SPEED_WARN_MPS:
+        return derived, (
+            f"t={cur.t}: actor {aid!r} recorded speed {cur.speed:.3f} "
+            f"disagrees with positional {derived.speed:.3f}; positional wins",)
+    return derived, ()

@@ -251,6 +251,13 @@ def json_number(value, what: str, error=ValueError, finite=False) -> float:
     return value
 
 
+def json_string(value, what: str) -> str:
+    """``value`` if it is a JSON string; otherwise ValueError naming ``what``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def load_map(source) -> RoadMap:
     """Parse and validate a map document from bytes, text, or a file object."""
     text = read_text(source, "map")
@@ -282,7 +289,10 @@ def load_map(source) -> RoadMap:
         missing = _LANELET_KEYS - set(entry)
         if missing:
             raise MapError(f"missing keys {sorted(missing)}", location=where)
-        lid = str(entry["id"])
+        lid = entry["id"]
+        if not isinstance(lid, str):
+            raise MapError(f"id must be a string, got {json.dumps(lid)}",
+                           location=where)
         where = f"lanelet {lid!r}"
         try:
             shape = ConvexPolygon.from_points(

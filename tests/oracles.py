@@ -180,8 +180,8 @@ def scan_nearest_centreline_point(road, p):
 
 # --- reference expression evaluator -----------------------------------------
 
-def reference_eval(node, view):
-    """Evaluate ``node`` at the step of ``view`` by walking the tree, node by
+def reference_eval(node, at):
+    """Evaluate ``node`` at the step ``at`` by walking the tree, node by
     node: the evaluator the engine ran before it compiled expressions into
     closures, with the rule that a comparison of a non-finite operand is
     an evaluation error."""
@@ -189,21 +189,21 @@ def reference_eval(node, view):
     if op in ("number", "duration", "bool"):
         return value
     if op == "string":
-        return view.resolve(value)
+        return at.resolve(value)
     if op == "not":
-        return not reference_eval(args[0], view)
+        return not reference_eval(args[0], at)
     if op == "neg":
-        return -reference_eval(args[0], view)
+        return -reference_eval(args[0], at)
     if op == "call":
-        return _BUILTINS[value](view, *[reference_eval(a, view) for a in args])
+        return _BUILTINS[value](at, *[reference_eval(a, at) for a in args])
     if op == "and":
-        return reference_eval(args[0], view) and reference_eval(args[1], view)
+        return reference_eval(args[0], at) and reference_eval(args[1], at)
     if op == "or":
-        return reference_eval(args[0], view) or reference_eval(args[1], view)
+        return reference_eval(args[0], at) or reference_eval(args[1], at)
     if op not in _COMPARE and op not in ("+", "-", "*", "/"):
         raise EvalError(f"cannot evaluate {op!r}")
-    left = reference_eval(args[0], view)
-    right = reference_eval(args[1], view)
+    left = reference_eval(args[0], at)
+    right = reference_eval(args[1], at)
     if op in _COMPARE:
         if not (math.isfinite(left) and math.isfinite(right)):
             raise EvalError(f"non-finite operand in comparison: "

@@ -375,11 +375,9 @@ MALFORMED = [
      "record 5: invalid JSON: Exceeds the limit (4300 digits) for integer "
      "string conversion: value has 5001 digits; use "
      "sys.set_int_max_str_digits() to increase the limit"),
-    ("null-t", _mutate(5, t=None),
-     "record 5: float() argument must be a string or a real number, not "
-     "'NoneType'"),
+    ("null-t", _mutate(5, t=None), "record 5: t must be a number, got null"),
     ("text-speed", _mutate(5, speed_mps="fast"),
-     "record 5: could not convert string to float: 'fast'"),
+     'record 5: speed_mps must be a number, got "fast"'),
     ("boolean-x", _mutate(5, x=True), "record 5: x must be a number, got true"),
     ("boolean-speed", _mutate(5, speed_mps=False),
      "record 5: speed_mps must be a number, got false"),
@@ -1394,6 +1392,63 @@ class TestNumbersOnly:
         res = estimate_on(fixture_dir, tmp_path, extra_lines=[record])
         assert res.exit_code == 2, res.output
         assert f"record 5: {field} must be a number" in res.stderr
+
+    @pytest.mark.parametrize("field, value", [
+        ("x", "12.5"), ("heading_rad", "0")])
+    def test_trace(self, fixture_dir, tmp_path, field, value):
+        records = [json.loads(l) for l in
+                   (fixture_dir / "safe_trace.jsonl").read_text().splitlines()]
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(_mutate(5, **{field: value})(records))
+                         + "\n")
+        for command in ("check", "monitor"):
+            res = invoke(fixture_dir, command, trace=trace)
+            no_traceback(res)
+            assert res.exit_code == 2, (command, res.output)
+            assert (f'error: record 5: {field} must be a number, got '
+                    f'"{value}"\n') in res.stderr, (command, res.stderr)
+
+
+class TestStringIds:
+    """An identifier must be a JSON string: a lanelet id, a detection's
+    role_hint or a trace role that is a number, a boolean or null exits 2
+    naming the field, instead of being read as its text."""
+
+    @pytest.mark.parametrize("value", [True, 5])
+    def test_lanelet_id(self, fixture_dir, tmp_path, value):
+        doc = json.loads((fixture_dir / "safe_map.json").read_text())
+        doc["lanelets"][0]["id"] = value
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(doc))
+        res = runner.invoke(main, [
+            "check", "--map", str(bad),
+            "--trace", str(fixture_dir / "safe_trace.jsonl")])
+        no_traceback(res)
+        assert res.exit_code == 2, res.output
+        assert (f"error: {bad}: id must be a string, got {json.dumps(value)} "
+                f"(at lanelets[0])") in res.stderr
+
+    @pytest.mark.parametrize("value", [5, None])
+    def test_role_hint(self, fixture_dir, tmp_path, value):
+        record = json.dumps({"t": 9.0, "class": "car", "box_width_px": 90.0,
+                             "role_hint": value})
+        res = estimate_on(fixture_dir, tmp_path, extra_lines=[record])
+        assert res.exit_code == 2, res.output
+        assert (f"record 5: role_hint must be a string, got "
+                f"{json.dumps(value)}") in res.stderr
+
+    @pytest.mark.parametrize("value", [None, 5])
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_trace_role(self, fixture_dir, tmp_path, command, value):
+        records = [json.loads(l) for l in
+                   (fixture_dir / "safe_trace.jsonl").read_text().splitlines()]
+        trace = tmp_path / "bad_trace.jsonl"
+        trace.write_text("\n".join(_mutate(5, role=value)(records)) + "\n")
+        res = invoke(fixture_dir, command, trace=trace)
+        no_traceback(res)
+        assert res.exit_code == 2, res.output
+        assert (f"error: record 5: role must be a string, got "
+                f"{json.dumps(value)}") in res.stderr
 
 
 class TestRuleSize:

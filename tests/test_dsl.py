@@ -85,7 +85,7 @@ class TestParse:
         doc = parse(text)
         assert len(doc.consts) == 1
         compiled = typecheck(doc)
-        cond = compiled.assertions[0].condition
+        cond = compiled[0].condition
         assert cond.args[1].op == "+"   # const inlined
 
     def test_node_equality_is_type_strict_and_ignores_spans(self):
@@ -290,8 +290,8 @@ class TestTypecheck:
 class TestCompilationDeterminism:
     def test_format_then_compile_identical(self):
         doc = parse(DANGER_SPACE_RULES)
-        direct = typecheck(doc).assertions
-        again = compile_text(format_document(doc)).assertions
+        direct = typecheck(doc)
+        again = compile_text(format_document(doc))
         assert again == direct
 
 

@@ -55,7 +55,7 @@ def straight_trace(n=10, dt=0.1, v=10.0, with_ov=False, ov_x0=200.0):
 
 
 def compiled(text):
-    return compile_text(text).assertions[0]
+    return compile_text(text)[0]
 
 
 def results(verdicts):
@@ -373,12 +373,33 @@ class TestEvaluationErrors:
         assert v.detail["low_confidence_actors"] == ["ego"]
 
 
+def test_low_confidence_actor_stays_with_the_condition_that_reads_it():
+    # the low-confidence ov1 is read only by a's reference and by b's
+    # condition: the verdicts of a and c, whose conditions read the ego
+    # only, must not name it, though all three are evaluated at one step
+    tr = straight_trace(n=3, with_ov=True)
+    for step in tr.steps:
+        step["ov1"].low_confidence = True
+    rules = compile_text(
+        'assertion a { odd: road type: execution '
+        'reference: speed_of("ov") >= 0 condition: speed_of("av") >= 0 }'
+        'assertion b { odd: road type: invariant '
+        'condition: speed_of("ov") >= 0 }'
+        'assertion c { odd: road type: invariant '
+        'condition: speed_of("av") >= 0 }')
+    named = {}
+    for v in evaluate_document(rules, tr, CTX):
+        named.setdefault(v.assertion_id, []).append(
+            v.detail.get("low_confidence_actors"))
+    assert named == {"a": [None], "b": [["ov1"]] * 3, "c": [None] * 3}
+
+
 def test_every_builtin_has_an_evaluator_of_its_arity():
-    # the evaluator dispatches each declared builtin to the _StepView
-    # method of the same name, with the evaluated arguments after the view
-    from roadcheck.engine import _StepView
+    # the evaluator dispatches each declared builtin to the _BufferedStep
+    # method of the same name, with the evaluated arguments after the step
+    from roadcheck.engine import _BufferedStep
     for name, (params, _ret) in REGISTRY.items():
-        method = getattr(_StepView, name, None)
+        method = getattr(_BufferedStep, name, None)
         assert callable(method), name
         args = list(inspect.signature(method).parameters)[1:]
         assert len(args) == len(params), name

@@ -16,8 +16,7 @@ from roadcheck import dsl
 from roadcheck.checker import TypecheckError, compile_text
 from roadcheck.dsl import ParseError
 from roadcheck.engine import (FAIL, PASS, EvaluationContext, StreamingEngine,
-                              _BufferedStep, _compile, _StepView,
-                              evaluate_document)
+                              _BufferedStep, _compile, evaluate_document)
 from roadcheck.models import default_profiles
 from roadcheck.scenarios import PRESET_NAMES, generate, preset
 from roadcheck.trace import ActorState
@@ -32,7 +31,7 @@ def _accepted(text):
                            f"condition: {text} }}")
     except (ParseError, TypecheckError):
         return None
-    return doc.assertions[0].condition
+    return doc[0].condition
 
 
 def _fuzz_corpus(seed, count):
@@ -123,19 +122,20 @@ def _typed_corpus(seed, count):
     return out
 
 
-def _outcome(fn, view):
+def _outcome(fn, at):
+    at.touched = []
     try:
-        value = fn(view)
+        value = fn(at)
     except Exception as exc:    # the class and message are compared
         outcome = ("raise", type(exc), str(exc))
     else:
         outcome = ("value", type(value), repr(value))
-    return outcome, [s.actor_id for s in view.touched]
+    return outcome, [s.actor_id for s in at.touched]
 
 
-def _steps(trace):
+def _steps(trace, ctx):
     for k, (t, step) in enumerate(zip(trace.times, trace.steps)):
-        at = _BufferedStep(t, step, trace.steps[k - 1] if k else None)
+        at = _BufferedStep(ctx, t, step, trace.steps[k - 1] if k else None)
         at.nxt = trace.steps[k + 1] if k + 1 < len(trace) else None
         yield at
 
@@ -155,15 +155,14 @@ def test_compiled_matches_reference_walk(corpus, name, worst_case):
     memo: dict = {}     # one per engine: equal subtrees share a closure
     compiled_fns = [_compile(node, memo) for node in corpus]
     raised = 0
-    for at in _steps(trace):
+    for at in _steps(trace, ctx):
         for node, fn in zip(corpus, compiled_fns):
             # each side gets its own per-step memo, so that the reference
             # walk builds its shapes itself
             at.memo = {}
-            got = _outcome(fn, _StepView(ctx, at))
+            got = _outcome(fn, at)
             at.memo = {}
-            want = _outcome(lambda view: reference_eval(node, view),
-                            _StepView(ctx, at))
+            want = _outcome(lambda at: reference_eval(node, at), at)
             assert got == want, (at.t, node)
             raised += got[0][0] == "raise"
     assert raised       # the corpus reaches the error paths
@@ -249,7 +248,7 @@ def test_engine_build_hashes_no_subtree(monkeypatch):
         calls.append(node.op)
         return _hash(node)
     monkeypatch.setattr(dsl.Expr, "__hash__", counting)
-    StreamingEngine(doc.assertions, CTX)
+    StreamingEngine(doc, CTX)
     # each term is a call and its string; then the additions, 0 and ">"
     nodes = 2 * terms + (terms - 1) + 2
     assert len(calls) <= nodes

@@ -1,0 +1,44 @@
+"""``tools/outputs.py`` writes the command outputs that two checkouts are
+compared on; this runs it on one preset and one profile.  The tool is
+loaded by path, as the benchmark's modules are."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "tools_outputs", ROOT / "tools" / "outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_outputs_of_one_preset_and_profile(tmp_path):
+    out = tmp_path / "out"
+    tool = _load_tool()
+    tool.write_outputs(ROOT / "src", out, presets=("safe",),
+                       profiles=("nominal",), workloads=())
+    assert {p.name for p in (out / "gen").iterdir()} == {
+        f"{preset}_{kind}" for preset in tool.PRESETS
+        for kind in ("map.json", "trace.jsonl")} | {
+        "occlusion_abort_detections.jsonl",
+        "occlusion_abort_calibration.json", "estimate_trace.jsonl"}
+    assert (out / "console" / "estimate.exit").read_text() == "0\n"
+    case = out / "runs" / "safe" / "nominal"
+    assert {p.name for p in case.iterdir()} == {
+        f"{flags}.{name}" for flags in tool.FLAGS
+        for name in ("jsonl", "csv", "check.out", "check.err", "check.exit",
+                     "monitor.out", "monitor.err", "monitor.exit")} | {
+        "zones.out", "zones.err", "zones.exit"}
+    assert (case / "plain.check.exit").read_text() == "1\n"
+    assert (case / "plain.monitor.exit").read_text() == "0\n"
+    assert (case / "zones.exit").read_text() == "0\n"
+    # batch and streaming give one verdict multiset
+    verdicts = (case / "plain.jsonl").read_text().splitlines()
+    assert verdicts
+    assert sorted(verdicts) == sorted(
+        (case / "plain.monitor.out").read_text().splitlines())
+    assert not (out / "workloads").exists()

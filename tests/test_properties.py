@@ -102,7 +102,7 @@ def random_assertions(rng: random.Random):
         parts.append(f"condition: {cond}")
         parts.append("}")
         rules.append("\n".join(parts))
-    return compile_text("\n\n".join(rules)).assertions
+    return compile_text("\n\n".join(rules))
 
 
 def verdict_key(v):
@@ -192,7 +192,7 @@ def per_step(name, on_missing, expr, trace, ctx):
     """The verdict of ``expr`` at every step, evaluated as an invariant."""
     text = rule_text(name, {"type": "invariant", "on_missing": on_missing,
                             "condition": expr})
-    verdicts = evaluate_document(compile_text(text).assertions, trace, ctx)
+    verdicts = evaluate_document(compile_text(text), trace, ctx)
     assert [v.t for v in verdicts] == list(trace.times)
     return verdicts
 
@@ -294,7 +294,7 @@ def test_window_semantics_match_model(seed):
         expected.extend(model_verdicts(name, fields, cond, ref,
                                        list(trace.times), ctx.strict_windows))
     text = "\n\n".join(rule_text(name, fields) for name, fields in rules)
-    got = evaluate_document(compile_text(text).assertions, trace, ctx)
+    got = evaluate_document(compile_text(text), trace, ctx)
     assert sorted(map(verdict_key, got)) == sorted(expected)
 
 

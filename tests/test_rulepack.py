@@ -127,7 +127,7 @@ def pullout_trace(gap: float):
 
 class TestRule163PullOut:
     def run(self, gap):
-        rule = compile_text(RULE163_PULL_OUT).assertions[0]
+        rule = compile_text(RULE163_PULL_OUT)[0]
         ctx = EvaluationContext(road=ROAD, config=default_profiles(),
                                 profile_name="nominal")
         verdicts = evaluate_document([rule], pullout_trace(gap), ctx)
@@ -237,9 +237,9 @@ def test_rule_texts_are_the_shipped_blocks():
     from roadcheck.rulepack import (DANGER_SPACE_RULES, RULE162_SDA,
                                     RULE163_PULL_OUT)
     parts = [RULE162_SDA, RULE163_PULL_OUT, DANGER_SPACE_RULES]
-    sliced = compile_text("".join(parts)).assertions
+    sliced = compile_text("".join(parts))
     assert sliced == load_rulepack()
-    assert [len(compile_text(p).assertions) for p in parts] == [1, 1, 4]
+    assert [len(compile_text(p)) for p in parts] == [1, 1, 4]
 
 
 def test_aggregation_any_step_fails_stage(safe_scenario, config):
@@ -251,7 +251,7 @@ def test_aggregation_any_step_fails_stage(safe_scenario, config):
     t_mid = trace.times[k_mid]
     rule = compile_text(
         f'assertion once {{ odd: road type: invariant '
-        f'condition: not (time() == {t_mid!r}s) }}').assertions[0]
+        f'condition: not (time() == {t_mid!r}s) }}')[0]
     verdicts = evaluate_document([rule], trace, ctx)
     table = aggregate_by_stage(verdicts, st)
     assert table["once"]["passing"] == FAIL

@@ -245,15 +245,21 @@ class TestIngestMemory:
 
 
 def derive_all(states_per_step):
-    """``derive_row`` at every step of a trace: the rows and all notes."""
+    """``derive_row`` for every actor at every step of a trace: per step
+    {actor_id: DerivedState}, without single-step actors, and all notes."""
     steps = [{st.actor_id: st for st in step} for step in states_per_step]
     rows, notes = [], []
     for k, step in enumerate(steps):
         prev_step = steps[k - 1] if k > 0 else None
         nxt_step = steps[k + 1] if k + 1 < len(steps) else None
-        row, row_notes = derive_row(prev_step, step, nxt_step, ROAD)
+        row = {}
+        for aid in sorted(step):
+            derived, row_notes = derive_row(prev_step, step, nxt_step, ROAD,
+                                            aid)
+            if derived is not None:
+                row[aid] = derived
+            notes.extend(row_notes)
         rows.append(row)
-        notes.extend(row_notes)
     return rows, notes
 
 
@@ -316,7 +322,7 @@ class TestDeriveDynamics:
 
 
 GAP = compile_text('assertion gap { odd: road type: invariant '
-                   'condition: distance_ahead("av", "ov") > 0 }').assertions
+                   'condition: distance_ahead("av", "ov") > 0 }')
 
 
 def gap_verdict(*states):
