@@ -25,10 +25,9 @@ import click
 from . import rulepack
 from .checker import TypecheckError, compile_text
 from .dsl import ParseError
-from .engine import (FAIL, NOT_APPLICABLE, DebounceFilter, EvalError,
-                     EvaluationContext, StreamError, StreamingEngine,
-                     debounce, evaluate_document, manoeuvre_at, summary_csv,
-                     summary_rows, verdicts_to_jsonl)
+from .engine import (DebounceFilter, EvalError, EvaluationContext,
+                     StreamError, StreamingEngine, debounce, evaluate_document,
+                     manoeuvre_at, summary_csv, summary_rows, verdicts_to_jsonl)
 from .models import ModelError, load_profiles
 from .trace import (TraceError, iter_steps, load_trace, read_lines,
                     serialise_trace)
@@ -106,12 +105,11 @@ def _load_inputs(map_path, rules_paths, profiles_path, profile_name,
     return ctx, assertions
 
 
-def _exit_code(verdicts, assertions) -> int:
+def _exit_code(rows, assertions) -> int:
+    """1 if a safety assertion's summary row counts a failure, else 0."""
     severity = {a.id: a.decl.severity for a in assertions}
-    for v in verdicts:
-        if v.result == FAIL and severity.get(v.assertion_id, "safety") == "safety":
-            return 1
-    return 0
+    return int(any(row["fail_count"] and severity.get(
+        row["assertion_id"], "safety") == "safety" for row in rows))
 
 
 @click.group()
@@ -188,13 +186,9 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
     if print_verdicts:
         for v in verdicts:
             click.echo(v.to_json())
-    na_reasons: dict = {}   # a debounced N/A verdict may have no reason
-    for v in verdicts:
-        if v.result == NOT_APPLICABLE and "reason" in v.detail:
-            na_reasons.setdefault(v.assertion_id, set()).add(v.detail["reason"])
     for row in rows:
         if not row["pass_count"] and not row["fail_count"]:
-            reasons = ", ".join(sorted(na_reasons[row["assertion_id"]]))
+            reasons = ", ".join(sorted(row["na_reasons"]))
             click.echo(f"{row['assertion_id']}: N/A ({reasons})")
             continue
         status = "FAIL" if row["fail_count"] else "PASS"
@@ -203,7 +197,7 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
         click.echo(f"{row['assertion_id']}: {status} "
                    f"({row['pass_count']} pass, {row['fail_count']} fail)"
                    f"{first}")
-    sys.exit(_exit_code(verdicts, assertions))
+    sys.exit(_exit_code(rows, assertions))
 
 
 @main.command()
@@ -257,9 +251,7 @@ def gen(preset_name, out_dir):
     files = {f"{preset_name}_map.json": serialise_map(road),
              f"{preset_name}_trace.jsonl": serialise_trace(trace)}
     if spec.occlusion is not None:
-        cal = CameraCalibration(c=1200.0, assumed_vehicle_width=2.0,
-                                lane_width_real=spec.lane_width,
-                                lane_width_px=365.0, frame_centre_px=320.0)
+        cal = CameraCalibration(c=1200.0, lane_width_real=spec.lane_width)
         files[f"{preset_name}_detections.jsonl"] = (
             perception.trace_to_detections(trace, cal))
         files[f"{preset_name}_calibration.json"] = cal.to_json()

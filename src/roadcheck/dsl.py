@@ -446,16 +446,6 @@ def parse(text: str) -> Document:
     return doc
 
 
-def parse_expression(text: str) -> Expr:
-    """Parse a single expression (used for programmatic rule construction)."""
-    parser = _Parser(_lex(text))
-    expr = parser.parse_expr()
-    if parser.peek().kind != "EOF":
-        parser.error("trailing input after expression")
-    _check_depth([expr])
-    return expr
-
-
 # --- Pretty-printer -------------------------------------------------------
 
 def _level(node: Expr) -> int:

@@ -770,18 +770,23 @@ def verdicts_to_jsonl(verdicts, fh) -> None:
 
 
 def summary_rows(verdicts) -> list[dict]:
-    """Per-assertion pass/fail counts and the first failing timestamp."""
+    """Per-assertion pass/fail counts, the first failing timestamp and the
+    set of N/A reasons (a debounced N/A verdict may have none)."""
     agg: dict = {}
     for v in verdicts:
-        row = agg.setdefault(v.assertion_id, {"assertion_id": v.assertion_id,
-                                              "pass_count": 0, "fail_count": 0,
-                                              "first_fail_t": None})
+        row = agg.get(v.assertion_id)
+        if row is None:     # built once per assertion, not per verdict
+            row = agg[v.assertion_id] = {
+                "assertion_id": v.assertion_id, "pass_count": 0,
+                "fail_count": 0, "first_fail_t": None, "na_reasons": set()}
         if v.result == PASS:
             row["pass_count"] += 1
         elif v.result == FAIL:
             row["fail_count"] += 1
             if row["first_fail_t"] is None or v.t < row["first_fail_t"]:
                 row["first_fail_t"] = v.t
+        elif "reason" in v.detail:
+            row["na_reasons"].add(v.detail["reason"])
     return [agg[k] for k in sorted(agg)]
 
 

@@ -65,6 +65,8 @@ class CameraCalibration(Record):
 
     __slots__ = _fields = ("c", "assumed_vehicle_width", "lane_width_real",
                            "lane_width_px", "frame_centre_px")
+    _defaults = {"assumed_vehicle_width": 2.0, "lane_width_real": 3.65,
+                 "lane_width_px": 365.0, "frame_centre_px": 320.0}
 
     def __post_init__(self):
         for name in self._fields:
@@ -88,22 +90,16 @@ class CameraCalibration(Record):
         if "c" not in doc:
             raise PerceptionError("calibration must supply the focal "
                                   "constant 'c' (no default exists)")
-        defaults = {"c": None, "assumed_vehicle_width": 2.0,
-                    "lane_width_real": 3.65, "lane_width_px": 365.0,
-                    "frame_centre_px": 320.0}
         try:
-            values = {k: json_number(doc.get(k, d), k)
-                      for k, d in defaults.items()}
+            values = {k: json_number(doc.get(k, cls._defaults.get(k)), k)
+                      for k in cls._fields}
         except (ValueError, OverflowError) as exc:
             raise PerceptionError(f"calibration: {exc}") from None
         return cls(**values)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "c": self.c, "assumed_vehicle_width": self.assumed_vehicle_width,
-            "lane_width_real": self.lane_width_real,
-            "lane_width_px": self.lane_width_px,
-            "frame_centre_px": self.frame_centre_px}, sort_keys=True, indent=2)
+        return json.dumps({k: getattr(self, k) for k in self._fields},
+                          sort_keys=True, indent=2)
 
 
 # reconstruction assumptions for the 2-D scenario
@@ -134,13 +130,16 @@ def load_detections(source):
             raise PerceptionError("record is not a JSON object", index)
         try:
             t = json_number(obj["t"], "t", finite=True)
-            frame = int(json_number(obj.get("frame", 0), "frame", finite=True))
+            frame = json_number(obj.get("frame", 0), "frame", finite=True)
+            if not frame.is_integer():
+                raise ValueError(f"frame must be a whole number, got {frame}")
+            frame = int(frame)
             if "line_px" in obj:
                 record = LineRecord(frame, t, json_number(
                     obj["line_px"], "line_px", finite=True))
             else:
                 record = DetectionRecord(
-                    frame, t, str(obj["class"]),
+                    frame, t, json_string(obj["class"], "class"),
                     json_number(obj["box_width_px"], "box_width_px",
                                 finite=True),
                     json_number(obj.get("box_centre_px", 0.0),

@@ -140,44 +140,32 @@ class _AvPlan:
         if not (self.t2 < t_ab < self.t3):
             raise InvalidSpecError(
                 "occlusion abort must begin during the passing phase")
-        v, a = self.v, AV_DECEL
         v_floor = AV_FLOOR_MPH * MPH_TO_MPS
-        T_b = (v - v_floor) / a
-        x_ab = self.x2 + v * (t_ab - self.t2)
-
-        def x_brake(dt):
-            return x_ab + v * dt - 0.5 * a * dt * dt
-
-        x_tb = x_brake(T_b)
-
-        def front_gap_ok(t):
-            if t < t_ab + T_b:
-                x = x_brake(t - t_ab)
-            else:
-                x = x_tb + v_floor * (t - t_ab - T_b)
-            vbp_rear = (self.spec.vbp_position + self.v_vbp * t
-                        - self.spec.vbp_length / 2.0)
-            return x + AV_LENGTH / 2.0 <= vbp_rear - FALLBACK_GAP
-
-        # earliest time the ego has dropped far enough behind the VBP;
-        # scanned at fine resolution, then the analytic pose carries on
-        t = t_ab
-        step = self.spec.dt / 10.0
-        while not front_gap_ok(t):
+        T_b = (self.v - v_floor) / AV_DECEL
+        x_ab = self.x2 + self.v * (t_ab - self.t2)
+        self._abort = ab = dict(t_ab=t_ab, T_b=T_b, x_ab=x_ab, v_floor=v_floor)
+        # earliest time the ego's front is FALLBACK_GAP behind the VBP's
+        # rear; scanned at fine resolution, then the analytic pose carries on
+        spec = self.spec
+        t, step = t_ab, spec.dt / 10.0
+        while (self._braking(t - t_ab)[0] + AV_LENGTH / 2.0 > spec.vbp_position
+               + self.v_vbp * t - spec.vbp_length / 2.0 - FALLBACK_GAP):
             t += step
             if t > t_ab + 120.0:
                 raise InvalidSpecError("abort fall-back never completes")
-        t_sb = t
-        if t_sb < t_ab + T_b:
-            x_sb = x_brake(t_sb - t_ab)
-            v_sb = v - a * (t_sb - t_ab)
-        else:
-            x_sb = x_tb + v_floor * (t_sb - t_ab - T_b)
-            v_sb = v_floor
+        x_sb, v_sb = self._braking(t - t_ab)
         T_back = self.L / (v_sb * math.sin(self.theta))
-        self._abort = dict(t_ab=t_ab, T_b=T_b, x_ab=x_ab, x_tb=x_tb,
-                           v_floor=v_floor, a=a, t_sb=t_sb, x_sb=x_sb,
-                           v_sb=v_sb, t_done=t_sb + T_back)
+        ab.update(t_sb=t, x_sb=x_sb, v_sb=v_sb, t_done=t + T_back)
+
+    def _braking(self, s: float) -> tuple[float, float]:
+        """The ego's (x, speed) ``s`` seconds into the abort: it brakes at
+        AV_DECEL down to its floor speed, then holds that speed."""
+        ab = self._abort
+        braked = min(s, ab["T_b"])
+        x = ab["x_ab"] + self.v * braked - 0.5 * AV_DECEL * braked * braked
+        if s < ab["T_b"]:
+            return x, self.v - AV_DECEL * s
+        return x + ab["v_floor"] * (s - ab["T_b"]), ab["v_floor"]
 
     @property
     def abort_done_t(self) -> float:
@@ -207,24 +195,16 @@ class _AvPlan:
         ab = self._abort
         y_out = self.y_run + self.L
         if t < ab["t_sb"]:
-            dt = t - ab["t_ab"]
-            if dt < ab["T_b"]:
-                x = ab["x_ab"] + self.v * dt - 0.5 * ab["a"] * dt * dt
-                v = self.v - ab["a"] * dt
-            else:
-                x = ab["x_tb"] + ab["v_floor"] * (dt - ab["T_b"])
-                v = ab["v_floor"]
+            x, v = self._braking(t - ab["t_ab"])
             return (x, y_out, 0.0, v)
+        v = ab["v_sb"]
         if t < ab["t_done"]:
             s = t - ab["t_sb"]
-            v = ab["v_sb"]
             return (ab["x_sb"] + v * math.cos(self.theta) * s,
                     y_out - v * math.sin(self.theta) * s, -self.theta, v)
-        s = t - ab["t_done"]
-        v = ab["v_sb"]
         x_done = (ab["x_sb"]
                   + v * math.cos(self.theta) * (ab["t_done"] - ab["t_sb"]))
-        return (x_done + v * s, self.y_run, 0.0, v)
+        return (x_done + v * (t - ab["t_done"]), self.y_run, 0.0, v)
 
 
 class _OvPlan:
@@ -253,7 +233,7 @@ class _OvPlan:
                 self.v - self.decel * dt)
 
 
-def _av_state_at(plan: _AvPlan, spec: ScenarioSpec, t: float) -> ActorState:
+def _av_state_at(plan: _AvPlan, t: float) -> ActorState:
     x, y, h, v = plan.state(t)
     return ActorState(actor_id="ego", role="AV", t=t,
                       pose=Pose2D(x, y, h),
@@ -272,7 +252,7 @@ def generate(spec: ScenarioSpec) -> tuple[RoadMap, Trace]:
     cross_k = None
     horizon = (plan.abort_done_t or plan.t4) + 2.0
     while k * dt <= horizon:
-        st = _av_state_at(plan, spec, k * dt)
+        st = _av_state_at(plan, k * dt)
         if crosses_centreline(road, st.box()):
             cross_k = k
             break
@@ -282,7 +262,7 @@ def generate(spec: ScenarioSpec) -> tuple[RoadMap, Trace]:
     t_cross = cross_k * dt
 
     if spec.occlusion is None:
-        av_box = _av_state_at(plan, spec, t_cross).box()
+        av_box = _av_state_at(plan, t_cross).box()
         av_hi = projection_interval(av_box, 0.0)[1]
         anchor_t = t_cross
         anchor_x = av_hi + spec.ov_start_offset + OV_LENGTH / 2.0
@@ -293,7 +273,7 @@ def generate(spec: ScenarioSpec) -> tuple[RoadMap, Trace]:
     else:
         occ = spec.occlusion
         t_vis = occ.visible_from_t
-        av_box = _av_state_at(plan, spec, t_vis).box()
+        av_box = _av_state_at(plan, t_vis).box()
         av_hi = projection_interval(av_box, 0.0)[1]
         ov = _OvPlan(spec, t_vis, av_hi + occ.visibility_gap + OV_LENGTH / 2.0)
         t_end = plan.abort_done_t + spec.trail_s
@@ -304,7 +284,7 @@ def generate(spec: ScenarioSpec) -> tuple[RoadMap, Trace]:
 
     steps = []
     for k, t in enumerate(times):
-        step = {"ego": _av_state_at(plan, spec, t)}
+        step = {"ego": _av_state_at(plan, t)}
         vbp_x = spec.vbp_position + spec.v_vbp_mph * MPH_TO_MPS * t
         step["parked"] = ActorState(
             actor_id="parked", role="VBP", t=t,

@@ -289,10 +289,10 @@ def load_map(source) -> RoadMap:
         missing = _LANELET_KEYS - set(entry)
         if missing:
             raise MapError(f"missing keys {sorted(missing)}", location=where)
-        lid = entry["id"]
-        if not isinstance(lid, str):
-            raise MapError(f"id must be a string, got {json.dumps(lid)}",
-                           location=where)
+        try:
+            lid = json_string(entry["id"], "id")
+        except ValueError as exc:
+            raise MapError(str(exc), location=where) from None
         where = f"lanelet {lid!r}"
         try:
             shape = ConvexPolygon.from_points(
@@ -300,16 +300,17 @@ def load_map(source) -> RoadMap:
                  for x, y in entry["vertices"]])
         except (GeometryError, TypeError, ValueError, OverflowError) as exc:
             raise MapError(f"invalid shape: {exc}", location=where) from exc
-        if not all(map(math.isfinite, (c for v in shape.vertices for c in v))):
-            raise MapError("vertex coordinates must be finite", location=where)
         try:
             width = json_number(entry["width_m"], "width_m")
             orientation = json_number(entry["orientation_rad"],
                                       "orientation_rad")
         except (ValueError, OverflowError) as exc:
             raise MapError(f"invalid number: {exc}", location=where) from exc
-        lanelets.append(Lanelet(lid, shape, orientation, width,
-                                str(entry["direction"])))
+        try:
+            direction = json_string(entry["direction"], "direction")
+        except ValueError as exc:
+            raise MapError(str(exc), location=where) from None
+        lanelets.append(Lanelet(lid, shape, orientation, width, direction))
 
     centreline = doc["centreline"]
     if (not isinstance(centreline, list) or len(centreline) < 2

@@ -2,10 +2,15 @@ import pytest
 
 from roadcheck import dsl
 from roadcheck.checker import TypecheckError, compile_text, typecheck
-from roadcheck.dsl import (ParseError, format_document, format_expr, parse,
-                           parse_expression)
+from roadcheck.dsl import ParseError, format_document, format_expr, parse
 from roadcheck.rulepack import (DANGER_SPACE_RULES, RULE162_SDA,
                                 RULE163_PULL_OUT)
+
+
+def parse_expression(text):
+    """The expression of ``const e = TEXT``; its columns start at 11."""
+    return parse(f"const e = {text}").consts[0].expr
+
 
 SIMPLE = ('assertion a { odd: urban type: invariant '
           'condition: speed_of("av") >= 0 }')
@@ -162,7 +167,7 @@ class TestLexer:
     def test_chained_comparison_position(self):
         with pytest.raises(ParseError) as err:
             parse_expression("a <= b != c")
-        assert str(err.value) == "1:8: comparisons do not chain; parenthesise"
+        assert str(err.value) == "1:18: comparisons do not chain; parenthesise"
         assert err.value.expected == ()
 
 

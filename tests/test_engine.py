@@ -751,7 +751,8 @@ class TestSummary:
                     Verdict("a", 2.0, FAIL), Verdict("b", 0.0, PASS)]
         rows = summary_rows(verdicts)
         assert rows[0] == {"assertion_id": "a", "pass_count": 1,
-                           "fail_count": 2, "first_fail_t": 1.0}
+                           "fail_count": 2, "first_fail_t": 1.0,
+                           "na_reasons": set()}
         assert rows[1]["fail_count"] == 0
 
 

@@ -6,12 +6,16 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from roadcheck.dsl import format_expr, parse_expression
+from roadcheck.dsl import format_expr, parse
 from roadcheck.engine import FAIL, NOT_APPLICABLE, PASS, Verdict, debounce
 from roadcheck.geometry import (BoxDims, ConvexPolygon, Pose2D, min_distance,
                                 normalize_angle, overlap_area, overlaps)
 from roadcheck.models import MPH_TO_MPS
 from roadcheck.trace import ROLES, ActorState, iter_steps
+
+
+def parse_expression(text):
+    return parse(f"const e = {text}").consts[0].expr
 
 
 def hull(points):

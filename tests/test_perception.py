@@ -135,9 +135,14 @@ class TestMalformedDetections:
          "record 1: box width"),
         ("[" * 100_000, "nested too deeply"),
         ("1" + "0" * 5000, "invalid JSON: Exceeds the limit"),
+        ('{"t": 9.0, "frame": 180.7, "line_px": 502.5}',
+         "record 1: frame must be a whole number, got 180.7"),
+        ('{"t": 1.0, "class": null, "box_width_px": 100.0}',
+         "record 1: class must be a string, got null"),
     ], ids=["list", "string", "no-t", "null-t", "text-t", "text-frame",
             "list-frame", "infinite-frame", "text-line", "text-width",
-            "negative-width", "deep", "int-past-digit-limit"])
+            "negative-width", "deep", "int-past-digit-limit",
+            "fractional-frame", "null-class"])
     def test_perception_error_with_index(self, line, message):
         with pytest.raises(PerceptionError, match="record 1: ") as err:
             load_detections(GOOD_LINE + "\n" + line + "\n")

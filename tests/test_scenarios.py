@@ -6,7 +6,8 @@ from roadcheck.engine import EvaluationContext, evaluate_document
 from roadcheck.geometry import min_distance
 from roadcheck.models import MPH_TO_MPS, default_profiles
 from roadcheck.rulepack import rule162_sda_assertion
-from roadcheck.scenarios import (InvalidSpecError, ScenarioSpec, build_map,
+from roadcheck.scenarios import (ABORT_REACT_S, FALLBACK_GAP,
+                                 InvalidSpecError, ScenarioSpec, build_map,
                                  generate, preset)
 from roadcheck.trace import load_trace, serialise_trace
 
@@ -116,6 +117,26 @@ class TestGenerate:
         av, vbp = last["ego"], last["parked"]
         assert av.pose.y == pytest.approx(-1.825, abs=1e-6)
         assert av.pose.x + 2.25 < vbp.pose.x - 4.0   # fully behind
+
+    def test_occlusion_abort_motion_is_continuous(self, occlusion_scenario):
+        # from the last step before the abort to the fall-back's first
+        # step: the ego slows without a jump where braking starts, where it
+        # reaches its floor speed and where it steers back in
+        _, trace = occlusion_scenario
+        spec = preset("occlusion_abort")
+        t_ab = spec.occlusion.visible_from_t + ABORT_REACT_S
+        first = max(k for k, t in enumerate(trace.times) if t < t_ab)
+        fall_back = next(k for k in range(first + 1, len(trace.times))
+                         if trace.steps[k]["ego"].pose.heading < 0.0)
+        ego, vbp = (trace.steps[fall_back][aid] for aid in ("ego", "parked"))
+        assert (ego.pose.x + ego.dims.length / 2.0
+                <= vbp.pose.x - vbp.dims.length / 2.0 - FALLBACK_GAP)
+        egos = [step["ego"] for step in trace.steps[first:fall_back + 1]]
+        for a, b in zip(egos, egos[1:]):
+            moved = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
+            assert (min(a.speed, b.speed) * trace.dt - 1e-6 <= moved
+                    <= max(a.speed, b.speed) * trace.dt + 1e-6), a.t
+            assert b.speed <= a.speed, a.t
 
 
 class TestSpecValidation:

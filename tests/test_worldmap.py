@@ -68,10 +68,12 @@ class TestLoadMap:
         doc = json.loads(json.dumps(TWO_LANE_DOC))
         if where == "vertex":
             doc["lanelets"][0]["vertices"][1][0] = 1e308
+            message = "polygon vertices must be finite"
         else:
             doc["centreline"][1][1] = 1e308
+            message = "centreline coordinates must be finite"
         text = json.dumps(doc).replace("1e+308", value)
-        with pytest.raises(MapError):
+        with pytest.raises(MapError, match=message):
             load_map(text)
 
     @pytest.mark.parametrize("path, value, message", [
@@ -85,9 +87,12 @@ class TestLoadMap:
         (("lanelets", 0, "width_m"), "1" + "0" * 400, "east"),
         (("lanelets", 0, "vertices", 1), "[1%s, 0]" % ("0" * 400), "east"),
         (("lanelets",), "1" + "0" * 5000, "invalid JSON"),
+        (("lanelets", 0, "direction"), "5",
+         r"^direction must be a string, got 5 \(at lanelet 'east'\)$"),
     ], ids=["lanelets-number", "text-point", "huge-int-point",
             "infinite-orientation", "nan-width", "infinite-width",
-            "huge-int-width", "huge-int-vertex", "int-past-digit-limit"])
+            "huge-int-width", "huge-int-vertex", "int-past-digit-limit",
+            "number-direction"])
     def test_malformed_values_rejected(self, path, value, message):
         doc = json.loads(json.dumps(TWO_LANE_DOC))
         *parents, last = path

@@ -11,6 +11,9 @@ so DIR may be the ``src`` directory of any checkout, and writes into OUT:
 * ``runs/``: for each preset x profile x flag set, ``check``'s JSONL, CSV,
   console and exit code, and ``monitor``'s stdout and exit code, each
   command's stderr too, and ``zones`` for each preset x profile;
+* ``rejections/``: malformed inputs made from the ``safe`` and
+  ``occlusion_abort`` files in ``inputs/``, one or two per reader, and the
+  stdout, stderr and exit code of every command that reads each one;
 * ``workloads/``: the same ``check`` and ``monitor`` outputs on the four
   benchmark workloads at seed 7 (nominal profile), when ``bench/gen.py``
   exists next to this directory.
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
@@ -75,6 +80,100 @@ class Runner:
                      stdin=cwd / trace_path)
 
 
+def _record(index: int, field: str, value):
+    """An edit of JSON-lines text: record ``index``'s ``field`` set."""
+    def edit(text: str) -> str:
+        lines = text.splitlines(keepends=True)
+        record = json.loads(lines[index])
+        record[field] = value
+        lines[index] = json.dumps(record) + "\n"
+        return "".join(lines)
+    return edit
+
+
+def _swap(i: int, j: int):
+    """An edit of JSON-lines text: lines ``i`` and ``j`` swapped."""
+    def edit(text: str) -> str:
+        lines = text.splitlines(keepends=True)
+        lines[i], lines[j] = lines[j], lines[i]
+        return "".join(lines)
+    return edit
+
+
+def _lanelet(field: str, value):
+    """An edit of a map: the first lanelet's ``field`` set."""
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        doc["lanelets"][0][field] = value
+        return json.dumps(doc)
+    return edit
+
+
+# (case, file name, the gen/ file it is made from, the edit); a case
+# names the kind of input it is first
+REJECTIONS = (
+    ("trace-text-x", "trace.jsonl", "safe_trace.jsonl",
+     _record(4, "x", "12.5")),
+    ("trace-out-of-order", "trace.jsonl", "safe_trace.jsonl", _swap(3, 9)),
+    ("map-number-direction", "map.json", "safe_map.json",
+     _lanelet("direction", 5)),
+    ("map-nan-vertex", "map.json", "safe_map.json",
+     _lanelet("vertices", [[0.0, 0.0], [math.nan, 0.0], [150.0, 3.65],
+                           [0.0, 3.65]])),
+    ("profiles-not-json", "profiles.json", None, lambda _: "{profiles\n"),
+    ("rules-unparsable", "rules.rdl", None, lambda _: "assertion {\n"),
+    ("detections-fractional-frame", "detections.jsonl",
+     "occlusion_abort_detections.jsonl", _record(318, "frame", 180.7)),
+    ("detections-null-class", "detections.jsonl",
+     "occlusion_abort_detections.jsonl", _record(319, "class", None)),
+    ("calibration-no-c", "calibration.json",
+     "occlusion_abort_calibration.json",
+     lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                              if k != "c"})),
+)
+# the commands that read each kind of input, with the good inputs they need
+TRACE_READERS = ("check", "monitor", "zones")
+READERS = {"trace": TRACE_READERS, "map": TRACE_READERS,
+           "profiles": TRACE_READERS, "rules": ("check", "monitor"),
+           "detections": ("estimate",), "calibration": ("estimate",)}
+
+
+def _reader_args(command: str, kind: str, path: str):
+    """``command``'s arguments with ``path`` as its ``kind`` input and the
+    good ``gen/`` files as the others, and the file for its stdin."""
+    if command == "estimate":
+        inputs = {"detections": "gen/occlusion_abort_detections.jsonl",
+                  "calibration": "gen/occlusion_abort_calibration.json",
+                  kind: path}
+        return (["estimate", "--detections", inputs["detections"],
+                 "--calibration", inputs["calibration"], "--out", os.devnull],
+                None)
+    inputs = {"map": "gen/safe_map.json", "trace": "gen/safe_trace.jsonl",
+              kind: path}
+    args = [command, "--map", inputs["map"]]
+    if kind in ("profiles", "rules"):
+        args += [f"--{kind}", path]
+    if command == "monitor":
+        return args, inputs["trace"]
+    return args + ["--trace", inputs["trace"]], None
+
+
+def write_rejections(runner: "Runner", out: Path) -> None:
+    """Each of ``REJECTIONS`` through each command that reads it."""
+    inputs = out / "rejections" / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    for case, name, source, edit in REJECTIONS:
+        text = (out / "gen" / source).read_text("utf-8") if source else ""
+        path = inputs / f"{case}.{name}"
+        path.write_text(edit(text), "utf-8")
+        kind = case.split("-", 1)[0]
+        for command in READERS[kind]:
+            args, stdin = _reader_args(command, kind,
+                                       str(path.relative_to(out)))
+            runner.run(out, args, out / "rejections" / f"{case}.{command}",
+                       stdin=stdin and out / stdin)
+
+
 def _bench_gen():
     """``bench/gen.py`` loaded by path, or None where there is none."""
     path = ROOT / "bench" / "gen.py"
@@ -112,6 +211,7 @@ def write_outputs(src: Path, out: Path, presets=PRESETS, profiles=PROFILES,
             runner.run(gen_dir, ["zones", "--map", inputs[0],
                                  "--trace", inputs[1], "--profile", profile],
                        case / "zones")
+    write_rejections(runner, out)
     gen = _bench_gen()
     if gen is None:
         return
