@@ -26,12 +26,11 @@ profiles (101.39 m, 63.73 m, 40.02 m at 25 mph all round, stationary VBP).
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
 from .record import Record
-from .worldmap import json_number
+from .worldmap import json_loads, json_number, read_text
 
 MPH_TO_MPS = 0.44704
 
@@ -215,9 +214,9 @@ def load_profiles(source=None) -> ModelConfig:
     if source is None:
         source = Path(__file__).parent / "data" / "profiles.json"
     try:
-        text = (source.read() if hasattr(source, "read")
+        text = (read_text(source, "profiles") if hasattr(source, "read")
                 else Path(source).read_text("utf-8"))
-        return _profiles_from_doc(json.loads(text))
+        return _profiles_from_doc(json_loads(text))
     except ModelError:
         raise
     except RecursionError:

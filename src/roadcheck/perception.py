@@ -29,7 +29,7 @@ from .record import Record
 from .trace import (ActorState, Trace, TraceError, json_records, read_lines,
                     role_index)
 from .geometry import BoxDims, GeometryError, Pose2D
-from .worldmap import json_number, json_string, read_text
+from .worldmap import json_loads, json_number, json_string, read_text
 
 LOW_CONFIDENCE_PX = 5.0
 
@@ -80,7 +80,7 @@ class CameraCalibration(Record):
         """The calibration in a JSON document: bytes, text or a file of
         either."""
         try:
-            doc = json.loads(read_text(source, "calibration"))
+            doc = json_loads(read_text(source, "calibration"))
         except (ValueError, RecursionError) as exc:
             # not UTF-8, not JSON, or nested too deeply
             raise PerceptionError(f"calibration is not a JSON document: "

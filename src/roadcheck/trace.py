@@ -7,15 +7,18 @@ Traces are ingested from JSON-lines, one record per actor per timestep:
 
 ``speed_mph`` is accepted and converted (1 mph = 0.44704 m/s).
 ``read_lines`` frames a document into lines, reading a file or stdin one
-line at a time, and ``json_records`` decodes them, one value per line; they
-are the one JSON-lines reader, for trace files, camera detections and the
-monitor's stdin alike.  ``iter_steps`` validates the records and groups
-them into timesteps, for ``load_trace`` and for the streaming monitor
-alike.  A record of floats is checked in one pass, any other field by
-field, with the same messages.  An actor's states share one id, role and
-dims object, and a step's states one time; a state read so builds its
-``Pose2D`` when ``pose`` is first read, so actors that no rule reads build
-none.
+line at a time, for trace files, camera detections and the monitor's
+stdin alike; ``json_records`` decodes detections with the stdlib, one
+value per line, nested at most ``worldmap.MAX_NESTING`` deep.
+``iter_steps`` validates the records and groups them into timesteps, for
+``load_trace`` and for the streaming monitor alike.  It decodes each line
+with ``orjson``; a record whose value passes the gate in
+``_parse_record`` is read from it in one pass, and any other line is
+decoded again as ``json_records`` decodes it and checked field by field,
+so what is accepted and every message are the stdlib's either way.  An
+actor's states share one id, role and dims object, and a step's states
+one time; a state read so builds its ``Pose2D`` when ``pose`` is first
+read, so actors that no rule reads build none.
 
 ``derive_row`` derives the dynamics of the one actor it is asked for at
 one step from its neighbouring steps: speed from positions by central
@@ -32,10 +35,13 @@ import json
 import math
 import operator
 
+import orjson
+
 from .geometry import BoxDims, Pose2D, normalize_angle, oriented_box
 from .models import MPH_TO_MPS
 from .record import Record
-from .worldmap import OffRoadError, RoadMap, json_number, json_string
+from .worldmap import (MAX_NESTING, OffRoadError, RoadMap, json_loads,
+                       json_number, json_string, json_text)
 from .worldmap import lane_orientation_at
 # bench/tracing.py hooks the centre-line query under this name
 from .worldmap import nearest_centreline_point as _nearest_centreline_point
@@ -131,30 +137,59 @@ def role_index(step: dict) -> dict:
 _REQUIRED = ("t", "actor_id", "role", "x", "y", "heading_rad", "length_m",
              "width_m")
 _required = operator.itemgetter(*_REQUIRED)
+_LO, _HI = -2.0 ** 63, 2.0 ** 63
 
 
-def _parse_record(obj: dict, index: int, seen: dict | None = None) -> ActorState:
-    """One record as an ActorState, its pose not yet built.  ``seen`` maps
-    actor ids to their first states; the record reuses that id object, and
-    those dims when equal.  A record of floats and strings is read at once,
-    any other field by field; either way its first fault in field order is
-    reported."""
+def _parse_record(obj, line: str, index: int,
+                  seen: dict | None = None) -> ActorState:
+    """Record ``line`` as an ActorState, its pose not yet built.  ``obj``
+    is the line as orjson decoded it, or None where orjson refused it.
+    ``seen`` maps actor ids to their first states; the record reuses that
+    id object, and those dims when equal.
+
+    The record is read from ``obj`` in one pass when ``obj`` holds the
+    eight required fields and at most ``speed_mps`` and
+    ``low_confidence`` besides, its numbers floats strictly inside
+    +-2**63, its ids strings and ``low_confidence`` a boolean.  Such a
+    value is the stdlib decoder's, and the field-by-field path would read
+    it unchanged:
+
+    - the decoders part only where orjson refuses a line (NaN and
+      infinities, lone surrogates, a number that overflows a double),
+      and where it reads an integer literal past 64 bits as a float, by
+      its own rounding, which the stdlib reads as an int: that float's
+      magnitude is at least 2**63, and the range refuses it, as it
+      refuses NaN and infinities from any decoder;
+    - a float literal gives the same float in both, a string the same
+      str, and an integer literal within 64 bits the same int, which the
+      type test refuses;
+    - no other key is left to hold a value that the two decode apart, or
+      one that the field-by-field path reads (``speed_mph``).
+
+    Any other line is decoded again by the stdlib and read field by
+    field, so what is accepted, and the first fault in field order that
+    is reported, are the stdlib decoder's."""
     try:
         t, actor_id, role, x, y, heading, length, width = _required(obj)
         speed = obj.get("speed_mps")
-        low_confidence = obj.get("low_confidence", False)
+        low_confidence = obj.get("low_confidence")
         fast = (type(t) is type(x) is type(y) is type(heading)
                 is type(length) is type(width) is float
                 and type(actor_id) is type(role) is str
-                and (type(speed) is float and math.isfinite(speed)
-                     or "speed_mps" not in obj)
-                and "speed_mph" not in obj
-                and (low_confidence is False or low_confidence is True)
-                and math.isfinite(x) and math.isfinite(y)
-                and math.isfinite(heading))
-    except (KeyError, TypeError, AttributeError):
+                and (speed is None
+                     or type(speed) is float and _LO < speed < _HI)
+                and (low_confidence is None or low_confidence is True
+                     or low_confidence is False)
+                # refuses any other key, and a null that .get reads as absent
+                and len(obj) == (8 + (speed is not None)
+                                 + (low_confidence is not None))
+                and _LO < t < _HI and _LO < x < _HI and _LO < y < _HI
+                and _LO < heading < _HI and _LO < length < _HI
+                and _LO < width < _HI)
+    except (KeyError, TypeError):
         fast = False
     if not fast:
+        obj = _json_line(line, index, TraceError)
         if not isinstance(obj, dict):
             raise TraceError("record is not a JSON object", index)
         for key in _REQUIRED:
@@ -167,7 +202,7 @@ def _parse_record(obj: dict, index: int, seen: dict | None = None) -> ActorState
             low_confidence = obj.get("low_confidence", False)
             if not isinstance(low_confidence, bool):
                 raise ValueError(f"low_confidence must be true or false, got "
-                                 f"{json.dumps(low_confidence)}")
+                                 f"{json_text(low_confidence)}")
             speed = None
             if "speed_mps" in obj:
                 speed = json_number(obj["speed_mps"], "speed_mps", finite=True)
@@ -189,7 +224,8 @@ def _parse_record(obj: dict, index: int, seen: dict | None = None) -> ActorState
     try:
         if first is None or dims.length != length or dims.width != width:
             dims = BoxDims(length, width)
-        state = ActorState(actor_id, role, t, None, dims, speed, low_confidence)
+        state = ActorState(actor_id, role, t, None, dims, speed,
+                           low_confidence is True)
     except ValueError as exc:
         raise TraceError(str(exc), index) from exc
     state._x, state._y, state._heading = x, y, heading
@@ -220,25 +256,42 @@ def read_lines(source):
 _scan = json.JSONDecoder().scan_once
 
 
+def _json_line(line: str, index: int, error):
+    """``line`` decoded by the stdlib as one JSON value, nested at most
+    MAX_NESTING deep; otherwise ``error(message, index)``, worded as
+    ``json.loads`` words it."""
+    # a line nests no deeper than it has brackets; the decoder is never let
+    # near the recursion limit, where a finalizer that the collector runs
+    # would have no stack left
+    if line.count("[") + line.count("{") <= MAX_NESTING:
+        try:
+            obj, end = _scan(line, 0)
+            if end == len(line):
+                return obj
+        except (StopIteration, ValueError, RecursionError):
+            pass
+    try:    # json_loads decodes the line again, or words its error
+        return json_loads(line)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON: {exc.msg}", index) from exc
+    except ValueError as exc:   # an integer past int_max_str_digits
+        raise error(f"invalid JSON: {exc}", index) from None
+    except RecursionError:
+        raise error("invalid JSON: nested too deeply", index) from None
+
+
+def _lines(lines):
+    """``(index, line)`` of the stripped, non-blank lines of ``lines``;
+    blank ones are not counted as records."""
+    return enumerate(filter(None, map(str.strip, lines)))
+
+
 def json_records(lines, error):
     """``(index, value)`` of each JSON-lines record in ``lines``, blank
     lines skipped and not counted.  A line that is not one JSON value
     raises ``error(message, index)``."""
-    for index, line in enumerate(filter(None, map(str.strip, lines))):
-        try:
-            obj, end = _scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = None
-        if end != len(line):    # json.loads words the error of this line
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"invalid JSON: {exc.msg}", index) from exc
-            except ValueError as exc:   # an integer past int_max_str_digits
-                raise error(f"invalid JSON: {exc}", index) from None
-            except RecursionError:
-                raise error("invalid JSON: nested too deeply", index) from None
-        yield index, obj
+    for index, line in _lines(lines):
+        yield index, _json_line(line, index, error)
 
 
 def iter_steps(lines):
@@ -253,8 +306,12 @@ def iter_steps(lines):
     """
     seen: dict = {}     # actor id -> its first state
     t, step = None, {}
-    for index, obj in json_records(lines, TraceError):
-        state = _parse_record(obj, index, seen)
+    for index, line in _lines(lines):
+        try:
+            obj = orjson.loads(line)
+        except orjson.JSONDecodeError:
+            obj = None      # _parse_record has the stdlib decode it
+        state = _parse_record(obj, line, index, seen)
         aid, st = state.actor_id, state.t
         if step and st < t:
             raise TraceError(f"out-of-order timestamp {st} after {t}", index)

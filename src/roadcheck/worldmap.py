@@ -30,8 +30,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import re
 import warnings
 from array import array
+from itertools import accumulate, repeat
 
 from .geometry import (ConvexPolygon, GeometryError, normalize_angle,
                        overlap_area, segment_intersects_polygon,
@@ -239,12 +241,47 @@ def read_text(source, what: str) -> str:
     raise TypeError(f"cannot read {what} from {type(source).__name__}")
 
 
+# How deep arrays and objects may nest in a JSON document or record: far
+# enough inside the interpreter's recursion limit (1000 by default) that
+# decoding a value and naming it in a message both have stack to spare,
+# so that where the limit falls does not depend on the caller's depth.
+MAX_NESTING = 512
+_ESCAPE = re.compile(r"\\.", re.S)
+_STRING = re.compile(r'"[^"]*"')
+# drops every ASCII character but quotes and brackets, and makes braces
+# brackets
+_BRACKETS = str.maketrans("{}", "[]", "".join(
+    chr(c) for c in range(128) if chr(c) not in '"[]{}'))
+_NESTING_STEP = {"[": 1, "]": -1}
+
+
+def json_loads(text: str):
+    """``json.loads(text)``, except that a value nested more than
+    MAX_NESTING deep raises RecursionError before it is decoded."""
+    if text.count("[") + text.count("{") > MAX_NESTING:
+        # the brackets of ``text`` outside its strings, whose escapes go first
+        brackets = _STRING.sub("", _ESCAPE.sub("", text).translate(_BRACKETS))
+        depths = accumulate(map(_NESTING_STEP.get, brackets, repeat(0)))
+        if max(depths) > MAX_NESTING:
+            raise RecursionError(f"JSON nested more than {MAX_NESTING} deep")
+    return json.loads(text)
+
+
+def json_text(value) -> str:
+    """``value`` as JSON text, for a message; a value nested too deeply to
+    write from the caller's stack depth is named by its type instead."""
+    try:
+        return json.dumps(value)
+    except RecursionError:
+        return f"a {type(value).__name__}"
+
+
 def json_number(value, what: str, error=ValueError, finite=False) -> float:
     """``value`` as a float if it is a JSON number, not a boolean or a
     numeric string (finite if ``finite``); otherwise ``error`` naming
     ``what``.  An integer too large for a float raises OverflowError."""
     if type(value) is not float and type(value) is not int:
-        raise error(f"{what} must be a number, got {json.dumps(value)}")
+        raise error(f"{what} must be a number, got {json_text(value)}")
     value = float(value)
     if finite and not math.isfinite(value):
         raise error(f"{what} must be finite, got {value}")
@@ -254,7 +291,7 @@ def json_number(value, what: str, error=ValueError, finite=False) -> float:
 def json_string(value, what: str) -> str:
     """``value`` if it is a JSON string; otherwise ValueError naming ``what``."""
     if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {json.dumps(value)}")
+        raise ValueError(f"{what} must be a string, got {json_text(value)}")
     return value
 
 
@@ -262,7 +299,7 @@ def load_map(source) -> RoadMap:
     """Parse and validate a map document from bytes, text, or a file object."""
     text = read_text(source, "map")
     try:
-        doc = json.loads(text)
+        doc = json_loads(text)
     except json.JSONDecodeError as exc:
         raise MapError(f"invalid JSON: {exc.msg}",
                        location=f"line {exc.lineno}, column {exc.colno}") from exc

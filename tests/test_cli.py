@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -309,6 +310,72 @@ class TestDeepNesting:
         assert res.exit_code == 2
         assert "error: record 3: invalid JSON: nested too deeply" in res.output
 
+    # depths about the interpreter's recursion limit, where the stdlib
+    # decoder and the encoder that words a message run out of stack at a
+    # depth that depends on the caller's
+    NEAR_LIMIT = range(976, 991)
+
+    @staticmethod
+    def nested(text, key, value, depth):
+        """``text`` with ``key``'s ``value`` replaced by an array nested
+        ``depth`` deep."""
+        old = f'"{key}": {json.dumps(value)}'
+        assert text.count(old) == 1
+        return text.replace(old, f'"{key}": ' + "[" * depth + "]" * depth)
+
+    @staticmethod
+    def shallow(*args, **kwargs):
+        """``invoke`` in a new thread, whose stack starts as shallow as
+        the installed command's, however deep the test runs."""
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.append(invoke(*args, **kwargs)))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        return results[0]
+
+    def same_rejection(self, fixture_dir, depth, *extra, trace=None):
+        """check and monitor exit 2 with one message, which it returns."""
+        errors = []
+        for command in ("check", "monitor"):
+            res = self.shallow(fixture_dir, command, *extra, trace=trace)
+            no_traceback(res)
+            assert res.exit_code == 2, (depth, command, res.output)
+            errors.append(res.stderr)
+        assert errors[0] == errors[1], depth
+        return errors[0]
+
+    @pytest.mark.parametrize("field", ["actor_id", "x"])
+    def test_record_near_recursion_limit(self, fixture_dir, tmp_path, field):
+        lines = (fixture_dir / "safe_trace.jsonl").read_text().splitlines()
+        value = json.loads(lines[1])[field]
+        trace = tmp_path / "deep_trace.jsonl"
+        for depth in self.NEAR_LIMIT:
+            trace.write_text("\n".join(
+                [lines[0], self.nested(lines[1], field, value, depth)]
+                + lines[2:]))
+            message = self.same_rejection(fixture_dir, depth, trace=trace)
+            assert message == "error: record 1: invalid JSON: nested too " \
+                              "deeply\n", depth
+
+    @pytest.mark.parametrize("option, text, key, value, message", [
+        ("--map", None, "id", "running", "invalid JSON: nested too deeply"),
+        ("--profiles", PACKAGED_PROFILES.read_text(), "pull_out_clearance_m",
+         5.339572682512483, "malformed profile config: JSON nested too "
+                            "deeply"),
+    ], ids=["map", "profiles"])
+    def test_document_near_recursion_limit(self, fixture_dir, tmp_path,
+                                           option, text, key, value,
+                                           message):
+        text = text or (fixture_dir / "safe_map.json").read_text()
+        bad = tmp_path / "deep.json"
+        for depth in self.NEAR_LIMIT:
+            bad.write_text(self.nested(text, key, value, depth))
+            # invoke names the safe map first; the last --map given is read
+            got = self.same_rejection(fixture_dir, depth, option, str(bad))
+            assert got == f"error: {bad}: {message}\n", depth
+
 
 _DELETE = object()
 
@@ -385,6 +452,13 @@ MALFORMED = [
      "record 5: actor_id must be a string, got null"),
     ("number-actor-id", _mutate(5, actor_id=7),
      "record 5: actor_id must be a string, got 7"),
+    # orjson reads an integer past 64 bits as a float; the message shows
+    # the integer that the line holds
+    ("big-integer-actor-id", _mutate(5, actor_id=2 ** 64),
+     "record 5: actor_id must be a string, got 18446744073709551616"),
+    ("big-integer-low-confidence", _mutate(5, low_confidence=2 ** 64),
+     "record 5: low_confidence must be true or false, got "
+     "18446744073709551616"),
     ("text-low-confidence", _mutate(5, low_confidence="false"),
      'record 5: low_confidence must be true or false, got "false"'),
     ("huge-integer-x", _mutate(5, x=10 ** 400),

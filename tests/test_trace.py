@@ -3,15 +3,21 @@ import gc
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadcheck.checker import compile_text
 from roadcheck.engine import FAIL, EvaluationContext, Verdict, evaluate_document
 from roadcheck.geometry import BoxDims, Pose2D
+from roadcheck import trace as trace_module
 from roadcheck.trace import (ActorState, DerivedState, Trace, TraceError,
-                             derive_row, json_records, load_trace, read_lines,
-                             serialise_trace)
+                             derive_row, iter_steps, json_records, load_trace,
+                             read_lines, serialise_trace)
 from roadcheck.worldmap import load_map
 
 MPH = 0.44704
@@ -117,6 +123,169 @@ class TestJsonRecords:
     def test_error_names_the_record(self, line, message):
         with pytest.raises(TraceError, match=f"^record 1: {message}"):
             list(json_records(["[]", line], TraceError))
+
+
+def _refused(line):
+    raise orjson.JSONDecodeError("refused", line, 0)
+
+
+def _stdlib_value(line):
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError):
+        _refused(line)
+
+
+# stand-ins for the decoder that iter_steps tries first: one that refuses
+# every line, so that the stdlib path reads it all, and one that hands the
+# stdlib's own value to _parse_record's gate
+STDLIB_PATH = SimpleNamespace(loads=_refused,
+                              JSONDecodeError=orjson.JSONDecodeError)
+STDLIB_VALUE_GATED = SimpleNamespace(loads=_stdlib_value,
+                                     JSONDecodeError=orjson.JSONDecodeError)
+
+_FIELD_TEXT = {"t": "0.5", "actor_id": '"a"', "role": '"OV"', "x": "1.5",
+               "y": "-2.0", "heading_rad": "0.25", "length_m": "4.5",
+               "width_m": "2.0", "speed_mps": "3.0"}
+
+
+def record_text(**literals):
+    """A record line: the fields of _FIELD_TEXT with ``literals`` (JSON
+    text) in place of theirs or added; None leaves a field out."""
+    fields = {**_FIELD_TEXT, **literals}
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()
+                           if text is not None) + "}"
+
+
+def _big_int_cases():
+    digits_4301 = "1" + "0" * 4300
+    values = [str(2 ** 63 - 1), str(2 ** 63), str(2 ** 63 + 1),
+              str(-2 ** 63 + 1), str(-2 ** 63), str(-2 ** 63 - 1),
+              str(2 ** 64), digits_4301]
+    return [(f"{field}={value[:24]}", [record_text(**{field: value})])
+            for field in ("t", "x", "actor_id", "low_confidence")
+            for value in values]
+
+
+_DUPLICATE = record_text()[:-1]
+EDGES = _big_int_cases() + [
+    (f"{field}={literal}", [record_text(**{field: literal})])
+    for field in ("t", "x", "speed_mps")
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400", "1e-400")
+] + [
+    ("lone-surrogate-escape", [record_text(actor_id='"a\\ud800"')]),
+    ("raw-surrogateescape-bytes", list(read_lines(
+        record_text(actor_id='"a\\u00e9"').encode().replace(b"\\u00e9",
+                                                            b"\xff")))),
+    ("bom", ["\ufeff" + record_text()]),
+    ("duplicate-x", [_DUPLICATE + ', "x": 7.5}']),
+    ("duplicate-x-int", [_DUPLICATE + ', "x": 7}']),
+    ("duplicate-role", [_DUPLICATE + ', "role": "truck"}']),
+    ("unknown-key", [record_text(note='"hi"')]),
+    ("unknown-key-nan", [record_text(note="NaN")]),
+    ("unknown-key-past-digit-limit", [record_text(note="1" + "0" * 4300)]),
+    ("nested-unknown-key", [record_text(note='{"a": [1, {"b": null}]}')]),
+    ("int-x", [record_text(x="1")]),
+    ("int-t-length", [record_text(t="0", length_m="4")]),
+    ("int-speed", [record_text(speed_mps="3")]),
+    ("speed-mph", [record_text(speed_mps=None, speed_mph="25.0")]),
+    ("both-speeds", [record_text(speed_mph="25.0")]),
+    ("null-speed", [record_text(speed_mps="null")]),
+    ("low-confidence-true", [record_text(low_confidence="true")]),
+    ("low-confidence-text", [record_text(low_confidence='"false"')]),
+    ("negative-zero", [record_text(t="-0.0", x="-0")]),
+    ("not-an-object", ["[1.5]", "5", '"text"', "null"]),
+    ("two-records", [record_text(actor_id='"b"'), record_text(x="7")]),
+]
+
+
+def decoded_three_ways(lines):
+    """iter_steps over ``lines`` as shipped, with the stdlib's value gated,
+    and with the stdlib path forced: the steps, or the TraceError, each."""
+    def outcome():
+        try:
+            return repr(list(iter_steps(lines)))
+        except TraceError as exc:
+            return f"TraceError: {exc}"
+    shipped = outcome()
+    results = [shipped]
+    for decoder in (STDLIB_VALUE_GATED, STDLIB_PATH):
+        with mock.patch.object(trace_module, "orjson", decoder):
+            results.append(outcome())
+    return results
+
+
+def _json_number_text():
+    return st.one_of(
+        st.floats().map(json.dumps),
+        st.integers().map(str),
+        st.integers(min_value=2 ** 62).map(lambda n: str(n * 10 ** 15)),
+        st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?"
+                      r"([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+        st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "1e-400",
+                         "-0", "-0.0"]))
+
+
+_OTHER_TEXT = st.one_of(
+    st.sampled_from(["true", "false", "null", "[]", "{}", '[1.5, "a"]']),
+    st.text(max_size=3).map(json.dumps),
+    st.text(max_size=3).map(lambda s: json.dumps(s, ensure_ascii=False)))
+_GOOD_TEXT = {
+    "t": st.sampled_from(["0.0", "0.05", "0.1"]),
+    "actor_id": st.sampled_from(['"a"', '"b"', '"\\u00e9"']),
+    "role": st.sampled_from([json.dumps(r) for r in ("AV", "VBP", "OV",
+                                                     "other")]),
+    "low_confidence": st.sampled_from(["true", "false"]),
+}
+_GOOD_NUMBER = st.floats(-1e3, 1e3).map(repr)
+_GOOD_SIZE = st.floats(0.5, 10.0).map(repr)
+
+
+@st.composite
+def record_lines(draw):
+    """A record line of known, missing, repeated and unknown keys, each
+    value most often a plausible one."""
+    keys = [k for k in ("t", "actor_id", "role", "x", "y", "heading_rad",
+                        "length_m", "width_m") if draw(st.integers(0, 20))]
+    keys += [k for k in ("speed_mps", "speed_mph", "low_confidence", "note")
+             if not draw(st.integers(0, 3))]
+    if not draw(st.integers(0, 10)):
+        keys.append(draw(st.sampled_from(keys or ["x"])))
+    parts = []
+    for key in keys:
+        good = _GOOD_TEXT.get(key, _GOOD_SIZE if key.endswith("_m")
+                              else _GOOD_NUMBER)
+        text = draw(st.one_of(good, good, good, _json_number_text(),
+                              _OTHER_TEXT))
+        parts.append(f"{json.dumps(key)}: {text}")
+    return "{" + ", ".join(parts) + "}"
+
+
+class TestDecoderGate:
+    """iter_steps takes a record from orjson's value only when the gate in
+    _parse_record shows it to be the stdlib decoder's value; any other
+    line is decoded and read as the stdlib path reads it.  Each input is
+    read as shipped, with the stdlib's own value handed to the gate (which
+    must then accept only what the slow path accepts, with the same
+    values), and with every line read by the stdlib path: the three give
+    the same steps or the same error."""
+
+    @pytest.mark.parametrize("lines", [lines for _, lines in EDGES],
+                             ids=[case for case, _ in EDGES])
+    def test_edges(self, lines):
+        shipped, gated, stdlib = decoded_three_ways(lines)
+        assert shipped == gated == stdlib
+
+    def test_edges_reach_both_sides(self):
+        outcomes = [decoded_three_ways(lines)[0] for _, lines in EDGES]
+        accepted = [o for o in outcomes if not o.startswith("TraceError")]
+        assert 10 < len(accepted) < len(outcomes) - 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(record_lines(), min_size=1, max_size=4))
+    def test_generated_records(self, lines):
+        shipped, gated, stdlib = decoded_three_ways(lines)
+        assert shipped == gated == stdlib
 
 
 class TestSharedValues:

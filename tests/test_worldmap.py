@@ -4,7 +4,8 @@ import math
 import pytest
 
 from roadcheck.geometry import BoxDims, ConvexPolygon, Pose2D, oriented_box
-from roadcheck.worldmap import (MapError, OffRoadError, crosses_centreline,
+from roadcheck.worldmap import (MAX_NESTING, MapError, OffRoadError,
+                                crosses_centreline, json_loads, json_string,
                                 lane_orientation_at, lanelets_containing,
                                 load_map, serialise_map)
 
@@ -121,6 +122,46 @@ class TestLoadMap:
     def test_round_trip(self, road):
         again = load_map(serialise_map(road))
         assert again == road
+
+
+def _array(depth, inner="1"):
+    return "[" * depth + inner + "]" * depth
+
+
+class TestJsonNesting:
+    """One nesting limit for every JSON document and record, counted on
+    the text before it is decoded, whatever the caller's stack depth."""
+
+    @pytest.mark.parametrize("text", [
+        _array(MAX_NESTING),
+        '{"a": %s}' % _array(MAX_NESTING - 1),
+        # brackets in strings, escaped quotes and backslashes among them,
+        # do not count
+        json.dumps(["[" * 600 + '\\"' + "{" * 600]),
+        json.dumps({"k" + "[" * 600: "]" * 900 + "[" * 900}),
+        # siblings do not add up
+        json.dumps([[[1]] * 400, {"a": [[2]] * 400}]),
+    ], ids=["array", "object", "strings", "key", "siblings"])
+    def test_within_limit_decoded(self, text):
+        assert json_loads(text) == json.loads(text)
+
+    @pytest.mark.parametrize("text", [
+        _array(MAX_NESTING + 1),
+        '{"a": %s}' % _array(MAX_NESTING),
+        '["]"' + ", [" * (MAX_NESTING + 1),
+        "[" * 100_000,
+    ], ids=["array", "object", "after-string", "unclosed"])
+    def test_past_limit_refused(self, text):
+        with pytest.raises(RecursionError, match=f"more than {MAX_NESTING}"):
+            json_loads(text)
+
+    def test_message_for_unwritable_value(self):
+        value = []
+        for _ in range(5000):
+            value = [value]
+        with pytest.raises(ValueError, match="^id must be a string, got a "
+                                             "list$"):
+            json_string(value, "id")
 
 
 class TestLaneletsContaining:

@@ -12,8 +12,10 @@ so DIR may be the ``src`` directory of any checkout, and writes into OUT:
   console and exit code, and ``monitor``'s stdout and exit code, each
   command's stderr too, and ``zones`` for each preset x profile;
 * ``rejections/``: malformed inputs made from the ``safe`` and
-  ``occlusion_abort`` files in ``inputs/``, one or two per reader, and the
-  stdout, stderr and exit code of every command that reads each one;
+  ``occlusion_abort`` files in ``inputs/``, one or more per reader, with
+  two well-formed traces that only the stdlib decoder of a trace record
+  reads, and the stdout, stderr and exit code of every command that
+  reads each one;
 * ``workloads/``: the same ``check`` and ``monitor`` outputs on the four
   benchmark workloads at seed 7 (nominal profile), when ``bench/gen.py``
   exists next to this directory.
@@ -80,13 +82,17 @@ class Runner:
                      stdin=cwd / trace_path)
 
 
-def _record(index: int, field: str, value):
-    """An edit of JSON-lines text: record ``index``'s ``field`` set."""
-    def edit(text: str) -> str:
-        lines = text.splitlines(keepends=True)
+def _record(index: int, field: str, value=None, text: str | None = None):
+    """An edit of JSON-lines text: record ``index``'s ``field`` set to
+    ``value``, or to the JSON ``text`` when one is given."""
+    def edit(source: str) -> str:
+        lines = source.splitlines(keepends=True)
         record = json.loads(lines[index])
-        record[field] = value
-        lines[index] = json.dumps(record) + "\n"
+        record[field] = None if text is not None else value
+        line = json.dumps(record)
+        if text is not None:
+            line = line.replace(f'"{field}": null', f'"{field}": {text}')
+        lines[index] = line + "\n"
         return "".join(lines)
     return edit
 
@@ -115,6 +121,17 @@ REJECTIONS = (
     ("trace-text-x", "trace.jsonl", "safe_trace.jsonl",
      _record(4, "x", "12.5")),
     ("trace-out-of-order", "trace.jsonl", "safe_trace.jsonl", _swap(3, 9)),
+    # where the two JSON decoders of a trace record part
+    ("trace-big-integer-x", "trace.jsonl", "safe_trace.jsonl",
+     _record(4, "x", 2 ** 64)),
+    ("trace-big-integer-actor-id", "trace.jsonl", "safe_trace.jsonl",
+     _record(4, "actor_id", 2 ** 64)),
+    ("trace-nan-x", "trace.jsonl", "safe_trace.jsonl",
+     _record(4, "x", math.nan)),
+    ("trace-nested-unknown-key", "trace.jsonl", "safe_trace.jsonl",
+     _record(4, "note", {"a": [1, {"b": None}]})),
+    ("trace-deep-actor-id", "trace.jsonl", "safe_trace.jsonl",
+     _record(1, "actor_id", text="[" * 982 + "]" * 982)),
     ("map-number-direction", "map.json", "safe_map.json",
      _lanelet("direction", 5)),
     ("map-nan-vertex", "map.json", "safe_map.json",
