@@ -77,7 +77,7 @@ class ConvexPolygon(Record):
     _circle = None      # a deferred rectangle's (x, y, radius + slack)
 
     def __post_init__(self):
-        verts = tuple((float(x), float(y)) for x, y in self.vertices)
+        verts = tuple([(float(x), float(y)) for x, y in self.vertices])
         object.__setattr__(self, "vertices", verts)
         n = len(verts)
         if n < 3:
@@ -136,17 +136,11 @@ class ConvexPolygon(Record):
     @classmethod
     def from_points(cls, points) -> "ConvexPolygon":
         """Build from points in either winding order; CW input is reversed."""
-        pts = [(float(x), float(y)) for x, y in points]
-        if len(pts) >= 3:
-            area2 = 0.0
-            n = len(pts)
-            for i in range(n):
-                ax, ay = pts[i]
-                bx, by = pts[(i + 1) % n]
-                area2 += ax * by - bx * ay
-            if area2 < 0.0:
-                pts.reverse()
-        return cls(tuple(pts))
+        pts = tuple(points)
+        area2 = 0.0
+        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+            area2 += float(ax) * float(by) - float(bx) * float(ay)
+        return cls(pts[::-1] if area2 < 0.0 else pts)
 
     @property
     def area(self) -> float:

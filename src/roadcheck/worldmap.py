@@ -22,7 +22,10 @@ Every map builds, once, a packed R-tree over the lanelets and one over the
 centre-line segments when it has more of them than one tree node holds;
 the map queries then run their exact tests only on the items whose
 bounding box meets the query's.  Smaller maps are scanned.  Both ways give
-the same results.
+the same results.  An item's box is the exact bounding box of its own
+coordinates, and a node is one flat tuple of ``(x0, y0, x1, y1, child)``
+runs after a pad, by which a query's box is grown, with the query's own
+pad, before it is tested against the node's entries.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import json
 import math
 import re
 import warnings
-from array import array
 from itertools import accumulate, repeat
 
 from .geometry import (ConvexPolygon, GeometryError, normalize_angle,
@@ -43,7 +45,7 @@ from .record import Record
 DIRECTIONS = ("with_map_axis", "against_map_axis")
 
 _LEAF = 8               # entries per R-tree node
-_PAD = 1e-9             # relative padding of every bounding box
+_PAD = 1e-9             # a query's margin, relative to the coordinates
 _SLACK = 1.0 + 1e-9     # relative slack of the nearest-item stopping rule
 _AREA_EPS = 1e-6        # area a shape may stick out of the lanes it is within
 
@@ -78,121 +80,117 @@ class Lanelet(Record):
         object.__setattr__(self, "orientation", normalize_angle(self.orientation))
 
 
-def _padded(x0, y0, x1, y1):
-    """The box grown by ``_PAD`` relative to its largest coordinate, so that
-    rounding in an exact test cannot put a hit outside it."""
-    pad = _PAD * max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
-    return x0 - pad, y0 - pad, x1 + pad, y1 + pad
-
-
-def _bounds(points):
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return _padded(min(xs), min(ys), max(xs), max(ys))
-
-
 class _BoxTree:
-    """Immutable R-tree over item boxes, packed by Sort-Tile-Recursive
-    (Leutenegger, Lopez & Edgington, ICDE 1997).
+    """Immutable R-tree (Guttman, SIGMOD 1984) over item boxes, packed by
+    Sort-Tile-Recursive (Leutenegger, Lopez & Edgington, ICDE 1997).
 
-    ``levels[0]`` holds the item boxes in packed order, each level above one
-    box per run of ``_LEAF`` consecutive boxes of the level below, and the
-    last level a single box.  A level is a flat ``array('d')`` of
-    (x0, y0, x1, y1); ``items`` maps level-0 slots to item indices.
+    A node is a flat tuple ``(pad, x0, y0, x1, y1, child, x0, ...)``: its
+    pad, then one run of five per entry, at most ``_LEAF`` of them, where
+    ``child`` is an item index in a leaf and a node above it.  An entry's
+    box is the exact bounding box of the item's points, or of its node's
+    entries, and holds their own floats.  ``pad`` is ``_PAD`` times the
+    largest coordinate magnitude below the node, at least 1: a query box is
+    grown by it, and by that of its own coordinates, before it is tested
+    against the node's entries, so that rounding in an exact test cannot
+    put a hit outside the box of its item.
     """
 
-    __slots__ = ("levels", "items")
+    __slots__ = ("root",)
 
-    def __init__(self, boxes: array):
-        n = len(boxes) // 4
-
-        def centre(i):
-            return boxes[4 * i] + boxes[4 * i + 2], boxes[4 * i + 1] + boxes[4 * i + 3]
-
+    def __init__(self, n: int, points):
+        """The tree over items ``0 .. n-1``; ``points(i)`` gives the points
+        of item ``i``."""
+        boxes = []
+        for i in range(n):
+            xs, ys = zip(*points(i))
+            boxes += min(xs), min(ys), max(xs), max(ys), i
         # STR: vertical slices of about sqrt(leaves) leaves each, by x, then
-        # runs of _LEAF boxes by y within a slice
+        # runs of _LEAF items by y within a slice
         per_slice = _LEAF * math.ceil(math.sqrt(-(-n // _LEAF)))
-        order = sorted(range(n), key=centre)
+        order = sorted(range(0, 5 * n, 5), key=lambda k: boxes[k] + boxes[k + 2])
         for s in range(0, n, per_slice):
             order[s:s + per_slice] = sorted(
-                order[s:s + per_slice], key=lambda i: centre(i)[::-1])
-        self.items = array("i", order)
-        level = array("d")
-        for i in order:
-            level.extend(boxes[4 * i:4 * i + 4])
-        self.levels = [level]
-        while len(level) > 4:
-            up = array("d")
-            for s in range(0, len(level), 4 * _LEAF):
-                run = level[s:s + 4 * _LEAF]
-                up.extend((min(run[0::4]), min(run[1::4]),
-                           max(run[2::4]), max(run[3::4])))
-            self.levels.append(up)
+                order[s:s + per_slice], key=lambda k: boxes[k + 1] + boxes[k + 3])
+        level = []
+        for k in order:
+            level += boxes[k:k + 5]
+        del boxes
+        while True:
+            up = []
+            for s in range(0, len(level), 5 * _LEAF):
+                run = level[s:s + 5 * _LEAF]
+                box = (min(run[0::5]), min(run[1::5]),
+                       max(run[2::5]), max(run[3::5]))
+                up += *box, (_PAD * max(1.0, *map(abs, box)), *run)
+            if len(up) == 5:
+                self.root = up[4]
+                return
             level = up
 
     def search(self, x0, y0, x1, y1) -> list[int]:
-        """Indices of the items whose box meets the query box, ascending."""
-        levels = self.levels
-        depth = len(levels) - 1
-        slots = range(1)
-        while True:
-            boxes = levels[depth]
-            hits = []
-            for s in slots:
-                k = 4 * s
-                if (boxes[k] <= x1 and x0 <= boxes[k + 2]
-                        and boxes[k + 1] <= y1 and y0 <= boxes[k + 3]):
-                    hits.append(s)
-            if not depth:
-                break
-            depth -= 1
-            n = len(levels[depth]) // 4
-            slots = [c for s in hits
-                     for c in range(_LEAF * s, min(_LEAF * s + _LEAF, n))]
-        items = self.items
-        return sorted([items[s] for s in hits])
+        """Indices of the items whose box, grown by the pads, meets the
+        query box, ascending."""
+        q = _PAD * max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
+        hits = []
+        nodes = [self.root]
+        for node in nodes:      # grows as the walk goes down
+            it = iter(node)
+            m = next(it) + q
+            lx, ly, hx, hy = x0 - m, y0 - m, x1 + m, y1 + m
+            for bx0, by0, bx1, by1, child in zip(it, it, it, it, it):
+                if bx0 <= hx and lx <= bx1 and by0 <= hy and ly <= by1:
+                    (hits if type(child) is int else nodes).append(child)
+        hits.sort()
+        return hits
 
     def nearest(self, px, py, measure):
         """The ``value`` of the item ``i`` with the least ``(d, i)``, where
         ``(d, value) = measure(i)`` and ``d`` is the squared distance from
-        (px, py) to the item, never less than that to its box.
+        (px, py) to the item, never less than that to its padded box.
 
         Boxes are opened nearest first; the search stops at a box farther
         than the best ``d`` by more than ``_SLACK``, which absorbs rounding
         in both distances.
         """
-        levels, items = self.levels, self.items
         best, best_d, best_i = None, math.inf, -1
-        heap = [(0.0, len(levels) - 1, 0)]
+        heap = [(0.0, 0, self.root)]
+        pushed = 0
         while heap:
-            bound, depth, s = heapq.heappop(heap)
+            bound, _, child = heapq.heappop(heap)
             limit = best_d * _SLACK
             if bound > limit:
                 break
-            if not depth:
-                i = items[s]
-                d, value = measure(i)
-                if d < best_d or (d == best_d and i < best_i):
-                    best, best_d, best_i = value, d, i
+            if type(child) is int:
+                d, value = measure(child)
+                if d < best_d or (d == best_d and child < best_i):
+                    best, best_d, best_i = value, d, child
                 continue
-            boxes = levels[depth - 1]
-            for c in range(_LEAF * s, min(_LEAF * s + _LEAF, len(boxes) // 4)):
-                k = 4 * c
-                dx = boxes[k] - px
+            it = iter(child)
+            pad = next(it)
+            # the point moved by the pad toward each side of a box is as far
+            # from that side as the point is from the box grown by the pad
+            xr, yr, xl, yl = px + pad, py + pad, px - pad, py - pad
+            for x0, y0, x1, y1, c in zip(it, it, it, it, it):
+                dx = x0 - xr
                 if dx < 0.0:
-                    dx = max(px - boxes[k + 2], 0.0)
-                dy = boxes[k + 1] - py
+                    dx = xl - x1
+                    if dx < 0.0:
+                        dx = 0.0
+                dy = y0 - yr
                 if dy < 0.0:
-                    dy = max(py - boxes[k + 3], 0.0)
+                    dy = yl - y1
+                    if dy < 0.0:
+                        dy = 0.0
                 gap = dx * dx + dy * dy
                 if gap <= limit:
-                    heapq.heappush(heap, (gap, depth - 1, c))
+                    pushed += 1
+                    heapq.heappush(heap, (gap, pushed, c))
         return best
 
 
-def _tree(boxes: array):
-    """The tree over the boxes, or None when one node would hold them all."""
-    return _BoxTree(boxes) if len(boxes) > 4 * _LEAF else None
+def _tree(n: int, points):
+    """The tree over ``n`` items, or None when one node would hold them all."""
+    return _BoxTree(n, points) if n > _LEAF else None
 
 
 class RoadMap(Record):
@@ -210,14 +208,11 @@ class RoadMap(Record):
                            tuple(sorted(self.lanelets, key=lambda l: l.id)))
         pts = tuple((float(x), float(y)) for x, y in self.centreline)
         object.__setattr__(self, "centreline", pts)
-        boxes = array("d")
-        for l in self.lanelets:
-            boxes.extend(_bounds(l.shape.vertices))
-        object.__setattr__(self, "_lanelet_tree", _tree(boxes))
-        boxes = array("d")
-        for i in range(len(pts) - 1):
-            boxes.extend(_bounds(pts[i:i + 2]))
-        object.__setattr__(self, "_segment_tree", _tree(boxes))
+        lanelets = self.lanelets
+        object.__setattr__(self, "_lanelet_tree", _tree(
+            len(lanelets), lambda i: lanelets[i].shape.vertices))
+        object.__setattr__(self, "_segment_tree", _tree(
+            len(pts) - 1, lambda i: pts[i:i + 2]))
 
 
 _LANELET_KEYS = {"id", "vertices", "orientation_rad", "width_m", "direction"}
@@ -261,8 +256,13 @@ def json_loads(text: str):
     if text.count("[") + text.count("{") > MAX_NESTING:
         # the brackets of ``text`` outside its strings, whose escapes go first
         brackets = _STRING.sub("", _ESCAPE.sub("", text).translate(_BRACKETS))
-        depths = accumulate(map(_NESTING_STEP.get, brackets, repeat(0)))
-        if max(depths) > MAX_NESTING:
+        # each pass takes out the innermost pairs, so no value nests deeper
+        # than the passes plus the unpaired "["s left
+        rest, passes = brackets, 0
+        while "[]" in rest and passes <= MAX_NESTING:
+            rest, passes = rest.replace("[]", ""), passes + 1
+        if (passes + rest.count("[") > MAX_NESTING and max(accumulate(
+                map(_NESTING_STEP.get, brackets, repeat(0)))) > MAX_NESTING):
             raise RecursionError(f"JSON nested more than {MAX_NESTING} deep")
     return json.loads(text)
 
@@ -322,19 +322,23 @@ def load_map(source) -> RoadMap:
         where = f"lanelets[{i}]"
         if not isinstance(entry, dict):
             raise MapError("lanelet entry must be an object", location=where)
-        _check_keys(entry, _LANELET_KEYS, where)
-        missing = _LANELET_KEYS - set(entry)
-        if missing:
-            raise MapError(f"missing keys {sorted(missing)}", location=where)
+        if entry.keys() != _LANELET_KEYS:
+            _check_keys(entry, _LANELET_KEYS, where)
+            missing = _LANELET_KEYS - set(entry)
+            if missing:
+                raise MapError(f"missing keys {sorted(missing)}",
+                               location=where)
         try:
             lid = json_string(entry["id"], "id")
         except ValueError as exc:
             raise MapError(str(exc), location=where) from None
         where = f"lanelet {lid!r}"
+        vertices = entry["vertices"]
         try:
-            shape = ConvexPolygon.from_points(
-                [(json_number(x, "vertices"), json_number(y, "vertices"))
-                 for x, y in entry["vertices"]])
+            for x, y in vertices:
+                if type(x) is not float or type(y) is not float:
+                    json_number(x, "vertices"), json_number(y, "vertices")
+            shape = ConvexPolygon.from_points(vertices)
         except (GeometryError, TypeError, ValueError, OverflowError) as exc:
             raise MapError(f"invalid shape: {exc}", location=where) from exc
         try:
@@ -355,8 +359,8 @@ def load_map(source) -> RoadMap:
         raise MapError("centreline must be a list of >= 2 [x, y] points",
                        location="centreline")
     try:
-        centreline = tuple((json_number(x, "centreline"),
-                            json_number(y, "centreline")) for x, y in centreline)
+        for x, y in centreline:
+            json_number(x, "centreline"), json_number(y, "centreline")
     except (ValueError, OverflowError) as exc:
         raise MapError(f"invalid number: {exc}", location="centreline") from exc
     if not all(map(math.isfinite, (c for p in centreline for c in p))):
@@ -388,7 +392,8 @@ def _near(tree, items, points):
     order; all of them when there is no tree."""
     if tree is None:
         return items
-    return [items[i] for i in tree.search(*_bounds(points))]
+    xs, ys = zip(*points)
+    return [items[i] for i in tree.search(min(xs), min(ys), max(xs), max(ys))]
 
 
 def lanelets_containing(road: RoadMap, shape: ConvexPolygon):
@@ -423,8 +428,10 @@ def lanelet_at(road: RoadMap, point: tuple[float, float]) -> Lanelet:
 
     Boundary-shared points resolve to the lexicographically smallest id.
     """
-    candidates = [l for l in _near(road._lanelet_tree, road.lanelets, (point,))
-                  if _point_in_polygon(point, l.shape)]
+    tree = road._lanelet_tree
+    near = road.lanelets if tree is None else [
+        road.lanelets[i] for i in tree.search(*point, *point)]
+    candidates = [l for l in near if _point_in_polygon(point, l.shape)]
     if not candidates:
         raise OffRoadError(f"point {point} is outside every lanelet")
     return min(candidates, key=lambda l: (l.shape.area, l.id))

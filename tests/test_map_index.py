@@ -95,7 +95,7 @@ def random_road(rng) -> RoadMap:
 
 def probe_points(rng, road):
     marks = []
-    for l in rng.sample(road.lanelets, 12):
+    for l in rng.sample(road.lanelets, min(12, len(road.lanelets))):
         verts = l.shape.vertices
         marks.append(centroid(l))
         marks.extend(verts)                           # shared corners
@@ -108,12 +108,10 @@ def probe_points(rng, road):
     return marks + list(road.centreline) + inside + list(FAR)
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_index_matches_scan(seed):
-    rng = random.Random(seed * 104729 + 7)
-    road = random_road(rng)
-    assert road._lanelet_tree is not None and road._segment_tree is not None
-    for p in probe_points(rng, road):
+def assert_matches_scan(rng, road, points):
+    """Each map query at each of ``points``, and on a random vehicle box
+    there, gives what the scan gives."""
+    for p in points:
         want = scan_lanelet_at(road, p)
         if want is None:
             with pytest.raises(OffRoadError):
@@ -128,6 +126,115 @@ def test_index_matches_scan(seed):
                            BoxDims(rng.uniform(0.5, 12.0), rng.uniform(0.5, 4.0)))
         assert lanelets_containing(road, box) == scan_lanelets_containing(road, box)
         assert crosses_centreline(road, box) == scan_crosses_centreline(road, box)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_index_matches_scan(seed):
+    rng = random.Random(seed * 104729 + 7)
+    road = random_road(rng)
+    assert road._lanelet_tree is not None and road._segment_tree is not None
+    assert_matches_scan(rng, road, probe_points(rng, road))
+
+
+def strip(pts, side=1.0):
+    """One lanelet beside each segment of the polyline ``pts``, on
+    alternate sides, ids in segment order."""
+    lanelets = []
+    for j, ((ax, ay), (bx, by)) in enumerate(zip(pts, pts[1:])):
+        length = math.hypot(bx - ax, by - ay)
+        nx, ny = -(by - ay) / length * LANE_W, (bx - ax) / length * LANE_W
+        if j % 2:
+            verts = ((ax, ay), (bx, by), (bx + nx, by + ny), (ax + nx, ay + ny))
+        else:
+            verts = ((ax - nx, ay - ny), (bx - nx, by - ny), (bx, by), (ax, ay))
+        lanelets.append(Lanelet(f"s{j:04d}", ConvexPolygon.from_points(verts),
+                                math.atan2(by - ay, bx - ax), LANE_W,
+                                "with_map_axis"))
+    return lanelets
+
+
+def curve(rng, n):
+    """A curved polyline of ``n`` segments of 2-15 m."""
+    pts, x, y, heading = [(0.0, 0.0)], 0.0, 0.0, rng.uniform(-math.pi, math.pi)
+    for _ in range(n):
+        heading += rng.uniform(-0.3, 0.3)
+        step = rng.uniform(2.0, 15.0)
+        x, y = x + step * math.cos(heading), y + step * math.sin(heading)
+        pts.append((x, y))
+    return pts
+
+
+def square(lid, x0, y0, x1, y1):
+    return Lanelet(lid, ConvexPolygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1))),
+                   0.0, LANE_W, "with_map_axis")
+
+
+def levels(tree) -> int:
+    depth, node = 1, tree.root
+    while type(node[5]) is not int:
+        depth, node = depth + 1, node[5]
+    return depth
+
+
+@pytest.mark.parametrize("n, depth", [(9, 2), (64, 2), (65, 3), (512, 3),
+                                      (513, 4)])
+def test_level_boundaries(n, depth):
+    """One more item than a full level adds a level; both sides of each
+    boundary answer as the scan does, for lanelets and segments alike."""
+    rng = random.Random(n)
+    pts = curve(rng, n)
+    road = RoadMap(lanelets=tuple(strip(pts)), centreline=tuple(pts))
+    assert levels(road._lanelet_tree) == levels(road._segment_tree) == depth
+    points = probe_points(rng, road)
+    assert_matches_scan(rng, road, rng.sample(points, min(len(points), 200)))
+
+
+def test_identical_boxes():
+    """Every lanelet and every segment has the same box: every query meets
+    all of them, and the smallest id wins a tie."""
+    rng = random.Random(11)
+    lanelets = [square(f"q{j:03d}", 0.0, -LANE_W, 10.0, 0.0) for j in range(70)]
+    pts = [(10.0 * (j % 2), 0.0) for j in range(71)]
+    road = RoadMap(lanelets=tuple(lanelets), centreline=tuple(pts))
+    assert lanelet_at(road, (5.0, -1.0)).id == "q000"
+    assert len(lanelets_containing(road, ConvexPolygon(
+        ((4.0, -2.0), (6.0, -2.0), (6.0, -1.0), (4.0, -1.0))))) == 70
+    assert_matches_scan(rng, road, probe_points(rng, road))
+
+
+def test_one_lanelet_covers_the_rest():
+    """A lanelet under all the others: its box meets every query on the
+    road, and a smaller lanelet wins where one contains the point."""
+    rng = random.Random(12)
+    pts = curve(rng, 80)
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    cover = square("cover", min(xs) - 20.0, min(ys) - 20.0, max(xs) + 20.0,
+                   max(ys) + 20.0)
+    road = RoadMap(lanelets=tuple(strip(pts) + [cover]), centreline=tuple(pts))
+    points = probe_points(rng, road)
+    assert {lanelet_at(road, p).id for p in points if scan_lanelet_at(road, p)
+            } > {"cover"}
+    assert_matches_scan(rng, road, points)
+
+
+def test_far_lanelet():
+    """A lanelet and a centre-line segment 1e7 m away make their subtrees'
+    pads about 1e4 times the others'; near them and near the road, the
+    queries still answer as the scan does."""
+    rng = random.Random(13)
+    pts = curve(rng, 100) + [(1e7, 1e7), (1e7 + 10.0, 1e7)]
+    far = square("far", 1e7, 1e7 - LANE_W, 1e7 + 10.0, 1e7)
+    road = RoadMap(lanelets=tuple(strip(pts[:-2]) + [far]),
+                   centreline=tuple(pts))
+    pads = sorted(node[0] for node in road._lanelet_tree.root[5::5])
+    assert pads[-1] > 1e3 * pads[0]
+    near_far = [(1e7 + 5.0, 1e7 - 1.0), (1e7, 1e7), (1e7 + 10.0, 1e7 - LANE_W),
+                (math.nextafter(1e7 + 10.0, math.inf), 1e7 - 1.0),
+                (1e7 + 5.0, 1e7 + 1.0), (1e7 - 3.0, 1e7 - 3.0)]
+    assert lanelet_at(road, near_far[0]) is far
+    assert nearest_centreline_point(road, near_far[4]) == (1e7 + 5.0, 1e7)
+    assert_matches_scan(rng, road, probe_points(rng, road) + near_far)
 
 
 def test_ties_resolve_as_the_scan_does():

@@ -47,7 +47,7 @@ def test_outputs_of_one_preset_and_profile(tmp_path):
     rejections = out / "rejections"
     runs = [(case, command) for case, *_ in tool.REJECTIONS
             for command in tool.READERS[case.split("-", 1)[0]]]
-    assert len(runs) == len(list(rejections.glob("*.exit"))) == 35
+    assert len(runs) == len(list(rejections.glob("*.exit"))) == 44
     well_formed = {"trace-big-integer-x", "trace-nested-unknown-key"}
     for case, command in runs:
         run = f"{case}.{command}"

@@ -1,5 +1,9 @@
+import gc
 import json
 import math
+import random
+import tracemalloc
+from itertools import accumulate
 
 import pytest
 
@@ -155,6 +159,38 @@ class TestJsonNesting:
         with pytest.raises(RecursionError, match=f"more than {MAX_NESTING}"):
             json_loads(text)
 
+    def test_unpaired_brackets_are_not_depth(self):
+        """Closing brackets before opening ones never nest: the decoder
+        words the fault."""
+        with pytest.raises(json.JSONDecodeError):
+            json_loads("]" * 600 + "[" * 600)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_refused_exactly_past_the_limit(self, seed):
+        """Bracket runs that climb to around the limit, some more than
+        once, some after unpaired closing brackets: a text is refused
+        exactly when its deepest point is past the limit."""
+        rng = random.Random(seed)
+        parts, depth = ["]" * rng.choice([0, 0, 1, 40])], 0
+        for _ in range(rng.randint(1, 3)):
+            top = rng.randint(MAX_NESTING - 12, MAX_NESTING + 3)
+            while depth < top:
+                parts.append("[[]" if rng.random() < 0.2 else "[")
+                depth += 1
+            down = rng.randint(0, depth)
+            parts.append("]" * down)
+            depth -= down
+        text = "".join(parts)
+        deepest = max(accumulate(1 if c == "[" else -1 for c in text))
+        try:
+            json_loads(text)
+            refused = False
+        except RecursionError:
+            refused = True
+        except ValueError:
+            refused = False
+        assert refused == (deepest > MAX_NESTING), deepest
+
     def test_message_for_unwritable_value(self):
         value = []
         for _ in range(5000):
@@ -238,3 +274,46 @@ class TestLaneOrientation:
     def test_boundary_point_resolves_lexicographically(self, road):
         # y=0 lies in both lanelets; "east" sorts before "west"
         assert lane_orientation_at(road, (50, 0.0)) == 0.0
+
+
+def straight_road(pairs: int, x_lo=-60.0, x_hi=1616.4, lane_w=3.65) -> str:
+    """A straight road cut into ``pairs`` lanelet pairs of equal length,
+    with a centre line of ``pairs`` segments, as map text."""
+    xs = [x_lo + (x_hi - x_lo) * j / pairs for j in range(pairs)] + [x_hi]
+    lanelets = []
+    for j, (a, b) in enumerate(zip(xs, xs[1:])):
+        lanelets.append({"id": f"r{j:05d}", "vertices": [
+            [a, -lane_w], [b, -lane_w], [b, 0.0], [a, 0.0]],
+            "orientation_rad": 0.0, "width_m": lane_w,
+            "direction": "with_map_axis"})
+        lanelets.append({"id": f"o{j:05d}", "vertices": [
+            [a, 0.0], [b, 0.0], [b, lane_w], [a, lane_w]],
+            "orientation_rad": math.pi, "width_m": lane_w,
+            "direction": "against_map_axis"})
+    return json.dumps({"lanelets": lanelets,
+                       "centreline": [[x, 0.0] for x in xs]})
+
+
+class TestMapMemory:
+    """Guards the memory a loaded 400-lanelet road holds per lanelet: its
+    lanelets, polygons and vertices, both indexes, and what the load leaves
+    on the interpreter's free lists.  Before the indexes held exact boxes
+    in flat-tuple nodes, and before each vertex was built once, it was
+    0.443 MB for 400 lanelets (1 108 B each); the bound is that + 5%."""
+
+    BYTES_PER_LANELET = 0.443e6 * 1.05 / 400
+
+    def test_load_map_retained_per_lanelet(self):
+        text = straight_road(200).encode()
+        load_map(text)      # warm-up: the first load fills caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            road = load_map(text)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(road.lanelets) == 400
+        assert road._lanelet_tree is not None
+        assert (retained - base) / 400 < self.BYTES_PER_LANELET

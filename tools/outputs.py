@@ -115,6 +115,28 @@ def _lanelet(field: str, value):
     return edit
 
 
+def _indexed(vertices, pairs: int = 20):
+    """An edit of a two-lanelet map along the x axis: each lanelet cut
+    across into ``pairs`` pieces and the centre line into as many
+    segments, so that the map has more of each than one index node holds,
+    and then the fifth piece's vertices set to ``vertices``."""
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        (x0, _), (x1, _) = doc["centreline"]
+        xs = [x0 + (x1 - x0) * j / pairs for j in range(pairs + 1)]
+        lanelets = []
+        for lanelet in doc["lanelets"]:
+            y0, y1 = sorted({y for _, y in lanelet["vertices"]})
+            lanelets += [dict(lanelet, id=f"{lanelet['id']}-{j:02d}",
+                              vertices=[[a, y0], [b, y0], [b, y1], [a, y1]])
+                         for j, (a, b) in enumerate(zip(xs, xs[1:]))]
+        lanelets[4]["vertices"] = vertices
+        doc["lanelets"] = lanelets
+        doc["centreline"] = [[x, 0.0] for x in xs]
+        return json.dumps(doc)
+    return edit
+
+
 # (case, file name, the gen/ file it is made from, the edit); a case
 # names the kind of input it is first
 REJECTIONS = (
@@ -137,6 +159,13 @@ REJECTIONS = (
     ("map-nan-vertex", "map.json", "safe_map.json",
      _lanelet("vertices", [[0.0, 0.0], [math.nan, 0.0], [150.0, 3.65],
                            [0.0, 3.65]])),
+    # maps that would build both indexes
+    ("map-indexed-non-convex", "map.json", "safe_map.json",
+     _indexed([[30.0, 0.0], [37.5, 0.0], [32.0, 1.0], [30.0, 3.65]])),
+    ("map-indexed-nan-vertex", "map.json", "safe_map.json",
+     _indexed([[30.0, 0.0], [math.nan, 0.0], [37.5, 3.65], [30.0, 3.65]])),
+    ("map-indexed-string-vertex", "map.json", "safe_map.json",
+     _indexed([[30.0, 0.0], ["37.5", 0.0], [37.5, 3.65], [30.0, 3.65]])),
     ("profiles-not-json", "profiles.json", None, lambda _: "{profiles\n"),
     ("rules-unparsable", "rules.rdl", None, lambda _: "assertion {\n"),
     ("detections-fractional-frame", "detections.jsonl",
