@@ -89,10 +89,11 @@ class _BoxTree:
     ``child`` is an item index in a leaf and a node above it.  An entry's
     box is the exact bounding box of the item's points, or of its node's
     entries, and holds their own floats.  ``pad`` is ``_PAD`` times the
-    largest coordinate magnitude below the node, at least 1: a query box is
-    grown by it, and by that of its own coordinates, before it is tested
-    against the node's entries, so that rounding in an exact test cannot
-    put a hit outside the box of its item.
+    largest coordinate magnitude below the node, or 1 if that is less: the
+    largest margin of any item below.  A query box is grown by it, and by
+    the margin of its own coordinates, before it is tested against the
+    node's entries, so that rounding in an exact test cannot put a hit
+    outside the box of its item.
     """
 
     __slots__ = ("root",)
