@@ -138,7 +138,6 @@ _REQUIRED = ("t", "actor_id", "role", "x", "y", "heading_rad", "length_m",
              "width_m")
 _required = operator.itemgetter(*_REQUIRED)
 _LO, _HI = -2.0 ** 63, 2.0 ** 63
-_FLOATS = {"t", "x", "y", "heading_rad", "length_m", "width_m", "speed_mps"}
 
 
 def _parse_record(obj, line: str, index: int,
@@ -162,46 +161,33 @@ def _parse_record(obj, line: str, index: int,
       magnitude is at least 2**63, and the range refuses it, as it
       refuses NaN and infinities from any decoder;
     - a float literal gives the same float in both, a string the same
-      str, and an integer literal within 64 bits the same int: one
-      within +-2**53 in a float field is made the float that the
-      field-by-field path makes of it, and the type test refuses any
-      other;
+      str, and an integer literal within 64 bits the same int, which the
+      type test refuses;
     - no other key is left to hold a value that the two decode apart, or
       one that the field-by-field path reads (``speed_mph``).
 
     Any other line is decoded again by the stdlib and read field by
     field, so what is accepted, and the first fault in field order that
     is reported, are the stdlib decoder's."""
-    while True:
-        try:
-            t, actor_id, role, x, y, heading, length, width = _required(obj)
-            speed = obj.get("speed_mps")
-            low_confidence = obj.get("low_confidence")
-            fast = (type(t) is type(x) is type(y) is type(heading)
-                    is type(length) is type(width) is float
-                    and type(actor_id) is type(role) is str
-                    and (speed is None
-                         or type(speed) is float and _LO < speed < _HI)
-                    and (low_confidence is None or low_confidence is True
-                         or low_confidence is False)
-                    # refuses any other key, and a null that .get reads as
-                    # absent
-                    and len(obj) == (8 + (speed is not None)
-                                     + (low_confidence is not None))
-                    and _LO < t < _HI and _LO < x < _HI and _LO < y < _HI
-                    and _LO < heading < _HI and _LO < length < _HI
-                    and _LO < width < _HI)
-        except (KeyError, TypeError):
-            fast = False
-        if fast or type(obj) is not dict:
-            break
-        # orjson reads an integer within 64 bits exactly, and float() of one
-        # within 2**53 is the float json_number makes of the stdlib's value
-        floats = {k: float(v) for k, v in obj.items() if type(v) is int
-                  and k in _FLOATS and -2 ** 53 <= v <= 2 ** 53}
-        if not floats:
-            break
-        obj.update(floats)
+    try:
+        t, actor_id, role, x, y, heading, length, width = _required(obj)
+        speed = obj.get("speed_mps")
+        low_confidence = obj.get("low_confidence")
+        fast = (type(t) is type(x) is type(y) is type(heading)
+                is type(length) is type(width) is float
+                and type(actor_id) is type(role) is str
+                and (speed is None
+                     or type(speed) is float and _LO < speed < _HI)
+                and (low_confidence is None or low_confidence is True
+                     or low_confidence is False)
+                # refuses any other key, and a null that .get reads as absent
+                and len(obj) == (8 + (speed is not None)
+                                 + (low_confidence is not None))
+                and _LO < t < _HI and _LO < x < _HI and _LO < y < _HI
+                and _LO < heading < _HI and _LO < length < _HI
+                and _LO < width < _HI)
+    except (KeyError, TypeError):
+        fast = False
     if not fast:
         obj = _json_line(line, index, TraceError)
         if not isinstance(obj, dict):

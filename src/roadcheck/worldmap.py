@@ -257,13 +257,8 @@ def json_loads(text: str):
     if text.count("[") + text.count("{") > MAX_NESTING:
         # the brackets of ``text`` outside its strings, whose escapes go first
         brackets = _STRING.sub("", _ESCAPE.sub("", text).translate(_BRACKETS))
-        # each pass takes out the innermost pairs, so no value nests deeper
-        # than the passes plus the unpaired "["s left
-        rest, passes = brackets, 0
-        while "[]" in rest and passes <= MAX_NESTING:
-            rest, passes = rest.replace("[]", ""), passes + 1
-        if (passes + rest.count("[") > MAX_NESTING and max(accumulate(
-                map(_NESTING_STEP.get, brackets, repeat(0)))) > MAX_NESTING):
+        depths = accumulate(map(_NESTING_STEP.get, brackets, repeat(0)))
+        if max(depths) > MAX_NESTING:
             raise RecursionError(f"JSON nested more than {MAX_NESTING} deep")
     return json.loads(text)
 
@@ -429,10 +424,8 @@ def lanelet_at(road: RoadMap, point: tuple[float, float]) -> Lanelet:
 
     Boundary-shared points resolve to the lexicographically smallest id.
     """
-    tree = road._lanelet_tree
-    near = road.lanelets if tree is None else [
-        road.lanelets[i] for i in tree.search(*point, *point)]
-    candidates = [l for l in near if _point_in_polygon(point, l.shape)]
+    candidates = [l for l in _near(road._lanelet_tree, road.lanelets, (point,))
+                  if _point_in_polygon(point, l.shape)]
     if not candidates:
         raise OffRoadError(f"point {point} is outside every lanelet")
     return min(candidates, key=lambda l: (l.shape.area, l.id))

@@ -288,38 +288,6 @@ class TestDecoderGate:
         assert shipped == gated == stdlib
 
 
-class TestIntegerFloatFields:
-    """An integer within +-2**53 in a float field (JavaScript writes 0.0 as
-    0) is read from orjson's value in one pass, as the float that the
-    stdlib path makes of it; the line is not decoded again."""
-
-    @pytest.mark.parametrize("literals", [
-        {"heading_rad": "0"},
-        {"t": "1", "x": "-3", "y": "0", "length_m": "4", "width_m": "2",
-         "speed_mps": "7"},
-        {"x": str(2 ** 53)}, {"y": str(-2 ** 53)}, {"heading_rad": "-0"},
-    ], ids=["heading", "every-field", "x=2**53", "y=-2**53", "minus-zero"])
-    def test_one_pass(self, literals):
-        lines = [record_text(**literals)]
-        stdlib = decoded_three_ways(lines)[2]
-        with mock.patch.object(trace_module, "_json_line",
-                               side_effect=AssertionError("decoded twice")):
-            assert repr(list(iter_steps(lines))) == stdlib
-
-    @pytest.mark.parametrize("literals", [
-        {"x": str(2 ** 53 + 1)}, {"heading_rad": "0", "note": "1"},
-        {"heading_rad": "0", "speed_mps": None, "speed_mph": "25"},
-    ], ids=["x=2**53+1", "unknown-key", "speed-mph"])
-    def test_other_gate_faults_take_the_stdlib_path(self, literals):
-        lines = [record_text(**literals)]
-        shipped, gated, stdlib = decoded_three_ways(lines)
-        assert shipped == gated == stdlib
-        with mock.patch.object(trace_module, "_json_line",
-                               wraps=trace_module._json_line) as slow:
-            list(iter_steps(lines))
-        assert slow.call_count == 1
-
-
 class TestSharedValues:
     """A loaded trace keeps one copy of each actor's id and role, and of
     each step's time, without changing what the trace holds."""
