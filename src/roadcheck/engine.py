@@ -44,6 +44,8 @@ results, each computed once whichever assertions read it.  A plain
 condition's verdict without low-confidence actors shares one of two
 read-only details, ``{"condition": true|false}``, and a verdict built
 without a detail an empty one; code adding to a detail copies it first.
+The JSON text of these three details is encoded once, at import, and a
+verdict line that carries one of them copies it in.
 
 Comparisons are encoded per rule with explicit <, <=, >, >=: a rule that
 must fail on ties uses the strict operator.  A comparison with an
@@ -90,6 +92,9 @@ _encode_str = json.encoder.encode_basestring_ascii
 _quote = functools.cache(_encode)    # for ids, results and keys, not data
 _CONDITION_DETAIL = (MappingProxyType({"condition": False}),    # shared
                      MappingProxyType({"condition": True}))
+_NO_DETAIL = MappingProxyType({})   # shared, read-only
+_SHARED_TEXT = {id(d): _encode(dict(d))     # by identity, encoded once
+                for d in (*_CONDITION_DETAIL, _NO_DETAIL)}
 
 
 class ActorNotFound(LookupError):
@@ -106,16 +111,25 @@ class StreamError(ValueError):
 
 class Verdict(Record):
     __slots__ = _fields = ("assertion_id", "t", "result", "detail")
-    _defaults = {"detail": MappingProxyType({})}     # shared, read-only
+
+    def __init__(self, assertion_id, t, result, detail=_NO_DETAIL):
+        _set_id(self, assertion_id)
+        _set_t(self, t)
+        _set_result(self, result)
+        _set_detail(self, detail)
 
     def to_json(self) -> str:
         """``json.dumps`` of the four fields with sorted keys, written out."""
-        t = self.t
+        t, detail = self.t, self.detail
         t = (float.__repr__(t) if type(t) is float and _isfinite(t)
              else _encode(t))
+        detail = _SHARED_TEXT.get(id(detail)) or _encode_detail(detail)
         return (f'{{"assertion_id": {_quote(self.assertion_id)}, '
-                f'"detail": {_encode_detail(self.detail)}, '
+                f'"detail": {detail}, '
                 f'"result": {_quote(self.result)}, "t": {t}}}')
+
+
+_set_id, _set_t, _set_result, _set_detail = Verdict._setters
 
 
 def _encode_detail(detail: dict) -> str:
@@ -187,8 +201,8 @@ class _BufferedStep:
         # while the engine processes this step: (kind, actor_id) -> shape
         # and reference closure -> result, shared by its assertions
         self.memo: dict | None = None
-        # while a condition is evaluated here: the actors that it reads
-        self.touched: list[ActorState] | None = None
+        # while a condition is evaluated here: its low-confidence actors' ids
+        self.touched: tuple | None = None
 
     def dynamics(self, aid: str):
         """Derived state of ``aid``; None when it appears at this step only."""
@@ -209,8 +223,8 @@ class _BufferedStep:
             st = roles.get(ref.lower())
             if st is None:
                 raise ActorNotFound(ref)
-        if self.touched is not None:
-            self.touched.append(st)
+        if st.low_confidence and self.touched is not None:
+            self.touched += (st.actor_id,)
         return st
 
     def time(self) -> float:
@@ -397,8 +411,7 @@ def _compile_condition(node, memo: dict):
 def _condition_verdict(assertion: CompiledAssertion, condition,
                        at: _BufferedStep, t: float) -> Verdict:
     """Evaluate the compiled condition at step ``at`` and build the verdict."""
-    touched = at.touched = []   # the actors that this condition reads
-    detail: dict = {}
+    at.touched = ()     # collects the low-confidence actors that it reads
     fn, op = condition
     try:
         if op is None:
@@ -407,17 +420,15 @@ def _condition_verdict(assertion: CompiledAssertion, condition,
             measured, threshold = fn(at)
             ok = _COMPARE[op](measured, threshold)
     except ActorNotFound as exc:
-        detail["reason"] = "actor-not-found"
-        detail["actor"] = str(exc.args[0] if exc.args else "")
         # the on_missing policies are spelled as the results they give
-        return Verdict(assertion.id, t, assertion.decl.on_missing, detail)
+        return Verdict(assertion.id, t, assertion.decl.on_missing, {
+            "reason": "actor-not-found",
+            "actor": str(exc.args[0] if exc.args else "")})
     except EvalError as exc:
-        detail["reason"] = "evaluation-error"
-        detail["error"] = str(exc)
-        return Verdict(assertion.id, t, FAIL, detail)
+        return Verdict(assertion.id, t, FAIL, {"reason": "evaluation-error",
+                                               "error": str(exc)})
     finally:
-        at.touched = None
-    low_conf = [s.actor_id for s in touched if s.low_confidence]
+        low_conf, at.touched = at.touched, None
     if op is None and not low_conf:
         return Verdict(assertion.id, t, PASS if ok else FAIL,
                        _CONDITION_DETAIL[ok])

@@ -28,6 +28,7 @@ import math
 from .record import Record
 
 _TWO_PI = 2.0 * math.pi
+_isfinite = math.isfinite
 
 # Tolerance for the strict-convexity test, scaled by polygon extent.
 _CONVEXITY_EPS = 1e-12
@@ -50,11 +51,15 @@ class Pose2D(Record):
 
     __slots__ = _fields = ("x", "y", "heading")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)
-                and math.isfinite(self.heading)):
+    def __init__(self, x, y, heading):
+        if not (_isfinite(x) and _isfinite(y) and _isfinite(heading)):
             raise GeometryError("pose components must be finite")
-        object.__setattr__(self, "heading", normalize_angle(self.heading))
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_heading(self, normalize_angle(heading))
+
+
+_set_x, _set_y, _set_heading = Pose2D._setters
 
 
 class BoxDims(Record):
@@ -76,9 +81,13 @@ class ConvexPolygon(Record):
     _fields = ("vertices",)
     _circle = None      # a deferred rectangle's (x, y, radius + slack)
 
+    def __init__(self, vertices):
+        object.__setattr__(self, "vertices",
+                           tuple([(float(x), float(y)) for x, y in vertices]))
+        self.__post_init__()
+
     def __post_init__(self):
-        verts = tuple([(float(x), float(y)) for x, y in self.vertices])
-        object.__setattr__(self, "vertices", verts)
+        verts = self.vertices
         n = len(verts)
         if n < 3:
             raise GeometryError(f"polygon needs >= 3 vertices, got {n}")
@@ -87,10 +96,9 @@ class ConvexPolygon(Record):
         scale = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
         eps = _CONVEXITY_EPS * scale * scale
         area2 = 0.0
-        for i in range(n):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % n]
-            cx, cy = verts[(i + 2) % n]
+        # each vertex with the next two, cyclically
+        for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(zip(
+                verts, verts[1:] + verts[:1], verts[2:] + verts[:2])):
             cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             if cross <= eps:
                 raise GeometryError(

@@ -63,20 +63,25 @@ class StoppingDistance(Record):
         return self.thinking + self.braking
 
 
-def stopping_distance(v_mph: float) -> StoppingDistance:
-    """Thinking + braking distance in metres for a speed in mph."""
+def _stopping(v_mph: float) -> tuple[float, float]:
+    """(thinking, braking) distance in metres for a speed in mph."""
     if v_mph < 0.0:
         raise ModelError(f"speed must be >= 0 mph, got {v_mph}")
-    thinking = _SD_A * v_mph
     braking = _SD_B + _SD_C * v_mph + _SD_D * v_mph * v_mph
     if not math.isfinite(braking):      # a NaN, infinite or huge speed
         raise ModelError(f"stopping distance at {v_mph} mph is not finite")
-    return StoppingDistance(thinking, braking)
+    return _SD_A * v_mph, braking
+
+
+def stopping_distance(v_mph: float) -> StoppingDistance:
+    """Thinking + braking distance in metres for a speed in mph."""
+    return StoppingDistance(*_stopping(v_mph))
 
 
 def danger_space_length(v_mph: float) -> float:
-    """Length of the forward danger space: equal to the stopping distance."""
-    return stopping_distance(v_mph).total
+    """Length of the forward danger space: the stopping distance's total."""
+    thinking, braking = _stopping(v_mph)
+    return thinking + braking
 
 
 class DrivingProfile(Record):

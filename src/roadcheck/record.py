@@ -9,6 +9,12 @@ them with ``object.__setattr__``; any other assignment raises
 ``dataclasses.FrozenInstanceError``.  Records of different classes are
 never equal.  Unlike a dataclass, a record class has no code generated for
 it, so that defining one costs no more than defining a plain class.
+
+The records built per step or per verdict (``engine.Verdict``,
+``geometry.Pose2D``, ``trace.DerivedState``) and ``geometry.ConvexPolygon``,
+whose checks lead a map's load, define their own ``__init__`` with the
+fields as parameters, which sets them directly: the generic one binds its
+arguments by name at every call.
 """
 
 from __future__ import annotations
@@ -64,8 +70,8 @@ class Record:
 
     def replace(self, **changes):
         """A copy with the fields named in ``changes`` set to their values."""
-        return type(self)(*[changes.pop(f) if f in changes else getattr(self, f)
-                            for f in self._fields], **changes)
+        return type(self)(*self._bind((), {
+            **{f: getattr(self, f) for f in self._fields}, **changes}))
 
     def __reduce__(self):
         """Copy and pickle through the constructor, not ``__setattr__``."""

@@ -367,7 +367,16 @@ class DerivedState(Record):
 
     __slots__ = _fields = ("speed", "heading_rel_lane", "pull_out_angle",
                            "cut_in_angle")
-    _defaults = {"pull_out_angle": 0.0, "cut_in_angle": 0.0}
+
+    def __init__(self, speed, heading_rel_lane, pull_out_angle=0.0,
+                 cut_in_angle=0.0):
+        _set_speed(self, speed)
+        _set_heading_rel(self, heading_rel_lane)
+        _set_pull_out(self, pull_out_angle)
+        _set_cut_in(self, cut_in_angle)
+
+
+_set_speed, _set_heading_rel, _set_pull_out, _set_cut_in = DerivedState._setters
 
 
 def derive_state(prev: ActorState | None, cur: ActorState,

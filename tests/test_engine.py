@@ -1,5 +1,6 @@
 import gc
 import inspect
+import io
 import json
 import math
 import random
@@ -11,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadcheck.checker import REGISTRY, compile_text
-from roadcheck.engine import (FAIL, NOT_APPLICABLE, PASS, DebounceFilter,
+from roadcheck.engine import (_CONDITION_DETAIL, _NO_DETAIL, FAIL,
+                              NOT_APPLICABLE, PASS, DebounceFilter,
                               EvaluationContext, StreamingEngine, StreamError,
                               Verdict, _sort, debounce, evaluate_document,
                               nearest_index, summary_rows, verdicts_to_jsonl)
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck.models import default_profiles
+from roadcheck.record import Record
 from roadcheck.rulepack import danger_space_assertions
 from roadcheck.trace import ActorState, Trace, load_trace, serialise_trace
 from roadcheck.worldmap import load_map
@@ -895,6 +898,52 @@ class TestSharedDetails:
         assert plain.detail == {"condition": True}
         assert type(plain.detail) is not dict
 
+    @pytest.mark.parametrize("detail", [*_CONDITION_DETAIL, None],
+                             ids=["false", "true", "default"])
+    def test_shared_text_is_json_dumps(self, detail):
+        # the shared details' text is encoded once, at import
+        for aid in ("rule162", 'q"uote', "back\\slash", "ünïcødé ✓",
+                    "tab\tnew\nline", "\x00"):
+            for t in (0.0, -0.0, 1e-07, 5e+16, 1.05, 3, -7, math.inf,
+                      math.nan):
+                v = (Verdict(aid, t, FAIL) if detail is None
+                     else Verdict(aid, t, FAIL, detail))
+                assert v.detail is (_NO_DETAIL if detail is None else detail)
+                assert v.to_json() == json.dumps(
+                    {"assertion_id": aid, "t": t, "result": FAIL,
+                     "detail": dict(v.detail)}, sort_keys=True)
+
+    @staticmethod
+    def flagged_trace(n):
+        tr = straight_trace(n=n)
+        for step in tr.steps:
+            step["ego"].low_confidence = True
+        return tr
+
+    def test_low_confidence_actor_read_twice_listed_once(self):
+        # the ego read by its id and by its role
+        for v in evaluate_document(
+                [plain_rule('speed_of("ego") >= 0 and speed_of("av") >= 0')],
+                self.flagged_trace(2), CTX):
+            assert v.detail == {"condition": True,
+                                "low_confidence_actors": ["ego"]}
+
+    @pytest.mark.parametrize("failing, reason", [
+        ('speed_of("nobody") > 0', "actor-not-found"),
+        ("1 / 0 > 0", "evaluation-error")])
+    def test_raise_after_low_confidence_read_leaves_next_shared(
+            self, failing, reason):
+        rules = compile_text(
+            'assertion a { odd: road type: invariant condition: '
+            f'speed_of("av") >= 0 and {failing} }}'
+            'assertion b { odd: road type: invariant condition: true }')
+        # the verdicts of one step, a's first: b reads no actor
+        raised, plain = evaluate_document(rules, self.flagged_trace(2),
+                                          CTX)[:2]
+        assert raised.detail["reason"] == reason
+        assert "low_confidence_actors" not in raised.detail
+        assert plain.detail is _CONDITION_DETAIL[True]
+
 
 class TestVerdictOutput:
     def test_jsonl_file_equals_joined_lines(self, tmp_path):
@@ -922,6 +971,34 @@ class TestVerdictOutput:
         expected = sorted(verdicts, key=lambda v: (v.t, v.assertion_id))
         _sort(verdicts)
         assert [id(v) for v in verdicts] == [id(v) for v in expected]
+
+
+def test_no_generic_record_per_step(monkeypatch):
+    """Verdicts, poses, derived states and danger-space lengths are built
+    without ``Record.__init__``, whose keyword binding the hot path pays
+    for at every step otherwise."""
+    n, dt = 300, 0.05
+    steps = tuple({"ego": actor(t, x=12 * t % 400),
+                   "vbp": actor(t, aid="vbp", role="VBP", x=20 + 12 * t % 400),
+                   "ov": actor(t, aid="ov", role="OV", x=480 - 12 * t % 400,
+                               y=1.825, heading=math.pi)}
+                  for t in (k * dt for k in range(n)))
+    # read from JSON, so that each pose is built while the rules run
+    trace = load_trace(serialise_trace(Trace(
+        times=tuple(k * dt for k in range(n)), steps=steps, dt=dt)))
+    rules = danger_space_assertions()
+    built = Counter()
+    generic = Record.__init__
+
+    def counting(self, *args, **kwargs):
+        built[type(self).__name__] += 1
+        generic(self, *args, **kwargs)
+    monkeypatch.setattr(Record, "__init__", counting)
+    verdicts = evaluate_document(rules, trace, CTX)
+    verdicts_to_jsonl(verdicts, io.StringIO())
+    assert len(verdicts) == 4 * n and {v.result for v in verdicts} == {PASS,
+                                                                       FAIL}
+    assert built == Counter()
 
 
 class TestOutputMemory:

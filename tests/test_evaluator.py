@@ -123,14 +123,16 @@ def _typed_corpus(seed, count):
 
 
 def _outcome(fn, at):
-    at.touched = []
+    """The value or exception of ``fn`` at ``at``, and the low-confidence
+    actors it read, in order: every actor, where all are flagged so."""
+    at.touched = ()
     try:
         value = fn(at)
     except Exception as exc:    # the class and message are compared
         outcome = ("raise", type(exc), str(exc))
     else:
         outcome = ("value", type(value), repr(value))
-    return outcome, [s.actor_id for s in at.touched]
+    return outcome, at.touched
 
 
 def _steps(trace, ctx):
@@ -149,6 +151,10 @@ def corpus():
 @pytest.mark.parametrize("worst_case", [False, True])
 def test_compiled_matches_reference_walk(corpus, name, worst_case):
     road, trace = generate(preset(name))
+    # the step records each actor read only when it is low-confidence
+    for step in trace.steps:
+        for st in step.values():
+            st.low_confidence = True
     ctx = EvaluationContext(road=road, config=default_profiles(),
                             profile_name="nominal",
                             worst_case_speeds=worst_case)

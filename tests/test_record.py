@@ -8,6 +8,7 @@ import pytest
 from roadcheck.dsl import Expr, Span
 from roadcheck.engine import Verdict
 from roadcheck.geometry import BoxDims, ConvexPolygon, Pose2D
+from roadcheck.trace import DerivedState
 from roadcheck.zones import ZoneThresholds
 
 
@@ -16,6 +17,24 @@ class TestRecord:
         assert ZoneThresholds() == ZoneThresholds(0.1, 2.5)
         assert ZoneThresholds(ttc_conservative=3.0) == ZoneThresholds(0.1, 3.0)
         assert Verdict("a", 0.0, "pass").detail == {}
+
+    def test_own_constructors_keywords_and_defaults(self):
+        # Verdict, Pose2D and DerivedState define their own constructors
+        assert Verdict(assertion_id="a", t=0.5, result="fail",
+                       detail={"x": 1}) == Verdict("a", 0.5, "fail", {"x": 1})
+        assert Verdict("a", 0.5, result="pass") == Verdict("a", 0.5, "pass",
+                                                           {})
+        assert Pose2D(y=2.0, heading=0.5, x=1.0) == Pose2D(1.0, 2.0, 0.5)
+        assert Pose2D(1.0, 2.0, heading=7.0).heading == pytest.approx(
+            7.0 - math.tau)
+        assert DerivedState(3.0, None) == DerivedState(3.0, None, 0.0, 0.0)
+        assert DerivedState(speed=3.0, heading_rel_lane=0.1,
+                            cut_in_angle=0.2) == DerivedState(3.0, 0.1, 0.0,
+                                                              0.2)
+        with pytest.raises(TypeError):
+            Pose2D(1.0, 2.0)
+        with pytest.raises(TypeError):
+            DerivedState(1.0, 0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("args, kwargs, message", [
         ((1.0,), {}, "missing argument 'width'"),
@@ -70,7 +89,9 @@ class TestRecord:
     @pytest.mark.parametrize("value", [
         Pose2D(1.0, 2.0, 0.5), BoxDims(4.5, 2.0), Span(3, 4),
         ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
-        Expr("+", (Expr("number", (), 1.0), Expr("name", (), "x")), None)])
+        Expr("+", (Expr("number", (), 1.0), Expr("name", (), "x")), None),
+        Verdict("a", 1.5, "fail", {"measured": 2.0}),
+        DerivedState(3.0, -0.25, 0.1, 0.0), DerivedState(3.0, None)])
     def test_copy_and_pickle(self, value):
         for again in (copy.copy(value), copy.deepcopy(value),
                       pickle.loads(pickle.dumps(value))):
