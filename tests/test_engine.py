@@ -996,8 +996,8 @@ def test_no_generic_record_per_step(monkeypatch):
     monkeypatch.setattr(Record, "__init__", counting)
     verdicts = evaluate_document(rules, trace, CTX)
     verdicts_to_jsonl(verdicts, io.StringIO())
-    assert len(verdicts) == 4 * n and {v.result for v in verdicts} == {PASS,
-                                                                       FAIL}
+    assert len(verdicts) == 4 * n
+    assert {v.result for v in verdicts} == {PASS, FAIL}
     assert built == Counter()
 
 
