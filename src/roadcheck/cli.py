@@ -17,6 +17,7 @@ the exit code), 2 for usage or parse errors.
 from __future__ import annotations
 
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .dsl import ParseError
 from .engine import (DebounceFilter, EvalError, EvaluationContext,
                      StreamError, StreamingEngine, debounce, evaluate_document,
                      manoeuvre_at, summary_csv, summary_rows, verdicts_to_jsonl)
+from .inputs import UnknownKeysWarning
 from .models import ModelError, load_profiles
 from .trace import (TraceError, iter_steps, load_trace, read_lines,
                     serialise_trace)
@@ -52,7 +54,7 @@ def _load_map(map_path):
     try:
         with open(map_path, "rb") as fh:
             return load_map(fh)
-    except (OSError, MapError, UnicodeDecodeError) as exc:
+    except (OSError, MapError) as exc:
         _die(f"{map_path}: {exc}")
 
 
@@ -113,8 +115,15 @@ def _exit_code(rows, assertions) -> int:
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Assertion checking of driving traces against highway-code rules."""
+    # each warning as one line on stderr, and each of an input's unknown
+    # keys however often a process reads it, until the command ends
+    ctx.with_resource(warnings.catch_warnings())
+    warnings.simplefilter("always", UnknownKeysWarning)
+    warnings.showwarning = lambda message, *_: click.echo(
+        f"warning: {message}", err=True)
 
 
 _shared_options = [
@@ -241,6 +250,7 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
 def gen(preset_name, out_dir):
     """Write a preset scenario's map and trace (plus detections when the
     preset exercises the estimator path)."""
+    import json
     from . import perception, scenarios
     from .perception import CameraCalibration
     try:
@@ -251,7 +261,8 @@ def gen(preset_name, out_dir):
     files = {f"{preset_name}_map.json": serialise_map(road),
              f"{preset_name}_trace.jsonl": serialise_trace(trace)}
     if spec.occlusion is not None:
-        cal = CameraCalibration(c=1200.0, lane_width_real=spec.lane_width)
+        cal = CameraCalibration.from_json(json.dumps(
+            {"c": 1200.0, "lane_width_real": spec.lane_width}))
         files[f"{preset_name}_detections.jsonl"] = (
             perception.trace_to_detections(trace, cal))
         files[f"{preset_name}_calibration.json"] = cal.to_json()

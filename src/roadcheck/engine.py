@@ -128,6 +128,14 @@ class Verdict(Record):
                 f'"detail": {detail}, '
                 f'"result": {_quote(self.result)}, "t": {t}}}')
 
+    def __reduce__(self):
+        """As a record's, with a shared, read-only detail copied as a dict,
+        which copies and pickles."""
+        detail = self.detail
+        if type(detail) is MappingProxyType:
+            detail = dict(detail)
+        return Verdict, (self.assertion_id, self.t, self.result, detail)
+
 
 _set_id, _set_t, _set_result, _set_detail = Verdict._setters
 

@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .inputs import (REQUIRED, Schema, anything, mapping, names_to, number,
+                     positive, quantity, read_document, string)
 from .record import Record
-from .worldmap import json_loads, json_number, read_text
 
 MPH_TO_MPS = 0.44704
 
@@ -172,43 +173,25 @@ class ModelConfig(Record):
         return self.worst_case_speed_mph[cls]
 
 
-def _quantity(value, what: str, positive: bool = False) -> float:
-    """``value``, a JSON number, as a finite float >= 0 (> 0 if
-    ``positive``)."""
-    value = json_number(value, what, ModelError)
-    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-        raise ModelError(f"{what} must be finite and {'>' if positive else '>='}"
-                         f" 0, got {value}")
-    return value
-
-
-def _profiles_from_doc(doc: dict) -> ModelConfig:
-    profiles = {}
-    for name, p in doc["profiles"].items():
-        profiles[name] = DrivingProfile(p.get("name", name), *(
-            json_number(p[key], f"profile {name!r}: {key}", ModelError)
-            for key in ("pull_out_clearance_m", "pull_out_angle_rad",
-                        "cut_in_clearance_m", "cut_in_angle_rad")))
-    man = doc.get("manoeuvre", {})
-    speeds = doc.get("worst_case_speed_mph",
-                     {"car": 60.0, "goods_vehicle": 50.0})
-    speeds = {cls: _quantity(v, f"worst_case_speed_mph {cls}")
-              for cls, v in speeds.items()}
-    classes = dict(doc.get("role_vehicle_class",
-                           {"AV": "car", "OV": "car",
-                            "VBP": "goods_vehicle", "other": "car"}))
-    # "car" is the class of a role that role_vehicle_class does not name
-    for cls in sorted(set(classes.values()) | {"car"}):
-        if cls not in speeds:
-            raise ModelError(f"no worst-case speed for class {cls!r}")
-    return ModelConfig(
-        profiles=profiles,
-        lateral_offset=_quantity(man.get("lateral_offset_m", 2.9),
-                                 "lateral_offset_m", positive=True),
-        vbp_length=_quantity(man.get("vbp_length_m", 4.4), "vbp_length_m"),
-        worst_case_speed_mph=speeds,
-        role_vehicle_class=classes,
-    )
+_CONFIG = Schema("profile config", {
+    "profiles": (mapping, REQUIRED),
+    "manoeuvre": (mapping, {}),
+    "worst_case_speed_mph": (names_to(quantity),
+                             {"car": 60.0, "goods_vehicle": 50.0}),
+    "role_vehicle_class": (names_to(string),
+                           {"AV": "car", "OV": "car", "VBP": "goods_vehicle",
+                            "other": "car"}),
+})
+# a profile's name, any value, shows in messages; by default it is its key
+_PROFILE = Schema("profile {!r}", {
+    "name": (anything, None),
+    "pull_out_clearance_m": (number, REQUIRED),
+    "pull_out_angle_rad": (number, REQUIRED),
+    "cut_in_clearance_m": (number, REQUIRED),
+    "cut_in_angle_rad": (number, REQUIRED),
+})
+_MANOEUVRE = Schema("manoeuvre", {"lateral_offset_m": (positive, 2.9),
+                                  "vbp_length_m": (quantity, 4.4)})
 
 
 def load_profiles(source=None) -> ModelConfig:
@@ -218,19 +201,22 @@ def load_profiles(source=None) -> ModelConfig:
     """
     if source is None:
         source = Path(__file__).parent / "data" / "profiles.json"
-    try:
-        text = (read_text(source, "profiles") if hasattr(source, "read")
-                else Path(source).read_text("utf-8"))
-        return _profiles_from_doc(json_loads(text))
-    except ModelError:
-        raise
-    except RecursionError:
-        raise ModelError("malformed profile config: "
-                         "JSON nested too deeply") from None
-    except (ValueError, KeyError, TypeError, AttributeError,
-            OverflowError) as exc:
-        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ModelError(f"malformed profile config: {what}") from exc
+    if not hasattr(source, "read"):
+        source = Path(source).read_bytes()
+    doc = read_document(source, _CONFIG.where, ModelError)
+    entries, manoeuvre, speeds, classes = _CONFIG.read(doc, ModelError)
+    reported = set()
+    profiles = {}
+    for key, entry in entries.items():
+        name, *values = _PROFILE.read(entry, ModelError, key,
+                                      reported=reported)
+        profiles[key] = DrivingProfile(key if name is None else name, *values)
+    lateral_offset, vbp_length = _MANOEUVRE.read(manoeuvre, ModelError)
+    # "car" is the class of a role that role_vehicle_class does not name
+    for cls in sorted(set(classes.values()) | {"car"}):
+        if cls not in speeds:
+            raise ModelError(f"no worst-case speed for class {cls!r}")
+    return ModelConfig(profiles, lateral_offset, vbp_length, speeds, classes)
 
 
 def default_profiles() -> ModelConfig:

@@ -24,12 +24,12 @@ from __future__ import annotations
 import json
 import math
 
+from .geometry import BoxDims, GeometryError, Pose2D
+from .inputs import (REQUIRED, Schema, finite, json_records, positive,
+                     read_document, string, whole)
 from .models import MPH_TO_MPS, default_profiles
 from .record import Record
-from .trace import (ActorState, Trace, TraceError, json_records, read_lines,
-                    role_index)
-from .geometry import BoxDims, GeometryError, Pose2D
-from .worldmap import json_loads, json_number, json_string, read_text
+from .trace import ActorState, Trace, TraceError, read_lines, role_index
 
 LOW_CONFIDENCE_PX = 5.0
 
@@ -37,16 +37,12 @@ ACTOR_CLASSES = ("car", "goods_vehicle")
 
 
 class PerceptionError(ValueError):
-    def __init__(self, message, record_index=None):
-        if record_index is not None:
-            message = f"record {record_index}: {message}"
-        super().__init__(message)
+    """Detections or a calibration that cannot be read or used."""
 
 
 class DetectionRecord(Record):
     __slots__ = _fields = ("frame_index", "t", "actor_class", "box_width_px",
                            "box_centre_px", "role_hint")
-    _defaults = {"role_hint": "unknown"}
 
     def __post_init__(self):
         if self.box_width_px <= 0.0:
@@ -65,42 +61,32 @@ class CameraCalibration(Record):
 
     __slots__ = _fields = ("c", "assumed_vehicle_width", "lane_width_real",
                            "lane_width_px", "frame_centre_px")
-    _defaults = {"assumed_vehicle_width": 2.0, "lane_width_real": 3.65,
-                 "lane_width_px": 365.0, "frame_centre_px": 320.0}
-
-    def __post_init__(self):
-        for name in self._fields:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise PerceptionError(
-                    f"calibration {name} must be finite and > 0, got {value}")
 
     @classmethod
     def from_json(cls, source) -> "CameraCalibration":
         """The calibration in a JSON document: bytes, text or a file of
         either."""
-        try:
-            doc = json_loads(read_text(source, "calibration"))
-        except (ValueError, RecursionError) as exc:
-            # not UTF-8, not JSON, or nested too deeply
-            raise PerceptionError(f"calibration is not a JSON document: "
-                                  f"{exc}") from None
-        if not isinstance(doc, dict):
-            raise PerceptionError("calibration must be a JSON object")
-        if "c" not in doc:
-            raise PerceptionError("calibration must supply the focal "
-                                  "constant 'c' (no default exists)")
-        try:
-            values = {k: json_number(doc.get(k, cls._defaults.get(k)), k)
-                      for k in cls._fields}
-        except (ValueError, OverflowError) as exc:
-            raise PerceptionError(f"calibration: {exc}") from None
-        return cls(**values)
+        doc = read_document(source, _CALIBRATION.where, PerceptionError)
+        return cls(*_CALIBRATION.read(doc, PerceptionError))
 
     def to_json(self) -> str:
         return json.dumps({k: getattr(self, k) for k in self._fields},
                           sort_keys=True, indent=2)
 
+
+_CALIBRATION = Schema("calibration", {
+    "c": (positive, REQUIRED), "assumed_vehicle_width": (positive, 2.0),
+    "lane_width_real": (positive, 3.65), "lane_width_px": (positive, 365.0),
+    "frame_centre_px": (positive, 320.0),
+})
+# a record with ``line_px`` is a lane line, any other a detection
+_LINE = Schema("record {}", {"t": (finite, REQUIRED), "frame": (whole, 0),
+                             "line_px": (finite, REQUIRED)})
+_DETECTION = Schema("record {}", {
+    "t": (finite, REQUIRED), "frame": (whole, 0),
+    "class": (string, REQUIRED), "box_width_px": (finite, REQUIRED),
+    "box_centre_px": (finite, 0.0), "role_hint": (string, "unknown"),
+})
 
 # reconstruction assumptions for the 2-D scenario
 AV_LENGTH = 4.5
@@ -125,32 +111,22 @@ def load_detections(source):
     detections = []
     lines = []
     last_t = None
+    reported = set()
     for index, obj in json_records(read_lines(source), PerceptionError):
-        if not isinstance(obj, dict):
-            raise PerceptionError("record is not a JSON object", index)
-        try:
-            t = json_number(obj["t"], "t", finite=True)
-            frame = json_number(obj.get("frame", 0), "frame", finite=True)
-            if not frame.is_integer():
-                raise ValueError(f"frame must be a whole number, got {frame}")
-            frame = int(frame)
-            if "line_px" in obj:
-                record = LineRecord(frame, t, json_number(
-                    obj["line_px"], "line_px", finite=True))
-            else:
-                record = DetectionRecord(
-                    frame, t, json_string(obj["class"], "class"),
-                    json_number(obj["box_width_px"], "box_width_px",
-                                finite=True),
-                    json_number(obj.get("box_centre_px", 0.0),
-                                "box_centre_px", finite=True),
-                    json_string(obj.get("role_hint", "unknown"), "role_hint"))
-        except KeyError as exc:
-            raise PerceptionError(f"missing field {exc.args[0]!r}", index) from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise PerceptionError(str(exc), index) from exc
+        if type(obj) is dict and "line_px" in obj:
+            t, frame, line_px = _LINE.read(obj, PerceptionError, index,
+                                           reported=reported)
+            record = LineRecord(frame, t, line_px)
+        else:
+            t, frame, *values = _DETECTION.read(obj, PerceptionError, index,
+                                                reported=reported)
+            try:
+                record = DetectionRecord(frame, t, *values)
+            except PerceptionError as exc:
+                raise PerceptionError(f"record {index}: {exc}") from None
         if last_t is not None and t < last_t:
-            raise PerceptionError(f"out-of-order timestamp {t}", index)
+            raise PerceptionError(f"record {index}: out-of-order timestamp "
+                                  f"{t}")
         last_t = t
         (lines if isinstance(record, LineRecord) else detections).append(record)
     return detections, lines

@@ -8,17 +8,18 @@ Traces are ingested from JSON-lines, one record per actor per timestep:
 ``speed_mph`` is accepted and converted (1 mph = 0.44704 m/s).
 ``read_lines`` frames a document into lines, reading a file or stdin one
 line at a time, for trace files, camera detections and the monitor's
-stdin alike; ``json_records`` decodes detections with the stdlib, one
-value per line, nested at most ``worldmap.MAX_NESTING`` deep.
+stdin alike; ``inputs.json_records`` decodes detections with the stdlib,
+one value per line, nested at most ``inputs.MAX_NESTING`` deep.
 ``iter_steps`` validates the records and groups them into timesteps, for
 ``load_trace`` and for the streaming monitor alike.  It decodes each line
 with ``orjson``; a record whose value passes the gate in
 ``_parse_record`` is read from it in one pass, and any other line is
-decoded again as ``json_records`` decodes it and checked field by field,
-so what is accepted and every message are the stdlib's either way.  An
-actor's states share one id, role and dims object, and a step's states
-one time; a state read so builds its ``Pose2D`` when ``pose`` is first
-read, so actors that no rule reads build none.
+decoded again as ``inputs.json_records`` decodes it and read against the
+field table ``_RECORD``, so what is accepted and every message are the
+stdlib's either way.  An actor's states share one id, role and dims
+object, and a step's states one time; a state read so builds its
+``Pose2D`` when ``pose`` is first read, so actors that no rule reads
+build none.
 
 ``derive_row`` derives the dynamics of the one actor it is asked for at
 one step from its neighbouring steps: speed from positions by central
@@ -38,11 +39,11 @@ import operator
 import orjson
 
 from .geometry import BoxDims, Pose2D, normalize_angle, oriented_box
+from .inputs import (REQUIRED, Schema, boolean, finite, json_value, number,
+                     record_lines, string)
 from .models import MPH_TO_MPS
 from .record import Record
-from .worldmap import (MAX_NESTING, OffRoadError, RoadMap, json_loads,
-                       json_number, json_string, json_text)
-from .worldmap import lane_orientation_at
+from .worldmap import OffRoadError, RoadMap, lane_orientation_at
 # bench/tracing.py hooks the centre-line query under this name
 from .worldmap import nearest_centreline_point as _nearest_centreline_point
 
@@ -56,12 +57,6 @@ SPEED_WARN_MPS = 0.5
 
 class TraceError(ValueError):
     """Malformed or inconsistent trace stream."""
-
-    def __init__(self, message, record_index=None):
-        self.record_index = record_index
-        if record_index is not None:
-            message = f"record {record_index}: {message}"
-        super().__init__(message)
 
 
 class ActorState:
@@ -134,18 +129,26 @@ def role_index(step: dict) -> dict:
     return roles
 
 
-_REQUIRED = ("t", "actor_id", "role", "x", "y", "heading_rad", "length_m",
-             "width_m")
-_required = operator.itemgetter(*_REQUIRED)
+_RECORD = Schema("record {}", {
+    "t": (number, REQUIRED), "actor_id": (string, REQUIRED),
+    "role": (string, REQUIRED), "x": (finite, REQUIRED),
+    "y": (finite, REQUIRED), "heading_rad": (finite, REQUIRED),
+    "length_m": (number, REQUIRED), "width_m": (number, REQUIRED),
+    "speed_mps": (finite, None), "speed_mph": (finite, None),
+    "low_confidence": (boolean, False),
+}, exclusive=[("speed_mps", "speed_mph")])
+_required = operator.itemgetter("t", "actor_id", "role", "x", "y",
+                                "heading_rad", "length_m", "width_m")
 _LO, _HI = -2.0 ** 63, 2.0 ** 63
 
 
-def _parse_record(obj, line: str, index: int,
-                  seen: dict | None = None) -> ActorState:
+def _parse_record(obj, line: str, index: int, seen: dict | None = None,
+                  reported: set | None = None) -> ActorState:
     """Record ``line`` as an ActorState, its pose not yet built.  ``obj``
     is the line as orjson decoded it, or None where orjson refused it.
     ``seen`` maps actor ids to their first states; the record reuses that
-    id object, and those dims when equal.
+    id object, and those dims when equal.  ``reported`` holds the unknown
+    keys that the records before it reported.
 
     The record is read from ``obj`` in one pass when ``obj`` holds the
     eight required fields and at most ``speed_mps`` and
@@ -189,35 +192,12 @@ def _parse_record(obj, line: str, index: int,
     except (KeyError, TypeError):
         fast = False
     if not fast:
-        obj = _json_line(line, index, TraceError)
-        if not isinstance(obj, dict):
-            raise TraceError("record is not a JSON object", index)
-        for key in _REQUIRED:
-            if key not in obj:
-                raise TraceError(f"missing required field {key!r}", index)
-        if "speed_mps" in obj and "speed_mph" in obj:
-            raise TraceError("both speed_mps and speed_mph present", index)
-        try:
-            actor_id = json_string(obj["actor_id"], "actor_id")
-            low_confidence = obj.get("low_confidence", False)
-            if not isinstance(low_confidence, bool):
-                raise ValueError(f"low_confidence must be true or false, got "
-                                 f"{json_text(low_confidence)}")
-            speed = None
-            if "speed_mps" in obj:
-                speed = json_number(obj["speed_mps"], "speed_mps", finite=True)
-            elif "speed_mph" in obj:
-                speed = json_number(obj["speed_mph"], "speed_mph",
-                                    finite=True) * MPH_TO_MPS
-            role = json_string(obj["role"], "role")
-            t = json_number(obj["t"], "t")
-            x, y, heading = (json_number(obj[k], k)
-                             for k in ("x", "y", "heading_rad"))
-            Pose2D(x, y, heading)       # raises on a non-finite component
-            length, width = (json_number(obj[k], k)
-                             for k in ("length_m", "width_m"))
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise TraceError(str(exc), index) from exc
+        obj = json_value(line, f"record {index}", TraceError)
+        (t, actor_id, role, x, y, heading, length, width, speed, speed_mph,
+         low_confidence) = _RECORD.read(obj, TraceError, index,
+                                        reported=reported)
+        if speed_mph is not None:
+            speed = speed_mph * MPH_TO_MPS
     first = seen.get(actor_id) if seen else None
     if first is not None:
         actor_id, dims = first.actor_id, first.dims
@@ -227,7 +207,7 @@ def _parse_record(obj, line: str, index: int,
         state = ActorState(actor_id, role, t, None, dims, speed,
                            low_confidence is True)
     except ValueError as exc:
-        raise TraceError(str(exc), index) from exc
+        raise TraceError(f"record {index}: {exc}") from exc
     state._x, state._y, state._heading = x, y, heading
     return state
 
@@ -251,49 +231,6 @@ def read_lines(source):
             text.detach()   # so that ``text``, when collected, spares ``binary``
 
 
-# the scanner that JSONDecoder.raw_decode calls, without its Python frame:
-# (value, end), or StopIteration where no value starts
-_scan = json.JSONDecoder().scan_once
-
-
-def _json_line(line: str, index: int, error):
-    """``line`` decoded by the stdlib as one JSON value, nested at most
-    MAX_NESTING deep; otherwise ``error(message, index)``, worded as
-    ``json.loads`` words it."""
-    # a line nests no deeper than it has brackets; the decoder is never let
-    # near the recursion limit, where a finalizer that the collector runs
-    # would have no stack left
-    if line.count("[") + line.count("{") <= MAX_NESTING:
-        try:
-            obj, end = _scan(line, 0)
-            if end == len(line):
-                return obj
-        except (StopIteration, ValueError, RecursionError):
-            pass
-    try:    # json_loads decodes the line again, or words its error
-        return json_loads(line)
-    except json.JSONDecodeError as exc:
-        raise error(f"invalid JSON: {exc.msg}", index) from exc
-    except ValueError as exc:   # an integer past int_max_str_digits
-        raise error(f"invalid JSON: {exc}", index) from None
-    except RecursionError:
-        raise error("invalid JSON: nested too deeply", index) from None
-
-
-def _lines(lines):
-    """``(index, line)`` of the stripped, non-blank lines of ``lines``;
-    blank ones are not counted as records."""
-    return enumerate(filter(None, map(str.strip, lines)))
-
-
-def json_records(lines, error):
-    """``(index, value)`` of each JSON-lines record in ``lines``, blank
-    lines skipped and not counted.  A line that is not one JSON value
-    raises ``error(message, index)``."""
-    for index, line in _lines(lines):
-        yield index, _json_line(line, index, error)
-
-
 def iter_steps(lines):
     """Group a JSON-lines record stream into timesteps, lazily.
 
@@ -305,22 +242,25 @@ def iter_steps(lines):
     (blank lines not counted).
     """
     seen: dict = {}     # actor id -> its first state
+    reported: set = set()   # the unknown keys reported so far
     t, step = None, {}
-    for index, line in _lines(lines):
+    for index, line in record_lines(lines):
         try:
             obj = orjson.loads(line)
         except orjson.JSONDecodeError:
             obj = None      # _parse_record has the stdlib decode it
-        state = _parse_record(obj, line, index, seen)
+        state = _parse_record(obj, line, index, seen, reported)
         aid, st = state.actor_id, state.t
         if step and st < t:
-            raise TraceError(f"out-of-order timestamp {st} after {t}", index)
+            raise TraceError(f"record {index}: out-of-order timestamp {st} "
+                             f"after {t}")
         if st == t and aid in step:
-            raise TraceError(f"duplicate actor {aid!r} at t={st}", index)
+            raise TraceError(f"record {index}: duplicate actor {aid!r} at "
+                             f"t={st}")
         dims = seen.setdefault(aid, state).dims
         if dims is not state.dims:
-            raise TraceError(f"actor {aid!r} changed dims {dims} -> {state.dims}",
-                             index)
+            raise TraceError(f"record {index}: actor {aid!r} changed dims "
+                             f"{dims} -> {state.dims}")
         if st != t:
             if step:
                 yield t, step

@@ -16,7 +16,10 @@ The on-disk format is a UTF-8 JSON document:
       "centreline": [[x, y], ...]
     }
 
-Unknown keys are warned about and ignored.
+It is read against the field tables ``_MAP`` and ``_LANELET`` by
+``inputs.Schema.read``.  A key that they do not name is accepted, and
+reported as an ``inputs.UnknownKeysWarning`` once for the document and once
+for all its lanelets.
 
 Every map builds, once, a packed R-tree over the lanelets and one over the
 centre-line segments when it has more of them than one tree node holds;
@@ -33,13 +36,13 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import re
-import warnings
-from itertools import accumulate, repeat
+from itertools import chain
 
 from .geometry import (ConvexPolygon, GeometryError, normalize_angle,
                        overlap_area, segment_intersects_polygon,
                        _point_in_polygon)
+from .inputs import (REQUIRED, Schema, array, number, points, read_document,
+                     string)
 from .record import Record
 
 DIRECTIONS = ("with_map_axis", "against_map_axis")
@@ -53,12 +56,6 @@ _AREA_EPS = 1e-6        # area a shape may stick out of the lanes it is within
 class MapError(ValueError):
     """Malformed or invalid map document."""
 
-    def __init__(self, message, location=None):
-        self.location = location
-        if location:
-            message = f"{message} (at {location})"
-        super().__init__(message)
-
 
 class OffRoadError(LookupError):
     """A query point lies outside every lanelet."""
@@ -69,14 +66,14 @@ class Lanelet(Record):
 
     def __post_init__(self):
         if not (math.isfinite(self.width) and self.width > 0.0):
-            raise MapError(f"lanelet width must be finite and > 0, got "
-                           f"{self.width}", location=f"lanelet {self.id!r}")
+            raise MapError(f"lanelet {self.id!r}: lanelet width must be "
+                           f"finite and > 0, got {self.width}")
         if not math.isfinite(self.orientation):
-            raise MapError(f"lanelet orientation must be finite, got "
-                           f"{self.orientation}", location=f"lanelet {self.id!r}")
+            raise MapError(f"lanelet {self.id!r}: lanelet orientation must be "
+                           f"finite, got {self.orientation}")
         if self.direction not in DIRECTIONS:
-            raise MapError(f"unknown direction {self.direction!r}",
-                           location=f"lanelet {self.id!r}")
+            raise MapError(f"lanelet {self.id!r}: unknown direction "
+                           f"{self.direction!r}")
         object.__setattr__(self, "orientation", normalize_angle(self.orientation))
 
 
@@ -208,6 +205,8 @@ class RoadMap(Record):
         object.__setattr__(self, "lanelets",
                            tuple(sorted(self.lanelets, key=lambda l: l.id)))
         pts = tuple((float(x), float(y)) for x, y in self.centreline)
+        if not all(map(math.isfinite, chain.from_iterable(pts))):
+            raise MapError("centreline coordinates must be finite")
         object.__setattr__(self, "centreline", pts)
         lanelets = self.lanelets
         object.__setattr__(self, "_lanelet_tree", _tree(
@@ -216,154 +215,30 @@ class RoadMap(Record):
             len(pts) - 1, lambda i: pts[i:i + 2]))
 
 
-_LANELET_KEYS = {"id", "vertices", "orientation_rad", "width_m", "direction"}
-_TOP_KEYS = {"lanelets", "centreline"}
-
-
-def _check_keys(obj: dict, allowed: set, where: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        warnings.warn(f"unknown keys {sorted(unknown)} in {where}")
-
-
-def read_text(source, what: str) -> str:
-    """``source`` (bytes, text or a file of either) as UTF-8 text."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, (bytes, bytearray)):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    raise TypeError(f"cannot read {what} from {type(source).__name__}")
-
-
-# How deep arrays and objects may nest in a JSON document or record: far
-# enough inside the interpreter's recursion limit (1000 by default) that
-# decoding a value and naming it in a message both have stack to spare,
-# so that where the limit falls does not depend on the caller's depth.
-MAX_NESTING = 512
-_ESCAPE = re.compile(r"\\.", re.S)
-_STRING = re.compile(r'"[^"]*"')
-# drops every ASCII character but quotes and brackets, and makes braces
-# brackets
-_BRACKETS = str.maketrans("{}", "[]", "".join(
-    chr(c) for c in range(128) if chr(c) not in '"[]{}'))
-_NESTING_STEP = {"[": 1, "]": -1}
-
-
-def json_loads(text: str):
-    """``json.loads(text)``, except that a value nested more than
-    MAX_NESTING deep raises RecursionError before it is decoded."""
-    if text.count("[") + text.count("{") > MAX_NESTING:
-        # the brackets of ``text`` outside its strings, whose escapes go first
-        brackets = _STRING.sub("", _ESCAPE.sub("", text).translate(_BRACKETS))
-        depths = accumulate(map(_NESTING_STEP.get, brackets, repeat(0)))
-        if max(depths) > MAX_NESTING:
-            raise RecursionError(f"JSON nested more than {MAX_NESTING} deep")
-    return json.loads(text)
-
-
-def json_text(value) -> str:
-    """``value`` as JSON text, for a message; a value nested too deeply to
-    write from the caller's stack depth is named by its type instead."""
-    try:
-        return json.dumps(value)
-    except RecursionError:
-        return f"a {type(value).__name__}"
-
-
-def json_number(value, what: str, error=ValueError, finite=False) -> float:
-    """``value`` as a float if it is a JSON number, not a boolean or a
-    numeric string (finite if ``finite``); otherwise ``error`` naming
-    ``what``.  An integer too large for a float raises OverflowError."""
-    if type(value) is not float and type(value) is not int:
-        raise error(f"{what} must be a number, got {json_text(value)}")
-    value = float(value)
-    if finite and not math.isfinite(value):
-        raise error(f"{what} must be finite, got {value}")
-    return value
-
-
-def json_string(value, what: str) -> str:
-    """``value`` if it is a JSON string; otherwise ValueError naming ``what``."""
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {json_text(value)}")
-    return value
+_MAP = Schema("map", {"lanelets": (array, REQUIRED),
+                      "centreline": (points, REQUIRED)})
+_LANELET = Schema("lanelets[{}]", {
+    "id": (string, REQUIRED), "vertices": (points, REQUIRED),
+    "orientation_rad": (number, REQUIRED), "width_m": (number, REQUIRED),
+    "direction": (string, REQUIRED)})
 
 
 def load_map(source) -> RoadMap:
     """Parse and validate a map document from bytes, text, or a file object."""
-    text = read_text(source, "map")
-    try:
-        doc = json_loads(text)
-    except json.JSONDecodeError as exc:
-        raise MapError(f"invalid JSON: {exc.msg}",
-                       location=f"line {exc.lineno}, column {exc.colno}") from exc
-    except RecursionError:
-        raise MapError("invalid JSON: nested too deeply") from None
-    except ValueError as exc:       # an integer past int_max_str_digits
-        raise MapError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MapError("top-level value must be an object")
-    _check_keys(doc, _TOP_KEYS, "map document")
-    if "lanelets" not in doc:
-        raise MapError("missing required key 'lanelets'")
-    if "centreline" not in doc:
-        raise MapError("missing required key 'centreline'")
-    if not isinstance(doc["lanelets"], list):
-        raise MapError("lanelets must be a list", location="lanelets")
-
+    doc = read_document(source, _MAP.where, MapError)
+    entries, centreline = _MAP.read(doc, MapError)
+    reported = set()
     lanelets = []
-    for i, entry in enumerate(doc["lanelets"]):
-        where = f"lanelets[{i}]"
-        if not isinstance(entry, dict):
-            raise MapError("lanelet entry must be an object", location=where)
-        if entry.keys() != _LANELET_KEYS:
-            _check_keys(entry, _LANELET_KEYS, where)
-            missing = _LANELET_KEYS - set(entry)
-            if missing:
-                raise MapError(f"missing keys {sorted(missing)}",
-                               location=where)
+    for i, entry in enumerate(entries):
+        lid, vertices, orientation, width, direction = _LANELET.read(
+            entry, MapError, i, reported=reported)
         try:
-            lid = json_string(entry["id"], "id")
-        except ValueError as exc:
-            raise MapError(str(exc), location=where) from None
-        where = f"lanelet {lid!r}"
-        vertices = entry["vertices"]
-        try:
-            for x, y in vertices:
-                if type(x) is not float or type(y) is not float:
-                    json_number(x, "vertices"), json_number(y, "vertices")
             shape = ConvexPolygon.from_points(vertices)
-        except (GeometryError, TypeError, ValueError, OverflowError) as exc:
-            raise MapError(f"invalid shape: {exc}", location=where) from exc
-        try:
-            width = json_number(entry["width_m"], "width_m")
-            orientation = json_number(entry["orientation_rad"],
-                                      "orientation_rad")
-        except (ValueError, OverflowError) as exc:
-            raise MapError(f"invalid number: {exc}", location=where) from exc
-        try:
-            direction = json_string(entry["direction"], "direction")
-        except ValueError as exc:
-            raise MapError(str(exc), location=where) from None
+        except GeometryError as exc:
+            raise MapError(f"lanelet {lid!r}: invalid shape: {exc}") from None
         lanelets.append(Lanelet(lid, shape, orientation, width, direction))
-
-    centreline = doc["centreline"]
-    if (not isinstance(centreline, list) or len(centreline) < 2
-            or not all(isinstance(p, list) and len(p) == 2 for p in centreline)):
-        raise MapError("centreline must be a list of >= 2 [x, y] points",
-                       location="centreline")
-    try:
-        for x, y in centreline:
-            json_number(x, "centreline"), json_number(y, "centreline")
-    except (ValueError, OverflowError) as exc:
-        raise MapError(f"invalid number: {exc}", location="centreline") from exc
-    if not all(map(math.isfinite, (c for p in centreline for c in p))):
-        raise MapError("centreline coordinates must be finite",
-                       location="centreline")
     # free the document first: the indexes are built in the memory it held
-    del doc, text
+    del doc, entries
     return RoadMap(tuple(lanelets), centreline)
 
 

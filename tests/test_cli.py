@@ -208,7 +208,7 @@ class TestBadProfiles:
         res = invoke(fixture_dir, command, "--profiles", str(profiles))
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == 2
-        assert "malformed profile config" in res.output
+        assert f"error: {profiles}: profile config: " in res.stderr
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["worst_case_speed_mph"].update(car="fast"),
@@ -360,9 +360,10 @@ class TestDeepNesting:
                               "deeply\n", depth
 
     @pytest.mark.parametrize("option, text, key, value, message", [
-        ("--map", None, "id", "running", "invalid JSON: nested too deeply"),
+        ("--map", None, "id", "running",
+         "map: invalid JSON: nested too deeply"),
         ("--profiles", PACKAGED_PROFILES.read_text(), "pull_out_clearance_m",
-         5.339572682512483, "malformed profile config: JSON nested too "
+         5.339572682512483, "profile config: invalid JSON: nested too "
                             "deeply"),
     ], ids=["map", "profiles"])
     def test_document_near_recursion_limit(self, fixture_dir, tmp_path,
@@ -425,7 +426,7 @@ MALFORMED = [
     ("negative-t", _mutate(5, t=-1.0),
      "record 5: timestamp must be finite and >= 0, got -1.0"),
     ("non-finite-x", _mutate(5, x=float("nan")),
-     "record 5: pose components must be finite"),
+     "record 5: x must be finite, got nan"),
     ("both-speeds", _mutate(5, speed_mph=25.0),
      "record 5: both speed_mps and speed_mph present"),
     ("duplicate", _insert(4, 3), "record 4: duplicate actor 'ego' at t=0.05"),
@@ -436,7 +437,7 @@ MALFORMED = [
      "-> BoxDims(length=9.0, width=2.0)"),
     ("not-an-object", lambda rs: [json.dumps(r) for r in rs[:5]]
      + ["5"] + [json.dumps(r) for r in rs[6:]],
-     "record 5: record is not a JSON object"),
+     "record 5: not a JSON object"),
     ("int-past-digit-limit", lambda rs: [json.dumps(r) for r in rs[:5]]
      + ['{"t": 1%s}' % ("0" * 5000)] + [json.dumps(r) for r in rs[6:]],
      "record 5: invalid JSON: Exceeds the limit (4300 digits) for integer "
@@ -462,7 +463,7 @@ MALFORMED = [
     ("text-low-confidence", _mutate(5, low_confidence="false"),
      'record 5: low_confidence must be true or false, got "false"'),
     ("huge-integer-x", _mutate(5, x=10 ** 400),
-     "record 5: int too large to convert to float"),
+     "record 5: x must be a number within the range of a float"),
     # Python's JSON decoder takes NaN and Infinity; RFC 8259 does not
     ("nan-speed", _mutate(5, speed_mps=float("nan")),
      "record 5: speed_mps must be finite, got nan"),
@@ -1499,8 +1500,8 @@ class TestStringIds:
             "--trace", str(fixture_dir / "safe_trace.jsonl")])
         no_traceback(res)
         assert res.exit_code == 2, res.output
-        assert (f"error: {bad}: id must be a string, got {json.dumps(value)} "
-                f"(at lanelets[0])") in res.stderr
+        assert (f"error: {bad}: lanelets[0]: id must be a string, got "
+                f"{json.dumps(value)}\n") in res.stderr
 
     @pytest.mark.parametrize("value", [5, None])
     def test_role_hint(self, fixture_dir, tmp_path, value):
@@ -1593,3 +1594,152 @@ class TestZonesCommand:
         res = invoke(fixture_dir, "zones", trace=trace)
         assert res.exit_code == 2, res.output
         assert "error: the ego never crosses the centre line" in res.stderr
+
+
+def _set(path, value):
+    """An edit of a JSON document: the value at ``path`` replaced."""
+    def edit(doc):
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return doc
+    return edit
+
+
+class TestFieldMessages:
+    """A value of the wrong JSON kind in a profile config or a map exits 2
+    with one message that names the field, never the interpreter's own
+    words for the fault."""
+
+    @pytest.mark.parametrize("option, edit, message", [
+        ("--profiles", _set(["profiles"], [1]),
+         "profile config: profiles must be an object, got [1]"),
+        ("--profiles", _set(["worst_case_speed_mph"], [1]),
+         "profile config: worst_case_speed_mph must be an object, got [1]"),
+        ("--profiles", _set(["profiles", "nominal"], "nominal"),
+         "profile 'nominal': not a JSON object"),
+        ("--profiles", _set(["role_vehicle_class"], {"AV": 5}),
+         "profile config: role_vehicle_class AV must be a string, got 5"),
+        ("--profiles", lambda doc: [doc], "profile config: not a JSON object"),
+        ("--map", _set(["lanelets", 0, "vertices"], 5),
+         "lanelets[0]: vertices must be a list of [x, y] points, got 5"),
+        ("--map", _set(["lanelets", 0, "vertices", 1], [150.0, -3.65, 0.0]),
+         "lanelets[0]: vertices must be a list of [x, y] points, got "
+         "[150.0, -3.65, 0.0] among them"),
+    ], ids=["profiles-list", "speeds-list", "profile-string",
+            "class-number", "top-level-list", "int-vertices",
+            "three-element-point"])
+    def test_names_the_field(self, fixture_dir, tmp_path, option, edit,
+                             message):
+        source = (PACKAGED_PROFILES if option == "--profiles"
+                  else fixture_dir / "safe_map.json")
+        bad = tmp_path / "input.json"
+        bad.write_text(json.dumps(edit(json.loads(source.read_text("utf-8")))))
+        res = invoke(fixture_dir, "check", option, str(bad))
+        no_traceback(res)
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: {bad}: {message}\n"
+        for phrase in ("object has no attribute", "not iterable", "unpack",
+                       "not supported between"):
+            assert phrase not in res.stderr
+
+
+def _noted(*path):
+    """An edit of a JSON document: the key "note" added to the object at
+    ``path``."""
+    def edit(doc):
+        target = doc
+        for key in path:
+            target = target[key]
+        target["note"] = "unread"
+        return doc
+    return edit
+
+
+def _noted_lines(select):
+    """An edit of a JSON-lines file: the key "note" added to each record
+    that ``select`` picks."""
+    def edit(text):
+        records = [json.loads(line) for line in text.splitlines()]
+        return "".join(json.dumps(_noted()(r) if select(r) else r) + "\n"
+                       for r in records)
+    return edit
+
+
+def _document(edit):
+    return lambda text: json.dumps(edit(json.loads(text)))
+
+
+class TestUnknownKeys:
+    """A key that no field table names is accepted and reported once per
+    input: each command gives the stdout, files and exit code that it gives
+    without the key, and one ``warning: <where>: unknown keys ['note']``
+    line on stderr, not a Python warning."""
+
+    # (input, the file it is made from, the edit, where the key is reported)
+    CASES = [
+        ("map", "safe_map.json", _document(_noted()), "map"),
+        ("map", "safe_map.json", _document(_noted("lanelets", 0)),
+         "lanelets[0]"),
+        ("trace", "safe_trace.jsonl", _noted_lines(lambda r: True),
+         "record 0"),
+        ("profiles", None, _document(_noted()), "profile config"),
+        ("calibration", "occlusion_abort_calibration.json",
+         _document(_noted()), "calibration"),
+        ("detections", "occlusion_abort_detections.jsonl",
+         _noted_lines(lambda r: r["t"] == 1.0 and "class" in r), "record 41"),
+    ]
+
+    @staticmethod
+    def outcome(root, kind, path, out):
+        """(exit code, stdout, the files written) and stderr of every
+        command that reads ``kind``, with ``path`` as that input."""
+        inputs = {"map": root / "safe_map.json",
+                  "trace": root / "safe_trace.jsonl",
+                  "detections": root / "occlusion_abort_detections.jsonl",
+                  "calibration": root / "occlusion_abort_calibration.json",
+                  kind: path}
+        if kind in ("detections", "calibration"):
+            runs = [(["estimate", "--detections", inputs["detections"],
+                      "--calibration", inputs["calibration"],
+                      "--out", out / "trace.jsonl"], None)]
+        else:
+            common = ["--map", inputs["map"], "--out-jsonl",
+                      out / "v.jsonl", "--out-csv", out / "v.csv"]
+            if kind == "profiles":
+                common += ["--profiles", path]
+            runs = [(["check", "--trace", inputs["trace"], *common], None)]
+            if kind == "trace":
+                runs.append((["monitor", *common[:2]],
+                             inputs["trace"].read_bytes()))
+        results = []
+        for args, stdin in runs:
+            res = runner.invoke(main, [str(a) for a in args], input=stdin)
+            no_traceback(res)
+            files = {p.name: p.read_text() for p in sorted(out.iterdir())}
+            results.append(((res.exit_code, res.stdout, files), res.stderr))
+        return results
+
+    @pytest.mark.parametrize("kind, source, edit, where", CASES,
+                             ids=["map", "lanelet", "trace", "profiles",
+                                  "calibration", "detection"])
+    def test_reported_once(self, fixture_dir, tmp_path, kind, source, edit,
+                           where):
+        source = fixture_dir / source if source else PACKAGED_PROFILES
+        suffix = source.suffix
+        plain, noted = tmp_path / f"plain{suffix}", tmp_path / f"noted{suffix}"
+        text = source.read_text("utf-8")
+        plain.write_text(text)
+        noted.write_text(edit(text))
+        assert noted.read_text() != text
+        (tmp_path / "out").mkdir()
+        without = self.outcome(fixture_dir, kind, plain, tmp_path / "out")
+        with_key = self.outcome(fixture_dir, kind, noted, tmp_path / "out")
+        for (result, stderr), (noted_result, noted_stderr) in zip(
+                without, with_key):
+            assert noted_result == result
+            assert stderr == ""
+            assert noted_stderr == f"warning: {where}: unknown keys " \
+                                   f"['note']\n"

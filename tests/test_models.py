@@ -211,7 +211,7 @@ class TestProfiles:
         (lambda d: d["worst_case_speed_mph"].update(car=-5.0),
          "worst_case_speed_mph car must be finite and >= 0"),
         (lambda d: d.update(worst_case_speed_mph=[60.0]),
-         "malformed profile config"),
+         "worst_case_speed_mph must be an object"),
         (lambda d: d["role_vehicle_class"].update(VBP="bus"),
          "no worst-case speed for class 'bus'"),
         (lambda d: d["manoeuvre"].update(lateral_offset_m=math.nan),
@@ -225,9 +225,9 @@ class TestProfiles:
         (lambda d: d["profiles"]["nominal"].update(
             cut_in_clearance_m=math.inf), "clearances must be"),
         (lambda d: d["profiles"]["nominal"].update(
-            cut_in_clearance_m=10 ** 400), "too large"),
+            cut_in_clearance_m=10 ** 400), "range of a float"),
         (lambda d: d["worst_case_speed_mph"].update(car=10 ** 400),
-         "too large"),
+         "range of a float"),
     ], ids=["text-speed", "nan-speed", "negative-speed", "speeds-list",
             "class-without-speed", "nan-offset", "infinite-length",
             "zero-offset", "nan-pull-out", "infinite-cut-in",

@@ -42,19 +42,23 @@ def test_outputs_of_one_preset_and_profile(tmp_path):
     assert sorted(verdicts) == sorted(
         (case / "plain.monitor.out").read_text().splitlines())
     assert not (out / "workloads").exists()
-    # every malformed input exits 2 with one error line from each reader,
-    # and the two well-formed traces among them are read without a word
+    # every malformed input exits 2 with one error line from each reader;
+    # a well-formed one is read without a word, or with one warning line
+    # for its unknown key
     rejections = out / "rejections"
     runs = [(case, command) for case, *_ in tool.REJECTIONS
             for command in tool.READERS[case.split("-", 1)[0]]]
-    assert len(runs) == len(list(rejections.glob("*.exit"))) == 44
-    well_formed = {"trace-big-integer-x", "trace-nested-unknown-key"}
+    assert len(runs) == len(list(rejections.glob("*.exit"))) == 64
     for case, command in runs:
         run = f"{case}.{command}"
-        if case in well_formed:
-            assert (rejections / f"{run}.err").read_text() == "", run
-            assert (rejections / f"{run}.exit").read_text() != "2\n", run
-            continue
-        assert (rejections / f"{run}.exit").read_text() == "2\n", run
         err = (rejections / f"{run}.err").read_text().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), (run, err)
+        code = (rejections / f"{run}.exit").read_text()
+        if case == "trace-big-integer-x":
+            assert err == [] and code != "2\n", run
+        elif case.endswith("unknown-key"):
+            assert len(err) == 1 and err[0].startswith("warning: ") and \
+                err[0].endswith(": unknown keys ['note']"), (run, err)
+            assert code != "2\n", run
+        else:
+            assert code == "2\n", run
+            assert len(err) == 1 and err[0].startswith("error: "), (run, err)

@@ -123,7 +123,7 @@ class TestMalformedDetections:
     @pytest.mark.parametrize("line, message", [
         ("[]", "not a JSON object"),
         ('"text"', "not a JSON object"),
-        ('{"frame": 1, "line_px": 300.0}', "missing field 't'"),
+        ('{"frame": 1, "line_px": 300.0}', "missing required field 't'"),
         ('{"t": null, "line_px": 300.0}', "record 1: "),
         ('{"t": "soon", "line_px": 300.0}', "record 1: "),
         ('{"t": 1.0, "frame": "two", "line_px": 300.0}', "record 1: "),

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from roadcheck.dsl import Expr, Span
-from roadcheck.engine import Verdict
+from roadcheck.engine import _CONDITION_DETAIL, Verdict
 from roadcheck.geometry import BoxDims, ConvexPolygon, Pose2D
 from roadcheck.trace import DerivedState
 from roadcheck.zones import ZoneThresholds
@@ -91,8 +91,13 @@ class TestRecord:
         ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
         Expr("+", (Expr("number", (), 1.0), Expr("name", (), "x")), None),
         Verdict("a", 1.5, "fail", {"measured": 2.0}),
-        DerivedState(3.0, -0.25, 0.1, 0.0), DerivedState(3.0, None)])
+        DerivedState(3.0, -0.25, 0.1, 0.0), DerivedState(3.0, None),
+        # the shared, read-only details
+        Verdict("a", 0.0, "pass"), Verdict("a", 0.5, "pass",
+                                           _CONDITION_DETAIL[1])])
     def test_copy_and_pickle(self, value):
         for again in (copy.copy(value), copy.deepcopy(value),
                       pickle.loads(pickle.dumps(value))):
             assert again == value and again is not value
+            if isinstance(value, Verdict):
+                assert again.to_json() == value.to_json()

@@ -15,9 +15,10 @@ from roadcheck.checker import compile_text
 from roadcheck.engine import FAIL, EvaluationContext, Verdict, evaluate_document
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck import trace as trace_module
+from roadcheck.inputs import json_records
 from roadcheck.trace import (ActorState, DerivedState, Trace, TraceError,
-                             derive_row, iter_steps, json_records, load_trace,
-                             read_lines, serialise_trace)
+                             derive_row, iter_steps, load_trace, read_lines,
+                             serialise_trace)
 from roadcheck.worldmap import load_map
 
 MPH = 0.44704

@@ -8,8 +8,8 @@ from itertools import accumulate
 import pytest
 
 from roadcheck.geometry import BoxDims, ConvexPolygon, Pose2D, oriented_box
-from roadcheck.worldmap import (MAX_NESTING, MapError, OffRoadError,
-                                crosses_centreline, json_loads, json_string,
+from roadcheck.inputs import MAX_NESTING, json_loads, json_string
+from roadcheck.worldmap import (MapError, OffRoadError, crosses_centreline,
                                 lane_orientation_at, lanelets_containing,
                                 load_map, serialise_map)
 
@@ -89,11 +89,14 @@ class TestLoadMap:
          "orientation must be finite"),
         (("lanelets", 0, "width_m"), "NaN", "width"),
         (("lanelets", 0, "width_m"), "Infinity", "width"),
-        (("lanelets", 0, "width_m"), "1" + "0" * 400, "east"),
-        (("lanelets", 0, "vertices", 1), "[1%s, 0]" % ("0" * 400), "east"),
+        (("lanelets", 0, "width_m"), "1" + "0" * 400,
+         r"^lanelets\[0\]: width_m must be a number within the range of a "
+         r"float$"),
+        (("lanelets", 0, "vertices", 1), "[1%s, 0]" % ("0" * 400),
+         r"^lanelets\[0\]: vertices must be a number within the range"),
         (("lanelets",), "1" + "0" * 5000, "invalid JSON"),
         (("lanelets", 0, "direction"), "5",
-         r"^direction must be a string, got 5 \(at lanelet 'east'\)$"),
+         r"^lanelets\[0\]: direction must be a string, got 5$"),
     ], ids=["lanelets-number", "text-point", "huge-int-point",
             "infinite-orientation", "nan-width", "infinite-width",
             "huge-int-width", "huge-int-vertex", "int-past-digit-limit",

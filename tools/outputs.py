@@ -14,8 +14,9 @@ so DIR may be the ``src`` directory of any checkout, and writes into OUT:
 * ``rejections/``: malformed inputs made from the ``safe`` and
   ``occlusion_abort`` files in ``inputs/``, one or more per reader, with
   two well-formed traces that only the stdlib decoder of a trace record
-  reads, and the stdout, stderr and exit code of every command that
-  reads each one;
+  reads and, for each reader, an input that is well-formed but for one
+  key that it does not read, and the stdout, stderr and exit code of
+  every command that reads each one;
 * ``workloads/``: the same ``check`` and ``monitor`` outputs on the four
   benchmark workloads at seed 7 (nominal profile), when ``bench/gen.py``
   exists next to this directory.
@@ -97,6 +98,14 @@ def _record(index: int, field: str, value=None, text: str | None = None):
     return edit
 
 
+def _each_record(field: str, value):
+    """An edit of JSON-lines text: every record's ``field`` set."""
+    def edit(source: str) -> str:
+        return "".join(json.dumps({**json.loads(line), field: value}) + "\n"
+                       for line in source.splitlines())
+    return edit
+
+
 def _swap(i: int, j: int):
     """An edit of JSON-lines text: lines ``i`` and ``j`` swapped."""
     def edit(text: str) -> str:
@@ -106,13 +115,24 @@ def _swap(i: int, j: int):
     return edit
 
 
-def _lanelet(field: str, value):
-    """An edit of a map: the first lanelet's ``field`` set."""
-    def edit(text: str) -> str:
-        doc = json.loads(text)
-        doc["lanelets"][0][field] = value
+def _document(*path, value, text: str | None = None):
+    """An edit of a JSON document, or of ``text`` in place of it: the value
+    at ``path`` set."""
+    def edit(source: str) -> str:
+        doc = json.loads(text or source)
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
         return json.dumps(doc)
     return edit
+
+
+# a profile config with the one profile that the commands use
+PROFILE_CONFIG = json.dumps({"profiles": {"nominal": {
+    "pull_out_clearance_m": 2.7, "pull_out_angle_rad": 0.4,
+    "cut_in_clearance_m": 2.7, "cut_in_angle_rad": 0.4}}})
 
 
 def _indexed(vertices, pairs: int = 20):
@@ -155,10 +175,11 @@ REJECTIONS = (
     ("trace-deep-actor-id", "trace.jsonl", "safe_trace.jsonl",
      _record(1, "actor_id", text="[" * 982 + "]" * 982)),
     ("map-number-direction", "map.json", "safe_map.json",
-     _lanelet("direction", 5)),
+     _document("lanelets", 0, "direction", value=5)),
     ("map-nan-vertex", "map.json", "safe_map.json",
-     _lanelet("vertices", [[0.0, 0.0], [math.nan, 0.0], [150.0, 3.65],
-                           [0.0, 3.65]])),
+     _document("lanelets", 0, "vertices",
+               value=[[0.0, 0.0], [math.nan, 0.0], [150.0, 3.65],
+                      [0.0, 3.65]])),
     # maps that would build both indexes
     ("map-indexed-non-convex", "map.json", "safe_map.json",
      _indexed([[30.0, 0.0], [37.5, 0.0], [32.0, 1.0], [30.0, 3.65]])),
@@ -166,7 +187,11 @@ REJECTIONS = (
      _indexed([[30.0, 0.0], [math.nan, 0.0], [37.5, 3.65], [30.0, 3.65]])),
     ("map-indexed-string-vertex", "map.json", "safe_map.json",
      _indexed([[30.0, 0.0], ["37.5", 0.0], [37.5, 3.65], [30.0, 3.65]])),
+    ("map-int-vertices", "map.json", "safe_map.json",
+     _document("lanelets", 0, "vertices", value=5)),
     ("profiles-not-json", "profiles.json", None, lambda _: "{profiles\n"),
+    ("profiles-list-speeds", "profiles.json", None,
+     _document("worst_case_speed_mph", value=[1], text=PROFILE_CONFIG)),
     ("rules-unparsable", "rules.rdl", None, lambda _: "assertion {\n"),
     ("detections-fractional-frame", "detections.jsonl",
      "occlusion_abort_detections.jsonl", _record(318, "frame", 180.7)),
@@ -176,6 +201,19 @@ REJECTIONS = (
      "occlusion_abort_calibration.json",
      lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                               if k != "c"})),
+    # well-formed but for one key that no reader reads
+    ("trace-unknown-key", "trace.jsonl", "safe_trace.jsonl",
+     _each_record("note", "unread")),
+    ("map-unknown-key", "map.json", "safe_map.json",
+     _document("note", value="unread")),
+    ("map-lanelet-unknown-key", "map.json", "safe_map.json",
+     _document("lanelets", 0, "note", value="unread")),
+    ("profiles-unknown-key", "profiles.json", None,
+     _document("note", value="unread", text=PROFILE_CONFIG)),
+    ("detections-unknown-key", "detections.jsonl",
+     "occlusion_abort_detections.jsonl", _record(319, "note", "unread")),
+    ("calibration-unknown-key", "calibration.json",
+     "occlusion_abort_calibration.json", _document("note", value="unread")),
 )
 # the commands that read each kind of input, with the good inputs they need
 TRACE_READERS = ("check", "monitor", "zones")
