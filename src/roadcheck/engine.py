@@ -37,15 +37,19 @@ Generation", Computer Languages 12(1), 1987), hash-consed (Filliatre &
 Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006): a node's
 closure is looked up by one key, its op, its value and its operands'
 closures, so that equal subtrees share one closure and no subtree is
-hashed.  Expressions are evaluated against the ``_BufferedStep`` holding
-the timestep: a builtin call goes to its method of the same name.  While
-a step is processed, one memo on it holds its shapes and its references'
-results, each computed once whichever assertions read it.  A plain
-condition's verdict without low-confidence actors shares one of two
-read-only details, ``{"condition": true|false}``, and a verdict built
-without a detail an empty one; code adding to a detail copies it first.
-The JSON text of these three details is encoded once, at import, and a
-verdict line that carries one of them copies it in.
+hashed.  Each step is decided from a plan built once with them: per
+assertion its id, invariant and ``mode: first`` flags, window, kind,
+condition and reference.  Expressions are evaluated against the
+``_BufferedStep`` holding the timestep: a builtin call goes to its method
+of the same name; a role lookup or derived state that exists is read
+without raising.  While a step is processed, one memo on it holds its
+shapes and its references' results, each computed once whichever
+assertions read it.  A plain condition's verdict without low-confidence
+actors shares one of two read-only details, ``{"condition":
+true|false}``, and a verdict built without a detail an empty one; code
+adding to a detail copies it first.  The JSON text of these three details
+is encoded once, at import, and a verdict line that carries one of them
+copies it in.
 
 Comparisons are encoded per rule with explicit <, <=, >, >=: a rule that
 must fail on ties uses the strict operator.  A comparison with an
@@ -214,12 +218,12 @@ class _BufferedStep:
 
     def dynamics(self, aid: str):
         """Derived state of ``aid``; None when it appears at this step only."""
-        try:
-            return self.derived[aid]
-        except KeyError:
-            d = self.derived[aid] = derive_row(self.prev, self.step, self.nxt,
-                                               self.ctx.road, aid)[0]
-            return d
+        derived = self.derived
+        if aid in derived:
+            return derived[aid]
+        d = derived[aid] = derive_row(self.prev, self.step, self.nxt,
+                                      self.ctx.road, aid)[0]
+        return d
 
     def resolve(self, ref: str) -> ActorState:
         """Actor ``ref`` by id, else by role (any case, smallest id)."""
@@ -228,7 +232,7 @@ class _BufferedStep:
             roles = self.roles
             if roles is None:
                 roles = self.roles = role_index(self.step)
-            st = roles.get(ref.lower())
+            st = roles.get(ref) or roles.get(ref.lower())
             if st is None:
                 raise ActorNotFound(ref)
         if st.low_confidence and self.touched is not None:
@@ -355,7 +359,7 @@ def _compile_node(op, value, *children):
     if op in ("number", "duration", "bool"):
         return lambda at: value
     if op == "string":
-        return lambda at: at.resolve(value)
+        return operator.methodcaller("resolve", value)
     if op == "name":    # a name that typecheck did not resolve
         raise EvalError(f"cannot evaluate the name {value!r}")
     if op == "call":
@@ -418,9 +422,10 @@ def _compile_condition(node, memo: dict):
 
 def _condition_verdict(assertion: CompiledAssertion, condition,
                        at: _BufferedStep, t: float) -> Verdict:
-    """Evaluate the compiled condition at step ``at`` and build the verdict."""
+    """Evaluate the compiled condition at step ``at`` and build the verdict;
+    ``condition`` is ``(fn, op, id, on_missing)``."""
     at.touched = ()     # collects the low-confidence actors that it reads
-    fn, op = condition
+    fn, op, aid, on_missing = condition
     try:
         if op is None:
             ok = bool(fn(at))
@@ -429,22 +434,21 @@ def _condition_verdict(assertion: CompiledAssertion, condition,
             ok = _COMPARE[op](measured, threshold)
     except ActorNotFound as exc:
         # the on_missing policies are spelled as the results they give
-        return Verdict(assertion.id, t, assertion.decl.on_missing, {
+        return Verdict(aid, t, on_missing, {
             "reason": "actor-not-found",
             "actor": str(exc.args[0] if exc.args else "")})
     except EvalError as exc:
-        return Verdict(assertion.id, t, FAIL, {"reason": "evaluation-error",
-                                               "error": str(exc)})
+        return Verdict(aid, t, FAIL, {"reason": "evaluation-error",
+                                      "error": str(exc)})
     finally:
         low_conf, at.touched = at.touched, None
     if op is None and not low_conf:
-        return Verdict(assertion.id, t, PASS if ok else FAIL,
-                       _CONDITION_DETAIL[ok])
+        return Verdict(aid, t, PASS if ok else FAIL, _CONDITION_DETAIL[ok])
     detail = ({"condition": ok} if op is None else
               {"measured": measured, "threshold": threshold, "op": op})
     if low_conf:
         detail["low_confidence_actors"] = sorted(set(low_conf))
-    return Verdict(assertion.id, t, PASS if ok else FAIL, detail)
+    return Verdict(aid, t, PASS if ok else FAIL, detail)
 
 
 def _reference_holds(assertion: CompiledAssertion, reference,
@@ -505,11 +509,13 @@ def _sort(verdicts: list) -> None:
 class _Window:
     """A windowed assertion's window at reference time ``t_ref``."""
 
-    __slots__ = ("assertion", "pos", "t_ref", "far", "temporal", "checked")
+    __slots__ = ("assertion", "condition", "pos", "t_ref", "far", "temporal",
+                 "checked")
 
-    def __init__(self, assertion, pos, t_ref, far, temporal):
+    def __init__(self, assertion, condition, pos, t_ref, far, temporal):
         self.assertion = assertion
-        self.pos = pos          # in StreamingEngine._active
+        self.condition = condition      # as in StreamingEngine._plan
+        self.pos = pos          # in StreamingEngine._plan
         self.t_ref = t_ref
         self.far = far
         self.temporal = temporal
@@ -530,17 +536,19 @@ class StreamingEngine:
         assertions = list(assertions)
         self.ctx = ctx
         # ODD applicability is fixed per run; keep the original order
-        self._active = [a for a in assertions if ctx.applicable(a)]
+        active = [a for a in assertions if ctx.applicable(a)]
         self._excluded = [a for a in assertions if not ctx.applicable(a)]
-        # each expression is compiled once, by assertion position; equal
-        # references share one closure and are evaluated once per step
+        # the plan: per active assertion, what a step reads of it, with
+        # each expression compiled once; equal references share one
+        # closure and are evaluated once per step
         memo: dict = {}
-        self._conditions = [_compile_condition(a.condition, memo)
-                            for a in self._active]
-        self._references = [None if a.reference is None
-                            else _compile(a.reference, memo)
-                            for a in self._active]
-        self._lookback = max((a.decl.window for a in self._active
+        self._plan = [(a, a.id, a.decl.kind == "invariant",
+                       a.decl.mode == "first", a.decl.window, a.decl.kind,
+                       (*_compile_condition(a.condition, memo), a.id,
+                        a.decl.on_missing),
+                       None if a.reference is None
+                       else _compile(a.reference, memo)) for a in active]
+        self._lookback = max((a.decl.window for a in active
                               if a.decl.kind.startswith("pre_")), default=0.0)
         self._buffer: deque = deque()   # of _BufferedStep
         self._first_t: float | None = None
@@ -585,9 +593,9 @@ class StreamingEngine:
         out = self._process(len(self._buffer) - 1)
         # the trace ends short of the post windows still open
         out.extend(self._close(w) for w in self._open)
-        for a in self._active:
-            if a.decl.kind != "invariant" and a.id not in self._fired:
-                out.append(Verdict(a.id, self._last_fed, NOT_APPLICABLE,
+        for _, aid, invariant, *_ in self._plan:
+            if not invariant and aid not in self._fired:
+                out.append(Verdict(aid, self._last_fed, NOT_APPLICABLE,
                                    {"reason": "reference-never-fired"}))
         return out
 
@@ -614,25 +622,25 @@ class StreamingEngine:
 
         # open post windows see this step before any window opens at it
         out = self._advance(at) if self._open else []
-        for pos, assertion in enumerate(self._active):
-            decl = assertion.decl
-            if decl.kind != "invariant":
-                if decl.mode == "first" and assertion.id in self._fired:
+        fired = self._fired
+        for pos, (assertion, aid, invariant, first, window, kind, condition,
+                  ref) in enumerate(self._plan):
+            if not invariant:
+                if first and aid in fired:
                     continue
-                ref = self._references[pos]
                 holds = memo.get(ref)
                 if holds is None:
                     holds = memo[ref] = _reference_holds(assertion, ref, at)
                 if not holds:
                     continue
-                self._fired.add(assertion.id)
-            if decl.window is None:     # an invariant or execution assertion
-                out.append(_condition_verdict(
-                    assertion, self._conditions[pos], at, t))
+                fired.add(aid)
+            if window is None:      # an invariant or execution assertion
+                out.append(_condition_verdict(assertion, condition, at, t))
                 continue
-            pre = decl.kind.startswith("pre_")
-            far = t - decl.window if pre else t + decl.window
-            w = _Window(assertion, pos, t, far, decl.kind.endswith("temporal"))
+            pre = kind.startswith("pre_")
+            far = t - window if pre else t + window
+            w = _Window(assertion, condition, pos, t, far,
+                        kind.endswith("temporal"))
             if pre:
                 out.append(self._decide_pre(w))
             else:
@@ -683,7 +691,7 @@ class StreamingEngine:
         buf = self._buffer
         at = buf[nearest_index([b.t for b in buf], w.far)]
         return self._close(w, at.t, _condition_verdict(
-            w.assertion, self._conditions[w.pos], at, w.t_ref))
+            w.assertion, w.condition, at, w.t_ref))
 
     def _held_condition(self, w: _Window, at: _BufferedStep) -> Verdict | None:
         """The condition verdict of ``w``'s assertion at step ``at``,
@@ -694,7 +702,7 @@ class StreamingEngine:
             held = at.held = {}
         elif w.pos in held:
             return held[w.pos]
-        v = _condition_verdict(w.assertion, self._conditions[w.pos], at, at.t)
+        v = _condition_verdict(w.assertion, w.condition, at, at.t)
         v = held[w.pos] = None if v.result == PASS else v
         return v
 
@@ -715,7 +723,7 @@ class StreamingEngine:
                 detail["checked_t"] = t
             elif result == FAIL:
                 detail["violated_t"] = t
-        return Verdict(w.assertion.id, w.t_ref, result, detail)
+        return Verdict(w.condition[2], w.t_ref, result, detail)    # its id
 
 
 # --- debounce ---------------------------------------------------------------

@@ -33,7 +33,6 @@ class UnknownKeysWarning(UserWarning):
 # so that where the limit falls does not depend on the caller's depth.
 MAX_NESTING = 512
 _ESCAPE = re.compile(r"\\.", re.S)
-_STRING = re.compile(r'"[^"]*"')
 # drops every ASCII character but quotes and brackets, and makes braces
 # brackets
 _BRACKETS = str.maketrans("{}", "[]", "".join(
@@ -43,12 +42,19 @@ _NESTING_STEP = {"[": 1, "]": -1}
 
 def json_loads(text: str):
     """``json.loads(text)``, except that a value nested more than
-    MAX_NESTING deep raises RecursionError before it is decoded."""
+    MAX_NESTING deep raises RecursionError before it is decoded.  The
+    brackets outside strings (escapes dropped; a string that does not close
+    holds the rest) are stripped of their innermost pairs once per level,
+    and walked for their deepest point where that does not empty them."""
     if text.count("[") + text.count("{") > MAX_NESTING:
-        # the brackets of ``text`` outside its strings, whose escapes go first
-        brackets = _STRING.sub("", _ESCAPE.sub("", text).translate(_BRACKETS))
-        depths = accumulate(map(_NESTING_STEP.get, brackets, repeat(0)))
-        if max(depths) > MAX_NESTING:
+        bare = _ESCAPE.sub("", text) if "\\" in text else text
+        brackets = rest = "".join(bare.translate(_BRACKETS).split('"')[::2])
+        for _ in range(MAX_NESTING):
+            rest, shorter = rest.replace("[]", ""), rest
+            if not rest or len(rest) == len(shorter):
+                break
+        if rest and max(accumulate(map(_NESTING_STEP.get, brackets,
+                                       repeat(0)))) > MAX_NESTING:
             raise RecursionError(f"JSON nested more than {MAX_NESTING} deep")
     return json.loads(text)
 

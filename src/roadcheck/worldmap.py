@@ -303,7 +303,8 @@ def lanelet_at(road: RoadMap, point: tuple[float, float]) -> Lanelet:
                   if _point_in_polygon(point, l.shape)]
     if not candidates:
         raise OffRoadError(f"point {point} is outside every lanelet")
-    return min(candidates, key=lambda l: (l.shape.area, l.id))
+    return candidates[0] if len(candidates) == 1 else min(
+        candidates, key=lambda l: (l.shape.area, l.id))
 
 
 def lane_orientation_at(road: RoadMap, point: tuple[float, float]) -> float:

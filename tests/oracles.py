@@ -5,16 +5,21 @@ axes, GJK, polygon clipping): distances come from exhaustive vertex/edge
 enumeration, overlap from point membership and segment crossings, areas
 from Monte-Carlo sampling.  The map scans are the exception: they apply the
 package's own exact tests to every lanelet or centre-line segment, the
-reference the map index must reproduce bit for bit, and ``reference_eval``
-is the tree walk that the engine's compiled closures replaced.
+reference the map index must reproduce bit for bit, ``reference_eval``
+is the tree walk that the engine's compiled closures replaced, and
+``walk_nesting_depth`` the walk over every bracket that the JSON nesting
+check replaced.
 """
 
 import math
 import random
+import re
+from itertools import accumulate, repeat
 
 from roadcheck.engine import _BUILTINS, _COMPARE, EvalError
 from roadcheck.geometry import (ConvexPolygon, _point_in_polygon, overlap_area,
                                 segment_intersects_polygon)
+from roadcheck.inputs import _BRACKETS, _NESTING_STEP
 
 
 def point_segment_distance(p, a, b):
@@ -218,3 +223,17 @@ def reference_eval(node, at):
     if right == 0:
         raise EvalError("division by zero")
     return left / right
+
+
+_ESCAPE = re.compile(r"\\.", re.S)
+_STRING = re.compile(r'"[^"]*"')
+
+
+def walk_nesting_depth(text: str) -> int:
+    """The deepest point of the brackets of ``text`` outside its strings,
+    escapes dropped first and braces read as brackets, found by a running
+    sum over every bracket; 0 where there is none.  What follows a quote
+    that does not close is counted."""
+    brackets = _STRING.sub("", _ESCAPE.sub("", text).translate(_BRACKETS))
+    return max(accumulate(map(_NESTING_STEP.get, brackets, repeat(0))),
+               default=0)

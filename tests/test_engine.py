@@ -3,7 +3,9 @@ import inspect
 import io
 import json
 import math
+import os
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -999,6 +1001,48 @@ def test_no_generic_record_per_step(monkeypatch):
     assert len(verdicts) == 4 * n
     assert {v.result for v in verdicts} == {PASS, FAIL}
     assert built == Counter()
+
+
+def test_hot_path_raises_nothing(monkeypatch):
+    """On a drive where every actor is present at every step, evaluating
+    and writing the verdicts raise no exception in a roadcheck frame, not
+    even one caught there, and build each step's role index at most once."""
+    import roadcheck.engine as engine_mod
+    n, dt = 300, 0.05
+    steps = tuple({"ego": actor(t, x=12 * t % 400),
+                   "vbp": actor(t, aid="vbp", role="VBP", x=20 + 12 * t % 400),
+                   "ov": actor(t, aid="ov", role="OV", x=480 - 12 * t % 400,
+                               y=1.825, heading=math.pi)}
+                  for t in (k * dt for k in range(n)))
+    trace = load_trace(serialise_trace(Trace(
+        times=tuple(k * dt for k in range(n)), steps=steps, dt=dt)))
+    rules = danger_space_assertions()
+    indexed = Counter()
+    original = engine_mod.role_index
+
+    def counting(step):
+        indexed[id(step)] += 1
+        return original(step)
+    monkeypatch.setattr(engine_mod, "role_index", counting)
+    package = os.path.dirname(engine_mod.__file__)
+    raised = []
+
+    def local(frame, event, arg):
+        if event == "exception":
+            raised.append((frame.f_code.co_name, arg[0].__name__))
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+    sys.settrace(calls)
+    try:
+        verdicts = evaluate_document(rules, trace, CTX)
+        verdicts_to_jsonl(verdicts, io.StringIO())
+    finally:
+        sys.settrace(None)
+    assert len(verdicts) == 4 * n
+    assert raised == []
+    assert indexed and max(indexed.values()) == 1
 
 
 class TestOutputMemory:

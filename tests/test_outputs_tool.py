@@ -48,12 +48,12 @@ def test_outputs_of_one_preset_and_profile(tmp_path):
     rejections = out / "rejections"
     runs = [(case, command) for case, *_ in tool.REJECTIONS
             for command in tool.READERS[case.split("-", 1)[0]]]
-    assert len(runs) == len(list(rejections.glob("*.exit"))) == 64
+    assert len(runs) == len(list(rejections.glob("*.exit"))) == 73
     for case, command in runs:
         run = f"{case}.{command}"
         err = (rejections / f"{run}.err").read_text().splitlines()
         code = (rejections / f"{run}.exit").read_text()
-        if case == "trace-big-integer-x":
+        if case in ("trace-big-integer-x", "trace-integer-heading"):
             assert err == [] and code != "2\n", run
         elif case.endswith("unknown-key"):
             assert len(err) == 1 and err[0].startswith("warning: ") and \

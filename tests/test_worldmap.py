@@ -2,11 +2,15 @@ import gc
 import json
 import math
 import random
+import re
 import tracemalloc
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import walk_nesting_depth
 from roadcheck.geometry import BoxDims, ConvexPolygon, Pose2D, oriented_box
 from roadcheck.inputs import MAX_NESTING, json_loads, json_string
 from roadcheck.worldmap import (MapError, OffRoadError, crosses_centreline,
@@ -201,6 +205,47 @@ class TestJsonNesting:
         with pytest.raises(ValueError, match="^id must be a string, got a "
                                              "list$"):
             json_string(value, "id")
+
+
+
+class TestNestingCheck:
+    """``json_loads`` refuses a text exactly where the walk over every one
+    of its brackets outside strings goes past MAX_NESTING.  A string that
+    does not close holds the rest of the text, as it does for the decoder,
+    where the walk counts what follows its quote: the walk is given such a
+    text with its last string closed at its end."""
+
+    _PIECES = st.one_of(
+        st.sampled_from(['"', "\\", '\\"', "\\\\", "[", "]", "{", "}",
+                         "a", " ", ",", ":", "\u00e9"]),
+        st.builds(lambda bracket, n: bracket * n, st.sampled_from("[]{}"),
+                  st.sampled_from([1, 2, 255, 256, 257, MAX_NESTING - 1,
+                                   MAX_NESTING, MAX_NESTING + 1])))
+
+    @staticmethod
+    def refused(text) -> bool:
+        try:
+            json_loads(text)
+        except RecursionError:
+            return True
+        except ValueError:
+            pass
+        return False
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_PIECES, max_size=14))
+    def test_refused_where_the_walk_goes_past(self, pieces):
+        text = "".join(pieces)
+        unclosed = re.sub(r"\\.", "", text, flags=re.S).count('"') % 2
+        # the space pairs with a backslash that ends the text, if any
+        deepest = walk_nesting_depth(text + ' "' * unclosed)
+        assert self.refused(text) == (deepest > MAX_NESTING), deepest
+
+    def test_brackets_only_in_a_string(self):
+        """A string value holding more brackets than MAX_NESTING nests
+        nowhere."""
+        text = json.dumps("[" * (MAX_NESTING + 1))
+        assert json_loads(text) == "[" * (MAX_NESTING + 1)
 
 
 class TestLaneletsContaining:

@@ -14,9 +14,11 @@ so DIR may be the ``src`` directory of any checkout, and writes into OUT:
 * ``rejections/``: malformed inputs made from the ``safe`` and
   ``occlusion_abort`` files in ``inputs/``, one or more per reader, with
   two well-formed traces that only the stdlib decoder of a trace record
-  reads and, for each reader, an input that is well-formed but for one
-  key that it does not read, and the stdout, stderr and exit code of
-  every command that reads each one;
+  reads, a trace with an integer in a float field of every record, a map
+  nested as deep as a document may and one a level deeper, and, for each
+  reader, an input that is well-formed but for one key that it does not
+  read, and the stdout, stderr and exit code of every command that reads
+  each one;
 * ``workloads/``: the same ``check`` and ``monitor`` outputs on the four
   benchmark workloads at seed 7 (nominal profile), when ``bench/gen.py``
   exists next to this directory.
@@ -106,6 +108,16 @@ def _each_record(field: str, value):
     return edit
 
 
+def _nested_key(depth: int):
+    """An edit of a JSON document: an unknown key whose value nests the
+    document ``depth`` deep."""
+    def edit(source: str) -> str:
+        doc = json.dumps({**json.loads(source), "note": None})
+        inner = "[" * (depth - 1) + "]" * (depth - 1)
+        return doc.replace('"note": null', f'"note": {inner}')
+    return edit
+
+
 def _swap(i: int, j: int):
     """An edit of JSON-lines text: lines ``i`` and ``j`` swapped."""
     def edit(text: str) -> str:
@@ -174,6 +186,9 @@ REJECTIONS = (
      _record(4, "note", {"a": [1, {"b": None}]})),
     ("trace-deep-actor-id", "trace.jsonl", "safe_trace.jsonl",
      _record(1, "actor_id", text="[" * 982 + "]" * 982)),
+    # integers in float fields, which both decoders read alike
+    ("trace-integer-heading", "trace.jsonl", "safe_trace.jsonl",
+     _each_record("heading_rad", 0)),
     ("map-number-direction", "map.json", "safe_map.json",
      _document("lanelets", 0, "direction", value=5)),
     ("map-nan-vertex", "map.json", "safe_map.json",
@@ -189,6 +204,8 @@ REJECTIONS = (
      _indexed([[30.0, 0.0], ["37.5", 0.0], [37.5, 3.65], [30.0, 3.65]])),
     ("map-int-vertices", "map.json", "safe_map.json",
      _document("lanelets", 0, "vertices", value=5)),
+    ("map-unknown-key-513-deep", "map.json", "safe_map.json",
+     _nested_key(513)),
     ("profiles-not-json", "profiles.json", None, lambda _: "{profiles\n"),
     ("profiles-list-speeds", "profiles.json", None,
      _document("worst_case_speed_mph", value=[1], text=PROFILE_CONFIG)),
@@ -206,6 +223,8 @@ REJECTIONS = (
      _each_record("note", "unread")),
     ("map-unknown-key", "map.json", "safe_map.json",
      _document("note", value="unread")),
+    ("map-512-deep-unknown-key", "map.json", "safe_map.json",
+     _nested_key(512)),
     ("map-lanelet-unknown-key", "map.json", "safe_map.json",
      _document("lanelets", 0, "note", value="unread")),
     ("profiles-unknown-key", "profiles.json", None,
