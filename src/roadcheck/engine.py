@@ -420,12 +420,12 @@ def _compile_condition(node, memo: dict):
     return _compile(node, memo), None
 
 
-def _condition_verdict(assertion: CompiledAssertion, condition,
-                       at: _BufferedStep, t: float) -> Verdict:
-    """Evaluate the compiled condition at step ``at`` and build the verdict;
-    ``condition`` is ``(fn, op, id, on_missing)``."""
+def _condition_verdict(aid: str, condition, at: _BufferedStep,
+                       t: float) -> Verdict:
+    """Evaluate the compiled condition of assertion ``aid`` at step ``at``
+    and build the verdict; ``condition`` is ``(fn, op, on_missing)``."""
     at.touched = ()     # collects the low-confidence actors that it reads
-    fn, op, aid, on_missing = condition
+    fn, op, on_missing = condition
     try:
         if op is None:
             ok = bool(fn(at))
@@ -451,15 +451,15 @@ def _condition_verdict(assertion: CompiledAssertion, condition,
     return Verdict(aid, t, PASS if ok else FAIL, detail)
 
 
-def _reference_holds(assertion: CompiledAssertion, reference,
-                     at: _BufferedStep) -> bool:
-    """A reference with a missing actor simply does not fire."""
+def _reference_holds(aid: str, reference, at: _BufferedStep) -> bool:
+    """A reference of assertion ``aid`` with a missing actor simply does
+    not fire."""
     try:
         return bool(reference(at))
     except ActorNotFound:
         return False
     except EvalError as exc:
-        raise EvalError(f"reference of {assertion.id!r} at t={at.t}: "
+        raise EvalError(f"reference of {aid!r} at t={at.t}: "
                         f"{exc}") from exc
 
 
@@ -509,11 +509,11 @@ def _sort(verdicts: list) -> None:
 class _Window:
     """A windowed assertion's window at reference time ``t_ref``."""
 
-    __slots__ = ("assertion", "condition", "pos", "t_ref", "far", "temporal",
+    __slots__ = ("aid", "condition", "pos", "t_ref", "far", "temporal",
                  "checked")
 
-    def __init__(self, assertion, condition, pos, t_ref, far, temporal):
-        self.assertion = assertion
+    def __init__(self, aid, condition, pos, t_ref, far, temporal):
+        self.aid = aid
         self.condition = condition      # as in StreamingEngine._plan
         self.pos = pos          # in StreamingEngine._plan
         self.t_ref = t_ref
@@ -542,9 +542,9 @@ class StreamingEngine:
         # each expression compiled once; equal references share one
         # closure and are evaluated once per step
         memo: dict = {}
-        self._plan = [(a, a.id, a.decl.kind == "invariant",
+        self._plan = [(a.id, a.decl.kind == "invariant",
                        a.decl.mode == "first", a.decl.window, a.decl.kind,
-                       (*_compile_condition(a.condition, memo), a.id,
+                       (*_compile_condition(a.condition, memo),
                         a.decl.on_missing),
                        None if a.reference is None
                        else _compile(a.reference, memo)) for a in active]
@@ -593,7 +593,7 @@ class StreamingEngine:
         out = self._process(len(self._buffer) - 1)
         # the trace ends short of the post windows still open
         out.extend(self._close(w) for w in self._open)
-        for _, aid, invariant, *_ in self._plan:
+        for aid, invariant, *_ in self._plan:
             if not invariant and aid not in self._fired:
                 out.append(Verdict(aid, self._last_fed, NOT_APPLICABLE,
                                    {"reason": "reference-never-fired"}))
@@ -623,23 +623,23 @@ class StreamingEngine:
         # open post windows see this step before any window opens at it
         out = self._advance(at) if self._open else []
         fired = self._fired
-        for pos, (assertion, aid, invariant, first, window, kind, condition,
+        for pos, (aid, invariant, first, window, kind, condition,
                   ref) in enumerate(self._plan):
             if not invariant:
                 if first and aid in fired:
                     continue
                 holds = memo.get(ref)
                 if holds is None:
-                    holds = memo[ref] = _reference_holds(assertion, ref, at)
+                    holds = memo[ref] = _reference_holds(aid, ref, at)
                 if not holds:
                     continue
                 fired.add(aid)
             if window is None:      # an invariant or execution assertion
-                out.append(_condition_verdict(assertion, condition, at, t))
+                out.append(_condition_verdict(aid, condition, at, t))
                 continue
             pre = kind.startswith("pre_")
             far = t - window if pre else t + window
-            w = _Window(assertion, condition, pos, t, far,
+            w = _Window(aid, condition, pos, t, far,
                         kind.endswith("temporal"))
             if pre:
                 out.append(self._decide_pre(w))
@@ -691,7 +691,7 @@ class StreamingEngine:
         buf = self._buffer
         at = buf[nearest_index([b.t for b in buf], w.far)]
         return self._close(w, at.t, _condition_verdict(
-            w.assertion, w.condition, at, w.t_ref))
+            w.aid, w.condition, at, w.t_ref))
 
     def _held_condition(self, w: _Window, at: _BufferedStep) -> Verdict | None:
         """The condition verdict of ``w``'s assertion at step ``at``,
@@ -702,7 +702,7 @@ class StreamingEngine:
             held = at.held = {}
         elif w.pos in held:
             return held[w.pos]
-        v = _condition_verdict(w.assertion, w.condition, at, at.t)
+        v = _condition_verdict(w.aid, w.condition, at, at.t)
         v = held[w.pos] = None if v.result == PASS else v
         return v
 
@@ -723,7 +723,7 @@ class StreamingEngine:
                 detail["checked_t"] = t
             elif result == FAIL:
                 detail["violated_t"] = t
-        return Verdict(w.condition[2], w.t_ref, result, detail)    # its id
+        return Verdict(w.aid, w.t_ref, result, detail)
 
 
 # --- debounce ---------------------------------------------------------------

@@ -44,17 +44,12 @@ def json_loads(text: str):
     """``json.loads(text)``, except that a value nested more than
     MAX_NESTING deep raises RecursionError before it is decoded.  The
     brackets outside strings (escapes dropped; a string that does not close
-    holds the rest) are stripped of their innermost pairs once per level,
-    and walked for their deepest point where that does not empty them."""
+    holds the rest) are walked once for their deepest point."""
     if text.count("[") + text.count("{") > MAX_NESTING:
         bare = _ESCAPE.sub("", text) if "\\" in text else text
-        brackets = rest = "".join(bare.translate(_BRACKETS).split('"')[::2])
-        for _ in range(MAX_NESTING):
-            rest, shorter = rest.replace("[]", ""), rest
-            if not rest or len(rest) == len(shorter):
-                break
-        if rest and max(accumulate(map(_NESTING_STEP.get, brackets,
-                                       repeat(0)))) > MAX_NESTING:
+        brackets = "".join(bare.translate(_BRACKETS).split('"')[::2])
+        depths = accumulate(map(_NESTING_STEP.get, brackets, repeat(0)))
+        if max(depths, default=0) > MAX_NESTING:
             raise RecursionError(f"JSON nested more than {MAX_NESTING} deep")
     return json.loads(text)
 

@@ -140,7 +140,6 @@ _RECORD = Schema("record {}", {
 _required = operator.itemgetter("t", "actor_id", "role", "x", "y",
                                 "heading_rad", "length_m", "width_m")
 _LO, _HI = -2.0 ** 63, 2.0 ** 63
-_EXACT = 2 ** 53    # a float holds every integer within +-_EXACT exactly
 
 
 def _parse_record(obj, line: str, index: int, seen: dict | None = None,
@@ -154,11 +153,9 @@ def _parse_record(obj, line: str, index: int, seen: dict | None = None,
     The record is read from ``obj`` in one pass when ``obj`` holds the
     eight required fields and at most ``speed_mps`` and
     ``low_confidence`` besides, its numbers floats strictly inside
-    +-2**63, its ids strings and ``low_confidence`` a boolean; where not
-    all are floats, an integer within +-2**53 (not a boolean) is read as
-    ``float()`` of it, as the field-by-field path reads it.  Such a value
-    is the stdlib decoder's, and the field-by-field path would read it
-    unchanged:
+    +-2**63, its ids strings and ``low_confidence`` a boolean.  Such a
+    value is the stdlib decoder's, and the field-by-field path would read
+    it unchanged:
 
     - the decoders part only where orjson refuses a line (NaN and
       infinities, lone surrogates, a number that overflows a double),
@@ -168,7 +165,7 @@ def _parse_record(obj, line: str, index: int, seen: dict | None = None,
       refuses NaN and infinities from any decoder;
     - a float literal gives the same float in both, a string the same
       str, and an integer literal within 64 bits the same int, which the
-      gate reads as a float only within +-2**53 and refuses otherwise;
+      type test refuses;
     - no other key is left to hold a value that the two decode apart, or
       one that the field-by-field path reads (``speed_mph``).
 
@@ -179,16 +176,11 @@ def _parse_record(obj, line: str, index: int, seen: dict | None = None,
         t, actor_id, role, x, y, heading, length, width = _required(obj)
         speed = obj.get("speed_mps")
         low_confidence = obj.get("low_confidence")
-        if not (type(t) is type(x) is type(y) is type(heading)
+        fast = (type(t) is type(x) is type(y) is type(heading)
                 is type(length) is type(width) is float
-                and (speed is None or type(speed) is float)):
-            # any other value becomes NaN, which the range test refuses
-            t, x, y, heading, length, width, speed = [
-                float(v) if type(v) is int and -_EXACT <= v <= _EXACT
-                else v if v is None or type(v) is float else math.nan
-                for v in (t, x, y, heading, length, width, speed)]
-        fast = (type(actor_id) is type(role) is str
-                and (speed is None or _LO < speed < _HI)
+                and type(actor_id) is type(role) is str
+                and (speed is None
+                     or type(speed) is float and _LO < speed < _HI)
                 and (low_confidence is None or low_confidence is True
                      or low_confidence is False)
                 # refuses any other key, and a null that .get reads as absent

@@ -615,9 +615,9 @@ class TestEvaluationCounts:
         calls = []
         original = engine_mod._condition_verdict
 
-        def counting(assertion, condition, view, t):
-            calls.append((assertion.id, view.t))
-            return original(assertion, condition, view, t)
+        def counting(aid, condition, view, t):
+            calls.append((aid, view.t))
+            return original(aid, condition, view, t)
         monkeypatch.setattr(engine_mod, "_condition_verdict", counting)
         return calls
 
@@ -661,9 +661,9 @@ class TestEvaluationCounts:
         calls = []
         original = engine_mod._reference_holds
 
-        def counting(assertion, reference, view):
-            calls.append((view.t, repr(assertion.reference)))
-            return original(assertion, reference, view)
+        def counting(aid, reference, view):
+            calls.append((view.t, aid))
+            return original(aid, reference, view)
         monkeypatch.setattr(engine_mod, "_reference_holds", counting)
         kinds = ("execution", "pre_temporal", "post_temporal", "pre_physical")
         rules = [compiled(f'assertion r{i} {{ odd: road type: {kind} '

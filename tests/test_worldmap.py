@@ -207,7 +207,6 @@ class TestJsonNesting:
             json_string(value, "id")
 
 
-
 class TestNestingCheck:
     """``json_loads`` refuses a text exactly where the walk over every one
     of its brackets outside strings goes past MAX_NESTING.  A string that
