@@ -8,6 +8,8 @@ plane; angles are radians, counter-clockwise from the +x axis.
 Conventions:
   * polygons are strictly convex, counter-clockwise, >= 3 vertices
   * touching counts as overlapping (closed-set semantics)
+  * every intersection test, of two polygons or of a segment and a polygon,
+    is the separating-axis test ``_separated`` on two vertex loops
 
 Boxes and danger spaces whose checks are sure to pass (finite inputs; for
 length L and half-width H, min(L, H) above 1e-100, so that no product
@@ -213,16 +215,17 @@ def _project(poly: ConvexPolygon, ax: float, ay: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _separated(a: ConvexPolygon, b: ConvexPolygon) -> bool:
-    """True iff an edge normal of either polygon separates them."""
-    av, bv = a.vertices, b.vertices
+def _separated(av, bv) -> bool:
+    """True iff an edge normal of either CCW vertex loop separates them.  A
+    segment is the loop (p, q), with its normal both ways; a zero-length
+    one has a zero normal, so the other loop's axes alone decide."""
     (ax0, ay0), a_rest = av[0], av[1:]
     (bx0, by0), b_rest = bv[0], bv[1:]
     for verts in (av, bv):
         x1, y1 = verts[-1]
         for x2, y2 in verts:
             # outward normal of the CCW edge (x1, y1) -> (x2, y2), and each
-            # polygon's interval along it, as _project computes them
+            # loop's interval along it, as _project computes them
             nx, ny = y2 - y1, x1 - x2
             x1, y1 = x2, y2
             alo = ahi = ax0 * nx + ay0 * ny
@@ -249,7 +252,7 @@ def overlaps(a: ConvexPolygon, b: ConvexPolygon) -> bool:
     ca, cb = a._circle, b._circle
     if ca and cb and math.hypot(ca[0] - cb[0], ca[1] - cb[1]) > ca[2] + cb[2]:
         return False
-    return not _separated(a, b)
+    return not _separated(a.vertices, b.vertices)
 
 
 def _support(poly: ConvexPolygon, dx: float, dy: float) -> tuple[float, float]:
@@ -349,7 +352,7 @@ def overlap_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
         ax_, ay_ = pts[i]
         bx_, by_ = pts[(i + 1) % n]
         area2 += ax_ * by_ - bx_ * ay_
-    if area2 <= 0.0 or _separated(a, b):
+    if area2 <= 0.0 or _separated(a.vertices, b.vertices):
         return 0.0
     return 0.5 * area2
 
@@ -371,12 +374,7 @@ def danger_space(pose: Pose2D, dims: BoxDims, ds_length: float):
 def segment_intersects_polygon(p: tuple[float, float], q: tuple[float, float],
                                poly: ConvexPolygon) -> bool:
     """Closed test: true if segment PQ touches or enters the polygon."""
-    if _point_in_polygon(p, poly) or _point_in_polygon(q, poly):
-        return True
-    for a, b in poly.edges():
-        if _segments_intersect(p, q, a, b):
-            return True
-    return False
+    return not _separated((p, q), poly.vertices)
 
 
 def _point_in_polygon(pt, poly: ConvexPolygon) -> bool:
@@ -388,34 +386,6 @@ def _point_in_polygon(pt, poly: ConvexPolygon) -> bool:
             return False
         ax, ay = bx, by
     return True
-
-
-def _orient(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _on_segment(ax, ay, bx, by, px, py) -> bool:
-    return (min(ax, bx) <= px <= max(ax, bx)
-            and min(ay, by) <= py <= max(ay, by))
-
-
-def _segments_intersect(p, q, a, b) -> bool:
-    d1 = _orient(p[0], p[1], q[0], q[1], a[0], a[1])
-    d2 = _orient(p[0], p[1], q[0], q[1], b[0], b[1])
-    d3 = _orient(a[0], a[1], b[0], b[1], p[0], p[1])
-    d4 = _orient(a[0], a[1], b[0], b[1], q[0], q[1])
-    if ((d1 > 0) != (d2 > 0) and (d1 != 0 and d2 != 0)
-            and (d3 > 0) != (d4 > 0) and (d3 != 0 and d4 != 0)):
-        return True
-    if d1 == 0 and _on_segment(p[0], p[1], q[0], q[1], a[0], a[1]):
-        return True
-    if d2 == 0 and _on_segment(p[0], p[1], q[0], q[1], b[0], b[1]):
-        return True
-    if d3 == 0 and _on_segment(a[0], a[1], b[0], b[1], p[0], p[1]):
-        return True
-    if d4 == 0 and _on_segment(a[0], a[1], b[0], b[1], q[0], q[1]):
-        return True
-    return False
 
 
 def projection_interval(poly: ConvexPolygon, angle: float) -> tuple[float, float]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 import warnings
 from functools import partial
@@ -193,11 +192,6 @@ def names_to(kind):
     return read
 
 
-# a field whose value has the usual type of its kind is read in one pass,
-# and by the kind itself only where the type alone does not settle it
-_USUAL = {number: float, finite: float, whole: int, string: str,
-          boolean: bool, array: list, mapping: dict, points: list}
-_SETTLED = {number, string, boolean, array, mapping}
 REQUIRED = object()     # the default of a field that has none
 
 
@@ -206,8 +200,7 @@ class Schema:
     ``read``; ``fields`` maps each field's name to its kind and its default,
     in reading order; ``exclusive`` pairs fields of which one may be given."""
 
-    __slots__ = ("where", "fields", "exclusive", "_names", "_all", "_get",
-                 "_usual", "_unsettled")
+    __slots__ = ("where", "fields", "exclusive", "_names", "_all")
 
     def __init__(self, where: str, fields: dict, exclusive=()):
         self.where = where
@@ -217,10 +210,6 @@ class Schema:
         self._names = fields.keys()
         # fields that exclude each other are never all given
         self._all = None if exclusive else self._names
-        self._get = operator.itemgetter(*fields)
-        self._usual = [_USUAL.get(kind) for _, kind, _ in self.fields]
-        self._unsettled = [(i, name, kind) for i, (name, kind, _)
-                           in enumerate(self.fields) if kind not in _SETTLED]
 
     def read(self, obj, error, *at, reported: set | None = None) -> list:
         """The values of the fields of ``obj`` in table order, or their
@@ -228,15 +217,11 @@ class Schema:
         Keys that no field names, and that ``reported`` does not hold, are
         reported and added to it."""
         if type(obj) is dict and obj.keys() == self._all:
-            values = self._get(obj)
-            if list(map(type, values)) == self._usual:
-                values = list(values)
-                try:
-                    for i, name, kind in self._unsettled:
-                        values[i] = kind(values[i], name)
-                except ValueError as exc:
-                    raise error(f"{self.where.format(*at)}: {exc}") from None
-                return values
+            # every field given and no other: read in one pass
+            try:
+                return [kind(obj[name], name) for name, kind, _ in self.fields]
+            except ValueError as exc:
+                raise error(f"{self.where.format(*at)}: {exc}") from None
         where = self.where.format(*at)
         if type(obj) is not dict:
             raise error(f"{where}: not a JSON object")

@@ -346,9 +346,13 @@ def derive_state(prev: ActorState | None, cur: ActorState,
         # lateral motion sign relative to the oncoming side of the centreline
         nx, ny = -math.sin(lane_o), math.cos(lane_o)
         lat_v = vx * nx + vy * ny
-        cl = _nearest_centreline_point(road, centre)
-        side = (cl[0] - centre[0]) * nx + (cl[1] - centre[1]) * ny
-        toward = lat_v * side
+        try:
+            cl = _nearest_centreline_point(road, centre)
+        except OverflowError:
+            cl = None
+        # a centre line too long to measure from here leaves both angles 0
+        toward = 0.0 if cl is None else lat_v * (
+            (cl[0] - centre[0]) * nx + (cl[1] - centre[1]) * ny)
         if toward > 1e-9:
             pull_out = heading_rel
         elif toward < -1e-9:

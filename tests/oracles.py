@@ -3,7 +3,10 @@
 These deliberately avoid the algorithms used by the package (separating
 axes, GJK, polygon clipping): distances come from exhaustive vertex/edge
 enumeration, overlap from point membership and segment crossings, areas
-from Monte-Carlo sampling.  The map scans are the exception: they apply the
+from Monte-Carlo sampling.  The segment oracle, ``brute_segment_intersects``
+(membership and crossings), is independent of the package as well, which
+tests a segment against a polygon by separating axes.  The map scans are
+the exception: they apply the
 package's own exact tests to every lanelet or centre-line segment, the
 reference the map index must reproduce bit for bit, ``reference_eval``
 is the tree walk that the engine's compiled closures replaced, and
@@ -60,6 +63,13 @@ def _segments_cross(p, q, a, b):
         if d == 0 and on_seg(seg[0], seg[1], pt):
             return True
     return False
+
+
+def brute_segment_intersects(p, q, poly: ConvexPolygon) -> bool:
+    """Closed test: an end of PQ lies in the polygon, or PQ crosses or
+    touches one of its edges."""
+    return (point_in_convex(p, poly) or point_in_convex(q, poly)
+            or any(_segments_cross(p, q, a, b) for a, b in poly.edges()))
 
 
 def brute_overlap(a: ConvexPolygon, b: ConvexPolygon) -> bool:

@@ -1049,6 +1049,48 @@ class TestProjectedCoordinates:
         assert any("'oncoming'" in v["detail"]["error"] for v in errors)
 
 
+def centreline_map(root, tmp_path, end):
+    """The safe preset's map with its centre line, the x axis from 0 to
+    150 m, running from x = -end to x = end instead."""
+    road = json.loads((root / "safe_map.json").read_text())
+    road["centreline"] = [[-end, 0.0], [end, 0.0]]
+    map_path = tmp_path / "long_centreline_map.json"
+    map_path.write_text(json.dumps(road))
+    return map_path
+
+
+class TestLongCentreline:
+    """A centre line too long for the nearest-point query to measure only
+    leaves the pull-out and cut-in angles at 0, which no builtin reads: the
+    verdicts are those of the short centre line on the same line."""
+
+    def test_check_unchanged(self, fixture_dir, tmp_path):
+        outputs = []
+        for m in (fixture_dir / "safe_map.json",
+                  centreline_map(fixture_dir, tmp_path, 1e300)):
+            jsonl = tmp_path / "verdicts.jsonl"
+            res = run_on("check", m, fixture_dir / "safe_trace.jsonl",
+                         "--out-jsonl", str(jsonl))
+            no_traceback(res)
+            outputs.append((res.exit_code, res.output, jsonl.read_text()))
+        assert outputs[1] == outputs[0]
+
+    def test_monitor_unchanged(self, fixture_dir, tmp_path):
+        trace = fixture_dir / "safe_trace.jsonl"
+        plain = run_on("monitor", fixture_dir / "safe_map.json", trace)
+        long = run_on("monitor", centreline_map(fixture_dir, tmp_path, 1e300),
+                      trace)
+        no_traceback(long)
+        assert (long.exit_code, long.output) == (plain.exit_code, plain.output)
+
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_widest_no_traceback(self, fixture_dir, tmp_path, command):
+        res = run_on(command, centreline_map(fixture_dir, tmp_path, 1.7e308),
+                     fixture_dir / "safe_trace.jsonl")
+        no_traceback(res)
+        assert res.exit_code in (0, 1)
+
+
 def _fuzz_value(rng, kind, value):
     if kind == "null":
         return None

@@ -2,16 +2,18 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from roadcheck import geometry
 from roadcheck.geometry import (BoxDims, ConvexPolygon, GeometryError, Pose2D,
                                 danger_space, min_distance, normalize_angle,
-                                oriented_box, overlap_area, overlaps)
+                                oriented_box, overlap_area, overlaps,
+                                segment_intersects_polygon)
 
-from oracles import (brute_min_distance, brute_overlap,
-                     monte_carlo_overlap_area, random_convex_polygon)
+from oracles import (_convex_hull, brute_min_distance, brute_overlap,
+                     brute_segment_intersects, monte_carlo_overlap_area,
+                     random_convex_polygon)
 
 
 def square(x0, y0, side=1.0):
@@ -264,7 +266,7 @@ class TestRectangle:
                         return True
             return False
 
-        assert geometry._separated(a, b) == separated(a, b)
+        assert geometry._separated(a.vertices, b.vertices) == separated(a, b)
         for x, y in b.vertices:
             assert geometry._point_in_polygon((x, y), a) == all(
                 (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0.0
@@ -312,7 +314,8 @@ class TestBroadPhase:
         if pair is None:
             return
         (a, ref_a), (b, ref_b) = pair
-        assert overlaps(a, b) == (not geometry._separated(ref_a, ref_b))
+        assert overlaps(a, b) == (not geometry._separated(ref_a.vertices,
+                                                           ref_b.vertices))
 
     @settings(max_examples=400, deadline=None)
     @given(_kinds, _kinds, _poses, _offsets, _offsets, _headings, _dims,
@@ -511,6 +514,54 @@ class TestOracleAgreement:
             b = random_convex_polygon(rng, centre=(rng.uniform(-4, 4),
                                                    rng.uniform(-4, 4)))
             assert overlaps(a, b) == brute_overlap(a, b)
+
+
+_grid = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def _grid_polygon(draw):
+    """The hull of points on the even integer grid, so that every edge
+    midpoint lies on the integer grid too."""
+    pts = draw(st.lists(st.tuples(_grid, _grid), min_size=3, max_size=8))
+    hull = _convex_hull([(2 * x, 2 * y) for x, y in pts])
+    assume(len(hull) >= 3)
+    return ConvexPolygon(hull)
+
+
+class TestSegmentIntersectsPolygon:
+    """Against end membership and edge crossings, on small integers, where
+    every product either side computes is exact, so the two must agree."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_grid_polygon(), st.sampled_from(
+        ["free", "zero", "edge", "along_edge", "through_vertex",
+         "ends_on_edge"]), st.data())
+    def test_against_membership_and_crossings(self, poly, kind, data):
+        verts = poly.vertices
+        i = data.draw(st.integers(0, len(verts) - 1))
+        (ax, ay), (bx, by) = verts[i], verts[(i + 1) % len(verts)]
+        ex, ey = bx - ax, by - ay
+        far = st.tuples(_grid, _grid).map(lambda v: (3.0 * v[0], 3.0 * v[1]))
+        steps = st.integers(min_value=-2, max_value=3)
+        if kind == "free":
+            p, q = data.draw(far), data.draw(far)
+        elif kind == "zero":
+            p = q = data.draw(st.one_of(far, st.sampled_from(verts)))
+        elif kind == "edge":
+            p, q = (ax, ay), (bx, by)
+        elif kind == "along_edge":
+            s, t = data.draw(steps), data.draw(steps)
+            p, q = (ax + s * ex, ay + s * ey), (ax + t * ex, ay + t * ey)
+        elif kind == "through_vertex":
+            dx, dy = data.draw(st.tuples(_grid, _grid))
+            s, t = data.draw(steps), data.draw(steps)
+            p, q = (ax + s * dx, ay + s * dy), (ax - t * dx, ay - t * dy)
+        else:
+            p, q = data.draw(far), (ax + ex / 2, ay + ey / 2)
+        want = brute_segment_intersects(p, q, poly)
+        assert segment_intersects_polygon(p, q, poly) == want
+        assert segment_intersects_polygon(q, p, poly) == want
 
 
 def test_normalize_angle_range():
