@@ -93,20 +93,20 @@ class ConvexPolygon(Record):
         n = len(verts)
         if n < 3:
             raise GeometryError(f"polygon needs >= 3 vertices, got {n}")
-        xs = [x for x, _ in verts]
-        ys = [y for _, y in verts]
+        xs, ys = zip(*verts)
         scale = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
         eps = _CONVEXITY_EPS * scale * scale
         area2 = 0.0
         # each vertex with the next two, cyclically
-        for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(zip(
-                verts, verts[1:] + verts[:1], verts[2:] + verts[:2])):
+        (ax, ay), (bx, by) = verts[0], verts[1]
+        for i, (cx, cy) in enumerate(verts[2:] + verts[:2]):
             cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             if cross <= eps:
                 raise GeometryError(
                     "polygon is not strictly convex in CCW order "
                     f"(cross={cross:g} at vertex {i})")
             area2 += ax * by - bx * ay
+            ax, ay, bx, by = bx, by, cx, cy
         if not math.isfinite(area2):
             # a NaN vertex passes every convexity test above
             raise GeometryError("polygon vertices must be finite")
@@ -146,11 +146,14 @@ class ConvexPolygon(Record):
     @classmethod
     def from_points(cls, points) -> "ConvexPolygon":
         """Build from points in either winding order; CW input is reversed."""
-        pts = tuple(points)
+        pts = tuple([(float(x), float(y)) for x, y in points])
         area2 = 0.0
         for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
-            area2 += float(ax) * float(by) - float(bx) * float(ay)
-        return cls(pts[::-1] if area2 < 0.0 else pts)
+            area2 += ax * by - bx * ay
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vertices", pts[::-1] if area2 < 0.0 else pts)
+        poly.__post_init__()
+        return poly
 
     @property
     def area(self) -> float:

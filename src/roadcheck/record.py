@@ -11,10 +11,10 @@ never equal.  Unlike a dataclass, a record class has no code generated for
 it, so that defining one costs no more than defining a plain class.
 
 The records built per step or per verdict (``engine.Verdict``,
-``geometry.Pose2D``, ``trace.DerivedState``) and ``geometry.ConvexPolygon``,
-whose checks lead a map's load, define their own ``__init__`` with the
-fields as parameters, which sets them directly: the generic one binds its
-arguments by name at every call.
+``geometry.Pose2D``, ``trace.DerivedState``) and those built per lanelet at
+a map's load (``geometry.ConvexPolygon``, ``worldmap.Lanelet``) define their
+own ``__init__`` with the fields as parameters, which sets them directly:
+the generic one binds its arguments by name at every call.
 """
 
 from __future__ import annotations

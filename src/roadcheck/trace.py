@@ -13,12 +13,14 @@ one value per line, nested at most ``inputs.MAX_NESTING`` deep.
 ``iter_steps`` validates the records and groups them into timesteps, for
 ``load_trace`` and for the streaming monitor alike.  It decodes each line
 with ``orjson``; a record whose value passes the gate in
-``_parse_record`` is read from it in one pass, and any other line is
-decoded again as ``inputs.json_records`` decodes it and read against the
-field table ``_RECORD``, so what is accepted and every message are the
-stdlib's either way.  An actor's states share one id, role and dims
-object, and a step's states one time; a state read so builds its
-``Pose2D`` when ``pose`` is first read, so actors that no rule reads
+``_parse_record``, which tells its optional fields by its size, is read
+from it in one pass, and any other line is decoded again as
+``inputs.json_records`` decodes it and read against the field table
+``_RECORD``, so what is accepted and every message are the stdlib's
+either way.  An actor's states share one id, role and dims object, and a
+step's states one time; a gated record of an actor already read, in the
+same role and dims, is built slot by slot, and a state read so builds
+its ``Pose2D`` when ``pose`` is first read, so actors that no rule reads
 build none.
 
 ``derive_row`` derives the dynamics of the one actor it is asked for at
@@ -49,6 +51,7 @@ from .worldmap import nearest_centreline_point as _nearest_centreline_point
 
 ROLES = ("AV", "VBP", "OV", "other")
 _ROLE_NAMES = {role: role for role in ROLES}    # one copy of each name
+_ROLE_KEYS = {role: role.lower() for role in ROLES}
 
 # Disagreement between recorded and positionally-derived speed that earns a
 # warning; the positional value wins either way.
@@ -122,7 +125,7 @@ def role_index(step: dict) -> dict:
     actor that a role name stands for at ``step``, in rules and stages."""
     roles: dict = {}
     for st in step.values():
-        key = st.role.lower()
+        key = _ROLE_KEYS[st.role]
         held = roles.get(key)
         if held is None or st.actor_id < held.actor_id:
             roles[key] = st
@@ -137,13 +140,18 @@ _RECORD = Schema("record {}", {
     "speed_mps": (finite, None), "speed_mph": (finite, None),
     "low_confidence": (boolean, False),
 }, exclusive=[("speed_mps", "speed_mph")])
-_required = operator.itemgetter("t", "actor_id", "role", "x", "y",
-                                "heading_rad", "length_m", "width_m")
-_LO, _HI = -2.0 ** 63, 2.0 ** 63
+# orjson hands out one str object per key that it has decoded (its key
+# cache): looked up with those very objects, a field is found by identity
+_KEYS = list(orjson.loads(orjson.dumps({f[0]: 0 for f in _RECORD.fields})))
+_required = operator.itemgetter(*_KEYS[:8])
+_SPEED, _LOW_CONFIDENCE = _KEYS[8], _KEYS[10]
+# a sum of squares of floats is below this only if each float is strictly
+# inside +-2**63: not NaN, not infinite
+_SQUARES_BELOW = 2.0 ** 126
 
 
-def _parse_record(obj, line: str, index: int, seen: dict | None = None,
-                  reported: set | None = None) -> ActorState:
+def _parse_record(obj, line: str, index: int, seen: dict,
+                  reported: set) -> ActorState:
     """Record ``line`` as an ActorState, its pose not yet built.  ``obj``
     is the line as orjson decoded it, or None where orjson refused it.
     ``seen`` maps actor ids to their first states; the record reuses that
@@ -151,8 +159,9 @@ def _parse_record(obj, line: str, index: int, seen: dict | None = None,
     keys that the records before it reported.
 
     The record is read from ``obj`` in one pass when ``obj`` holds the
-    eight required fields and at most ``speed_mps`` and
-    ``low_confidence`` besides, its numbers floats strictly inside
+    eight required fields and, told by its size, nothing else (8 keys),
+    ``speed_mps`` (9) or that and ``low_confidence`` (10), not null; its
+    numbers floats whose squares sum below 2**126, so each strictly inside
     +-2**63, its ids strings and ``low_confidence`` a boolean.  Such a
     value is the stdlib decoder's, and the field-by-field path would read
     it unchanged:
@@ -171,24 +180,23 @@ def _parse_record(obj, line: str, index: int, seen: dict | None = None,
 
     Any other line is decoded again by the stdlib and read field by
     field, so what is accepted, and the first fault in field order that
-    is reported, are the stdlib decoder's."""
+    is reported, are the stdlib decoder's.  A record of an actor in
+    ``seen``, in its role and dims, with a finite ``t >= 0``, is built
+    slot by slot."""
     try:
         t, actor_id, role, x, y, heading, length, width = _required(obj)
-        speed = obj.get("speed_mps")
-        low_confidence = obj.get("low_confidence")
-        fast = (type(t) is type(x) is type(y) is type(heading)
+        size = len(obj)
+        speed = obj.get(_SPEED) if size > 8 else None
+        low_confidence = obj.get(_LOW_CONFIDENCE) if size == 10 else None
+        fast = ((size == 8 or type(speed) is float
+                 and speed * speed < _SQUARES_BELOW
+                 and (size == 9 or low_confidence is True
+                      or low_confidence is False))
+                and type(t) is type(x) is type(y) is type(heading)
                 is type(length) is type(width) is float
                 and type(actor_id) is type(role) is str
-                and (speed is None
-                     or type(speed) is float and _LO < speed < _HI)
-                and (low_confidence is None or low_confidence is True
-                     or low_confidence is False)
-                # refuses any other key, and a null that .get reads as absent
-                and len(obj) == (8 + (speed is not None)
-                                 + (low_confidence is not None))
-                and _LO < t < _HI and _LO < x < _HI and _LO < y < _HI
-                and _LO < heading < _HI and _LO < length < _HI
-                and _LO < width < _HI)
+                and t * t + x * x + y * y + heading * heading
+                + length * length + width * width < _SQUARES_BELOW)
     except (KeyError, TypeError):
         fast = False
     if not fast:
@@ -198,16 +206,23 @@ def _parse_record(obj, line: str, index: int, seen: dict | None = None,
                                         reported=reported)
         if speed_mph is not None:
             speed = speed_mph * MPH_TO_MPS
-    first = seen.get(actor_id) if seen else None
-    if first is not None:
-        actor_id, dims = first.actor_id, first.dims
-    try:
-        if first is None or dims.length != length or dims.width != width:
-            dims = BoxDims(length, width)
-        state = ActorState(actor_id, role, t, None, dims, speed,
-                           low_confidence is True)
-    except ValueError as exc:
-        raise TraceError(f"record {index}: {exc}") from exc
+    first = seen.get(actor_id)
+    if (first is not None and role == first.role and 0.0 <= t < math.inf
+            and first.dims.length == length and first.dims.width == width):
+        state = object.__new__(ActorState)    # __init__'s checks hold
+        state.actor_id, state.role, state.t = first.actor_id, first.role, t
+        state._pose, state.dims, state.speed = None, first.dims, speed
+        state.low_confidence = low_confidence is True
+    else:
+        if first is not None:
+            actor_id, dims = first.actor_id, first.dims
+        try:
+            if first is None or dims.length != length or dims.width != width:
+                dims = BoxDims(length, width)
+            state = ActorState(actor_id, role, t, None, dims, speed,
+                               low_confidence is True)
+        except ValueError as exc:
+            raise TraceError(f"record {index}: {exc}") from exc
     state._x, state._y, state._heading = x, y, heading
     return state
 

@@ -64,17 +64,25 @@ class OffRoadError(LookupError):
 class Lanelet(Record):
     __slots__ = _fields = ("id", "shape", "orientation", "width", "direction")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.width) and self.width > 0.0):
-            raise MapError(f"lanelet {self.id!r}: lanelet width must be "
-                           f"finite and > 0, got {self.width}")
-        if not math.isfinite(self.orientation):
-            raise MapError(f"lanelet {self.id!r}: lanelet orientation must be "
-                           f"finite, got {self.orientation}")
-        if self.direction not in DIRECTIONS:
-            raise MapError(f"lanelet {self.id!r}: unknown direction "
-                           f"{self.direction!r}")
-        object.__setattr__(self, "orientation", normalize_angle(self.orientation))
+    def __init__(self, id, shape, orientation, width, direction):
+        if not (math.isfinite(width) and width > 0.0):
+            raise MapError(f"lanelet {id!r}: lanelet width must be "
+                           f"finite and > 0, got {width}")
+        if not math.isfinite(orientation):
+            raise MapError(f"lanelet {id!r}: lanelet orientation must be "
+                           f"finite, got {orientation}")
+        if direction not in DIRECTIONS:
+            raise MapError(f"lanelet {id!r}: unknown direction "
+                           f"{direction!r}")
+        _set_id(self, id)
+        _set_shape(self, shape)
+        _set_orientation(self, normalize_angle(orientation))
+        _set_width(self, width)
+        _set_direction(self, direction)
+
+
+_set_id, _set_shape, _set_orientation, _set_width, _set_direction = \
+    Lanelet._setters
 
 
 class _BoxTree:

@@ -1,8 +1,12 @@
 import dataclasses
 import gc
+import importlib.util
 import json
 import math
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -15,7 +19,8 @@ from roadcheck.checker import compile_text
 from roadcheck.engine import FAIL, EvaluationContext, Verdict, evaluate_document
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck import trace as trace_module
-from roadcheck.inputs import json_records
+from roadcheck.inputs import UnknownKeysWarning, json_records
+from roadcheck.scenarios import PRESET_NAMES, generate, preset
 from roadcheck.trace import (ActorState, DerivedState, Trace, TraceError,
                              derive_row, iter_steps, load_trace, read_lines,
                              serialise_trace)
@@ -168,6 +173,37 @@ def _big_int_cases():
             for value in values]
 
 
+# a second record of the first record's actor, and the error that it
+# raises, or None where it is read as the same record of a new actor
+_DIMS = "BoxDims(length=4.5, width=2.0)"
+KNOWN_ACTOR = [
+    ("same-role-and-dims", {}, {"t": "0.55"}, None),
+    ("unknown-role", {}, {"t": "0.55", "role": '"truck"'},
+     "unknown role 'truck' for 'a'"),
+    ("other-role", {}, {"t": "0.55", "role": '"other"'}, None),
+    ("negative-t", {}, {"t": "-0.5"},
+     "timestamp must be finite and >= 0, got -0.5"),
+    ("infinite-t", {}, {"t": "Infinity"},
+     "timestamp must be finite and >= 0, got inf"),
+    ("nan-t", {}, {"t": "NaN"}, "timestamp must be finite and >= 0, got nan"),
+    ("negative-zero-after-zero", {"t": "0.0"}, {"t": "-0.0"},
+     "duplicate actor 'a' at t=-0.0"),
+    ("out-of-order-t", {}, {"t": "0.25"},
+     "out-of-order timestamp 0.25 after 0.5"),
+    ("duplicate-t", {}, {}, "duplicate actor 'a' at t=0.5"),
+    ("changed-length", {}, {"t": "0.55", "length_m": "5.0"},
+     f"actor 'a' changed dims {_DIMS} -> BoxDims(length=5.0, width=2.0)"),
+    ("changed-width", {}, {"t": "0.55", "width_m": "2.5"},
+     f"actor 'a' changed dims {_DIMS} -> BoxDims(length=4.5, width=2.5)"),
+    ("null-speed", {}, {"t": "0.55", "speed_mps": "null"},
+     "speed_mps must be a number, got null"),
+    ("speed-mph", {}, {"t": "0.55", "speed_mps": None, "speed_mph": "25.0"},
+     None),
+    ("low-confidence-true", {}, {"t": "0.55", "low_confidence": "true"},
+     None),
+    ("unknown-key", {}, {"t": "0.55", "note": '"hi"'}, None),
+]
+
 _DUPLICATE = record_text()[:-1]
 EDGES = _big_int_cases() + [
     (f"{field}={literal}", [record_text(**{field: literal})])
@@ -197,22 +233,32 @@ EDGES = _big_int_cases() + [
     ("negative-zero", [record_text(t="-0.0", x="-0")]),
     ("not-an-object", ["[1.5]", "5", '"text"', "null"]),
     ("two-records", [record_text(actor_id='"b"'), record_text(x="7")]),
+] + [
+    (f"known-actor-{case}", [record_text(**first), record_text(**second)])
+    for case, first, second, _ in KNOWN_ACTOR
 ]
 
 
 def decoded_three_ways(lines):
     """iter_steps over ``lines`` as shipped, with the stdlib's value gated,
-    and with the stdlib path forced: the steps, or the TraceError, each."""
+    and with the stdlib path forced: the steps, or the TraceError, each.
+    The three must warn of the same unknown keys, in the same words."""
     def outcome():
-        try:
-            return repr(list(iter_steps(lines)))
-        except TraceError as exc:
-            return f"TraceError: {exc}"
-    shipped = outcome()
-    results = [shipped]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = repr(list(iter_steps(lines)))
+            except TraceError as exc:
+                result = f"TraceError: {exc}"
+        warned.append([str(w.message) for w in caught
+                       if issubclass(w.category, UnknownKeysWarning)])
+        return result
+    warned = []
+    results = [outcome()]
     for decoder in (STDLIB_VALUE_GATED, STDLIB_PATH):
         with mock.patch.object(trace_module, "orjson", decoder):
             results.append(outcome())
+    assert warned[0] == warned[1] == warned[2]
     return results
 
 
@@ -277,6 +323,23 @@ class TestDecoderGate:
         shipped, gated, stdlib = decoded_three_ways(lines)
         assert shipped == gated == stdlib
 
+    @pytest.mark.parametrize("first,second,error",
+                             [case[1:] for case in KNOWN_ACTOR],
+                             ids=[case[0] for case in KNOWN_ACTOR])
+    def test_known_actor(self, first, second, error):
+        lines = [record_text(**first), record_text(**second)]
+        if error is not None:
+            with pytest.raises(TraceError) as info:
+                list(iter_steps(lines))
+            assert str(info.value) == f"record 1: {error}"
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnknownKeysWarning)
+                (_, one), (_, two) = iter_steps(lines)
+                ((_, alone),) = iter_steps(lines[1:])
+            assert two == alone
+            assert two["a"].dims is one["a"].dims
+
     def test_edges_reach_both_sides(self):
         outcomes = [decoded_three_ways(lines)[0] for _, lines in EDGES]
         accepted = [o for o in outcomes if not o.startswith("TraceError")]
@@ -287,6 +350,55 @@ class TestDecoderGate:
     def test_generated_records(self, lines):
         shipped, gated, stdlib = decoded_three_ways(lines)
         assert shipped == gated == stdlib
+
+
+def _bench_gen():
+    """bench/gen.py, loaded by its path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("trace_bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGatedTraces:
+    """The traces that ``roadcheck gen`` and the benchmark's generator
+    write take the gate's path at every record: none is decoded again by
+    the stdlib, and only each actor's first record is built through
+    ``ActorState.__init__``."""
+
+    def _read(self, monkeypatch, text):
+        decoded, built = [], []
+        json_value = trace_module.json_value
+        monkeypatch.setattr(trace_module, "json_value",
+                            lambda *args: decoded.append(args) or
+                            json_value(*args))
+        init = ActorState.__init__
+        monkeypatch.setattr(ActorState, "__init__", lambda self, *args:
+                            built.append(args[0]) or init(self, *args))
+        trace = load_trace(text)
+        actors = {aid for step in trace.steps for aid in step}
+        return len(decoded), sorted(built), sorted(actors)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, monkeypatch, name):
+        text = serialise_trace(generate(preset(name))[1])
+        decoded, built, actors = self._read(monkeypatch, text)
+        assert decoded == 0
+        assert built == actors
+
+    def test_speed_and_low_confidence(self, monkeypatch):
+        text = "\n".join(record(0.1 * k, actor=actor, x=float(k),
+                                speed_mps=2.0, low_confidence=k % 2 == 0)
+                         for k in range(4) for actor in ("a", "b"))
+        assert self._read(monkeypatch, text) == (0, ["a", "b"], ["a", "b"])
+
+    def test_benchmark_drive_with_others(self, monkeypatch, tmp_path):
+        text = _bench_gen().generate("crowded", 7, tmp_path).trace_text
+        decoded, built, actors = self._read(monkeypatch, text)
+        assert decoded == 0
+        assert built == actors and len(actors) > 27
 
 
 class TestSharedValues:
