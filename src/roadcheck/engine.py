@@ -369,10 +369,8 @@ def _compile_node(op, value, *children):
         if len(children) == 1:
             (arg,) = children
             return lambda at: fn(at, arg(at))
-        if len(children) == 2:
-            first, second = children
-            return lambda at: fn(at, first(at), second(at))
-        return lambda at: fn(at, *[a(at) for a in children])
+        first, second = children
+        return lambda at: fn(at, first(at), second(at))
     if op == "not":
         (operand,) = children
         return lambda at: not operand(at)

@@ -11,12 +11,12 @@ Conventions:
   * every intersection test, of two polygons or of a segment and a polygon,
     is the separating-axis test ``_separated`` on two vertex loops
 
-Boxes and danger spaces whose checks are sure to pass (finite inputs; for
-length L and half-width H, min(L, H) above 1e-100, so that no product
-underflows, and above 1e-6 max(L, H); inputs below 1e9 min(L, H) and
-1e150; cos^2 + sin^2 within 1e-12 of 1) build their corners when first
-read, any other at once.  overlaps first compares deferred ones' bounding
-circles, widened by 1e-10 of their coordinates, as a broad phase (Ericson,
+Boxes and danger spaces whose polygon checks are sure to pass (finite
+inputs; for length L and half-width H, min(L, H) above 1e-100, so that no
+product underflows, and above 1e-6 max(L, H); inputs below 1e9 min(L, H)
+and 1e150; cos^2 + sin^2 within 1e-12 of 1) skip them and carry a bounding
+circle, widened by 1e-10 of their coordinates; any other runs them.
+overlaps first compares two such circles, as a broad phase (Ericson,
 "Real-Time Collision Detection", 2004, ch. 4).  Sound: the corners are
 exact to a few ulps of that size, and rectangles at distance g are
 g/sqrt(2) apart along an edge normal, where separating axes round by a few
@@ -76,12 +76,10 @@ class BoxDims(Record):
 
 
 class ConvexPolygon(Record):
-    """Strictly convex polygon with counter-clockwise vertex order.  Not
-    slotted: a deferred rectangle keeps its corners' inputs, and then the
-    corners, in the instance dict."""
+    """Strictly convex polygon with counter-clockwise vertex order."""
 
     _fields = ("vertices",)
-    _circle = None      # a deferred rectangle's (x, y, radius + slack)
+    _circle = None      # an unchecked rectangle's (x, y, radius + slack)
 
     def __init__(self, vertices):
         object.__setattr__(self, "vertices",
@@ -111,37 +109,6 @@ class ConvexPolygon(Record):
             # a NaN vertex passes every convexity test above
             raise GeometryError("polygon vertices must be finite")
         object.__setattr__(self, "_area", 0.5 * area2)
-
-    def __getattr__(self, name):
-        """Build a rectangle's corners: the checks above, unrolled."""
-        if name not in ("vertices", "_area") or "_rect" not in self.__dict__:
-            raise AttributeError(name)
-        ox, oy, c, s, front, back, hw = self._rect
-        c_f, s_f, c_b, s_b = c * front, s * front, c * back, s * back
-        c_w, s_w = c * hw, s * hw
-        x0, y0 = ox + c_f - s_w, oy + s_f + c_w
-        x1, y1 = ox + c_b - s_w, oy + s_b + c_w
-        x2, y2 = ox + c_b + s_w, oy + s_b - c_w
-        x3, y3 = ox + c_f + s_w, oy + s_f - c_w
-        scale = max(max(x0, x1, x2, x3) - min(x0, x1, x2, x3),
-                    max(y0, y1, y2, y3) - min(y0, y1, y2, y3)) or 1.0
-        eps = _CONVEXITY_EPS * scale * scale
-        for i, cross in enumerate((
-                (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0),
-                (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1),
-                (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2),
-                (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3))):
-            if cross <= eps:
-                raise GeometryError("polygon is not strictly convex in CCW "
-                                    f"order (cross={cross:g} at vertex {i})")
-        # summed from 0.0 in vertex order, as ConvexPolygon sums it
-        area2 = 0.0 + (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1) \
-            + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3)
-        if not math.isfinite(area2):
-            raise GeometryError("polygon vertices must be finite")
-        self.__dict__.update(vertices=((x0, y0), (x1, y1), (x2, y2), (x3, y3)),
-                             _area=0.5 * area2)
-        return self.__dict__[name]
 
     @classmethod
     def from_points(cls, points) -> "ConvexPolygon":
@@ -176,11 +143,17 @@ def _rectangle(ox: float, oy: float, c: float, s: float, front: float,
                back: float, hw: float) -> ConvexPolygon:
     """The rectangle with local corners (front, hw), (back, hw),
     (back, -hw), (front, -hw), rotated by (cos, sin) = (c, s) and moved to
-    (ox, oy): CCW from the front-left corner when front > back.  Its corners
-    are built at once only if its checks may fail (see the module docstring).
+    (ox, oy): CCW from the front-left corner when front > back.  Built
+    without ``ConvexPolygon``'s checks only if they are sure to pass (see
+    the module docstring).
     """
-    poly = object.__new__(ConvexPolygon)
-    poly.__dict__["_rect"] = (ox, oy, c, s, front, back, hw)
+    c_f, s_f, c_b, s_b = c * front, s * front, c * back, s * back
+    c_w, s_w = c * hw, s * hw
+    x0, y0 = ox + c_f - s_w, oy + s_f + c_w
+    x1, y1 = ox + c_b - s_w, oy + s_b + c_w
+    x2, y2 = ox + c_b + s_w, oy + s_b - c_w
+    x3, y3 = ox + c_f + s_w, oy + s_f - c_w
+    corners = ((x0, y0), (x1, y1), (x2, y2), (x3, y3))
     length = front - back
     # a NaN fails every comparison, so it never makes a rectangle eligible
     lo, hi = (length, hw) if length < hw else (hw, length)
@@ -188,11 +161,17 @@ def _rectangle(ox: float, oy: float, c: float, s: float, front: float,
     if not (1e-100 < lo and 1e-6 * hi < lo and lim < 1e150 and -lim < back
             and front < lim and -lim < ox < lim and -lim < oy < lim
             and -1e-12 < c * c + s * s - 1.0 < 1e-12):
-        poly.vertices  # noqa: B018  (built now, to raise here if invalid)
-        return poly
+        return ConvexPolygon(corners)
+    poly = object.__new__(ConvexPolygon)
+    object.__setattr__(poly, "vertices", corners)
+    # summed from 0.0 in vertex order, as ConvexPolygon sums it
+    object.__setattr__(poly, "_area", 0.5 * (
+        0.0 + (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1)
+        + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3)))
     mid, r = 0.5 * (front + back), math.hypot(0.5 * length, hw)
     x, y = ox + c * mid, oy + s * mid
-    poly.__dict__["_circle"] = (x, y, r + 1e-10 * (r + abs(x) + abs(y)))
+    object.__setattr__(poly, "_circle",
+                       (x, y, r + 1e-10 * (r + abs(x) + abs(y))))
     return poly
 
 

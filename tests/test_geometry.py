@@ -273,11 +273,6 @@ class TestRectangle:
                 for (x1, y1), (x2, y2) in a.edges())
 
 
-def _deferred(poly):
-    """True when ``poly``'s corners have not been built yet."""
-    return "vertices" not in vars(poly)
-
-
 _headings = st.floats(min_value=-4.0, max_value=4.0)
 _nudges = st.integers(min_value=-3, max_value=3)
 
@@ -375,21 +370,32 @@ class TestBroadPhase:
         b = oriented_box(Pose2D(4.0, 0.0, 0.0), BoxDims(4.0, 2.0))
         apart = oriented_box(Pose2D(math.nextafter(4.0, 5.0), 0.0, 0.0),
                              BoxDims(4.0, 2.0))
-        assert _deferred(a) and _deferred(b)
+        assert a._circle is not None and b._circle is not None
         assert overlaps(a, b) and overlaps(b, a)
         assert not overlaps(a, apart)
 
-    def test_far_pair_builds_no_corners(self):
+    def test_far_pair_decided_by_circles(self, monkeypatch):
+        separated, calls = geometry._separated, []
+
+        def counted(av, bv):
+            calls.append((av, bv))
+            return separated(av, bv)
+
+        monkeypatch.setattr(geometry, "_separated", counted)
         a = oriented_box(Pose2D(5e5, 5.7e6, 0.3), BoxDims(4.5, 2.0))
         b = danger_space(Pose2D(5e5 + 60.0, 5.7e6, 2.0), BoxDims(4.5, 2.0),
                          20.0)
         assert not overlaps(a, b)
-        assert _deferred(a) and _deferred(b)
+        assert calls == []
+        near = oriented_box(Pose2D(5e5 + 3.0, 5.7e6, 0.3), BoxDims(4.5, 2.0))
+        assert overlaps(a, near)
+        assert len(calls) == 1
 
 
 def _rectangle_args(exp, ratio_exp, fx, fy, heading, is_box, long_side):
-    """Inputs near the deferral bound: extents up to 1e6 apart, and a
-    centre up to 1e9 times the smaller extent away from the origin."""
+    """Inputs near the bound of the unchecked build: extents up to 1e6
+    apart, and a centre up to 1e9 times the smaller extent away from the
+    origin."""
     lo = 10.0 ** exp
     hi = lo * 10.0 ** ratio_exp
     length, hw = (hi, lo) if long_side else (lo, hi)
@@ -400,8 +406,8 @@ def _rectangle_args(exp, ratio_exp, fx, fy, heading, is_box, long_side):
 
 
 class TestDeferredRectangle:
-    """A rectangle is deferred only when its checks are sure to pass:
-    every other one raises at construction, as ``ConvexPolygon`` does."""
+    """A rectangle skips ``ConvexPolygon``'s checks only when they are sure
+    to pass: every other one raises at construction, as they do."""
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     @pytest.mark.parametrize("where", range(7))
@@ -442,11 +448,11 @@ class TestDeferredRectangle:
         assert got == _built(_corners_polygon, ox, oy, c, s, local)
 
     def test_extent_floor(self):
-        # below 1e-100 the corners are built at once, whether they resolve
-        # or not; above it they are deferred, and resolve when read
-        for size, deferred in ((5e-101, False), (2e-100, True)):
+        # below 1e-100 the checks run, whether they pass or not; above it
+        # they are skipped, and the rectangle carries a bounding circle
+        for size, unchecked in ((5e-101, False), (2e-100, True)):
             poly = geometry._rectangle(0.0, 0.0, 1.0, 0.0, size, -size, size)
-            assert _deferred(poly) == deferred
+            assert (poly._circle is not None) == unchecked
             assert poly.area > 0.0
 
     @settings(max_examples=500, deadline=None)
@@ -461,7 +467,7 @@ class TestDeferredRectangle:
                                long_side)
         ox, oy, c, s, front, back, hw = args
         poly = geometry._rectangle(*args)
-        assert _deferred(poly)
+        assert poly._circle is not None
         ref = _corners_polygon(ox, oy, c, s, ((front, hw), (back, hw),
                                               (back, -hw), (front, -hw)))
         assert repr(poly.vertices) == repr(ref.vertices)

@@ -43,17 +43,19 @@ def test_outputs_of_one_preset_and_profile(tmp_path):
         (case / "plain.monitor.out").read_text().splitlines())
     assert not (out / "workloads").exists()
     # every malformed input exits 2 with one error line from each reader;
-    # a well-formed one is read without a word, or with one warning line
+    # a well-formed one is read without a word (a box too far out to build
+    # fails its assertions as evaluation errors), or with one warning line
     # for its unknown key
     rejections = out / "rejections"
     runs = [(case, command) for case, *_ in tool.REJECTIONS
             for command in tool.READERS[case.split("-", 1)[0]]]
-    assert len(runs) == len(list(rejections.glob("*.exit"))) == 73
+    assert len(runs) == len(list(rejections.glob("*.exit"))) == 79
     for case, command in runs:
         run = f"{case}.{command}"
         err = (rejections / f"{run}.err").read_text().splitlines()
         code = (rejections / f"{run}.exit").read_text()
-        if case in ("trace-big-integer-x", "trace-integer-heading"):
+        if case in ("trace-big-integer-x", "trace-integer-heading",
+                    "trace-far-x"):
             assert err == [] and code != "2\n", run
         elif case.endswith("unknown-key"):
             assert len(err) == 1 and err[0].startswith("warning: ") and \
@@ -62,3 +64,5 @@ def test_outputs_of_one_preset_and_profile(tmp_path):
         else:
             assert code == "2\n", run
             assert len(err) == 1 and err[0].startswith("error: "), (run, err)
+    assert "polygon is not strictly convex" in (
+        rejections / "trace-far-x.monitor.out").read_text()

@@ -14,7 +14,8 @@ so DIR may be the ``src`` directory of any checkout, and writes into OUT:
 * ``rejections/``: malformed inputs made from the ``safe`` and
   ``occlusion_abort`` files in ``inputs/``, one or more per reader, with
   two well-formed traces that only the stdlib decoder of a trace record
-  reads, a trace with an integer in a float field of every record, a map
+  reads, a trace with an integer in a float field of every record, two
+  traces with a vehicle box that the polygon checks refuse, a map
   nested as deep as a document may and one a level deeper, and, for each
   reader, an input that is well-formed but for one key that it does not
   read, and the stdout, stderr and exit code of every command that reads
@@ -189,6 +190,12 @@ REJECTIONS = (
     # integers in float fields, which both decoders read alike
     ("trace-integer-heading", "trace.jsonl", "safe_trace.jsonl",
      _each_record("heading_rad", 0)),
+    # vehicle boxes that the polygon checks refuse: a box too far out for
+    # its corners to stay convex, and one too thin for the unchecked build
+    ("trace-far-x", "trace.jsonl", "safe_trace.jsonl",
+     _record(4, "x", 1e17)),
+    ("trace-thin-width", "trace.jsonl", "safe_trace.jsonl",
+     _each_record("width_m", 1e-120)),
     ("map-number-direction", "map.json", "safe_map.json",
      _document("lanelets", 0, "direction", value=5)),
     ("map-nan-vertex", "map.json", "safe_map.json",
