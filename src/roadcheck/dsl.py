@@ -93,9 +93,6 @@ MAX_NODES = 10_000
 class Span(Record):
     __slots__ = _fields = ("line", "col")
 
-    def __str__(self):
-        return f"{self.line}:{self.col}"
-
 
 class ParseError(ValueError):
     """Syntax or lexical error with a source location."""

@@ -25,7 +25,8 @@ import math
 from pathlib import Path
 
 from .checker import CompiledAssertion, compile_text
-from .engine import FAIL, PASS, EvaluationContext, Verdict, evaluate_document
+from .engine import (FAIL, PASS, EvaluationContext, Verdict, evaluate_document,
+                     summary_rows)
 from .geometry import normalize_angle, projection_interval
 from .record import Record
 from .trace import Trace, role_index
@@ -194,10 +195,7 @@ def danger_space_stage_table(trace: Trace, ctx: EvaluationContext) -> dict:
 
 
 def first_failures(verdicts) -> dict:
-    """Earliest failing timestamp per assertion id."""
-    out: dict = {}
-    for v in verdicts:
-        if v.result == FAIL and (v.assertion_id not in out
-                                 or v.t < out[v.assertion_id]):
-            out[v.assertion_id] = v.t
-    return out
+    """Earliest failing timestamp per assertion id that ever fails."""
+    return {row["assertion_id"]: row["first_fail_t"]
+            for row in summary_rows(verdicts)
+            if row["first_fail_t"] is not None}

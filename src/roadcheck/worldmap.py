@@ -22,18 +22,20 @@ reported as an ``inputs.UnknownKeysWarning`` once for the document and once
 for all its lanelets.
 
 Every map builds, once, a packed R-tree over the lanelets and one over the
-centre-line segments when it has more of them than one tree node holds;
-the map queries then run their exact tests only on the items whose
-bounding box meets the query's.  Smaller maps are scanned.  Both ways give
-the same results.  An item's box is the exact bounding box of its own
-coordinates, and a node is one flat tuple of ``(x0, y0, x1, y1, child)``
-runs after a pad, by which a query's box is grown, with the query's own
-pad, before it is tested against the node's entries.
+centre-line segments when it has more of them than one tree node holds.
+Every map query runs its exact test only on the candidates of ``_near``:
+the items whose bounding box meets the query's box, or all items of a map
+too small for a tree.  The nearest-point query takes as its box a square
+about the point, and grows it fourfold until the closest candidate lies
+within it.  Both ways give the same results as a scan.  An item's box is
+the exact bounding box of its own coordinates, and a node is one flat
+tuple of ``(x0, y0, x1, y1, child)`` runs after a pad, by which a query's
+box is grown, with the query's own pad, before it is tested against the
+node's entries.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from itertools import chain
@@ -49,7 +51,6 @@ DIRECTIONS = ("with_map_axis", "against_map_axis")
 
 _LEAF = 8               # entries per R-tree node
 _PAD = 1e-9             # a query's margin, relative to the coordinates
-_SLACK = 1.0 + 1e-9     # relative slack of the nearest-item stopping rule
 _AREA_EPS = 1e-6        # area a shape may stick out of the lanes it is within
 
 
@@ -148,50 +149,6 @@ class _BoxTree:
                     (hits if type(child) is int else nodes).append(child)
         hits.sort()
         return hits
-
-    def nearest(self, px, py, measure):
-        """The ``value`` of the item ``i`` with the least ``(d, i)``, where
-        ``(d, value) = measure(i)`` and ``d`` is the squared distance from
-        (px, py) to the item, never less than that to its padded box.
-
-        Boxes are opened nearest first; the search stops at a box farther
-        than the best ``d`` by more than ``_SLACK``, which absorbs rounding
-        in both distances.
-        """
-        best, best_d, best_i = None, math.inf, -1
-        heap = [(0.0, 0, self.root)]
-        pushed = 0
-        while heap:
-            bound, _, child = heapq.heappop(heap)
-            limit = best_d * _SLACK
-            if bound > limit:
-                break
-            if type(child) is int:
-                d, value = measure(child)
-                if d < best_d or (d == best_d and child < best_i):
-                    best, best_d, best_i = value, d, child
-                continue
-            it = iter(child)
-            pad = next(it)
-            # the point moved by the pad toward each side of a box is as far
-            # from that side as the point is from the box grown by the pad
-            xr, yr, xl, yl = px + pad, py + pad, px - pad, py - pad
-            for x0, y0, x1, y1, c in zip(it, it, it, it, it):
-                dx = x0 - xr
-                if dx < 0.0:
-                    dx = xl - x1
-                    if dx < 0.0:
-                        dx = 0.0
-                dy = y0 - yr
-                if dy < 0.0:
-                    dy = yl - y1
-                    if dy < 0.0:
-                        dy = 0.0
-                gap = dx * dx + dy * dy
-                if gap <= limit:
-                    pushed += 1
-                    heapq.heappush(heap, (gap, pushed, c))
-        return best
 
 
 def _tree(n: int, points):
@@ -333,17 +290,27 @@ def _closest_on_segment(a, b, px, py):
 
 def nearest_centreline_point(road: RoadMap, p: tuple[float, float]):
     """The centre-line point closest to ``p``; of equally close points, the
-    one on the lowest-numbered segment."""
+    one on the lowest-numbered segment.
+
+    The candidates are the segments whose box meets the square of half-side
+    ``r`` about ``p``, for ``r`` = 1 m, then 4 times more each round.  The
+    closest of them is the answer once it lies within ``r`` of ``p``, since
+    a segment that close meets the square.  At ``r`` = 2**512, ``r * r`` is
+    inf and any result is taken, also exactly: every segment whose squared
+    distance is finite lies within that ``r``.  So the loop ends on every
+    input.
+    """
     px, py = p
     pts = road.centreline
     tree = road._segment_tree
-    if tree is not None:
-        return tree.nearest(px, py, lambda i: _closest_on_segment(
-            pts[i], pts[i + 1], px, py))
-    best = None
-    best_d = math.inf
-    for i in range(len(pts) - 1):
-        d, q = _closest_on_segment(pts[i], pts[i + 1], px, py)
-        if d < best_d:
-            best_d, best = d, q
-    return best
+    segments = range(len(pts) - 1)
+    r = 1.0
+    while True:
+        best, best_d = None, math.inf
+        for i in _near(tree, segments, ((px - r, py - r), (px + r, py + r))):
+            d, q = _closest_on_segment(pts[i], pts[i + 1], px, py)
+            if d < best_d:
+                best, best_d = q, d
+        if tree is None or best_d <= r * r:
+            return best
+        r *= 4.0

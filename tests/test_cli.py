@@ -15,6 +15,7 @@ from click.testing import CliRunner
 import roadcheck
 from roadcheck.cli import main
 from roadcheck.rulepack import RULE162_SDA
+from roadcheck.worldmap import load_map
 
 runner = CliRunner()
 PACKAGED_PROFILES = Path(roadcheck.__file__).parent / "data" / "profiles.json"
@@ -1049,11 +1050,13 @@ class TestProjectedCoordinates:
         assert any("'oncoming'" in v["detail"]["error"] for v in errors)
 
 
-def centreline_map(root, tmp_path, end):
+def centreline_map(root, tmp_path, end, segments=1):
     """The safe preset's map with its centre line, the x axis from 0 to
-    150 m, running from x = -end to x = end instead."""
+    150 m, running from x = -end to x = end in ``segments`` equal segments
+    instead."""
     road = json.loads((root / "safe_map.json").read_text())
-    road["centreline"] = [[-end, 0.0], [end, 0.0]]
+    road["centreline"] = [[end * (2 * j / segments - 1), 0.0]
+                          for j in range(segments + 1)]
     map_path = tmp_path / "long_centreline_map.json"
     map_path.write_text(json.dumps(road))
     return map_path
@@ -1082,6 +1085,24 @@ class TestLongCentreline:
                       trace)
         no_traceback(long)
         assert (long.exit_code, long.output) == (plain.exit_code, plain.output)
+
+    @pytest.mark.parametrize("end", [1e300, 1.7e308])
+    def test_segment_tree_unchanged(self, fixture_dir, tmp_path, end):
+        """Twenty segments build the segment tree, whose nearest-point
+        search must end although its squared lengths overflow."""
+        long = centreline_map(fixture_dir, tmp_path, end, segments=20)
+        assert load_map(long.read_bytes())._segment_tree is not None
+        trace = fixture_dir / "safe_trace.jsonl"
+        outputs = []
+        for m in (fixture_dir / "safe_map.json", long):
+            jsonl = tmp_path / "verdicts.jsonl"
+            res = run_on("check", m, trace, "--out-jsonl", str(jsonl))
+            mon = run_on("monitor", m, trace)
+            no_traceback(res)
+            no_traceback(mon)
+            outputs.append((res.exit_code, res.output, jsonl.read_text(),
+                            mon.exit_code, mon.output))
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("command", ["check", "monitor"])
     def test_widest_no_traceback(self, fixture_dir, tmp_path, command):

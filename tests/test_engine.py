@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadcheck.checker import REGISTRY, compile_text
+from roadcheck.checker import REGISTRY, TypecheckError, compile_text
 from roadcheck.engine import (_CONDITION_DETAIL, _NO_DETAIL, FAIL,
                               NOT_APPLICABLE, PASS, DebounceFilter,
                               EvaluationContext, StreamingEngine, StreamError,
                               Verdict, _sort, debounce, evaluate_document,
                               nearest_index, summary_rows, verdicts_to_jsonl)
-from roadcheck.geometry import BoxDims, Pose2D
+from roadcheck.geometry import BoxDims, Pose2D, overlap_area
 from roadcheck.models import default_profiles
 from roadcheck.record import Record
 from roadcheck.rulepack import danger_space_assertions
@@ -82,6 +82,32 @@ class TestInvariant:
         assert v.detail["measured"] == pytest.approx(10.0)
         assert v.detail["threshold"] == 0.0
         assert v.detail["op"] == ">="
+
+
+class TestOverlapAreaBuiltin:
+    AREA = 'overlap_area(box_of("av"), box_of("vbp"))'
+
+    def test_measured_is_the_kernel_area(self):
+        # the VBP's box overlaps the AV's by 3 m x 2 m at t = 0, not at 0.1
+        steps = [{"ego": actor(t), "vbp": actor(t, aid="vbp", role="VBP", x=x)}
+                 for t, x in ((0.0, 1.0), (0.1, 50.0))]
+        tr = Trace(times=(0.0, 0.1), steps=tuple(steps), dt=0.1)
+        rule = compiled('assertion a { odd: road type: invariant '
+                        f'condition: {self.AREA} > 0.5 }}')
+        verdicts = evaluate_document([rule], tr, CTX)
+        assert results(verdicts) == [(0.0, PASS), (0.1, FAIL)]
+        for v, step in zip(verdicts, steps):
+            assert v.detail["measured"] == overlap_area(step["ego"].box(),
+                                                        step["vbp"].box())
+        assert verdicts[0].detail["measured"] == pytest.approx(6.0)
+        assert verdicts[1].detail["measured"] == 0.0
+
+    def test_area_is_not_a_distance(self):
+        with pytest.raises(TypecheckError,
+                           match="unit mismatch between m\\^2 and m"):
+            compiled('assertion a { odd: road type: invariant '
+                     f'condition: {self.AREA} > min_distance(box_of("av"), '
+                     'box_of("vbp")) }')
 
 
 class TestExecution:
