@@ -146,9 +146,7 @@ def boxes_to_trace(detections, line_records, cal: CameraCalibration,
     by_t: dict = {}
     for rec in detections:
         by_t.setdefault(rec.t, []).append(rec)
-    line_by_t = {}
-    for rec in line_records:
-        line_by_t[rec.t] = rec.line_px
+    line_by_t = {rec.t: rec.line_px for rec in line_records}
 
     times = sorted(set(by_t) | set(line_by_t))
     if not times:
@@ -156,31 +154,29 @@ def boxes_to_trace(detections, line_records, cal: CameraCalibration,
     v_av = av_speed_mph * MPH_TO_MPS
     half_lane = LANE_WIDTH / 2.0
 
-    steps = []
-    last_offset = -half_lane
+    # the ego's path: x at the assumed speed, y from the last lane line
+    xs, ys = [], []
+    y_av = -half_lane
     for t in times:
         if t in line_by_t:
-            d_px = cal.frame_centre_px - line_by_t[t]
-            last_offset = lateral_offset(d_px, cal)
-        steps.append((t, v_av * t, last_offset, by_t.get(t, [])))
+            y_av = lateral_offset(cal.frame_centre_px - line_by_t[t], cal)
+        xs.append(v_av * t)
+        ys.append(y_av)
 
     out_steps = []
-    for i, (t, x_av, y_av, recs) in enumerate(steps):
-        # ego heading from the finite differences of its reconstructed path
-        if len(steps) == 1:
-            heading = 0.0
-        elif i + 1 < len(steps):
-            _, x2, y2, _ = steps[i + 1]
-            heading = math.atan2(y2 - y_av, x2 - x_av)
-        else:
-            _, x0, y0, _ = steps[i - 1]
-            heading = math.atan2(y_av - y0, x_av - x0)
+    last = len(times) - 1
+    for i, t in enumerate(times):
+        x_av, y_av = xs[i], ys[i]
+        # ego heading from the finite differences of its path; a single
+        # frame's pair is itself, atan2(0, 0) = 0
+        a, b = (i, i + 1) if i < last else (i - 1, i)
+        heading = math.atan2(ys[b] - ys[a], xs[b] - xs[a])
         try:
             step = {"ego": ActorState(
                 actor_id="ego", role="AV", t=t,
                 pose=Pose2D(x_av, y_av, heading),
                 dims=BoxDims(AV_LENGTH, AV_WIDTH), speed=v_av)}
-            for rec in recs:
+            for rec in by_t.get(t, ()):
                 s = longitudinal_distance(rec, cal)
                 role = rec.role_hint if rec.role_hint in ("VBP", "OV") else "other"
                 y, heading = ((half_lane, math.pi) if role == "OV"

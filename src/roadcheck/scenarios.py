@@ -5,14 +5,18 @@ ego (AV) approaches a parked or slower vehicle (VBP), pulls out at the
 profile's steering angle, passes, and either cuts back in or aborts.  The
 oncoming vehicle (OV) travels the opposite lane; its start position is
 anchored so that the gap measured at the centre-line crossing step equals
-the requested distance ahead exactly.
+the requested distance ahead exactly (in the occlusion fixture: the gap at
+its first visible step).
 
-Trajectories are piecewise linear in lateral offset (constant steering
-angle segments) at constant speed along the path, matching the assumptions
-of the safe-distance-ahead model.  The occlusion fixture removes the OV's
-records until it becomes visible, injects a short detection flicker, and
-has the ego brake and drop back behind the (moving) VBP once the mutual
-danger-space check first fails; the oncoming driver brakes to a stop.
+The ego's plan is a table of constant-heading legs, each a start time,
+position, heading and speed: the approach, the pull-out at the profile's
+angle, the pass, the cut-in and the run-on, at one speed along the path,
+matching the assumptions of the safe-distance-ahead model.  The occlusion
+fixture removes the OV's records until it becomes visible and injects a
+short detection flicker; the ego then aborts once the mutual danger-space
+check first fails.  Its braking in the passing lane, until it is behind the
+(moving) VBP, is the one interval outside the leg table; fall-back legs
+take it into lane and on.  The oncoming driver brakes to a stop.
 """
 
 from __future__ import annotations
@@ -100,53 +104,53 @@ def build_map(spec: ScenarioSpec) -> RoadMap:
 
 
 class _AvPlan:
-    """Piecewise-analytic ego trajectory; pose and speed at any time."""
+    """The ego's trajectory: a table of constant-heading legs, and in the
+    occlusion fixture the abort's braking interval outside it."""
 
     def __init__(self, spec: ScenarioSpec):
-        self.spec = spec
         p = spec.profile
-        v = spec.v_av_mph * MPH_TO_MPS
-        self.v = v
+        v = self.v = spec.v_av_mph * MPH_TO_MPS
         self.v_vbp = spec.v_vbp_mph * MPH_TO_MPS
-        self.beta = p.pull_out_angle
-        self.theta = p.cut_in_angle
-        L = spec.lateral_offset
-        self.L = L
-        self.y_run = -spec.lane_width / 2.0
+        L, theta = spec.lateral_offset, p.cut_in_angle
+        y_run = -spec.lane_width / 2.0
 
-        self.t1 = spec.pull_out_start_s
-        self.T_po = L / (v * math.sin(self.beta))
-        self.t2 = self.t1 + self.T_po
-        lon_po = L / math.tan(self.beta)
-        vbp_at_t2 = spec.vbp_position + self.v_vbp * self.t2
-        self.x2 = (vbp_at_t2 - spec.vbp_length / 2.0
-                   - p.pull_out_clearance - AV_LENGTH / 2.0)
-        self.x_ps = self.x2 - lon_po
-        self.x0 = self.x_ps - v * self.t1
+        t1 = spec.pull_out_start_s
+        t2 = t1 + L / (v * math.sin(p.pull_out_angle))
+        vbp_at_t2 = spec.vbp_position + self.v_vbp * t2
+        x2 = (vbp_at_t2 - spec.vbp_length / 2.0
+              - p.pull_out_clearance - AV_LENGTH / 2.0)
+        x_ps = x2 - L / math.tan(p.pull_out_angle)
         gap_run = (p.pull_out_clearance + p.cut_in_clearance
                    + spec.vbp_length + AV_LENGTH)
-        self.t3 = self.t2 + gap_run / (v - self.v_vbp)
-        self.x3 = self.x2 + v * (self.t3 - self.t2)
-        self.T_ci = L / (v * math.sin(self.theta))
-        self.t4 = self.t3 + self.T_ci
-        self.x4 = self.x3 + v * math.cos(self.theta) * self.T_ci
-
+        t3 = t2 + gap_run / (v - self.v_vbp)
+        x3 = x2 + v * (t3 - t2)
+        T_ci = L / (v * math.sin(theta))
+        # (start t, x, y, heading, speed): the approach, the pull-out at
+        # beta, the pass, the cut-in at -theta and the run-on
+        self.legs = [(0.0, x_ps - v * t1, y_run, 0.0, v),
+                     (t1, x_ps, y_run, p.pull_out_angle, v),
+                     (t2, x2, y_run + L, 0.0, v),
+                     (t3, x3, y_run + L, -theta, v),
+                     (t3 + T_ci, x3 + v * math.cos(theta) * T_ci, y_run, 0.0,
+                      v)]
         self._abort = None
         if spec.occlusion is not None:
-            self._plan_abort(spec.occlusion)
+            self._plan_abort(spec)
 
-    def _plan_abort(self, occ: OcclusionSpec):
-        t_ab = occ.visible_from_t + ABORT_REACT_S
-        if not (self.t2 < t_ab < self.t3):
+    def _plan_abort(self, spec: ScenarioSpec):
+        """The ego brakes in the passing lane until it is FALLBACK_GAP
+        behind the VBP, falls back into lane at -theta at the speed it has
+        then, and runs on: the legs from the pass on are replaced."""
+        t_ab = spec.occlusion.visible_from_t + ABORT_REACT_S
+        (t2, x2, y_out, _, v), (t3, *_) = self.legs[2:4]
+        if not (t2 < t_ab < t3):
             raise InvalidSpecError(
                 "occlusion abort must begin during the passing phase")
         v_floor = AV_FLOOR_MPH * MPH_TO_MPS
-        T_b = (self.v - v_floor) / AV_DECEL
-        x_ab = self.x2 + self.v * (t_ab - self.t2)
-        self._abort = ab = dict(t_ab=t_ab, T_b=T_b, x_ab=x_ab, v_floor=v_floor)
+        self._abort = ab = dict(t_ab=t_ab, T_b=(v - v_floor) / AV_DECEL,
+                                x_ab=x2 + v * (t_ab - t2), v_floor=v_floor)
         # earliest time the ego's front is FALLBACK_GAP behind the VBP's
-        # rear; scanned at fine resolution, then the analytic pose carries on
-        spec = self.spec
+        # rear; scanned at fine resolution, then the legs carry on
         t, step = t_ab, spec.dt / 10.0
         while (self._braking(t - t_ab)[0] + AV_LENGTH / 2.0 > spec.vbp_position
                + self.v_vbp * t - spec.vbp_length / 2.0 - FALLBACK_GAP):
@@ -154,8 +158,12 @@ class _AvPlan:
             if t > t_ab + 120.0:
                 raise InvalidSpecError("abort fall-back never completes")
         x_sb, v_sb = self._braking(t - t_ab)
-        T_back = self.L / (v_sb * math.sin(self.theta))
-        ab.update(t_sb=t, x_sb=x_sb, v_sb=v_sb, t_done=t + T_back)
+        theta = spec.profile.cut_in_angle
+        t_done = t + spec.lateral_offset / (v_sb * math.sin(theta))
+        back = (t, x_sb, y_out, -theta, v_sb)
+        self.legs[3:] = [back, (t_done, _along(back, t_done)[0],
+                                -spec.lane_width / 2.0, 0.0, v_sb)]
+        ab["t_sb"] = t
 
     def _braking(self, s: float) -> tuple[float, float]:
         """The ego's (x, speed) ``s`` seconds into the abort: it brakes at
@@ -167,58 +175,33 @@ class _AvPlan:
             return x, self.v - AV_DECEL * s
         return x + ab["v_floor"] * (s - ab["T_b"]), ab["v_floor"]
 
-    @property
-    def abort_done_t(self) -> float:
-        return self._abort["t_done"] if self._abort else None
-
     def state(self, t: float) -> tuple[float, float, float, float]:
         """(x, y, heading, speed) at time t."""
-        if self._abort is not None and t >= self._abort["t_ab"]:
-            return self._abort_state(t)
-        v = self.v
-        if t < self.t1:
-            return (self.x0 + v * t, self.y_run, 0.0, v)
-        if t < self.t2:
-            s = t - self.t1
-            return (self.x_ps + v * math.cos(self.beta) * s,
-                    self.y_run + v * math.sin(self.beta) * s, self.beta, v)
-        if t < self.t3:
-            return (self.x2 + v * (t - self.t2), self.y_run + self.L, 0.0, v)
-        if t < self.t4:
-            s = t - self.t3
-            return (self.x3 + v * math.cos(self.theta) * s,
-                    self.y_run + self.L - v * math.sin(self.theta) * s,
-                    -self.theta, v)
-        return (self.x4 + v * (t - self.t4), self.y_run, 0.0, v)
-
-    def _abort_state(self, t):
         ab = self._abort
-        y_out = self.y_run + self.L
-        if t < ab["t_sb"]:
+        if ab is not None and ab["t_ab"] <= t < ab["t_sb"]:
             x, v = self._braking(t - ab["t_ab"])
-            return (x, y_out, 0.0, v)
-        v = ab["v_sb"]
-        if t < ab["t_done"]:
-            s = t - ab["t_sb"]
-            return (ab["x_sb"] + v * math.cos(self.theta) * s,
-                    y_out - v * math.sin(self.theta) * s, -self.theta, v)
-        x_done = (ab["x_sb"]
-                  + v * math.cos(self.theta) * (ab["t_done"] - ab["t_sb"]))
-        return (x_done + v * (t - ab["t_done"]), self.y_run, 0.0, v)
+            return (x, self.legs[2][2], 0.0, v)
+        leg = next(leg for leg in reversed(self.legs) if leg[0] <= t)
+        return _along(leg, t)
+
+
+def _along(leg, t: float) -> tuple[float, float, float, float]:
+    """(x, y, heading, speed) at time t on a constant-heading leg."""
+    t0, x, y, h, v = leg
+    s = t - t0
+    return (x + v * math.cos(h) * s, y + v * math.sin(h) * s, h, v)
 
 
 class _OvPlan:
-    """Oncoming vehicle: constant speed, optionally braking to a stop."""
+    """Oncoming vehicle: constant speed, braking to a stop at OV_DECEL in
+    the occlusion fixture."""
 
     def __init__(self, spec: ScenarioSpec, anchor_t: float, anchor_x: float):
         self.v = spec.v_ov_mph * MPH_TO_MPS
         self.anchor_t = anchor_t
         self.anchor_x = anchor_x
-        self.brake_from = None
-        self.decel = 0.0
-        if spec.occlusion is not None:
-            self.brake_from = anchor_t + OV_REACT_S
-            self.decel = OV_DECEL
+        self.brake_from = (None if spec.occlusion is None
+                           else anchor_t + OV_REACT_S)
 
     def state(self, t: float) -> tuple[float, float]:
         """(x, speed) at time t; the OV heads in -x."""
@@ -226,11 +209,11 @@ class _OvPlan:
             return (self.anchor_x - self.v * (t - self.anchor_t), self.v)
         x0 = self.anchor_x - self.v * (self.brake_from - self.anchor_t)
         dt = t - self.brake_from
-        t_stop = self.v / self.decel if self.decel > 0 else math.inf
+        t_stop = self.v / OV_DECEL
         if dt >= t_stop:
-            return (x0 - self.v * t_stop + 0.5 * self.decel * t_stop ** 2, 0.0)
-        return (x0 - self.v * dt + 0.5 * self.decel * dt * dt,
-                self.v - self.decel * dt)
+            return (x0 - self.v * t_stop + 0.5 * OV_DECEL * t_stop ** 2, 0.0)
+        return (x0 - self.v * dt + 0.5 * OV_DECEL * dt * dt,
+                self.v - OV_DECEL * dt)
 
 
 def _av_state_at(plan: _AvPlan, t: float) -> ActorState:
@@ -246,55 +229,41 @@ def generate(spec: ScenarioSpec) -> tuple[RoadMap, Trace]:
     plan = _AvPlan(spec)
     dt = spec.dt
     y_ov = spec.lane_width / 2.0
+    t_end = plan.legs[-1][0]    # the run-on's start ends the manoeuvre
 
     # the reference step: first sampled step whose ego box touches the line
     k = 0
-    cross_k = None
-    horizon = (plan.abort_done_t or plan.t4) + 2.0
-    while k * dt <= horizon:
-        st = _av_state_at(plan, k * dt)
-        if crosses_centreline(road, st.box()):
-            cross_k = k
-            break
+    while not crosses_centreline(road, _av_state_at(plan, k * dt).box()):
         k += 1
-    if cross_k is None:
-        raise InvalidSpecError("ego never reaches the centre line")
-    t_cross = cross_k * dt
+        if k * dt > t_end + 2.0:
+            raise InvalidSpecError("ego never reaches the centre line")
+    t_cross = k * dt
 
-    if spec.occlusion is None:
-        av_box = _av_state_at(plan, t_cross).box()
-        av_hi = projection_interval(av_box, 0.0)[1]
-        anchor_t = t_cross
-        anchor_x = av_hi + spec.ov_start_offset + OV_LENGTH / 2.0
-        ov = _OvPlan(spec, anchor_t, anchor_x)
+    # the OV's front is ``gap`` ahead of the ego's at ``anchor_t``
+    occ = spec.occlusion
+    anchor_t, gap = ((t_cross, spec.ov_start_offset) if occ is None
+                     else (occ.visible_from_t, occ.visibility_gap))
+    av_hi = projection_interval(_av_state_at(plan, anchor_t).box(), 0.0)[1]
+    ov = _OvPlan(spec, anchor_t, av_hi + gap + OV_LENGTH / 2.0)
+    if occ is None:
         v_closing = (spec.v_av_mph + spec.v_ov_mph) * MPH_TO_MPS
-        t_meet = t_cross + spec.ov_start_offset / v_closing
-        t_end = max(plan.t4, t_meet) + spec.trail_s
-    else:
-        occ = spec.occlusion
-        t_vis = occ.visible_from_t
-        av_box = _av_state_at(plan, t_vis).box()
-        av_hi = projection_interval(av_box, 0.0)[1]
-        ov = _OvPlan(spec, t_vis, av_hi + occ.visibility_gap + OV_LENGTH / 2.0)
-        t_end = plan.abort_done_t + spec.trail_s
+        t_end = max(t_end, t_cross + gap / v_closing)
+    t_end += spec.trail_s
 
     n = int(math.floor(t_end / dt + 1e-9)) + 1
     times = [k * dt for k in range(n)]
-    flicker = set(spec.occlusion.flicker_steps) if spec.occlusion else set()
+    flicker = set(occ.flicker_steps) if occ else set()
 
     steps = []
     for k, t in enumerate(times):
         step = {"ego": _av_state_at(plan, t)}
-        vbp_x = spec.vbp_position + spec.v_vbp_mph * MPH_TO_MPS * t
         step["parked"] = ActorState(
             actor_id="parked", role="VBP", t=t,
-            pose=Pose2D(vbp_x, -spec.lane_width / 2.0, 0.0),
-            dims=BoxDims(spec.vbp_length, VBP_WIDTH),
-            speed=spec.v_vbp_mph * MPH_TO_MPS)
-        visible = (spec.occlusion is None
-                   or (t >= spec.occlusion.visible_from_t - 1e-9
-                       and k not in flicker))
-        if visible:
+            pose=Pose2D(spec.vbp_position + plan.v_vbp * t,
+                        -spec.lane_width / 2.0, 0.0),
+            dims=BoxDims(spec.vbp_length, VBP_WIDTH), speed=plan.v_vbp)
+        if occ is None or (t >= occ.visible_from_t - 1e-9
+                           and k not in flicker):
             ov_x, ov_v = ov.state(t)
             step["oncoming"] = ActorState(
                 actor_id="oncoming", role="OV", t=t,

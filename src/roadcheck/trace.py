@@ -289,11 +289,8 @@ def iter_steps(lines):
 
 def load_trace(source) -> Trace:
     """Read a JSON-lines record stream, from ``read_lines(source)``, and
-    group it into timesteps."""
-    pairs = list(iter_steps(read_lines(source)))
-    if not pairs:
-        raise TraceError("empty trace")
-    times, steps = zip(*pairs)
+    group it into timesteps; a stream with no records is an empty trace."""
+    times, steps = tuple(zip(*iter_steps(read_lines(source)))) or ((), ())
     return Trace(times, steps, times[1] - times[0] if len(times) >= 2 else 1.0)
 
 

@@ -191,6 +191,38 @@ class TestReferenceErrors:
         assert "error: reference of 'ref_sda' at t=0.0: " in res.output
         assert "must exceed" in res.output
 
+    @pytest.mark.parametrize("command", ["check", "monitor", "zones"])
+    def test_unbuildable_box_exit_2(self, fixture_dir, tmp_path, command):
+        # boxes too thin for the unchecked build fail rule 162's reference
+        # in every command, zones' own evaluation included
+        trace = tmp_path / "thin_trace.jsonl"
+        trace.write_text("".join(
+            json.dumps({**json.loads(line), "width_m": 1e-120}) + "\n"
+            for line in (fixture_dir / "safe_trace.jsonl").read_text()
+            .splitlines()))
+        res = invoke(fixture_dir, command, trace=trace)
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2, res.output
+        assert res.stderr == (
+            "error: reference of 'rule162_safe_distance_ahead' at t=0.0: "
+            "box of 'ego': polygon is not strictly convex in CCW order "
+            "(cross=0 at vertex 0)\n")
+
+
+class TestTypecheckError:
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_unit_mismatch_exit_2(self, fixture_dir, tmp_path, command):
+        rules = tmp_path / "units.rules"
+        rules.write_text(
+            'assertion units {\n  odd: x\n  type: invariant\n'
+            '  condition: min_distance(box_of("av"), box_of("vbp")) > 1s\n'
+            '}\n')
+        res = invoke(fixture_dir, command, "--rules", str(rules))
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2, res.output
+        assert res.stderr == (f"error: {rules}: 4:56: comparison '>': unit "
+                              f"mismatch between m and s\n")
+
 
 class TestBadProfiles:
     @pytest.mark.parametrize("command", ["check", "monitor", "zones"])
@@ -1287,6 +1319,52 @@ class TestMonitor:
                             input="")
         assert res.exit_code == 0
         assert not [l for l in res.output.splitlines() if l.startswith("{")]
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"],
+                             ids=["zero-bytes", "blank-lines"])
+    def test_empty_trace_reads_alike(self, fixture_dir, tmp_path, text):
+        # check reads a trace with no records as monitor reads an empty
+        # stream: no verdicts and exit 0
+        trace = tmp_path / "empty_trace.jsonl"
+        trace.write_text(text)
+        out_jsonl, out_csv = tmp_path / "v.jsonl", tmp_path / "s.csv"
+        chk = invoke(fixture_dir, "check", "--print-verdicts",
+                     "--out-jsonl", str(out_jsonl), "--out-csv", str(out_csv),
+                     trace=trace)
+        mon = invoke(fixture_dir, "monitor", trace=trace)
+        for res in (chk, mon):
+            assert (res.exit_code, res.output) == (0, ""), res.exception
+        assert out_jsonl.read_text() == ""
+        assert out_csv.read_text().splitlines() == [
+            "assertion_id,pass_count,fail_count,first_fail_t"]
+        zones = invoke(fixture_dir, "zones", trace=trace)
+        assert zones.exit_code == 2
+        assert zones.stderr == "error: the ego never crosses the centre line\n"
+
+    def test_debounce_flush_matches_check(self, fixture_dir, tmp_path):
+        # the verdicts still held by the debounce filter when the stream
+        # ends are written, as check writes them: the shipped rules, and
+        # one whose last two verdicts (t=12.85 and 12.9) are a run too
+        # short to publish
+        late = tmp_path / "late.rules"
+        late.write_text("assertion late { odd: x type: invariant severity: "
+                        "performance condition: time() < 12.82s }")
+        args = ["--map", str(fixture_dir / "occlusion_abort_map.json"),
+                "--rules", str(PACKAGED_PROFILES.with_name("overtaking.rules")),
+                "--rules", str(late), "--worst-case-speeds", "--debounce", "3"]
+        trace = fixture_dir / "occlusion_abort_trace.jsonl"
+        mon = runner.invoke(main, ["monitor", *args],
+                            input=trace.read_bytes())
+        chk = runner.invoke(main, ["check", *args, "--trace", str(trace),
+                                   "--print-verdicts"])
+        assert (mon.exit_code, chk.exit_code) == (0, 1)
+        verdicts = sorted(l for l in chk.output.splitlines()
+                          if l.startswith("{"))
+        assert sorted(mon.output.splitlines()) == verdicts
+        flushed = [(round(v["t"], 6), v["result"], v["detail"].get(
+            "debounced_from")) for v in map(json.loads, verdicts)
+            if v["assertion_id"] == "late" and v["t"] > 12.8]
+        assert flushed == [(12.85, "pass", "fail"), (12.9, "pass", "fail")]
 
     def test_time_regression_exit_two(self, fixture_dir):
         # an out-of-order record is a malformed stream, not a safety failure

@@ -43,13 +43,14 @@ def test_outputs_of_one_preset_and_profile(tmp_path):
         (case / "plain.monitor.out").read_text().splitlines())
     assert not (out / "workloads").exists()
     # every malformed input exits 2 with one error line from each reader;
-    # a well-formed one is read without a word (a box too far out to build
+    # a trace with no records is read as one without verdicts; a
+    # well-formed one is read without a word (a box too far out to build
     # fails its assertions as evaluation errors), or with one warning line
     # for its unknown key
     rejections = out / "rejections"
     runs = [(case, command) for case, *_ in tool.REJECTIONS
             for command in tool.READERS[case.split("-", 1)[0]]]
-    assert len(runs) == len(list(rejections.glob("*.exit"))) == 79
+    assert len(runs) == len(list(rejections.glob("*.exit"))) == 85
     for case, command in runs:
         run = f"{case}.{command}"
         err = (rejections / f"{run}.err").read_text().splitlines()
@@ -57,6 +58,12 @@ def test_outputs_of_one_preset_and_profile(tmp_path):
         if case in ("trace-big-integer-x", "trace-integer-heading",
                     "trace-far-x"):
             assert err == [] and code != "2\n", run
+        elif case in ("trace-empty", "trace-blank-lines"):
+            # no records: no verdicts, and no decision point for zones
+            assert (rejections / f"{run}.out").read_text() == "", run
+            assert (err, code) == (
+                (["error: the ego never crosses the centre line"], "2\n")
+                if command == "zones" else ([], "0\n")), run
         elif case.endswith("unknown-key"):
             assert len(err) == 1 and err[0].startswith("warning: ") and \
                 err[0].endswith(": unknown keys ['note']"), (run, err)

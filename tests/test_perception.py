@@ -9,6 +9,7 @@ from roadcheck.perception import (CameraCalibration, DetectionRecord,
                                   load_detections, longitudinal_distance,
                                   trace_to_detections)
 from roadcheck.geometry import BoxDims, Pose2D
+from roadcheck.models import MPH_TO_MPS
 from roadcheck.trace import ActorState, Trace, load_trace, serialise_trace
 
 CAL = CameraCalibration(c=1200.0, assumed_vehicle_width=1.8,
@@ -96,6 +97,19 @@ class TestBoxesToTrace:
         trace = boxes_to_trace(records, lines, CAL)
         assert trace.steps[0]["ego"].pose.y == pytest.approx(0.0)
         assert trace.steps[3]["ego"].pose.y == pytest.approx(1.0)
+
+    def test_ego_heading_from_path(self):
+        # each frame's heading looks ahead to the next frame, the last
+        # frame's back to the one before it; a single frame heads along x
+        lines = [LineRecord(frame_index=k, t=0.1 * k,
+                            line_px=320.0 - 100.0 * (k == 3))
+                 for k in range(4)]
+        trace = boxes_to_trace([], lines, CAL, av_speed_mph=60.0)
+        lane_change = math.atan2(1.0, 60.0 * MPH_TO_MPS * 0.1)
+        assert [s["ego"].pose.heading for s in trace.steps] == pytest.approx(
+            [0.0, 0.0, lane_change, lane_change])
+        single = boxes_to_trace([det(0.5, 108.0)], [], CAL)
+        assert single.steps[0]["ego"].pose.heading == 0.0
 
     def test_output_satisfies_trace_invariants(self):
         records = [det(0.1 * k, 108.0 - k) for k in range(10)]

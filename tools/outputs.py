@@ -15,11 +15,11 @@ so DIR may be the ``src`` directory of any checkout, and writes into OUT:
   ``occlusion_abort`` files in ``inputs/``, one or more per reader, with
   two well-formed traces that only the stdlib decoder of a trace record
   reads, a trace with an integer in a float field of every record, two
-  traces with a vehicle box that the polygon checks refuse, a map
-  nested as deep as a document may and one a level deeper, and, for each
-  reader, an input that is well-formed but for one key that it does not
-  read, and the stdout, stderr and exit code of every command that reads
-  each one;
+  traces with no records (zero bytes and blank lines), two traces with a
+  vehicle box that the polygon checks refuse, a map nested as deep as a
+  document may and one a level deeper, and, for each reader, an input
+  that is well-formed but for one key that it does not read, and the
+  stdout, stderr and exit code of every command that reads each one;
 * ``workloads/``: the same ``check`` and ``monitor`` outputs on the four
   benchmark workloads at seed 7 (nominal profile), when ``bench/gen.py``
   exists next to this directory.
@@ -190,6 +190,9 @@ REJECTIONS = (
     # integers in float fields, which both decoders read alike
     ("trace-integer-heading", "trace.jsonl", "safe_trace.jsonl",
      _each_record("heading_rad", 0)),
+    # traces with no records, which check and monitor read alike
+    ("trace-empty", "trace.jsonl", None, lambda _: ""),
+    ("trace-blank-lines", "trace.jsonl", None, lambda _: "\n  \n\n"),
     # vehicle boxes that the polygon checks refuse: a box too far out for
     # its corners to stay convex, and one too thin for the unchecked build
     ("trace-far-x", "trace.jsonl", "safe_trace.jsonl",
