@@ -80,6 +80,8 @@ REGISTRY = {
     "heading_rel_lane": ((ACTOR,), RADIANS),
     "danger_space_length": ((MPS,), METRES),
 }
+#: the roles that sda() resolves, in the order that it resolves them
+SDA_ROLES = ("av", "ov", "vbp")
 
 
 class TypeDiagnostic(Record):
@@ -283,6 +285,21 @@ def typecheck(doc: Document) -> tuple[CompiledAssertion, ...]:
     if diagnostics:
         raise TypecheckError(diagnostics)
     return tuple(compiled)
+
+
+def read_set(assertions) -> frozenset:
+    """The actor ids and role keys that ``assertions`` can resolve: each
+    string literal, as written and lower-cased, and the roles of sda()."""
+    reads, stack = set(), [a.condition for a in assertions]
+    stack += [a.reference for a in assertions if a.reference is not None]
+    while stack:
+        node = stack.pop()
+        if node.op == "string":
+            reads.update((node.value, node.value.lower()))
+        elif node.op == "call" and node.value == "sda":
+            reads.update(SDA_ROLES)
+        stack.extend(node.args)
+    return frozenset(reads)
 
 
 def compile_text(text: str) -> tuple[CompiledAssertion, ...]:

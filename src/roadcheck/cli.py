@@ -24,7 +24,7 @@ from pathlib import Path
 import click
 
 from . import rulepack
-from .checker import TypecheckError, compile_text
+from .checker import TypecheckError, compile_text, read_set
 from .dsl import ParseError
 from .engine import (DebounceFilter, EvalError, EvaluationContext,
                      StreamError, StreamingEngine, debounce, evaluate_document,
@@ -58,10 +58,10 @@ def _load_map(map_path):
         _die(f"{map_path}: {exc}")
 
 
-def _load_trace(trace_path):
+def _load_trace(trace_path, reads=None):
     try:
         with open(trace_path, "rb") as fh:
-            return load_trace(fh)
+            return load_trace(fh, reads)
     except (OSError, TraceError) as exc:
         _die(str(exc))
 
@@ -179,7 +179,7 @@ def check(map_path, rules_paths, profiles_path, profile_name, active_odd,
     ctx, assertions = _load_inputs(map_path, rules_paths, profiles_path,
                                    profile_name, active_odd, strict_windows,
                                    worst_case_speeds)
-    trace = _load_trace(trace_path)
+    trace = _load_trace(trace_path, read_set(assertions))
     try:
         verdicts = evaluate_document(assertions, trace, ctx)
     except (EvalError, StreamError) as exc:
@@ -235,7 +235,7 @@ def monitor(map_path, rules_paths, profiles_path, profile_name, active_odd,
         out.flush()
 
     try:
-        for t, step in iter_steps(lines):
+        for t, step in iter_steps(lines, read_set(assertions)):
             publish(stream.feed(t, step))
         publish(stream.finish(), last=True)
     except (TraceError, StreamError, EvalError) as exc:

@@ -46,10 +46,10 @@ without raising.  While a step is processed, one memo on it holds its
 shapes and its references' results, each computed once whichever
 assertions read it.  A plain condition's verdict without low-confidence
 actors shares one of two read-only details, ``{"condition":
-true|false}``, and a verdict built without a detail an empty one; code
-adding to a detail copies it first.  The JSON text of these three details
-is encoded once, at import, and a verdict line that carries one of them
-copies it in.
+true|false}``, a verdict of a missing actor that actor's one read-only
+detail, and a verdict built without a detail an empty one; code adding to
+a detail copies it first.  The JSON text of each shared detail is encoded
+once, when it is made, and a verdict line that carries one copies it in.
 
 Comparisons are encoded per rule with explicit <, <=, >, >=: a rule that
 must fail on ties uses the strict operator.  A comparison with an
@@ -68,7 +68,7 @@ from bisect import bisect_left
 from collections import deque
 from types import MappingProxyType
 
-from .checker import REGISTRY, CompiledAssertion
+from .checker import REGISTRY, SDA_ROLES, CompiledAssertion
 from .geometry import GeometryError, danger_space
 from .geometry import min_distance as poly_min_distance, overlaps as poly_overlaps
 from .geometry import overlap_area as poly_overlap_area
@@ -99,6 +99,14 @@ _CONDITION_DETAIL = (MappingProxyType({"condition": False}),    # shared
 _NO_DETAIL = MappingProxyType({})   # shared, read-only
 _SHARED_TEXT = {id(d): _encode(dict(d))     # by identity, encoded once
                 for d in (*_CONDITION_DETAIL, _NO_DETAIL)}
+
+
+@functools.cache
+def _missing_detail(actor: str) -> MappingProxyType:
+    """The one read-only actor-not-found detail of ``actor``."""
+    detail = MappingProxyType({"reason": "actor-not-found", "actor": actor})
+    _SHARED_TEXT[id(detail)] = _encode(dict(detail))
+    return detail
 
 
 class ActorNotFound(LookupError):
@@ -294,10 +302,9 @@ class _BufferedStep:
 
     def manoeuvre(self):
         """The overtake sda() sizes: av, vbp (0 if none) and ov speeds."""
-        av = self.resolve("av")
-        ov = self.resolve("ov")
+        av, ov = map(self.resolve, SDA_ROLES[:2])
         try:
-            v_vbp = self.speed_of(self.resolve("vbp"))
+            v_vbp = self.speed_of(self.resolve(SDA_ROLES[2]))
         except ActorNotFound:
             v_vbp = 0.0
         return self.ctx.config.geometry(self.speed_of(av), v_vbp,
@@ -432,9 +439,7 @@ def _condition_verdict(aid: str, condition, at: _BufferedStep,
             ok = _COMPARE[op](measured, threshold)
     except ActorNotFound as exc:
         # the on_missing policies are spelled as the results they give
-        return Verdict(aid, t, on_missing, {
-            "reason": "actor-not-found",
-            "actor": str(exc.args[0] if exc.args else "")})
+        return Verdict(aid, t, on_missing, _missing_detail(exc.args[0]))
     except EvalError as exc:
         return Verdict(aid, t, FAIL, {"reason": "evaluation-error",
                                       "error": str(exc)})
@@ -558,8 +563,9 @@ class StreamingEngine:
     # -- public API --
 
     def feed(self, t: float, records: dict) -> list[Verdict]:
-        """Take the step ``records`` ({actor_id: ActorState}, kept as given
-        and not to be changed afterwards) at time ``t``."""
+        """Take the step ``records`` ({actor_id: ActorState}, kept as given:
+        only actors that no rule resolves at it may join it before the next
+        step is fed, as ``trace.iter_steps`` adds them) at time ``t``."""
         if self._finished:
             raise StreamError("stream already finished")
         if self._last_fed is not None and t <= self._last_fed + _T_EPS:

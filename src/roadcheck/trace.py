@@ -17,11 +17,12 @@ with ``orjson``; a record whose value passes the gate in
 from it in one pass, and any other line is decoded again as
 ``inputs.json_records`` decodes it and read against the field table
 ``_RECORD``, so what is accepted and every message are the stdlib's
-either way.  An actor's states share one id, role and dims object, and a
-step's states one time; a gated record of an actor already read, in the
-same role and dims, is built slot by slot, and a state read so builds
-its ``Pose2D`` when ``pose`` is first read, so actors that no rule reads
-build none.
+either way.  Given the rules' read set, a step holds only the actors
+that the reader kept, those that the rules can resolve.  An actor's
+states share one id, role and dims object, and a step's states one time;
+a gated record of an actor already read, in the same role and dims, is
+built slot by slot, and a state read so builds its ``Pose2D`` when
+``pose`` is first read, so actors that no rule reads build none.
 
 ``derive_row`` derives the dynamics of the one actor it is asked for at
 one step from its neighbouring steps: speed from positions by central
@@ -109,8 +110,9 @@ class ActorState:
 
 class Trace(Record):
     """A plain record of timesteps: ``times``, ``steps`` (per step
-    {actor_id: ActorState}) and ``dt``.  ``load_trace`` builds it from what
-    ``iter_steps`` checked; code that builds one keeps the same invariants:
+    {actor_id: ActorState} of the actors that the reader kept) and ``dt``.
+    ``load_trace`` builds it from what ``iter_steps`` checked and kept;
+    code that builds one keeps the same invariants:
     times strictly increasing, each step keyed by actor id, and each
     actor's dims the same at every step."""
 
@@ -246,7 +248,7 @@ def read_lines(source):
             text.detach()   # so that ``text``, when collected, spares ``binary``
 
 
-def iter_steps(lines):
+def iter_steps(lines, reads=None):
     """Group a JSON-lines record stream into timesteps, lazily.
 
     Yields ``(t, {actor_id: ActorState})`` per timestep as soon as the
@@ -255,10 +257,17 @@ def iter_steps(lines):
     must not decrease, an actor appears at most once per step and keeps
     its dims; a violation raises TraceError with the index of the record
     (blank lines not counted).
+
+    Given ``reads`` (``checker.read_set``), a step holds a state whose
+    actor id or role key is in it or whose actor the step before holds,
+    and the step before then holds that actor too: dynamics read an
+    actor's neighbouring states, and its role may change.  A step whose
+    states were all left out is yielded empty; every record is checked.
     """
     seen: dict = {}     # actor id -> its first state
     reported: set = set()   # the unknown keys reported so far
-    t, step = None, {}
+    t, step, dropped = None, {}, None   # dropped: id -> state left out
+    last = last_dropped = None          # the same of the step before
     for index, line in record_lines(lines):
         try:
             obj = orjson.loads(line)
@@ -266,10 +275,10 @@ def iter_steps(lines):
             obj = None      # _parse_record has the stdlib decode it
         state = _parse_record(obj, line, index, seen, reported)
         aid, st = state.actor_id, state.t
-        if step and st < t:
+        if t is not None and st < t:
             raise TraceError(f"record {index}: out-of-order timestamp {st} "
                              f"after {t}")
-        if st == t and aid in step:
+        if st == t and (aid in step or dropped and aid in dropped):
             raise TraceError(f"record {index}: duplicate actor {aid!r} at "
                              f"t={st}")
         dims = seen.setdefault(aid, state).dims
@@ -277,20 +286,31 @@ def iter_steps(lines):
             raise TraceError(f"record {index}: actor {aid!r} changed dims "
                              f"{dims} -> {state.dims}")
         if st != t:
-            if step:
+            if t is not None:
                 yield t, step
-            t, step = st, {}
+            last, last_dropped = step, dropped
+            t, step, dropped = st, {}, None
         elif t or math.copysign(1.0, st) == math.copysign(1.0, t):
             state.t = t     # one float per step, but -0.0 == 0.0 keeps its sign
-        step[aid] = state
-    if step:
+        if (reads is None or aid in reads or aid in last
+                or _ROLE_KEYS[state.role] in reads):
+            if last_dropped and aid in last_dropped:
+                last[aid] = last_dropped.pop(aid)
+            step[aid] = state
+        else:
+            if dropped is None:
+                dropped = {}
+            dropped[aid] = state
+    if t is not None:
         yield t, step
 
 
-def load_trace(source) -> Trace:
+def load_trace(source, reads=None) -> Trace:
     """Read a JSON-lines record stream, from ``read_lines(source)``, and
-    group it into timesteps; a stream with no records is an empty trace."""
-    times, steps = tuple(zip(*iter_steps(read_lines(source)))) or ((), ())
+    group it into timesteps of the actors that ``reads`` keeps, as in
+    ``iter_steps``; a stream with no records is an empty trace."""
+    steps = iter_steps(read_lines(source), reads)
+    times, steps = tuple(zip(*steps)) or ((), ())
     return Trace(times, steps, times[1] - times[0] if len(times) >= 2 else 1.0)
 
 

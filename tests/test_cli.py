@@ -445,6 +445,26 @@ def _joined_lines(records):
             + [json.dumps(r) for r in records[3:]])
 
 
+def _unread(build):
+    """``build`` applied to the records with an ``other`` car, which no
+    rule reads, after each step's: records 0-3 are t=0 (ego, oncoming,
+    parked, car), 4-7 t=0.05, 8-11 t=0.1."""
+    def apply(records):
+        with_car = []
+        for r in records:
+            if with_car and with_car[-1]["t"] != r["t"]:
+                with_car.append(_car(with_car[-1]["t"]))
+            with_car.append(r)
+        return build(with_car + [_car(records[-1]["t"])])
+    return apply
+
+
+def _car(t):
+    return {"t": t, "actor_id": "car", "role": "other", "x": 500.0 - t,
+            "y": 1.825, "heading_rad": math.pi, "length_m": 4.5,
+            "width_m": 1.8}
+
+
 # (case, corpus builder, message); records 0-2 are t=0 (ego, oncoming,
 # parked), 3-5 t=0.05, 6-8 t=0.1
 MALFORMED = [
@@ -515,6 +535,18 @@ MALFORMED = [
     ("bom-first-line", lambda rs: ["\ufeff" + json.dumps(rs[0])]
      + [json.dumps(r) for r in rs[1:]],
      "record 0: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    # the records of a vehicle that no rule reads are checked all the same
+    ("unread-duplicate", _unread(_insert(8, 7)),
+     "record 8: duplicate actor 'car' at t=0.05"),
+    ("unread-changed-dims", _unread(_mutate(11, length_m=9.0)),
+     "record 11: actor 'car' changed dims BoxDims(length=4.5, width=1.8) "
+     "-> BoxDims(length=9.0, width=1.8)"),
+    ("unread-out-of-order-t", _unread(_mutate(11, t=0.05)),
+     "record 11: out-of-order timestamp 0.05 after 0.1"),
+    ("unread-unknown-role", _unread(_mutate(11, role="truck")),
+     "record 11: unknown role 'truck' for 'car'"),
+    ("unread-nan-t", _unread(_mutate(11, t=float("nan"))),
+     "record 11: timestamp must be finite and >= 0, got nan"),
 ]
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pickle
 import random
 import sys
 import tracemalloc
@@ -940,6 +941,33 @@ class TestSharedDetails:
                 assert v.to_json() == json.dumps(
                     {"assertion_id": aid, "t": t, "result": FAIL,
                      "detail": dict(v.detail)}, sort_keys=True)
+
+    def test_actor_not_found_shared_per_actor(self):
+        # one read-only detail per missing actor, its text encoded once
+        escaped = 'q\\"u\u00f6te'    # q"uöte in rule text: JSON escapes it
+        rules = compile_text(
+            'assertion a { odd: road type: invariant on_missing: pass '
+            'condition: speed_of("ov") >= 0 } '
+            'assertion b { odd: road type: invariant condition: '
+            f'speed_of("ov") >= 0 or speed_of("{escaped}") > 0 }} '
+            'assertion c { odd: road type: invariant condition: '
+            f'speed_of("ego") >= 0 and speed_of("{escaped}") > 0 }}')
+        verdicts = evaluate_document(rules, straight_trace(n=3), CTX)
+        by_actor = {}
+        for v in verdicts:
+            assert v.detail["reason"] == "actor-not-found"
+            by_actor.setdefault(v.detail["actor"], set()).add(id(v.detail))
+            with pytest.raises(TypeError):
+                v.detail["debounced_from"] = FAIL
+            assert v.to_json() == json.dumps(
+                {"assertion_id": v.assertion_id, "t": v.t,
+                 "result": v.result, "detail": dict(v.detail)},
+                sort_keys=True)
+            copy = pickle.loads(pickle.dumps(v))
+            assert copy == v and type(copy.detail) is dict
+        assert {actor: len(ids) for actor, ids in by_actor.items()} == {
+            "ov": 1, 'q"u\u00f6te': 1}
+        assert len(verdicts) == 9
 
     @staticmethod
     def flagged_trace(n):

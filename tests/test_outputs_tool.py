@@ -20,7 +20,7 @@ def test_outputs_of_one_preset_and_profile(tmp_path):
     out = tmp_path / "out"
     tool = _load_tool()
     tool.write_outputs(ROOT / "src", out, presets=("safe",),
-                       profiles=("nominal",), workloads=())
+                       profiles=("nominal",), workloads=tuple(tool.RULE_CASES))
     assert {p.name for p in (out / "gen").iterdir()} == {
         f"{preset}_{kind}" for preset in tool.PRESETS
         for kind in ("map.json", "trace.jsonl")} | {
@@ -41,7 +41,17 @@ def test_outputs_of_one_preset_and_profile(tmp_path):
     assert verdicts
     assert sorted(verdicts) == sorted(
         (case / "plain.monitor.out").read_text().splitlines())
-    assert not (out / "workloads").exists()
+    # the crowded trace with rules that read its other vehicles: check
+    # and monitor, each with three flag sets
+    workloads = out / "workloads"
+    assert [p.name for p in workloads.iterdir()] == ["crowded-other-rules"]
+    case = workloads / "crowded-other-rules"
+    assert len(list(case.glob("*.exit"))) == 6
+    verdicts = (case / "plain.jsonl").read_text().splitlines()
+    assert len(verdicts) == 1500
+    assert sorted(verdicts) == sorted(
+        (case / "plain.monitor.out").read_text().splitlines())
+    assert (case / "plain.check.exit").read_text() == "1\n"
     # every malformed input exits 2 with one error line from each reader;
     # a trace with no records is read as one without verdicts; a
     # well-formed one is read without a word (a box too far out to build

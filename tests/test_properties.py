@@ -8,14 +8,14 @@ import random
 import pytest
 
 from roadcheck import dsl
-from roadcheck.checker import compile_text
+from roadcheck.checker import compile_text, read_set
 from roadcheck.dsl import ParseError, format_document, parse
 from roadcheck.engine import (FAIL, NOT_APPLICABLE, PASS,
                               EvaluationContext, StreamingEngine,
                               evaluate_document)
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck.models import default_profiles
-from roadcheck.trace import ActorState, Trace
+from roadcheck.trace import ActorState, Trace, load_trace, serialise_trace
 from roadcheck.worldmap import load_map
 
 ROAD = load_map(json.dumps({
@@ -126,6 +126,110 @@ def test_batch_stream_equivalence(seed):
         streamed.extend(engine.feed(trace.times[k], trace.steps[k]))
     streamed.extend(engine.finish())
     assert sorted(map(verdict_key, batch)) == sorted(map(verdict_key, streamed))
+
+
+# --- the reader's read set --------------------------------------------------
+
+def with_others(trace: Trace, rng: random.Random) -> str:
+    """``trace`` as JSON lines with more actors: an ``other`` car at every
+    step, an ``other`` vehicle with the id "AV" and, at some steps, one
+    with the id "ov", and a vehicle whose role changes between ``other``,
+    OV and VBP from step to step."""
+    steps = []
+    for t, step in zip(trace.times, trace.steps):
+        step = dict(step)
+
+        def add(aid, role, x, y, heading=0.0):
+            step[aid] = ActorState(
+                actor_id=aid, role=role, t=t, pose=Pose2D(x, y, heading),
+                dims=BoxDims(4.5, 1.8),
+                speed=rng.uniform(0, 12) if rng.random() < 0.5 else None)
+
+        add("car1", "other", 40.0 + 8.0 * t, -1.825)
+        add("AV", "other", 120.0 - 6.0 * t, 1.825, math.pi)
+        if rng.random() < 0.5:
+            add("ov", "other", 90.0 - 9.0 * t, 1.825, math.pi)
+        if rng.random() < 0.8:
+            add("shifty", rng.choice(["other", "OV", "VBP"]), 60.0 + 4.0 * t,
+                rng.choice([-1.825, 1.825]))
+        steps.append(step)
+    return serialise_trace(Trace(trace.times, tuple(steps), trace.dt))
+
+
+_NAMED = [
+    'speed_of("other") > {x:.2f}',
+    'speed_of("Other") > {x:.2f}',
+    'min_distance(box_of("car1"), box_of("av")) > {y:.1f}',
+    'distance_ahead("av", "ov") > sda()',
+    'speed_of("vbp") < {x:.2f} or heading_rel_lane("ov") < 0.1',
+    'true',
+]
+
+
+def assert_read_set_keeps_verdicts(assertions, text, ctx):
+    """The verdicts over the actors that the read set keeps are those
+    over every actor; unless the rules read ``other`` vehicles, the read
+    set left some record out."""
+    reads = read_set(assertions)
+    kept, full = load_trace(text, reads), load_trace(text)
+    assert kept.times == full.times
+    assert (sum(map(len, kept.steps)) < sum(map(len, full.steps))
+            or "other" in reads)
+    assert (evaluate_document(assertions, kept, ctx)
+            == evaluate_document(assertions, full, ctx))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_read_set_keeps_verdicts(seed):
+    rng = random.Random(seed * 104729 + 7)
+    text = with_others(random_trace(rng), rng)
+    extra = rng.choice(_NAMED).format(x=rng.uniform(0, 12),
+                                      y=rng.uniform(0, 120))
+    assertions = random_assertions(rng) + compile_text(rule_text(
+        "named", {"type": "invariant", "on_missing": "fail",
+                  "condition": extra}))
+    ctx = EvaluationContext(road=ROAD, config=default_profiles(),
+                            profile_name="nominal",
+                            strict_windows=rng.random() < 0.5)
+    assert_read_set_keeps_verdicts(assertions, text, ctx)
+
+
+_CTX = EvaluationContext(road=ROAD, config=default_profiles(),
+                         profile_name="nominal")
+
+
+@pytest.mark.parametrize("condition, reads", [
+    ('speed_of("other") >= 0', {"other"}),
+    ('speed_of("Other") >= 0', {"Other", "other"}),
+    ('speed_of("car1") >= 0', {"car1"}),
+    ('sda() > 0', {"av", "ov", "vbp"}),
+], ids=["other", "Other", "car1", "sda"])
+def test_read_set_fixed_cases(condition, reads):
+    rng = random.Random(5)
+    text = with_others(random_trace(rng), rng)
+    assertions = compile_text(rule_text("named", {
+        "type": "invariant", "condition": condition}))
+    assert read_set(assertions) == reads
+    assert_read_set_keeps_verdicts(assertions, text, _CTX)
+
+
+def test_step_of_dropped_actors_only():
+    """A step whose records were all left out is kept, empty."""
+    def record(t, aid, role, x):
+        return json.dumps({"t": t, "actor_id": aid, "role": role, "x": x,
+                           "y": -1.825, "heading_rad": 0.0, "length_m": 4.0,
+                           "width_m": 2.0})
+    text = "\n".join([record(0.0, "ego", "AV", 0.0),
+                      record(0.0, "car1", "other", 30.0),
+                      record(0.1, "car1", "other", 31.0),
+                      record(0.2, "ego", "AV", 2.0),
+                      record(0.2, "car1", "other", 32.0)])
+    assertions = compile_text(rule_text("named", {
+        "type": "invariant", "condition": 'speed_of("av") >= 0'}))
+    kept = load_trace(text, read_set(assertions))
+    assert kept.times == (0.0, 0.1, 0.2)
+    assert [sorted(step) for step in kept.steps] == [["ego"], [], ["ego"]]
+    assert_read_set_keeps_verdicts(assertions, text, _CTX)
 
 
 # --- window semantics against an independent model -------------------------

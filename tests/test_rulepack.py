@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from roadcheck.checker import compile_text
-from roadcheck.engine import FAIL, PASS, EvaluationContext, evaluate_document
+from roadcheck.checker import compile_text, read_set
+from roadcheck.engine import (FAIL, PASS, EvaluationContext, _BufferedStep,
+                              evaluate_document)
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck.models import MPH_TO_MPS, default_profiles
 from roadcheck.rulepack import (DANGER_SPACE_IDS, NoManoeuvreError,
@@ -13,6 +14,7 @@ from roadcheck.rulepack import (DANGER_SPACE_IDS, NoManoeuvreError,
                                 first_failures, load_rulepack,
                                 RULE163_PULL_OUT, rule162_sda_assertion,
                                 scope_to_manoeuvre)
+from roadcheck.scenarios import PRESET_NAMES, generate, preset
 from roadcheck.trace import ActorState, Trace
 from roadcheck.worldmap import load_map
 
@@ -257,3 +259,38 @@ def test_aggregation_any_step_fails_stage(safe_scenario, config):
     assert table["once"]["passing"] == FAIL
     assert table["once"]["pull_out"] == PASS
     assert table["once"]["cut_in"] == PASS
+
+
+class TestReadSet:
+    """The actors that each shipped rule can resolve, and that the
+    evaluator resolves no other."""
+
+    @pytest.mark.parametrize("aid, reads", [
+        ("rule162_safe_distance_ahead", {"av", "ov", "vbp"}),
+        ("rule163_pull_out_separation", {"av", "vbp"}),
+        ("ds_vbp_outside_av", {"av", "vbp"}),
+        ("ds_ov_outside_av", {"av", "ov"}),
+        ("ds_av_outside_ov", {"av", "ov"}),
+        ("ds_no_mutual_overlap", {"av", "ov"}),
+    ])
+    def test_each_shipped_rule(self, aid, reads):
+        rule, = [a for a in load_rulepack() if a.id == aid]
+        assert read_set([rule]) == reads
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_resolved_reference_in_read_set(self, name, config,
+                                                  monkeypatch):
+        road, trace = generate(preset(name))
+        received = set()
+        resolve = _BufferedStep.resolve
+
+        def recording(at, ref):
+            received.add(ref)
+            return resolve(at, ref)
+
+        monkeypatch.setattr(_BufferedStep, "resolve", recording)
+        rules = load_rulepack()
+        for profile in ("aggressive", "nominal", "relaxed"):
+            evaluate_document(rules, trace, EvaluationContext(
+                road=road, config=config, profile_name=profile))
+        assert received == read_set(rules) == {"av", "ov", "vbp"}

@@ -526,6 +526,65 @@ class TestIngestMemory:
             setattr(value, field, getattr(value, field))
 
 
+class TestReadSet:
+    """Given a read set, a step holds the actors whose id or role key is
+    in it, and their neighbours across a role change; every record is
+    checked either way."""
+
+    def test_keeps_ids_and_role_keys(self):
+        trace = load_trace(crowded_text(3, 8), frozenset({"av", "car05"}))
+        assert [sorted(step) for step in trace.steps] == [
+            ["car00", "car05"]] * 3
+        assert trace.steps[1]["car05"].role == "other"
+
+    def test_role_change_keeps_neighbours(self):
+        # x is read as the OV at t=0.1 only; its states at the steps
+        # either side are kept for its derived dynamics
+        roles = ["other", "OV", "other", "other", "other"]
+        text = "\n".join(
+            [record(0.1 * k, x=k) for k in range(5)]
+            + [record(0.1 * k, actor="x", role=role, x=50.0 - k)
+               for k, role in enumerate(roles)])
+        text = "\n".join(sorted(text.split("\n"),
+                                key=lambda line: json.loads(line)["t"]))
+        kept = load_trace(text, frozenset({"ov"}))
+        assert [sorted(step) for step in kept.steps] == [["x"]] * 5
+        assert load_trace(text, frozenset({"ego"})).steps == tuple(
+            {"ego": step["ego"]} for step in load_trace(text).steps)
+
+    @pytest.mark.parametrize("second_role", ["other", "OV"])
+    def test_duplicate_of_dropped_actor_refused(self, second_role):
+        text = "\n".join([record(0.0), record(0.0, actor="car", role="other"),
+                          record(0.0, actor="car", role=second_role)])
+        with pytest.raises(TraceError, match=r"^record 2: duplicate actor "
+                                             r"'car' at t=0.0$"):
+            load_trace(text, frozenset({"ov"}))
+
+    def test_step_of_dropped_actors_yielded_empty(self):
+        text = "\n".join([record(0.0), record(0.1, actor="car", role="other"),
+                          record(0.2, x=1.0)])
+        assert list(iter_steps(text.split("\n"), frozenset({"av"}))) == [
+            (0.0, {"ego": state(0.0)}), (0.1, {}),
+            (0.2, {"ego": state(0.2, x=1.0)})]
+
+    def test_peak_of_a_crowded_trace(self, tmp_path):
+        # 27 of 30 vehicles are read by no rule: the trace keeps 3 per step
+        path = tmp_path / "crowded.jsonl"
+        path.write_text(crowded_text(100, 30), "utf-8")
+        peaks = []
+        for reads in (None, frozenset({"av", "vbp", "ov"})):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with open(path, "rb") as fh:
+                    trace = load_trace(fh, reads)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(trace) == 100
+        assert peaks[1] < peaks[0] / 3
+
+
 def derive_all(states_per_step):
     """``derive_row`` for every actor at every step of a trace: per step
     {actor_id: DerivedState}, without single-step actors, and all notes."""

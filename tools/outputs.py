@@ -21,8 +21,9 @@ so DIR may be the ``src`` directory of any checkout, and writes into OUT:
   that is well-formed but for one key that it does not read, and the
   stdout, stderr and exit code of every command that reads each one;
 * ``workloads/``: the same ``check`` and ``monitor`` outputs on the four
-  benchmark workloads at seed 7 (nominal profile), when ``bench/gen.py``
-  exists next to this directory.
+  benchmark workloads at seed 7 (nominal profile), and on the ``crowded``
+  trace with ``OTHER_RULES``, which read its ``other`` vehicles by role and
+  one of them by id, when ``bench/gen.py`` exists next to this directory.
 
 Two checkouts give the same behaviour on this matrix when ``diff -r`` of
 their OUT directories is empty.  Each command runs in the directory of its
@@ -48,6 +49,28 @@ PROFILES = ("aggressive", "nominal", "relaxed")
 FLAGS = {"plain": (), "worst-case": ("--worst-case-speeds",),
          "debounce-lenient": ("--debounce", "3", "--lenient-windows")}
 WORKLOAD_SEED = 7
+# rules that read the vehicles that the benchmark's shipped rules do not
+OTHER_RULES = """\
+assertion other_near_av {
+  odd: single_carriageway
+  type: invariant
+  condition: min_distance(box_of("other"), box_of("av")) < 1665
+}
+
+assertion other_speed {
+  odd: single_carriageway
+  type: invariant
+  condition: speed_of("Other") > 11
+}
+
+assertion car004_ahead_of_av {
+  odd: single_carriageway
+  type: invariant
+  condition: distance_ahead("av", "car004") > 430
+}
+"""
+# workload case -> (the workload whose map and trace it reads, its rules)
+RULE_CASES = {"crowded-other-rules": ("crowded", OTHER_RULES)}
 
 
 class Runner:
@@ -302,8 +325,8 @@ def _bench_gen():
 def write_outputs(src: Path, out: Path, presets=PRESETS, profiles=PROFILES,
                   workloads=None) -> None:
     """The matrix of the roadcheck package in ``src``, written into
-    ``out``; ``presets``, ``profiles`` and ``workloads`` (None: all four)
-    narrow it."""
+    ``out``; ``presets``, ``profiles`` and ``workloads`` (None: the four
+    workloads and ``RULE_CASES``) narrow it."""
     runner = Runner(src.resolve())
     out = out.resolve()
     gen_dir = out / "gen"
@@ -328,10 +351,16 @@ def write_outputs(src: Path, out: Path, presets=PRESETS, profiles=PROFILES,
     gen = _bench_gen()
     if gen is None:
         return
-    for name in sorted(gen.WORKLOADS) if workloads is None else workloads:
+    if workloads is None:
+        workloads = sorted(gen.WORKLOADS) + sorted(RULE_CASES)
+    for name in workloads:
+        workload, rules_text = RULE_CASES.get(name, (name, None))
         with tempfile.TemporaryDirectory() as tmp:
-            made = gen.generate(name, WORKLOAD_SEED, Path(tmp))
+            made = gen.generate(workload, WORKLOAD_SEED, Path(tmp))
             rules = made.rules_path and ["--rules", made.rules_path.name]
+            if rules_text is not None:
+                (Path(tmp) / f"{name}.rules").write_text(rules_text, "utf-8")
+                rules = ["--rules", f"{name}.rules"]
             runner.check_and_monitor(
                 Path(tmp), (made.map_path.name, made.trace_path.name,
                             rules or []), out / "workloads" / name)
