@@ -322,13 +322,13 @@ def zones_cmd(map_path, trace_path, profiles_path, profile_name, margin,
     """Zone classification at the overtake decision point."""
     from . import zones as zones_mod
     road = _load_map(map_path)
-    trace = _load_trace(trace_path)
+    rule162 = [rulepack.rule162_sda_assertion()]
+    trace = _load_trace(trace_path, read_set(rule162))
     config = _load_config(profiles_path, profile_name)
     ctx = EvaluationContext(road=road, config=config,
                             profile_name=profile_name)
     try:
-        verdicts = evaluate_document([rulepack.rule162_sda_assertion()],
-                                     trace, ctx)
+        verdicts = evaluate_document(rule162, trace, ctx)
     except EvalError as exc:
         _die(str(exc))
     # every rule 162 verdict but reference-never-fired is stamped at a

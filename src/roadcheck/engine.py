@@ -92,7 +92,6 @@ _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _isfinite = math.isfinite
 _encode = json.JSONEncoder(sort_keys=True).encode
-_encode_str = json.encoder.encode_basestring_ascii
 _quote = functools.cache(_encode)    # for ids, results and keys, not data
 _CONDITION_DETAIL = (MappingProxyType({"condition": False}),    # shared
                      MappingProxyType({"condition": True}))
@@ -135,7 +134,7 @@ class Verdict(Record):
         t, detail = self.t, self.detail
         t = (float.__repr__(t) if type(t) is float and _isfinite(t)
              else _encode(t))
-        detail = _SHARED_TEXT.get(id(detail)) or _encode_detail(detail)
+        detail = _SHARED_TEXT.get(id(detail)) or _encode(detail)
         return (f'{{"assertion_id": {_quote(self.assertion_id)}, '
                 f'"detail": {detail}, '
                 f'"result": {_quote(self.result)}, "t": {t}}}')
@@ -150,23 +149,6 @@ class Verdict(Record):
 
 
 _set_id, _set_t, _set_result, _set_detail = Verdict._setters
-
-
-def _encode_detail(detail: dict) -> str:
-    """``_encode(detail)``, written directly for str keys and plain values."""
-    parts = []
-    for key, value in sorted(detail.items()):
-        kind = type(value)
-        if type(key) is not str:
-            return _encode(detail)
-        if kind is str:
-            value = _encode_str(value)
-        elif kind is bool:
-            value = "true" if value else "false"
-        elif kind is not int and (kind is not float or not _isfinite(value)):
-            return _encode(detail)
-        parts.append(f"{_quote(key)}: {value}")    # ints and floats: repr
-    return "{" + ", ".join(parts) + "}"
 
 
 class EvaluationContext(Record):

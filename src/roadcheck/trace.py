@@ -18,11 +18,11 @@ from it in one pass, and any other line is decoded again as
 ``inputs.json_records`` decodes it and read against the field table
 ``_RECORD``, so what is accepted and every message are the stdlib's
 either way.  Given the rules' read set, a step holds only the actors
-that the reader kept, those that the rules can resolve.  An actor's
-states share one id, role and dims object, and a step's states one time;
-a gated record of an actor already read, in the same role and dims, is
-built slot by slot, and a state read so builds its ``Pose2D`` when
-``pose`` is first read, so actors that no rule reads build none.
+that the reader kept, those that the rules can resolve, and a state
+builds its ``Pose2D`` when the reader keeps it, so actors that no rule
+reads build none.  An actor's states share one id, role and dims object,
+and a step's states one time; a gated record of an actor already read,
+in the same role and dims, is built slot by slot.
 
 ``derive_row`` derives the dynamics of the one actor it is asked for at
 one step from its neighbouring steps: speed from positions by central
@@ -64,11 +64,10 @@ class TraceError(ValueError):
 
 
 class ActorState:
-    """One actor at one timestep.  A state read by ``iter_steps`` holds the
-    raw x, y and heading until ``pose`` is first read, then the Pose2D."""
+    """One actor at one timestep."""
 
-    __slots__ = ("actor_id", "role", "t", "_pose", "dims", "speed",
-                 "low_confidence", "_x", "_y", "_heading")
+    __slots__ = ("actor_id", "role", "t", "pose", "dims", "speed",
+                 "low_confidence")
 
     def __init__(self, actor_id: str, role: str, t: float, pose: Pose2D,
                  dims: BoxDims, speed: float | None = None,
@@ -80,18 +79,10 @@ class ActorState:
             raise TraceError(f"timestamp must be finite and >= 0, got {t}")
         self.actor_id = actor_id
         self.t = t
-        self._pose = pose       # None until built from _x, _y, _heading
+        self.pose = pose
         self.dims = dims
         self.speed = speed
         self.low_confidence = low_confidence
-
-    @property
-    def pose(self) -> Pose2D:
-        pose = self._pose
-        if pose is None:
-            pose = self._pose = Pose2D(self._x, self._y, self._heading)
-            del self._x, self._y, self._heading
-        return pose
 
     def _fields(self):
         return (self.actor_id, self.role, self.t, self.pose, self.dims,
@@ -152,13 +143,12 @@ _SPEED, _LOW_CONFIDENCE = _KEYS[8], _KEYS[10]
 _SQUARES_BELOW = 2.0 ** 126
 
 
-def _parse_record(obj, line: str, index: int, seen: dict,
-                  reported: set) -> ActorState:
-    """Record ``line`` as an ActorState, its pose not yet built.  ``obj``
-    is the line as orjson decoded it, or None where orjson refused it.
-    ``seen`` maps actor ids to their first states; the record reuses that
-    id object, and those dims when equal.  ``reported`` holds the unknown
-    keys that the records before it reported.
+def _parse_record(obj, line: str, index: int, seen: dict, reported: set):
+    """Record ``line`` as an ActorState without a pose, and that pose's x,
+    y and heading.  ``obj`` is the line as orjson decoded it, or None where
+    orjson refused it.  ``seen`` maps actor ids to their first states; the
+    record reuses that id object, and those dims when equal.  ``reported``
+    holds the unknown keys that the records before it reported.
 
     The record is read from ``obj`` in one pass when ``obj`` holds the
     eight required fields and, told by its size, nothing else (8 keys),
@@ -213,7 +203,7 @@ def _parse_record(obj, line: str, index: int, seen: dict,
             and first.dims.length == length and first.dims.width == width):
         state = object.__new__(ActorState)    # __init__'s checks hold
         state.actor_id, state.role, state.t = first.actor_id, first.role, t
-        state._pose, state.dims, state.speed = None, first.dims, speed
+        state.dims, state.speed = first.dims, speed
         state.low_confidence = low_confidence is True
     else:
         if first is not None:
@@ -225,8 +215,7 @@ def _parse_record(obj, line: str, index: int, seen: dict,
                                low_confidence is True)
         except ValueError as exc:
             raise TraceError(f"record {index}: {exc}") from exc
-    state._x, state._y, state._heading = x, y, heading
-    return state
+    return state, x, y, heading
 
 
 def read_lines(source):
@@ -261,19 +250,21 @@ def iter_steps(lines, reads=None):
     Given ``reads`` (``checker.read_set``), a step holds a state whose
     actor id or role key is in it or whose actor the step before holds,
     and the step before then holds that actor too: dynamics read an
-    actor's neighbouring states, and its role may change.  A step whose
-    states were all left out is yielded empty; every record is checked.
+    actor's neighbouring states, and its role may change.  A state builds
+    its pose when it is kept.  A step whose states were all left out is
+    yielded empty; every record is checked.
     """
     seen: dict = {}     # actor id -> its first state
     reported: set = set()   # the unknown keys reported so far
-    t, step, dropped = None, {}, None   # dropped: id -> state left out
+    t, step, dropped = None, {}, None   # dropped: id -> (state, x, y, heading)
     last = last_dropped = None          # the same of the step before
     for index, line in record_lines(lines):
         try:
             obj = orjson.loads(line)
         except orjson.JSONDecodeError:
             obj = None      # _parse_record has the stdlib decode it
-        state = _parse_record(obj, line, index, seen, reported)
+        state, x, y, heading = _parse_record(obj, line, index, seen,
+                                             reported)
         aid, st = state.actor_id, state.t
         if t is not None and st < t:
             raise TraceError(f"record {index}: out-of-order timestamp {st} "
@@ -295,12 +286,15 @@ def iter_steps(lines, reads=None):
         if (reads is None or aid in reads or aid in last
                 or _ROLE_KEYS[state.role] in reads):
             if last_dropped and aid in last_dropped:
-                last[aid] = last_dropped.pop(aid)
+                back, *pose = last_dropped.pop(aid)
+                back.pose = Pose2D(*pose)
+                last[aid] = back
+            state.pose = Pose2D(x, y, heading)
             step[aid] = state
         else:
             if dropped is None:
                 dropped = {}
-            dropped[aid] = state
+            dropped[aid] = state, x, y, heading
     if t is not None:
         yield t, step
 

@@ -1768,6 +1768,62 @@ class TestZonesCommand:
         assert res.exit_code == 2, res.output
         assert "error: the ego never crosses the centre line" in res.stderr
 
+    def test_reads_rule_actors_only(self, fixture_dir, tmp_path, monkeypatch):
+        # 20 other vehicles that rule 162 never names, and "car", an other
+        # vehicle but at the decision step, where it is the OV that ov
+        # names (its id sorts first): zones writes what the whole trace
+        # gives, and builds no pose for the 20
+        import roadcheck.trace as trace_mod
+        from roadcheck.engine import (EvaluationContext, evaluate_document,
+                                      manoeuvre_at)
+        from roadcheck.models import default_profiles
+        from roadcheck.rulepack import rule162_sda_assertion
+        from roadcheck.trace import load_trace
+        from roadcheck.zones import zone_report_csv, zone_report_rows
+        lines = []
+        for line in (fixture_dir / "safe_trace.jsonl").read_text().splitlines():
+            lines.append(line)
+            r = json.loads(line)
+            if r["actor_id"] != "oncoming":
+                continue
+            lines += [json.dumps({**r, "actor_id": f"other{i:02d}",
+                                  "role": "other", "x": 1000.0 + i})
+                      for i in range(20)]
+            lines.append(json.dumps({
+                **r, "actor_id": "car", "x": r["x"] - 12.0 - 2.0 * r["t"],
+                "role": "OV" if round(r["t"], 6) == 1.05 else "other",
+                "speed_mps": r["speed_mps"] + 2.0}))
+        lines.sort(key=lambda line: json.loads(line)["t"])
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "crowded_trace.jsonl"
+        path.write_text(text)
+
+        trace = load_trace(text)
+        ctx = EvaluationContext(road=load_map(
+            (fixture_dir / "safe_map.json").read_text()),
+            config=default_profiles(), profile_name="nominal")
+        observations = [
+            (v.t, v.detail["measured"],
+             manoeuvre_at(trace, trace.times.index(v.t), ctx))
+            for v in evaluate_document([rule162_sda_assertion()], trace, ctx)
+            if "measured" in v.detail]
+        expected = zone_report_csv(zone_report_rows(
+            observations, ctx.config.profile("nominal")))
+        assert [t for t, *_ in observations] == [1.05]
+        assert expected != invoke(fixture_dir, "zones").output
+
+        built = []
+        original = trace_mod.Pose2D
+
+        def counting(x, y, heading):
+            built.append(x)
+            return original(x, y, heading)
+        monkeypatch.setattr(trace_mod, "Pose2D", counting)
+        res = invoke(fixture_dir, "zones", trace=path)
+        assert res.exit_code == 0, res.output
+        assert res.output == expected
+        assert built and not any(x >= 1000.0 for x in built)
+
 
 def _set(path, value):
     """An edit of a JSON document: the value at ``path`` replaced."""

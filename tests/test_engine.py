@@ -570,9 +570,11 @@ class TestOnDemandDerivation:
 
     def test_poses_built_only_for_rule_actors(self, monkeypatch,
                                               safe_scenario):
-        # a record read from JSON builds its Pose2D when a rule first reads
-        # it, so the 20 vehicles that no rule names build none
+        # a record read through the rules' read set builds its Pose2D when
+        # the reader keeps it, so the 20 vehicles that no rule names build
+        # none
         import roadcheck.trace as trace_mod
+        from roadcheck.checker import read_set
         from roadcheck.rulepack import load_rulepack
         road, trace = safe_scenario
         crowd = []
@@ -593,11 +595,12 @@ class TestOnDemandDerivation:
         monkeypatch.setattr(trace_mod, "Pose2D", counting)
         ctx = EvaluationContext(road=road, config=default_profiles(),
                                 profile_name="nominal")
-        plain = load_trace(serialise_trace(trace))
+        reads = read_set(load_rulepack())
+        plain = load_trace(serialise_trace(trace), reads)
         verdicts = evaluate_document(load_rulepack(), plain, ctx)
         plain_poses = len(built)
         built.clear()
-        crowded = load_trace("\n".join(crowd))
+        crowded = load_trace("\n".join(crowd), reads)
         assert evaluate_document(load_rulepack(), crowded, ctx) == verdicts
         assert 0 < len(built) == plain_poses <= 3 * len(trace)
 
@@ -821,7 +824,7 @@ _values = st.recursive(
     st.none() | _scalars,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(_texts, inner, max_size=3), max_leaves=6)
-# details that take the direct path, and details that fall back
+# flat details and nested ones, through the one encoder
 _details = (st.dictionaries(_texts, _scalars, max_size=6)
             | st.dictionaries(_texts, _values, max_size=4))
 

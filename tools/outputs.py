@@ -20,10 +20,11 @@ so DIR may be the ``src`` directory of any checkout, and writes into OUT:
   document may and one a level deeper, and, for each reader, an input
   that is well-formed but for one key that it does not read, and the
   stdout, stderr and exit code of every command that reads each one;
-* ``workloads/``: the same ``check`` and ``monitor`` outputs on the four
-  benchmark workloads at seed 7 (nominal profile), and on the ``crowded``
-  trace with ``OTHER_RULES``, which read its ``other`` vehicles by role and
-  one of them by id, when ``bench/gen.py`` exists next to this directory.
+* ``workloads/``: the same ``check`` and ``monitor`` outputs, and
+  ``zones``, on the four benchmark workloads at seed 7 (nominal profile),
+  and ``check`` and ``monitor`` on the ``crowded`` trace with
+  ``OTHER_RULES``, which read its ``other`` vehicles by role and one of
+  them by id, when ``bench/gen.py`` exists next to this directory.
 
 Two checkouts give the same behaviour on this matrix when ``diff -r`` of
 their OUT directories is empty.  Each command runs in the directory of its
@@ -364,6 +365,10 @@ def write_outputs(src: Path, out: Path, presets=PRESETS, profiles=PROFILES,
             runner.check_and_monitor(
                 Path(tmp), (made.map_path.name, made.trace_path.name,
                             rules or []), out / "workloads" / name)
+            if rules_text is None:
+                runner.run(Path(tmp), ["zones", "--map", made.map_path.name,
+                                       "--trace", made.trace_path.name],
+                           out / "workloads" / name / "zones")
 
 
 def main(argv=None) -> int:
