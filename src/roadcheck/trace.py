@@ -18,11 +18,12 @@ from it in one pass, and any other line is decoded again as
 ``inputs.json_records`` decodes it and read against the field table
 ``_RECORD``, so what is accepted and every message are the stdlib's
 either way.  Given the rules' read set, a step holds only the actors
-that the reader kept, those that the rules can resolve, and a state
-builds its ``Pose2D`` when the reader keeps it, so actors that no rule
-reads build none.  An actor's states share one id, role and dims object,
-and a step's states one time; a gated record of an actor already read,
-in the same role and dims, is built slot by slot.
+that the reader kept, those that the rules can resolve.  Every record is
+checked; one of an actor already read, in its role and dims, is then
+built into a state and its ``Pose2D`` if it is kept, and if it is left
+out it is held for one step as its fields, never as a state.  An actor's
+states share one id, role and dims object, and the states kept as a step
+is read one time.
 
 ``derive_row`` derives the dynamics of the one actor it is asked for at
 one step from its neighbouring steps: speed from positions by central
@@ -144,11 +145,14 @@ _SQUARES_BELOW = 2.0 ** 126
 
 
 def _parse_record(obj, line: str, index: int, seen: dict, reported: set):
-    """Record ``line`` as an ActorState without a pose, and that pose's x,
-    y and heading.  ``obj`` is the line as orjson decoded it, or None where
-    orjson refused it.  ``seen`` maps actor ids to their first states; the
-    record reuses that id object, and those dims when equal.  ``reported``
-    holds the unknown keys that the records before it reported.
+    """The fields of record ``line``, checked: ``(template, t, x, y,
+    heading, speed, low_confidence)``.  ``obj`` is the line as orjson
+    decoded it, or None where orjson refused it.  ``seen`` maps actor ids
+    to their first states: the template is that state when the record is
+    in its role and dims with a finite ``t >= 0``, and otherwise a state
+    without a pose built from the record, with that id object, and those
+    dims when equal.  ``reported`` holds the unknown keys that the records
+    before it reported.
 
     The record is read from ``obj`` in one pass when ``obj`` holds the
     eight required fields and, told by its size, nothing else (8 keys),
@@ -172,9 +176,7 @@ def _parse_record(obj, line: str, index: int, seen: dict, reported: set):
 
     Any other line is decoded again by the stdlib and read field by
     field, so what is accepted, and the first fault in field order that
-    is reported, are the stdlib decoder's.  A record of an actor in
-    ``seen``, in its role and dims, with a finite ``t >= 0``, is built
-    slot by slot."""
+    is reported, are the stdlib decoder's."""
     try:
         t, actor_id, role, x, y, heading, length, width = _required(obj)
         size = len(obj)
@@ -199,23 +201,29 @@ def _parse_record(obj, line: str, index: int, seen: dict, reported: set):
         if speed_mph is not None:
             speed = speed_mph * MPH_TO_MPS
     first = seen.get(actor_id)
-    if (first is not None and role == first.role and 0.0 <= t < math.inf
-            and first.dims.length == length and first.dims.width == width):
-        state = object.__new__(ActorState)    # __init__'s checks hold
-        state.actor_id, state.role, state.t = first.actor_id, first.role, t
-        state.dims, state.speed = first.dims, speed
-        state.low_confidence = low_confidence is True
-    else:
+    if (first is None or role != first.role or not 0.0 <= t < math.inf
+            or first.dims.length != length or first.dims.width != width):
         if first is not None:
             actor_id, dims = first.actor_id, first.dims
         try:
             if first is None or dims.length != length or dims.width != width:
                 dims = BoxDims(length, width)
-            state = ActorState(actor_id, role, t, None, dims, speed,
-                               low_confidence is True)
+            first = ActorState(actor_id, role, t, None, dims)
         except ValueError as exc:
             raise TraceError(f"record {index}: {exc}") from exc
-    return state, x, y, heading
+    return first, t, x, y, heading, speed, low_confidence
+
+
+def _state(fields, t) -> ActorState:
+    """The state of a record's ``fields``, as ``_parse_record`` returns
+    them, at time ``t``."""
+    template, _, x, y, heading, speed, low_confidence = fields
+    state = object.__new__(ActorState)  # the template passed __init__'s checks
+    state.actor_id, state.role, state.dims = (template.actor_id, template.role,
+                                              template.dims)
+    state.t, state.pose, state.speed = t, Pose2D(x, y, heading), speed
+    state.low_confidence = low_confidence is True
+    return state
 
 
 def read_lines(source):
@@ -250,51 +258,50 @@ def iter_steps(lines, reads=None):
     Given ``reads`` (``checker.read_set``), a step holds a state whose
     actor id or role key is in it or whose actor the step before holds,
     and the step before then holds that actor too: dynamics read an
-    actor's neighbouring states, and its role may change.  A state builds
-    its pose when it is kept.  A step whose states were all left out is
-    yielded empty; every record is checked.
+    actor's neighbouring states, and its role may change.  Every record is
+    checked; a left-out one is held for one step as its fields, for the
+    duplicate check and that put-back, and is built into a state only if
+    it is put back.  A step whose states were all left out is yielded empty.
     """
     seen: dict = {}     # actor id -> its first state
     reported: set = set()   # the unknown keys reported so far
-    t, step, dropped = None, {}, None   # dropped: id -> (state, x, y, heading)
+    t, step, dropped = None, {}, None   # dropped: id -> its record's fields
     last = last_dropped = None          # the same of the step before
     for index, line in record_lines(lines):
         try:
             obj = orjson.loads(line)
         except orjson.JSONDecodeError:
             obj = None      # _parse_record has the stdlib decode it
-        state, x, y, heading = _parse_record(obj, line, index, seen,
-                                             reported)
-        aid, st = state.actor_id, state.t
+        fields = _parse_record(obj, line, index, seen, reported)
+        template, st = fields[0], fields[1]
+        aid = template.actor_id
         if t is not None and st < t:
             raise TraceError(f"record {index}: out-of-order timestamp {st} "
                              f"after {t}")
         if st == t and (aid in step or dropped and aid in dropped):
             raise TraceError(f"record {index}: duplicate actor {aid!r} at "
                              f"t={st}")
-        dims = seen.setdefault(aid, state).dims
-        if dims is not state.dims:
+        dims = seen.setdefault(aid, template).dims
+        if dims is not template.dims:
             raise TraceError(f"record {index}: actor {aid!r} changed dims "
-                             f"{dims} -> {state.dims}")
+                             f"{dims} -> {template.dims}")
         if st != t:
             if t is not None:
                 yield t, step
             last, last_dropped = step, dropped
             t, step, dropped = st, {}, None
         elif t or math.copysign(1.0, st) == math.copysign(1.0, t):
-            state.t = t     # one float per step, but -0.0 == 0.0 keeps its sign
+            st = t      # one float per step, but -0.0 == 0.0 keeps its sign
         if (reads is None or aid in reads or aid in last
-                or _ROLE_KEYS[state.role] in reads):
+                or _ROLE_KEYS[template.role] in reads):
             if last_dropped and aid in last_dropped:
-                back, *pose = last_dropped.pop(aid)
-                back.pose = Pose2D(*pose)
-                last[aid] = back
-            state.pose = Pose2D(x, y, heading)
-            step[aid] = state
+                back = last_dropped.pop(aid)    # at its record's own time
+                last[aid] = _state(back, back[1])
+            step[aid] = _state(fields, st)
         else:
             if dropped is None:
                 dropped = {}
-            dropped[aid] = state, x, y, heading
+            dropped[aid] = fields
     if t is not None:
         yield t, step
 

@@ -192,9 +192,11 @@ def load_map(source) -> RoadMap:
     """Parse and validate a map document from bytes, text, or a file object."""
     doc = read_document(source, _MAP.where, MapError)
     entries, centreline = _MAP.read(doc, MapError)
+    del doc     # each entry is freed once its lanelet is built
     reported = set()
     lanelets = []
     for i, entry in enumerate(entries):
+        entries[i] = None
         lid, vertices, orientation, width, direction = _LANELET.read(
             entry, MapError, i, reported=reported)
         try:
@@ -202,8 +204,6 @@ def load_map(source) -> RoadMap:
         except GeometryError as exc:
             raise MapError(f"lanelet {lid!r}: invalid shape: {exc}") from None
         lanelets.append(Lanelet(lid, shape, orientation, width, direction))
-    # free the document first: the indexes are built in the memory it held
-    del doc, entries
     return RoadMap(tuple(lanelets), centreline)
 
 

@@ -547,6 +547,10 @@ MALFORMED = [
      "record 11: unknown role 'truck' for 'car'"),
     ("unread-nan-t", _unread(_mutate(11, t=float("nan"))),
      "record 11: timestamp must be finite and >= 0, got nan"),
+    ("unread-text-low-confidence", _unread(_mutate(11, low_confidence="yes")),
+     'record 11: low_confidence must be true or false, got "yes"'),
+    ("unread-null-speed-mph", _unread(_mutate(11, speed_mph=None)),
+     "record 11: speed_mph must be a number, got null"),
 ]
 
 
@@ -572,6 +576,24 @@ class TestMalformedTraceParity:
             assert len(lines) == 1, (command, res.stderr)
             errors.append(lines[0])
         assert errors == [f"error: {message}"] * 2
+
+    @pytest.mark.parametrize("fields", [
+        {"speed_mph": 25.0}, {"x": 500}, {"low_confidence": True}],
+        ids=["speed-mph", "integer-x", "low-confidence"])
+    def test_unread_table_read_record_accepted(self, fixture_dir, tmp_path,
+                                               fields):
+        # an unread car's record that the field table reads is accepted,
+        # and left out: the verdicts are those of the trace without the car
+        records = [json.loads(l) for l in
+                   (fixture_dir / "safe_trace.jsonl").read_text().splitlines()]
+        trace = tmp_path / "unread_trace.jsonl"
+        trace.write_text("\n".join(_unread(_mutate(7, **fields))(records))
+                         + "\n", "utf-8")
+        for command in ("check", "monitor"):
+            res, plain = (invoke(fixture_dir, command, trace=path)
+                          for path in (trace, None))
+            assert res.exit_code == plain.exit_code == 0, (command, res.output)
+            assert res.output == plain.output
 
     def test_line_separator_in_string_accepted(self, fixture_dir, tmp_path):
         # U+2028 and U+0085 may stand unescaped in a JSON string; only

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadcheck.checker import compile_text
+from roadcheck.checker import compile_text, read_set
 from roadcheck.engine import FAIL, EvaluationContext, Verdict, evaluate_document
 from roadcheck.geometry import BoxDims, Pose2D
 from roadcheck import trace as trace_module
 from roadcheck.inputs import UnknownKeysWarning, json_records
+from roadcheck.rulepack import load_rulepack
 from roadcheck.scenarios import PRESET_NAMES, generate, preset
 from roadcheck.trace import (ActorState, DerivedState, Trace, TraceError,
                              derive_row, iter_steps, load_trace, read_lines,
@@ -580,6 +581,35 @@ class TestReadSet:
         assert list(iter_steps(text.split("\n"), frozenset({"av"}))) == [
             (0.0, {"ego": state(0.0)}), (0.1, {}),
             (0.2, {"ego": state(0.2, x=1.0)})]
+
+    def test_left_out_records_build_no_state(self):
+        # the 20 other vehicles keep their first states as templates; each
+        # later record of theirs is checked and held as its fields only
+        others = {f"car{a:02d}" for a in range(3, 23)}
+        text = crowded_text(6, 23)
+        counts = []
+        for _, step in iter_steps(text.split("\n"), read_set(load_rulepack())):
+            assert sorted(step) == ["car00", "car01", "car02"]
+            counts.append(sum(1 for obj in gc.get_objects()
+                              if type(obj) is ActorState
+                              and obj.actor_id in others))
+        assert len(counts) == 6 and max(counts) <= 20
+
+    @pytest.mark.parametrize("extra", [
+        {"speed_mph": 25.0}, {"x": 5}, {"low_confidence": True, "y": 1}],
+        ids=["speed-mph", "integer-x", "integer-y-low-confidence"])
+    def test_table_read_record_left_out(self, extra):
+        # a record that the gate hands to the field table is left out the
+        # same, and read as before where it is kept
+        lines = [record(0.0), record(0.0, actor="car", role="other", **extra),
+                 record(0.1, x=1.0),
+                 record(0.1, actor="car", role="other", x=2.0)]
+        assert list(iter_steps(lines, frozenset({"av"}))) == [
+            (0.0, {"ego": state(0.0)}), (0.1, {"ego": state(0.1, x=1.0)})]
+        kept = load_trace("\n".join(lines)).steps[0]["car"]
+        assert (kept.speed, kept.pose.x, kept.low_confidence) == (
+            25.0 * MPH if "speed_mph" in extra else None,
+            5.0 if "x" in extra else 0.0, "low_confidence" in extra)
 
     def test_peak_of_a_crowded_trace(self, tmp_path):
         # 27 of 30 vehicles are read by no rule: the trace keeps 3 per step

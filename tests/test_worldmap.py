@@ -364,3 +364,22 @@ class TestMapMemory:
         assert len(road.lanelets) == 400
         assert road._lanelet_tree is not None
         assert (retained - base) / 400 < self.BYTES_PER_LANELET
+
+    def test_load_map_peak_near_the_decode(self):
+        # the map's bytes, as a map file gives them: each decoded lanelet
+        # is freed once its Lanelet is built, so the load peaks while the
+        # text is decoded; holding the whole document to the end took 1.24
+        # times the decode's peak
+        data = straight_road(200).encode()
+        load_map(data)      # warm-up: the first load fills caches
+        peaks = []
+        for load in (lambda: json_loads(data.decode()), lambda: load_map(data)):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                value = load()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del value
+        assert peaks[1] <= 1.1 * peaks[0]
